@@ -166,7 +166,7 @@ def guardian_check_share(group, share: int, index: int,
     power = 1
     for a_l in commitments.commitments:
         expected = group.mul(expected, group.exp(a_l, power))
-        power *= index
+        power = power * index % group.order
     return group.encode(group.base_exp(share)) == group.encode(expected)
 
 

@@ -152,6 +152,25 @@ class TestDealProofs:
         assert nizk.guardian_check_share(group, secret, 5, commitments)
         assert not nizk.guardian_check_share(group, secret + 1, 5, commitments)
 
+    def test_check_share_exponents_stay_reduced(self, group, rng):
+        q = group.order
+        poly = shamir.Polynomial(tuple(rng.randrange(q) for _ in range(6)), q)
+        commitments = nizk.commit_polynomial(group, poly)
+        exponents = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(group, name)
+
+            def exp(self, a, e):
+                exponents.append(e)
+                return group.exp(a, e)
+
+        index = q - 3
+        assert nizk.guardian_check_share(Recording(), poly.evaluate(index), index,
+                                         commitments)
+        assert exponents == [pow(index, l, q) for l in range(6)]
+
 
 class TestBallotProof:
     def _ballot(self, group, rng, allowed, exponent):

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from fdkg import protocol, transcripts, voting
 from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT, Behavior,
                         run_ceremony)
 from fdkg.election import run_election
+from fdkg.groups import SECP256K1
 from fdkg.protocol import Params
 
 
@@ -82,3 +85,33 @@ def test_lines_are_stable_across_runs(group):
     b = run_ceremony(params, behaviors, group, seed=57)
     assert transcripts.export_lines(a.board, group) == \
         transcripts.export_lines(b.board, group)
+
+
+def _lines_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestSecp256k1Pins:
+    """Fixed-seed transcript bytes on the production curve: the behaviour
+    contract that any change to the curve arithmetic must keep."""
+
+    def test_ceremony_transcript_bytes(self):
+        params = Params(5, 2, 3)
+        behaviors = {i: Behavior() for i in range(1, 6)}
+        behaviors[2] = Behavior(ABSENT_ROUND2)
+        result = run_ceremony(params, behaviors, SECP256K1, seed=2025)
+        assert result.outcome.success
+        lines = transcripts.export_lines(result.board, SECP256K1)
+        assert (len(lines), sum(map(len, lines))) == (21, 17253)
+        assert _lines_digest(lines) == \
+            "4f8945d9d28b24406356bb8cb72e61adace1529952b6fa9d975affc0fe4aa1cb"
+
+    def test_election_transcript_bytes(self):
+        params = Params(4, 2, 2)
+        behaviors = {i: Behavior() for i in range(1, 5)}
+        result = run_election(params, behaviors, {1: 1, 2: 2, 3: 2}, 2,
+                              SECP256K1, seed=2026)
+        assert result.success and result.tally.counts == (1, 2)
+        lines = transcripts.export_lines(result.board, SECP256K1)
+        assert _lines_digest(lines) == \
+            "dab90499971edab64a6e1d48d4526f7c90311bc721fe45246a6cb57ac4896b84"
