@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import pke, protocol
-from .protocol import (ComplaintReveal, DealerState, DealMessage, GuardianSet,
-                       Params, PublicState, ReconstructionOutcome, SecretReveal,
-                       ShareReveal)
+from .protocol import (DealMessage, GuardianSet, Params, PublicState,
+                       ReconstructionOutcome)
 
 
 class ActivationError(Exception):
@@ -122,13 +121,26 @@ def generate_pki(params: Params, group, seed: int) -> dict:
             for i in range(1, params.n + 1)}
 
 
-def _default_guardians(params: Params, group, seed: int) -> dict:
+def _default_guardians(params: Params, seed: int) -> dict:
     sets = {}
     for i in range(1, params.n + 1):
         rng = child_rng(seed, i, _STREAM_GUARDIANS)
         candidates = [j for j in range(1, params.n + 1) if j != i]
         sets[i] = frozenset(rng.sample(candidates, params.k))
     return sets
+
+
+def dealer_guardian_sets(params: Params, behaviors: dict, guardian_sets: dict) -> dict:
+    """The `GuardianSet` of every dealing party.  ValueError when `behaviors`
+    misses a party or a dealer has no set; InvalidGuardianSetError on a bad one."""
+    missing = set(range(1, params.n + 1)) - set(behaviors)
+    if missing:
+        raise ValueError(f"behaviors missing for parties {sorted(missing)}")
+    dealers = [i for i in range(1, params.n + 1) if behaviors[i].deals]
+    unguarded = [i for i in dealers if i not in guardian_sets]
+    if unguarded:
+        raise ValueError(f"no guardian set for dealing parties {unguarded}")
+    return {i: GuardianSet.create(i, guardian_sets[i], params) for i in dealers}
 
 
 def _malform(msg: DealMessage, group) -> DealMessage:
@@ -141,6 +153,41 @@ def _malform(msg: DealMessage, group) -> DealMessage:
     return DealMessage(msg.dealer, msg.partial_pk, msg.guardians, cts, msg.proofs)
 
 
+def deal_round(params: Params, behaviors: dict, group, seed: int,
+               guardian_sets=None, pki=None) -> tuple:
+    """Round 1 of a ceremony or an election: every dealing party shares to
+    its guardian set.  Returns (board, pki, dealer_states, public_state)."""
+    if guardian_sets is None:
+        guardian_sets = _default_guardians(params, seed)
+    gsets = dealer_guardian_sets(params, behaviors, guardian_sets)
+    if pki is None:
+        pki = generate_pki(params, group, seed)
+    pub_keys = {i: kp.pk for i, kp in pki.items()}
+
+    board = BroadcastBoard()
+    dealer_states = {}
+    for i, gset in gsets.items():
+        msg, dealer_states[i] = protocol.round1_deal(
+            i, params, gset, pub_keys, group, child_rng(seed, i, _STREAM_ROUND1))
+        if behaviors[i].kind == MALFORM_DEAL:
+            msg = _malform(msg, group)
+        board.append(i, 1, msg)
+
+    public_state = protocol.process_round1(
+        [e.message for e in board.entries(1)], params, pub_keys, group)
+    return board, pki, dealer_states, public_state
+
+
+def post_shares(board: BroadcastBoard, sender: int, round_no: int,
+                behavior: Behavior, messages) -> list:
+    """Broadcast `sender`'s share messages bar those it withholds; returns them."""
+    posted = [m for m in messages
+              if behavior.kind != WITHHOLD_SHARES or m.dealer not in behavior.targets]
+    for msg in posted:
+        board.append(sender, round_no, msg)
+    return posted
+
+
 def run_ceremony(params: Params, behaviors: dict, group, seed: int,
                  guardian_sets=None, pki=None) -> CeremonyResult:
     """Execute both rounds under the given per-party behaviors.
@@ -148,52 +195,24 @@ def run_ceremony(params: Params, behaviors: dict, group, seed: int,
     `behaviors` must cover parties 1..n.  Failures are data: the outcome
     reports unrecoverable dealers instead of raising.
     """
-    missing = set(range(1, params.n + 1)) - set(behaviors)
-    if missing:
-        raise ValueError(f"behaviors missing for parties {sorted(missing)}")
-    if pki is None:
-        pki = generate_pki(params, group, seed)
-    if guardian_sets is None:
-        guardian_sets = _default_guardians(params, group, seed)
-
-    board = BroadcastBoard()
+    board, pki, dealer_states, public_state = deal_round(
+        params, behaviors, group, seed, guardian_sets, pki)
     log = []
-    keypairs = pki
-    pub_keys = {i: kp.pk for i, kp in keypairs.items()}
-
-    dealer_states = {}
-    for i in range(1, params.n + 1):
-        b = behaviors[i]
-        if not b.deals or i not in guardian_sets:
-            continue
-        gset = GuardianSet.create(i, guardian_sets[i], params)
-        msg, state = protocol.round1_deal(
-            i, params, gset, pub_keys, group, child_rng(seed, i, _STREAM_ROUND1))
-        dealer_states[i] = state
-        if b.kind == MALFORM_DEAL:
-            msg = _malform(msg, group)
-        board.append(i, 1, msg)
-
-    deals = [e.message for e in board.entries(1)]
-    public_state = protocol.process_round1(deals, params, pub_keys, group)
-    for msg in deals:
-        status = "accepted" if msg.dealer in public_state.participants else "rejected"
-        log.append(f"round1 dealer={msg.dealer} {status}")
+    for e in board.entries(1):
+        status = "accepted" if e.sender in public_state.participants else "rejected"
+        log.append(f"round1 dealer={e.sender} {status}")
 
     for i in range(1, params.n + 1):
         b = behaviors[i]
         if not b.present_round2:
             continue
         rng = child_rng(seed, i, _STREAM_ROUND2)
-        if i in public_state.participants and i in dealer_states:
+        if i in public_state.participants:
             reveal = protocol.round2_reveal_secret(
                 i, dealer_states[i], public_state, REVEAL_CONTEXT, group, rng)
             board.append(i, 2, reveal)
-        for msg in protocol.round2_reveal_shares(
-                i, keypairs[i].sk, public_state, REVEAL_CONTEXT, group, rng):
-            if b.kind == WITHHOLD_SHARES and msg.dealer in b.targets:
-                continue
-            board.append(i, 2, msg)
+        post_shares(board, i, 2, b, protocol.round2_reveal_shares(
+            i, pki[i].sk, public_state, REVEAL_CONTEXT, group, rng))
 
     reveals = [e.message for e in board.entries(2)]
     outcome = protocol.offline_reconstruct(

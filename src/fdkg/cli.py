@@ -12,11 +12,11 @@ import argparse
 import configparser
 import sys
 
-from . import costmodel, simulate, transcripts, voting
-from .board import Behavior, HONEST, run_ceremony
+from . import costmodel, simulate, transcripts
+from .board import Behavior, HONEST, dealer_guardian_sets, run_ceremony
 from .election import run_election
 from .groups import GROUPS
-from .protocol import Params
+from .protocol import Params, ProtocolError
 
 
 def _load_section(path, section) -> dict:
@@ -45,26 +45,6 @@ def _echo_config(name: str, resolved: dict) -> None:
         print(f"  {key} = {resolved[key]}")
 
 
-def _parse_behaviors(path, n: int) -> dict:
-    """[behaviors] section: `3 = byzantine-silent`, `5 = withhold-shares:1,9`.
-    Unlisted parties are honest."""
-    behaviors = {i: Behavior(HONEST) for i in range(1, n + 1)}
-    for key, value in _load_section(path, "behaviors").items():
-        party = int(key)
-        kind, _, targets = value.partition(":")
-        targets = frozenset(int(x) for x in targets.split(",") if x.strip())
-        behaviors[party] = Behavior(kind.strip(), targets)
-    return behaviors
-
-
-def _parse_guardians(path) -> dict:
-    """[guardians] section: `1 = 2,3,5`."""
-    sets = {}
-    for key, value in _load_section(path, "guardians").items():
-        sets[int(key)] = frozenset(int(x) for x in value.split(","))
-    return sets or None
-
-
 def _int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
@@ -73,21 +53,50 @@ def _float_list(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _party_section(path, section: str, n: int, parse) -> dict:
+    """A `party = value` section, e.g. [behaviors] `5 = withhold-shares:1,9`
+    or [guardians] `1 = 2,3,5`; every party must lie in 1..n."""
+    out = {}
+    for key, value in _load_section(path, section).items():
+        party = int(key)
+        if not 1 <= party <= n:
+            raise ValueError(f"[{section}] party {party} outside 1..{n}")
+        out[party] = parse(value)
+    return out
+
+
+def _behavior(text: str) -> Behavior:
+    kind, _, targets = text.partition(":")
+    return Behavior(kind.strip(), frozenset(_int_list(targets)))
+
+
+def _resolve_run(args, cfg: dict) -> tuple:
+    """(params, seed, group, behaviors, guardian sets or None) of a ceremony or
+    an election; ValueError or ProtocolError on input the run would reject."""
+    n, t, k = (_resolve(args, cfg, key, cast=int) for key in ("n", "t", "k"))
+    if None in (n, t, k):
+        raise ValueError("n, t and k are required")
+    params = Params(n, t, k)
+    name = _resolve(args, cfg, "group", "secp256k1")
+    if name not in GROUPS:
+        raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
+    behaviors = {i: Behavior(HONEST) for i in range(1, n + 1)}  # unlisted: honest
+    behaviors.update(_party_section(args.config, "behaviors", n, _behavior))
+    guardians = _party_section(args.config, "guardians", n,
+                               lambda text: frozenset(_int_list(text))) or None
+    if guardians:
+        dealer_guardian_sets(params, behaviors, guardians)
+    return params, _resolve(args, cfg, "seed", 0, int), GROUPS[name], behaviors, guardians
+
+
 def cmd_ceremony(args) -> int:
     cfg = _load_section(args.config, "ceremony")
-    n = _resolve(args, cfg, "n", cast=int)
-    t = _resolve(args, cfg, "t", cast=int)
-    k = _resolve(args, cfg, "k", cast=int)
-    seed = _resolve(args, cfg, "seed", 0, int)
-    group = GROUPS[_resolve(args, cfg, "group", "secp256k1")]
-    if n is None or t is None or k is None:
-        print("ceremony: n, t and k are required", file=sys.stderr)
+    try:
+        params, seed, group, behaviors, guardians = _resolve_run(args, cfg)
+    except (ValueError, ProtocolError) as exc:
+        print(f"ceremony: {exc}", file=sys.stderr)
         return 2
-    params = Params(n, t, k)
-    behaviors = _parse_behaviors(args.config, n)
-    guardians = _parse_guardians(args.config)
-    _echo_config("ceremony", {"n": n, "t": t, "k": k, "seed": seed,
-                              "group": group.name})
+    _echo_config("ceremony", {**vars(params), "seed": seed, "group": group.name})
     result = run_ceremony(params, behaviors, group, seed, guardian_sets=guardians)
     if args.out:
         transcripts.save(result.board, group, args.out)
@@ -141,21 +150,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_election(args) -> int:
     cfg = _load_section(args.config, "election")
-    n = _resolve(args, cfg, "n", cast=int)
-    t = _resolve(args, cfg, "t", cast=int)
-    k = _resolve(args, cfg, "k", cast=int)
-    candidates = _resolve(args, cfg, "candidates", 2, int)
-    seed = _resolve(args, cfg, "seed", 0, int)
-    group = GROUPS[_resolve(args, cfg, "group", "secp256k1")]
-    votes_text = _resolve(args, cfg, "votes")
-    if n is None or t is None or k is None or votes_text is None:
-        print("election: n, t, k and votes are required", file=sys.stderr)
+    try:
+        params, seed, group, behaviors, guardians = _resolve_run(args, cfg)
+        candidates = _resolve(args, cfg, "candidates", 2, int)
+        votes_text = _resolve(args, cfg, "votes")
+        if votes_text is None:
+            raise ValueError("votes are required")
+        votes = {i + 1: c for i, c in enumerate(_int_list(votes_text))}
+    except (ValueError, ProtocolError) as exc:
+        print(f"election: {exc}", file=sys.stderr)
         return 2
-    votes = {i + 1: c for i, c in enumerate(_int_list(votes_text))}
-    params = Params(n, t, k)
-    behaviors = _parse_behaviors(args.config, n)
-    guardians = _parse_guardians(args.config)
-    _echo_config("election", {"n": n, "t": t, "k": k, "candidates": candidates,
+    _echo_config("election", {**vars(params), "candidates": candidates,
                               "votes": len(votes), "seed": seed, "group": group.name})
     result = run_election(params, behaviors, votes, candidates, group, seed,
                           guardian_sets=guardians)

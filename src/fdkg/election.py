@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import protocol, voting
-from .board import (Behavior, BroadcastBoard, child_rng, generate_pki,
-                    _default_guardians, _malform, MALFORM_DEAL, WITHHOLD_SHARES)
-from .protocol import GuardianSet, Params, PublicState
+from . import voting
+from .board import BroadcastBoard, child_rng, deal_round, post_shares
+from .protocol import Params, PublicState
 
-_STREAM_ROUND1 = 1
 _STREAM_BALLOT = 4
 _STREAM_TALLY = 5
 
@@ -38,27 +36,8 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
     if n_bound is None:
         n_bound = params.n
     encoding = voting.derive_encoding(n_bound, candidates, group.order)
-    pki = generate_pki(params, group, seed)
-    pub_keys = {i: kp.pk for i, kp in pki.items()}
-    if guardian_sets is None:
-        guardian_sets = _default_guardians(params, group, seed)
-
-    board = BroadcastBoard()
-    dealer_states = {}
-    for i in range(1, params.n + 1):
-        b = behaviors[i]
-        if not b.deals:
-            continue
-        gset = GuardianSet.create(i, guardian_sets[i], params)
-        msg, state = protocol.round1_deal(
-            i, params, gset, pub_keys, group, child_rng(seed, i, _STREAM_ROUND1))
-        dealer_states[i] = state
-        if b.kind == MALFORM_DEAL:
-            msg = _malform(msg, group)
-        board.append(i, 1, msg)
-
-    public_state = protocol.process_round1(
-        [e.message for e in board.entries(1)], params, pub_keys, group)
+    board, pki, dealer_states, public_state = deal_round(
+        params, behaviors, group, seed, guardian_sets)
     if not public_state.participants:
         return ElectionResult(False, None, (), public_state, (), board, encoding)
 
@@ -71,6 +50,9 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
     aggregate, accepted = voting.aggregate_ballots(
         group, encoding, public_state.global_pk,
         [e.message for e in board.entries(2)])
+    if aggregate is None:
+        tally = voting.TallyResult((0,) * candidates, 0)
+        return ElectionResult(True, tally, (), public_state, accepted, board, encoding)
 
     partial_decryptions = []
     share_reveals = []
@@ -79,23 +61,14 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
         if not b.present_round2:
             continue
         rng = child_rng(seed, i, _STREAM_TALLY)
-        if i in public_state.participants and i in dealer_states and aggregate is not None:
+        if i in public_state.participants:
             pd = voting.tally_partial_decrypt(
                 group, i, dealer_states[i].partial_secret,
                 public_state.deals[i].partial_pk, aggregate.c1, rng)
             partial_decryptions.append(pd)
             board.append(i, 3, pd)
-        if aggregate is not None:
-            for msg in voting.tally_share_reveal(
-                    group, i, pki[i].sk, public_state, voting.TALLY_CONTEXT, rng):
-                if b.kind == WITHHOLD_SHARES and msg.dealer in b.targets:
-                    continue
-                share_reveals.append(msg)
-                board.append(i, 3, msg)
-
-    if aggregate is None:
-        tally = voting.TallyResult((0,) * candidates, 0)
-        return ElectionResult(True, tally, (), public_state, accepted, board, encoding)
+        share_reveals += post_shares(board, i, 3, b, voting.tally_share_reveal(
+            group, i, pki[i].sk, public_state, voting.TALLY_CONTEXT, rng))
 
     try:
         values = voting.collect_decryption_values(

@@ -240,6 +240,25 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     return out
 
 
+def verified_shares(public_state: PublicState, share_reveals, group,
+                    context: bytes) -> dict:
+    """{dealer: {guardian: value}} over the share reveals whose decryption
+    proof verifies; the first valid reveal per (dealer, guardian) wins."""
+    shares = {}
+    for msg in share_reveals:
+        record = public_state.deals.get(msg.dealer)
+        if record is None or msg.sender not in record.guardians.members:
+            continue
+        bucket = shares.setdefault(msg.dealer, {})
+        if msg.sender in bucket:
+            continue
+        ct = record.ciphertexts[msg.sender]
+        if nizk.verify_share_decryption(
+                group, public_state.pki[msg.sender], ct, msg.value, msg.proof, context):
+            bucket[msg.sender] = msg.value
+    return shares
+
+
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
                         group, context: bytes) -> ReconstructionOutcome:
     """Recover every dealer's partial secret from the round-2 broadcasts.
@@ -267,29 +286,19 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     active = [i for i in public_state.participants if i not in excluded]
 
     secrets = {}
-    shares = {}  # dealer -> {guardian: value}
     for msg in reveals:
-        if isinstance(msg, SecretReveal):
-            record = public_state.deals.get(msg.sender)
-            if record is None or msg.sender in excluded or msg.sender in secrets:
-                continue
-            if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
-                continue
-            if nizk.verify_dl(group, record.partial_pk, msg.proof, context):
-                secrets[msg.sender] = msg.value
-        elif isinstance(msg, ShareReveal):
-            record = public_state.deals.get(msg.dealer)
-            if record is None or msg.dealer in excluded:
-                continue
-            if msg.sender not in record.guardians.members:
-                continue
-            bucket = shares.setdefault(msg.dealer, {})
-            if msg.sender in bucket:
-                continue  # first valid broadcast wins
-            ct = record.ciphertexts[msg.sender]
-            if nizk.verify_share_decryption(
-                    group, public_state.pki[msg.sender], ct, msg.value, msg.proof, context):
-                bucket[msg.sender] = msg.value
+        if not isinstance(msg, SecretReveal):
+            continue
+        record = public_state.deals.get(msg.sender)
+        if record is None or msg.sender in excluded or msg.sender in secrets:
+            continue
+        if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
+            continue
+        if nizk.verify_dl(group, record.partial_pk, msg.proof, context):
+            secrets[msg.sender] = msg.value
+    shares = verified_shares(public_state, [
+        msg for msg in reveals
+        if isinstance(msg, ShareReveal) and msg.dealer not in excluded], group, context)
 
     recovered = {}
     values = {}

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .protocol import reconstruction_capable
 

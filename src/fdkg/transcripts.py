@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import nizk, pke, protocol, voting
-from .board import BoardEntry, BroadcastBoard
+from .board import BroadcastBoard
 
 
 class TranscriptError(Exception):

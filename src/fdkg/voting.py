@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import nizk, shamir
-from .protocol import PublicState, ShareReveal
+from .protocol import PublicState, ShareReveal, verified_shares
 
 
 class VotingError(Exception):
@@ -173,18 +173,7 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     (lowest guardian indices first).  Raises TallyFailure listing dealers
     with no recovery path."""
     values = {}
-    shares = {}
-    for msg in share_reveals:
-        record = public_state.deals.get(msg.dealer)
-        if record is None or msg.sender not in record.guardians.members:
-            continue
-        bucket = shares.setdefault(msg.dealer, {})
-        if msg.sender in bucket:
-            continue
-        ct = record.ciphertexts[msg.sender]
-        if nizk.verify_share_decryption(
-                group, public_state.pki[msg.sender], ct, msg.value, msg.proof, context):
-            bucket[msg.sender] = msg.value
+    shares = verified_shares(public_state, share_reveals, group, context)
 
     direct = {}
     for pd in partial_decryptions:

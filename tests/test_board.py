@@ -110,6 +110,12 @@ class TestRunCeremony:
         with pytest.raises(ValueError):
             run_ceremony(Params(5, 1, 2), {1: Behavior()}, group, seed=0)
 
+    def test_dealer_without_guardian_set_rejected(self, group):
+        # a partial guardian map used to drop the unlisted dealers silently
+        with pytest.raises(ValueError, match=r"\[2, 3, 4, 5\]"):
+            run_ceremony(Params(5, 2, 2), all_honest(5), group, seed=0,
+                         guardian_sets={1: frozenset({2, 3})})
+
     def test_deterministic_transcripts(self, group):
         params = Params(7, 2, 3)
         behaviors = all_honest(7)

@@ -69,6 +69,62 @@ class TestCeremony:
         assert out_path.exists() and out_path.read_text().strip()
 
 
+PARTIAL_GUARDIANS = "[guardians]\n1 = 2,3\n"
+
+
+def run_config(capsys, tmp_path, command, body):
+    """Run `command` on a n=5 t=2 k=2 config with extra sections `body`."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{command}]\nn = 5\nt = 2\nk = 2\nseed = 3\n"
+                   f"group = modp-2027\nvotes = 1,2,1\n{body}")
+    return run_cli(capsys, [command, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", ["ceremony", "election"])
+class TestRunConfigErrors:
+    """Malformed ceremony/election input exits 2 with a message, never a
+    traceback, and both commands apply the same checks."""
+
+    def test_partial_guardians_rejected(self, capsys, tmp_path, command):
+        code, out, err = run_config(capsys, tmp_path, command, PARTIAL_GUARDIANS)
+        assert code == 2
+        assert "no guardian set for dealing parties [2, 3, 4, 5]" in err
+        assert "participants" not in out
+
+    def test_threshold_above_guardian_count(self, capsys, command):
+        votes = ["--votes", "1,2"] if command == "election" else []
+        code, _, err = run_cli(capsys, [command, "--n", "5", "--t", "4", "--k", "2",
+                                        *votes, *TEST_GROUP_FLAGS])
+        assert code == 2
+        assert "t <= k" in err
+
+    def test_unknown_behavior_kind(self, capsys, tmp_path, command):
+        code, _, err = run_config(capsys, tmp_path, command,
+                                  "[behaviors]\n2 = sleepy\n")
+        assert code == 2
+        assert "sleepy" in err
+
+    def test_unknown_group(self, capsys, tmp_path, command):
+        cfg = tmp_path / "group.ini"
+        cfg.write_text(f"[{command}]\nn = 5\nt = 2\nk = 2\ngroup = nope\n"
+                       "votes = 1,2\n")
+        code, _, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert "unknown group 'nope'" in err
+
+    def test_self_guardian_rejected(self, capsys, tmp_path, command):
+        sets = "[guardians]\n1 = 1,2\n2 = 3,4\n3 = 4,5\n4 = 5,1\n5 = 1,2\n"
+        code, _, err = run_config(capsys, tmp_path, command, sets)
+        assert code == 2
+        assert "cannot guard itself" in err
+
+    def test_behavior_party_outside_range(self, capsys, tmp_path, command):
+        code, _, err = run_config(capsys, tmp_path, command,
+                                  "[behaviors]\n9 = absent-round2\n")
+        assert code == 2
+        assert "party 9 outside 1..5" in err
+
+
 class TestSimulate:
     def test_full_retention_rate_one(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -1,0 +1,49 @@
+"""Module-layout rules for `src/fdkg`: no module reaches into a sibling's
+private names, and no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fdkg"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree):
+    """(bound name, imported name, is a sibling import) per imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, False
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            sibling = node.level > 0 or (node.module or "").startswith("fdkg")
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, sibling
+
+
+def layout_violations(source: str) -> list:
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    out = []
+    for bound, name, sibling in _imports(tree):
+        if sibling and name.startswith("_"):
+            out.append(f"private import {name}")
+        if bound not in used:
+            out.append(f"unused import {bound}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_layout(path):
+    assert layout_violations(path.read_text()) == []
+
+
+def test_rules_catch_violations():
+    source = ("from . import pke, nizk\n"
+              "from .board import _malform, run_ceremony\n"
+              "import hashlib\n"
+              "run_ceremony(pke.x)\n")
+    assert layout_violations(source) == [
+        "unused import nizk", "private import _malform", "unused import _malform",
+        "unused import hashlib"]

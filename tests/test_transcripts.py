@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from fdkg import protocol, transcripts, voting
-from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT, Behavior,
-                        run_ceremony)
+from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT,
+                        WITHHOLD_SHARES, Behavior, run_ceremony)
 from fdkg.election import run_election
 from fdkg.groups import SECP256K1
 from fdkg.protocol import Params
@@ -115,3 +115,35 @@ class TestSecp256k1Pins:
         lines = transcripts.export_lines(result.board, SECP256K1)
         assert _lines_digest(lines) == \
             "dab90499971edab64a6e1d48d4526f7c90311bc721fe45246a6cb57ac4896b84"
+
+    # n=6, t=2, k=3: party 1 absent in round 2, party 2 withholding its
+    # share of dealer 1, party 4 dealing a malformed ciphertext
+    FAULT_PARAMS = Params(6, 2, 3)
+    FAULT_SETS = {i: frozenset((i + d - 1) % 6 + 1 for d in (1, 2, 4))
+                  for i in range(1, 7)}
+    FAULT_BEHAVIORS = {1: Behavior(ABSENT_ROUND2),
+                       2: Behavior(WITHHOLD_SHARES, frozenset({1})),
+                       3: Behavior(), 4: Behavior(MALFORM_DEAL),
+                       5: Behavior(), 6: Behavior()}
+
+    def test_ceremony_fault_paths_bytes(self):
+        result = run_ceremony(self.FAULT_PARAMS, self.FAULT_BEHAVIORS, SECP256K1,
+                              seed=2027, guardian_sets=self.FAULT_SETS)
+        assert result.public_state.participants == (1, 2, 3, 5, 6)
+        assert result.outcome.recovered[1] == ("shares", (3, 5))
+        lines = transcripts.export_lines(result.board, SECP256K1)
+        assert (len(lines), sum(map(len, lines))) == (21, 18781)
+        assert _lines_digest(lines) == \
+            "c6fe512dd3cd6f565a065027f8dfc2862af55f802d078129503cbabe3a221ade"
+
+    def test_election_fault_paths_bytes(self):
+        votes = {1: 1, 2: 3, 3: 2, 4: 1, 5: 3, 6: 1, 7: 2}
+        result = run_election(self.FAULT_PARAMS, self.FAULT_BEHAVIORS, votes, 3,
+                              SECP256K1, seed=2027, n_bound=7,
+                              guardian_sets=self.FAULT_SETS)
+        assert result.success and result.tally.counts == (3, 2, 2)
+        assert result.public_state.participants == (1, 2, 3, 5, 6)
+        lines = transcripts.export_lines(result.board, SECP256K1)
+        assert (len(lines), sum(map(len, lines))) == (28, 27465)
+        assert _lines_digest(lines) == \
+            "fd41f55cf40eeac249fc89c748657e0152f493945992825d351d1efbbafbe13b"

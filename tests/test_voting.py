@@ -265,6 +265,17 @@ class TestRunElection:
         assert result.success
         assert result.tally.counts == (0, 0)
 
+    def test_dealer_without_guardian_set_rejected(self, group):
+        behaviors = {i: Behavior() for i in range(1, 6)}
+        with pytest.raises(ValueError, match=r"\[2, 3, 4, 5\]"):
+            run_election(Params(5, 2, 2), behaviors, {1: 1}, 2, group, seed=17,
+                         guardian_sets={1: frozenset({2, 3})})
+
+    def test_missing_behavior_rejected(self, group):
+        behaviors = {i: Behavior() for i in (1, 2, 3, 5)}
+        with pytest.raises(ValueError, match=r"\[4\]"):
+            run_election(Params(5, 2, 2), behaviors, {1: 1}, 2, group, seed=18)
+
     def test_deterministic(self, group):
         params = Params(6, 2, 3)
         behaviors = {i: Behavior() for i in range(1, 7)}
