@@ -17,14 +17,22 @@ from .board import Behavior, HONEST, dealer_guardian_sets, run_ceremony
 from .election import run_election
 from .groups import GROUPS
 from .protocol import Params, ProtocolError
+from .voting import VotingError, derive_encoding
+
+
+class ConfigFileError(Exception):
+    """The --config file cannot be read or parsed."""
 
 
 def _load_section(path, section) -> dict:
     if not path:
         return {}
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigFileError(f"cannot read config {path}: {exc}") from None
     if not parser.has_section(section):
         return {}
     return dict(parser.items(section))
@@ -157,7 +165,10 @@ def cmd_election(args) -> int:
         if votes_text is None:
             raise ValueError("votes are required")
         votes = {i + 1: c for i, c in enumerate(_int_list(votes_text))}
-    except (ValueError, ProtocolError) as exc:
+        encoding = derive_encoding(params.n, candidates, group.order)
+        for candidate in votes.values():
+            encoding.exponent_for(candidate)
+    except (ValueError, ProtocolError, VotingError) as exc:
         print(f"election: {exc}", file=sys.stderr)
         return 2
     _echo_config("election", {**vars(params), "candidates": candidates,
@@ -259,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigFileError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

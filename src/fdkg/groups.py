@@ -6,13 +6,20 @@ Two interchangeable backends:
   (TEST_GROUP) keeps exhaustive tests and brute-force oracles feasible.
 - CurveGroup: prime-order elliptic-curve subgroup (secp256k1 by default),
   the production configuration.  Its elements are canonical affine tuples
-  (x, y), or None for infinity, at every method boundary.  Inside `exp` the
-  arithmetic runs in Jacobian coordinates, (X, Y, Z) standing for
-  (X/Z^2, Y/Z^3), with a fixed 4-bit window, so a scalar multiplication
-  makes one field inversion (at the end) instead of one per step.
-  `base_exp`, and `exp` on the generator, use a Lim-Lee comb: 8 teeth 32
-  bits apart over 255 affine multiples of G, built on first use and cached
-  on the group instance, i.e. 32 doublings and at most 32 mixed additions.
+  (x, y), or None for infinity, at every method boundary.  Inside the
+  arithmetic, points are Jacobian, (X, Y, Z) standing for (X/Z^2, Y/Z^3),
+  so an operation makes one field inversion at its end instead of one per
+  step.  All scalar multiplication is one kernel, `multi_exp`: a Straus
+  loop that computes prod P_i^e_i with shared doublings, signed-window
+  (wNAF) digits over affine odd multiples of every base, and the Lim-Lee
+  comb for the generator (8 teeth 32 bits apart over 255 affine multiples
+  of G, built on first use and cached on the group instance).  `exp` and
+  `base_exp` are its one-term cases.
+
+`multi_exp(group, pairs)` is the entry point that verification equations
+use: it runs a group's own kernel (native `pow` on MultiplicativeGroup) or,
+for any object offering only the Group methods, the generic fold of `exp`
+and `mul`.
 
 Scalars are plain Python ints reduced mod the group order q.  Every group
 exposes a coordinate map chi(element) -> scalar used by the PKE layer; the
@@ -82,6 +89,15 @@ class Group:
     def base_exp(self, e: int):
         return self.exp(self.generator(), e)
 
+    def multi_exp(self, pairs):
+        """prod base^e over the (base, e) pairs, as a fold of `exp`
+        (`base_exp` on the generator) and `mul`."""
+        g = self.generator()
+        acc = self.identity()
+        for base, e in pairs:
+            acc = self.mul(acc, self.base_exp(e) if base == g else self.exp(base, e))
+        return acc
+
 
 @dataclass(frozen=True)
 class MultiplicativeGroup(Group):
@@ -115,6 +131,13 @@ class MultiplicativeGroup(Group):
     def exp(self, a: int, e: int) -> int:
         return pow(a, e % self.q, self.p)
 
+    def multi_exp(self, pairs) -> int:
+        p, q = self.p, self.q
+        acc = 1
+        for a, e in pairs:
+            acc = acc * pow(a, e % q, p) % p
+        return acc
+
     def encode(self, a: int) -> bytes:
         width = (self.p.bit_length() + 7) // 8
         return a.to_bytes(width, "big")
@@ -138,7 +161,22 @@ Point = "tuple[int, int] | None"
 # infinity here too.  The helpers below take and return finite points or None.
 
 COMB_TEETH = 8
-WINDOW_BITS = 4
+
+
+def _wnaf(e: int, width: int) -> list:
+    """Width-`width` NAF digits of e > 0, least significant first."""
+    digits = []
+    full = 1 << width
+    while e:
+        d = 0
+        if e & 1:
+            d = e & (full - 1)
+            if d >= full >> 1:
+                d -= full
+            e -= d
+        digits.append(d)
+        e >>= 1
+    return digits
 
 
 def _jac_double(P, a: int, p: int):
@@ -269,24 +307,76 @@ class CurveGroup(Group):
         return (x, (-y) % self.p)
 
     def exp(self, P, e: int):
-        e %= self.q
-        if P is None or not e:
-            return None
-        if P == (self.gx, self.gy):
-            return self.base_exp(e)
-        a, p = self.a, self.p
-        x, y = P
-        # table[w] = w*P for every window value w
-        table = [None, (x, y, 1), _jac_double((x, y, 1), a, p)]
-        for _ in range(3, 1 << WINDOW_BITS):
-            table.append(_jac_add_affine(table[-1], x, y, a, p))
-        mask = (1 << WINDOW_BITS) - 1
-        top = (e.bit_length() - 1) // WINDOW_BITS * WINDOW_BITS
+        return self.multi_exp([(P, e)])
+
+    def base_exp(self, e: int):
+        return self.multi_exp([((self.gx, self.gy), e)])
+
+    def multi_exp(self, pairs):
+        """prod P^e over the (P, e) pairs in one Straus loop.
+
+        Equal bases, and P with -P, are merged into one term.  A term whose
+        exponent exceeds q/2 is taken as (-P)^(q - e), then written in width-w
+        NAF: odd signed digits below 2^(w-1) in absolute value, at most one
+        in w+1 positions nonzero.  The odd multiples P, 3P, .. of all terms
+        are made affine with one inversion, so the loop adds them with
+        mixed additions.  Generator terms are summed into one comb scalar
+        whose rows join the same loop at its lowest `_comb_spacing` bits.
+        """
+        a, p, q = self.a, self.p, self.q
+        g_e = 0
+        terms = {}
+        for P, e in pairs:
+            if P is None:
+                continue
+            x, y = P
+            if x == self.gx:  # P is G or -G
+                g_e += e if y == self.gy else -e
+                continue
+            if 2 * y > p:
+                y, e = p - y, -e
+            terms[x, y] = terms.get((x, y), 0) + e
+        jac, naf = [], []  # odd multiples of every term; (digits, first index in jac)
+        for (x, y), e in terms.items():
+            e %= q
+            if not e:
+                continue
+            if 2 * e > q:
+                y, e = p - y, q - e
+            width = 5 if e.bit_length() > 128 else 4 if e.bit_length() > 16 else 2
+            naf.append((_wnaf(e, width), len(jac)))
+            P = (x, y, 1)
+            jac.append(P)
+            if width > 2:
+                P2 = _jac_double(P, a, p)
+                for _ in range((1 << (width - 2)) - 1):
+                    P = _jac_add(P, P2, a, p)
+                    jac.append(P)
+        odd = _to_affine(jac, p)
+
+        g_e %= q
+        spacing = self._comb_spacing if g_e else 0
+        adds = [[] for _ in range(max([spacing] + [len(ds) for ds, _ in naf]))]
+        if g_e:
+            comb = self._comb
+            low = (1 << spacing) - 1
+            rows = [(g_e >> (spacing * j)) & low for j in range(COMB_TEETH)]
+            for i in range(spacing):
+                m = 0
+                for j, row in enumerate(rows):
+                    m |= ((row >> i) & 1) << j
+                if m:
+                    adds[i].append(comb[m])
+        for ds, start in naf:
+            for i, d in enumerate(ds):
+                if d:
+                    x, y = odd[start + (abs(d) >> 1)]
+                    adds[i].append((x, y) if d > 0 else (x, p - y))
         acc = None
-        for shift in range(top, -1, -WINDOW_BITS):
-            for _ in range(WINDOW_BITS):
-                acc = _jac_double(acc, a, p)
-            acc = _jac_add(acc, table[(e >> shift) & mask], a, p)
+        for row in reversed(adds):
+            acc = _jac_double(acc, a, p)
+            for x, y in row:
+                acc = _jac_add_affine(acc, x, y, a, p)
         return _to_affine([acc], p)[0]
 
     @property
@@ -309,25 +399,6 @@ class CurveGroup(Group):
             high = m.bit_length() - 1
             jac.append(_jac_add(jac[m ^ (1 << high)], teeth[high], a, p))
         return _to_affine(jac, p)
-
-    def base_exp(self, e: int):
-        e %= self.q
-        if not e:
-            return None
-        a, p = self.a, self.p
-        comb = self._comb
-        spacing = self._comb_spacing
-        low = (1 << spacing) - 1
-        rows = [(e >> (spacing * j)) & low for j in range(COMB_TEETH)]
-        acc = None
-        for i in range(spacing - 1, -1, -1):
-            acc = _jac_double(acc, a, p)
-            m = 0
-            for j, row in enumerate(rows):
-                m |= ((row >> i) & 1) << j
-            if m:
-                acc = _jac_add_affine(acc, *comb[m], a, p)
-        return _to_affine([acc], p)[0]
 
     def encode(self, P) -> bytes:
         width = (self.p.bit_length() + 7) // 8
@@ -363,6 +434,15 @@ class CurveGroup(Group):
         if P is None:
             return 0
         return P[0] % self.q
+
+
+def multi_exp(group, pairs):
+    """prod base^exponent over the (base, exponent) pairs: the group's own
+    kernel, or the Group fold for an object that offers only the other
+    Group methods."""
+    if isinstance(group, Group):
+        return group.multi_exp(pairs)
+    return Group.multi_exp(group, pairs)
 
 
 # Small safe-prime subgroup: p = 2q + 1, generator 4 = 2^2 has order q.

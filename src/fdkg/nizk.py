@@ -9,6 +9,23 @@ Challenges are sha256 over a domain tag, the caller-supplied context bytes
 and the length-prefixed canonical encodings of all statement/commitment
 parts, reduced mod q.  Identical inputs (including nonces) therefore yield
 byte-identical proofs.
+
+Verifiers accept only canonical scalars (responses, challenges, ciphertext
+deltas and claimed shares in [0, q)) and write every verification
+equation as prod base^exponent = identity.  `_all_hold` checks a list of
+such equations with `groups.multi_exp`.  When q > 2^128 (secp256k1) it
+makes one multi_exp of their small-exponent random linear combination
+(Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is raised to a
+weight w_i, w_1 = 1 and the others drawn from [1, 2^128 - 1] by shake_256
+over a domain tag, the context and every exponent of the batch.  The
+exponents hold each proof's challenge and response, and each challenge
+binds its statement and commitments, so the weights are fixed only once
+the whole batch is, and a replay reaches the same verdict.  A batch with a
+false equation then passes with probability at most 1/(2^128 - 1) per
+weight draw.  On a smaller group such weights would leave only about 1/q
+(about 2^-10 on the toy modp-2027 group), so there every equation is
+checked on its own, exactly; its multi_exp is a fold of `exp` and `mul`
+there anyway, which a combination would not shorten.
 """
 
 from __future__ import annotations
@@ -16,7 +33,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .pke import PkeCiphertext, pke_decrypt
+from .groups import multi_exp
+from .pke import PkeCiphertext
 from .shamir import Polynomial
 
 
@@ -36,6 +54,38 @@ def _challenge(group, relation: str, context: bytes, *parts) -> int:
     return int.from_bytes(h.digest(), "big") % group.order
 
 
+_WEIGHT_BITS = 128
+
+
+def _all_hold(group, context: bytes, equations) -> bool:
+    """True iff prod base^exponent = identity for every equation, each a
+    list of (base, exponent) pairs: one multi_exp over the weighted
+    combination when q > 2^128, else one per equation (see the module
+    docstring)."""
+    q = group.order
+    if len(equations) > 1 and q.bit_length() > _WEIGHT_BITS:
+        h = hashlib.shake_256()
+        tag = b"fdkg/v1/batch-weights"
+        h.update(len(tag).to_bytes(2, "big") + tag)
+        h.update(len(context).to_bytes(4, "big") + context)
+        for equation in equations:
+            for _, e in equation:
+                h.update(group.scalar_bytes(e))
+        size = _WEIGHT_BITS // 8
+        stream = h.digest(size * (len(equations) - 1))
+        weights = [1] + [1 + int.from_bytes(stream[i:i + size], "big") % ((1 << _WEIGHT_BITS) - 1)
+                         for i in range(0, len(stream), size)]
+        equations = [[(base, w * e) for w, equation in zip(weights, equations)
+                      for base, e in equation]]
+    identity = group.identity()
+    return all(multi_exp(group, equation) == identity for equation in equations)
+
+
+def _canonical(group, *scalars) -> bool:
+    q = group.order
+    return all(0 <= s < q for s in scalars)
+
+
 @dataclass(frozen=True)
 class DlProof:
     commitment: object
@@ -50,10 +100,11 @@ def prove_dl(group, witness: int, statement, context: bytes, rng) -> DlProof:
 
 
 def verify_dl(group, statement, proof: DlProof, context: bytes) -> bool:
+    if not _canonical(group, proof.response):
+        return False
     e = _challenge(group, "dl", context, statement, proof.commitment)
-    lhs = group.base_exp(proof.response)
-    rhs = group.mul(proof.commitment, group.exp(statement, e))
-    return group.encode(lhs) == group.encode(rhs)
+    return _all_hold(group, context, [
+        [(group.generator(), proof.response), (proof.commitment, -1), (statement, -e)]])
 
 
 @dataclass(frozen=True)
@@ -71,14 +122,19 @@ def prove_dleq(group, witness: int, base1, out1, base2, out2, context: bytes, rn
     return DleqProof(t1, t2, (w + e * witness) % group.order)
 
 
-def verify_dleq(group, base1, out1, base2, out2, proof: DleqProof, context: bytes) -> bool:
+def _dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: bytes):
+    """The two equations of a DLEQ proof, or None for a non-canonical one."""
+    if not _canonical(group, proof.response):
+        return None
     e = _challenge(group, "dleq", context, base1, out1, base2, out2,
                    proof.commitment_1, proof.commitment_2)
-    ok1 = group.encode(group.exp(base1, proof.response)) == \
-        group.encode(group.mul(proof.commitment_1, group.exp(out1, e)))
-    ok2 = group.encode(group.exp(base2, proof.response)) == \
-        group.encode(group.mul(proof.commitment_2, group.exp(out2, e)))
-    return ok1 and ok2
+    return [[(base1, proof.response), (proof.commitment_1, -1), (out1, -e)],
+            [(base2, proof.response), (proof.commitment_2, -1), (out2, -e)]]
+
+
+def verify_dleq(group, base1, out1, base2, out2, proof: DleqProof, context: bytes) -> bool:
+    equations = _dleq_equations(group, base1, out1, base2, out2, proof, context)
+    return equations is not None and _all_hold(group, context, equations)
 
 
 @dataclass(frozen=True)
@@ -94,19 +150,38 @@ class ShareDecryptionProof:
 
 
 def prove_share_decryption(group, sk: int, pk, ct: PkeCiphertext, context: bytes, rng):
-    share = pke_decrypt(group, sk, ct)
-    mask = group.div(ct.c2, group.exp(ct.c1, sk))
-    out2 = group.div(ct.c2, mask)  # = C1^sk
+    out2 = group.exp(ct.c1, sk)
+    mask = group.div(ct.c2, out2)  # the pke_decrypt mask, so C2/mask = C1^sk
+    share = (group.chi(mask) - ct.delta) % group.order
     dleq = prove_dleq(group, sk, group.generator(), pk, ct.c1, out2, context, rng)
     return share, ShareDecryptionProof(mask, dleq)
 
 
+def _share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
+                                proof: ShareDecryptionProof, context: bytes):
+    if not _canonical(group, share, ct.delta):
+        return None
+    if (group.chi(proof.mask) - ct.delta) % group.order != share:
+        return None
+    out2 = group.div(ct.c2, proof.mask)
+    return _dleq_equations(group, group.generator(), pk, ct.c1, out2, proof.dleq, context)
+
+
 def verify_share_decryption(group, pk, ct: PkeCiphertext, share: int,
                             proof: ShareDecryptionProof, context: bytes) -> bool:
-    if (group.chi(proof.mask) - ct.delta) % group.order != share % group.order:
-        return False
-    out2 = group.div(ct.c2, proof.mask)
-    return verify_dleq(group, group.generator(), pk, ct.c1, out2, proof.dleq, context)
+    return verify_share_decryptions(group, [(pk, ct, share, proof)], context)
+
+
+def verify_share_decryptions(group, claims, context: bytes) -> bool:
+    """True iff every (pk, ct, share, proof) claim verifies, checked in one
+    batch; a False names no culprit, check the claims one by one for that."""
+    equations = []
+    for claim in claims:
+        found = _share_decryption_equations(group, *claim, context)
+        if found is None:
+            return False
+        equations += found
+    return _all_hold(group, context, equations)
 
 
 @dataclass(frozen=True)
@@ -134,15 +209,22 @@ def prove_representation(group, k: int, r: int, pk, ct: PkeCiphertext,
     return RepresentationProof(t1, t2, (a + e * k) % group.order, (b + e * r) % group.order)
 
 
-def verify_representation(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
-                          context: bytes) -> bool:
+def _representation_equations(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
+                              context: bytes):
+    if not _canonical(group, proof.response_k, proof.response_r, ct.delta):
+        return None
     e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, ct.delta,
                    proof.commitment_1, proof.commitment_2)
-    ok1 = group.encode(group.base_exp(proof.response_k)) == \
-        group.encode(group.mul(proof.commitment_1, group.exp(ct.c1, e)))
-    lhs2 = group.mul(group.exp(pk, proof.response_k), group.base_exp(proof.response_r))
-    rhs2 = group.mul(proof.commitment_2, group.exp(ct.c2, e))
-    return ok1 and group.encode(lhs2) == group.encode(rhs2)
+    g = group.generator()
+    return [[(g, proof.response_k), (proof.commitment_1, -1), (ct.c1, -e)],
+            [(pk, proof.response_k), (g, proof.response_r), (proof.commitment_2, -1),
+             (ct.c2, -e)]]
+
+
+def verify_representation(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
+                          context: bytes) -> bool:
+    equations = _representation_equations(group, pk, ct, proof, context)
+    return equations is not None and _all_hold(group, context, equations)
 
 
 @dataclass(frozen=True)
@@ -162,12 +244,13 @@ def commit_polynomial(group, poly: Polynomial) -> FeldmanCommitments:
 def guardian_check_share(group, share: int, index: int,
                          commitments: FeldmanCommitments) -> bool:
     """True iff G^share = prod_l A_l^{index^l}."""
-    expected = group.identity()
+    equation = []
     power = 1
     for a_l in commitments.commitments:
-        expected = group.mul(expected, group.exp(a_l, power))
+        equation.append((a_l, power))
         power = power * index % group.order
-    return group.encode(group.base_exp(share)) == group.encode(expected)
+    equation.append((group.generator(), -share))
+    return _all_hold(group, b"", [equation])
 
 
 @dataclass(frozen=True)
@@ -208,10 +291,13 @@ def verify_deal(group, t: int, guardians, ciphertexts, bundle: DealProofBundle,
     if len(bundle.encryption_proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
         return False
     ctx = _deal_context(group, context, bundle.commitments, guardians, ciphertexts)
-    return all(
-        verify_representation(group, pk, ct, proof, ctx)
-        for (idx, pk), ct, proof in zip(guardians, ciphertexts, bundle.encryption_proofs)
-    )
+    equations = []
+    for (idx, pk), ct, proof in zip(guardians, ciphertexts, bundle.encryption_proofs):
+        found = _representation_equations(group, pk, ct, proof, ctx)
+        if found is None:
+            return False
+        equations += found
+    return _all_hold(group, ctx, equations)
 
 
 @dataclass(frozen=True)
@@ -280,18 +366,19 @@ def verify_ballot(group, global_pk, ballot, allowed, proof: BallotProof,
     if len(proof.branches) != len(allowed):
         return False
     q = group.order
+    if not _canonical(group, *(s for br in proof.branches for s in (br.challenge, br.response))):
+        return False
     parts = [global_pk, a_elem, b_elem]
     for br in proof.branches:
         parts.extend([br.commitment_1, br.commitment_2])
     master = _challenge(group, "ballot", context, *parts)
     if sum(br.challenge for br in proof.branches) % q != master:
         return False
+    g = group.generator()
+    equations = []
     for br, exponent in zip(proof.branches, allowed):
-        target = group.div(b_elem, group.base_exp(exponent))
-        ok1 = group.encode(group.base_exp(br.response)) == \
-            group.encode(group.mul(br.commitment_1, group.exp(a_elem, br.challenge)))
-        ok2 = group.encode(group.exp(global_pk, br.response)) == \
-            group.encode(group.mul(br.commitment_2, group.exp(target, br.challenge)))
-        if not (ok1 and ok2):
-            return False
-    return True
+        # the second equation is pk^z = T2 * (B / G^exponent)^challenge
+        equations.append([(g, br.response), (br.commitment_1, -1), (a_elem, -br.challenge)])
+        equations.append([(global_pk, br.response), (br.commitment_2, -1),
+                          (b_elem, -br.challenge), (g, exponent * br.challenge)])
+    return _all_hold(group, context, equations)

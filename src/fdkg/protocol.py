@@ -90,13 +90,19 @@ class DealRecord:
 
 @dataclass
 class PublicState:
-    """Verified post-round-1 world: participant set and global key."""
+    """Verified post-round-1 world: participant set and global key.
+
+    `verdicts` memoizes the check of every round-2 reveal (secret, share or
+    complaint) against this state, keyed by (context, message), so each
+    distinct reveal is verified once however often it is combined.
+    """
 
     params: Params
     pki: dict  # party index -> pke public key
     participants: tuple = ()
     global_pk: object = None  # undefined when participants is empty
     deals: dict = field(default_factory=dict)  # dealer -> DealRecord
+    verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def guardian_sets(self) -> dict:
         return {i: self.deals[i].guardians.members for i in self.participants}
@@ -240,21 +246,43 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     return out
 
 
+def _guarded(public_state: PublicState, msg) -> bool:
+    record = public_state.deals.get(msg.dealer)
+    return record is not None and msg.sender in record.guardians.members
+
+
+def _decryption_claim(public_state: PublicState, msg) -> tuple:
+    """(pk, ct, share, proof) of a share or complaint reveal."""
+    ct = public_state.deals[msg.dealer].ciphertexts[msg.sender]
+    return public_state.pki[msg.sender], ct, msg.value, msg.proof
+
+
+def _verdict(public_state: PublicState, context: bytes, msg, check) -> bool:
+    key = (context, msg)
+    if key not in public_state.verdicts:
+        public_state.verdicts[key] = check()
+    return public_state.verdicts[key]
+
+
 def verified_shares(public_state: PublicState, share_reveals, group,
                     context: bytes) -> dict:
     """{dealer: {guardian: value}} over the share reveals whose decryption
-    proof verifies; the first valid reveal per (dealer, guardian) wins."""
+    proof verifies; the first valid reveal per (dealer, guardian) wins.
+
+    Reveals without a memoized verdict are checked in one batch; when the
+    batch fails, each of them is checked on its own."""
+    verdicts = public_state.verdicts
+    guarded = [msg for msg in share_reveals if _guarded(public_state, msg)]
+    fresh = list(dict.fromkeys(msg for msg in guarded if (context, msg) not in verdicts))
+    claims = [_decryption_claim(public_state, msg) for msg in fresh]
+    batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
+    for msg, claim in zip(fresh, claims):
+        verdicts[context, msg] = batch_ok or nizk.verify_share_decryption(
+            group, *claim, context)
     shares = {}
-    for msg in share_reveals:
-        record = public_state.deals.get(msg.dealer)
-        if record is None or msg.sender not in record.guardians.members:
-            continue
+    for msg in guarded:
         bucket = shares.setdefault(msg.dealer, {})
-        if msg.sender in bucket:
-            continue
-        ct = record.ciphertexts[msg.sender]
-        if nizk.verify_share_decryption(
-                group, public_state.pki[msg.sender], ct, msg.value, msg.proof, context):
+        if msg.sender not in bucket and verdicts[context, msg]:
             bucket[msg.sender] = msg.value
     return shares
 
@@ -266,21 +294,20 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     Verified complaints remove the offending dealer (and its partial pk)
     before reconstruction.  When more than t verified shares exist for a
     dealer, the t lowest guardian indices are used, so identical reveal
-    multisets always produce identical outcomes.
+    multisets always produce identical outcomes.  Each reveal's verdict is
+    memoized on `public_state`, so calls on subsets of the same broadcasts
+    verify nothing twice.
     """
     q = group.order
     excluded = set()
     for msg in reveals:
-        if not isinstance(msg, ComplaintReveal):
+        if not isinstance(msg, ComplaintReveal) or not _guarded(public_state, msg):
             continue
-        record = public_state.deals.get(msg.dealer)
-        if record is None or msg.sender not in record.guardians.members:
-            continue
-        ct = record.ciphertexts[msg.sender]
-        if not nizk.verify_share_decryption(
-                group, public_state.pki[msg.sender], ct, msg.value, msg.proof, context):
-            continue
-        if not nizk.guardian_check_share(group, msg.value, msg.sender, record.commitments):
+        commitments = public_state.deals[msg.dealer].commitments
+        if _verdict(public_state, context, msg, lambda: (
+                nizk.verify_share_decryption(
+                    group, *_decryption_claim(public_state, msg), context)
+                and not nizk.guardian_check_share(group, msg.value, msg.sender, commitments))):
             excluded.add(msg.dealer)
 
     active = [i for i in public_state.participants if i not in excluded]
@@ -292,9 +319,10 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
         record = public_state.deals.get(msg.sender)
         if record is None or msg.sender in excluded or msg.sender in secrets:
             continue
-        if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
-            continue
-        if nizk.verify_dl(group, record.partial_pk, msg.proof, context):
+        if _verdict(public_state, context, msg, lambda: (
+                0 <= msg.value < q
+                and group.encode(group.base_exp(msg.value)) == group.encode(record.partial_pk)
+                and nizk.verify_dl(group, record.partial_pk, msg.proof, context))):
             secrets[msg.sender] = msg.value
     shares = verified_shares(public_state, [
         msg for msg in reveals

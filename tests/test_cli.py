@@ -198,6 +198,46 @@ class TestElection:
         assert "unrecoverable dealers [1]" in out
 
 
+class TestElectionInputErrors:
+    """Election-only input exits 2 with a message, never a traceback."""
+
+    def test_vote_for_unknown_candidate(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "election", "--n", "5", "--t", "2", "--k", "2", "--candidates", "2",
+            "--votes", "1,3", *TEST_GROUP_FLAGS])
+        assert code == 2
+        assert "candidate 3 out of range 1..2" in err
+        assert "resolved config" not in out
+
+    def test_single_candidate(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "election", "--n", "5", "--t", "2", "--k", "2", "--candidates", "1",
+            "--votes", "1,1", *TEST_GROUP_FLAGS])
+        assert code == 2
+        assert "need at least 2 candidates" in err
+
+
+ALL_COMMANDS = ["ceremony", "simulate", "election", "cost"]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+class TestConfigFileErrors:
+    """An unreadable or unparsable --config file exits 2 for every command."""
+
+    def test_missing_config_file(self, capsys, tmp_path, command):
+        missing = tmp_path / "absent.ini"
+        code, _, err = run_cli(capsys, [command, "--config", str(missing)])
+        assert code == 2
+        assert f"{command}: cannot read config {missing}" in err
+
+    def test_missing_section_header(self, capsys, tmp_path, command):
+        cfg = tmp_path / "broken.ini"
+        cfg.write_text(f"{command}]\nn = 5\n")
+        code, _, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert "cannot read config" in err and "section header" in err
+
+
 class TestCost:
     def test_example_scenario_total(self, capsys):
         code, out, _ = run_cli(capsys, [

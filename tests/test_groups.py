@@ -1,11 +1,12 @@
-"""Group backends against a plain affine double-and-add reference, and the
-canonical-encoding contract of both decoders."""
+"""Group backends against a plain affine double-and-add reference, the
+Straus multi_exp against the exp/mul fold, and the canonical-encoding
+contract of both decoders."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError
+from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError, multi_exp
 
 # Prime-order curve with a != 0 (y^2 = x^3 + 2x + 18 over F_1019, 1013
 # points), small enough to check every scalar and to hit the coincident-point
@@ -106,6 +107,67 @@ class TestSecp256k1Arithmetic:
         assert group._comb is table
         assert len(table) == 256 and table[0] is None
         assert all(on_curve(group, P) for P in table[1:])
+
+
+def fold(group, pairs):
+    """prod base^e by `mul` of single powers, the curve's from ref_exp."""
+    power = ref_exp if isinstance(group, CurveGroup) else type(group).exp
+    acc = group.identity()
+    for base, e in pairs:
+        acc = group.mul(acc, power(group, base, e))
+    return acc
+
+
+def multi_exp_pairs(group):
+    """(base, exponent) lists over random and edge exponents, with identity
+    bases, the generator and its inverse, repeated bases and P next to -P."""
+    q = group.order
+    exponents = st.one_of(st.integers(min_value=-2 * q, max_value=2 * q),
+                          st.sampled_from([0, 1, q - 1, q, q + 1, -1, -q - 1]))
+    pick = st.integers(min_value=1, max_value=q - 1).map(group.base_exp)
+    point = st.one_of(pick, st.just(group.identity()), st.just(group.generator()),
+                      st.just(group.inv(group.generator())))
+
+    def spread(items):
+        # repeat the first base, then its inverse with the same exponent
+        if items:
+            items.append((items[0][0], items[-1][1]))
+            items.append((group.inv(items[-1][0]), items[-1][1]))
+        return items
+
+    return st.lists(st.tuples(point, exponents), max_size=6).map(spread)
+
+
+class TestMultiExp:
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("group", [SECP256K1, TEST_GROUP], ids=lambda g: g.name)
+    def test_matches_fold(self, group, data):
+        pairs = data.draw(multi_exp_pairs(group))
+        assert multi_exp(group, pairs) == fold(group, pairs)
+
+    @pytest.mark.parametrize("group", [SECP256K1, TEST_GROUP], ids=lambda g: g.name)
+    def test_empty_and_zero_give_identity(self, group):
+        g = group.generator()
+        assert multi_exp(group, []) == group.identity()
+        assert multi_exp(group, [(g, 0), (g, group.order)]) == group.identity()
+        assert multi_exp(group, [(group.identity(), 5)]) == group.identity()
+
+    def test_point_and_its_inverse_cancel(self):
+        P = SECP256K1.base_exp(0xC0FFEE)
+        assert multi_exp(SECP256K1, [(P, 7), (SECP256K1.inv(P), 7)]) is None
+        assert multi_exp(SECP256K1, [(P, 7), (P, Q - 7)]) is None
+        g = SECP256K1.generator()
+        assert multi_exp(SECP256K1, [(g, 3), (SECP256K1.inv(g), 3)]) is None
+
+    def test_every_scalar_on_toy_curve(self):
+        g = TOY_CURVE.generator()
+        P = ref_exp(TOY_CURVE, g, 500)
+        for e in range(TOY_CURVE.q):
+            expected = TOY_CURVE.mul(ref_exp(TOY_CURVE, P, e), ref_exp(TOY_CURVE, g, 3 * e))
+            assert multi_exp(TOY_CURVE, [(P, e), (g, 3 * e)]) == expected, e
+            assert multi_exp(TOY_CURVE, [(P, e), (TOY_CURVE.inv(P), 2 * e)]) == \
+                ref_exp(TOY_CURVE, P, -e), e
 
 
 class TestEncoding:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fdkg import nizk, pke, shamir
-from fdkg.groups import TEST_GROUP
+from fdkg.groups import SECP256K1, TEST_GROUP
 
 CTX = b"test-context"
 
@@ -220,3 +220,154 @@ class TestBallotProof:
         pk, ballot, blinding = self._ballot(group, rng, allowed, 1)
         proof = nizk.prove_ballot(group, pk, ballot, blinding, 1, allowed, CTX, rng)
         assert not nizk.verify_ballot(group, pk, ballot, allowed, proof, b"other")
+
+
+def tampered_proofs(group, proof):
+    """Copies of a representation proof with one part changed."""
+    q = group.order
+    return [
+        nizk.RepresentationProof(bump(group, proof.commitment_1), proof.commitment_2,
+                                 proof.response_k, proof.response_r),
+        nizk.RepresentationProof(proof.commitment_1, bump(group, proof.commitment_2),
+                                 proof.response_k, proof.response_r),
+        nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
+                                 (proof.response_k + 1) % q, proof.response_r),
+        nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
+                                 proof.response_k, (proof.response_r + 1) % q),
+    ]
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_deal_with_one_tampered_proof_rejected(group):
+    """All proofs of a deal are checked together; a single bad one, at any
+    position and in any part, rejects the deal."""
+    rng = random.Random(11)
+    _, guardians, _, _, cts, bundle = make_deal(group, rng, t=2, k=3)
+    assert nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
+    for position, proof in enumerate(bundle.encryption_proofs):
+        for bad in tampered_proofs(group, proof):
+            proofs = list(bundle.encryption_proofs)
+            proofs[position] = bad
+            tampered = nizk.DealProofBundle(bundle.commitments, tuple(proofs))
+            assert not nizk.verify_deal(group, 2, guardians, cts, tampered, CTX), position
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_share_decryption_batch(group):
+    """A batch verifies iff every claim in it does."""
+    rng = random.Random(12)
+    claims = []
+    for _ in range(4):
+        kp = pke.pke_keygen(group, rng)
+        ct = pke.pke_encrypt(group, kp.pk, rng.randrange(group.order),
+                             pke.sample_enc_randomness(group, rng))
+        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        claims.append((kp.pk, ct, share, proof))
+    assert nizk.verify_share_decryptions(group, claims, CTX)
+    assert nizk.verify_share_decryptions(group, [], CTX)
+    pk, ct, share, proof = claims[2]
+    bad_dleq = nizk.DleqProof(proof.dleq.commitment_1, proof.dleq.commitment_2,
+                              (proof.dleq.response + 1) % group.order)
+    for bad in [(pk, ct, (share + 1) % group.order, proof),
+                (pk, ct, share, nizk.ShareDecryptionProof(proof.mask, bad_dleq))]:
+        batch = claims[:2] + [bad] + claims[3:]
+        assert not nizk.verify_share_decryption(group, *bad, CTX)
+        assert not nizk.verify_share_decryptions(group, batch, CTX)
+
+
+def test_combined_checks_reject_single_tampers_on_secp256k1():
+    """On secp256k1 a DLEQ's two equations and a ballot's branches are
+    checked as one weighted combination; changing any one part of the proof
+    still rejects it."""
+    group, rng = SECP256K1, random.Random(13)
+    q = group.order
+    w = rng.randrange(q)
+    b1, b2 = group.base_exp(rng.randrange(1, q)), group.base_exp(rng.randrange(1, q))
+    o1, o2 = group.exp(b1, w), group.exp(b2, w)
+    proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+    assert nizk.verify_dleq(group, b1, o1, b2, o2, proof, CTX)
+    for bad in (nizk.DleqProof(bump(group, proof.commitment_1), proof.commitment_2,
+                               proof.response),
+                nizk.DleqProof(proof.commitment_1, bump(group, proof.commitment_2),
+                               proof.response),
+                nizk.DleqProof(proof.commitment_1, proof.commitment_2,
+                               (proof.response + 1) % q)):
+        assert not nizk.verify_dleq(group, b1, o1, b2, o2, bad, CTX)
+
+    allowed = [1, 32, 1024]
+    global_pk = group.base_exp(rng.randrange(1, q))
+    blinding = rng.randrange(q)
+    ballot = (group.base_exp(blinding),
+              group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
+    proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
+    assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
+    for position, br in enumerate(proof.branches):
+        for bad in (nizk.BallotBranch(bump(group, br.commitment_1), br.commitment_2,
+                                      br.challenge, br.response),
+                    nizk.BallotBranch(br.commitment_1, br.commitment_2,
+                                      br.challenge, (br.response + 1) % q)):
+            branches = list(proof.branches)
+            branches[position] = bad
+            assert not nizk.verify_ballot(group, global_pk, ballot, allowed,
+                                          nizk.BallotProof(tuple(branches)), CTX)
+
+
+class TestCanonicalScalars:
+    """A scalar shifted by q satisfies every equation mod q; verifiers must
+    still reject it, so each wire value has one accepted encoding."""
+
+    def test_dl_response_plus_q(self, group, rng):
+        w = rng.randrange(group.order)
+        stmt = group.base_exp(w)
+        proof = nizk.prove_dl(group, w, stmt, CTX, rng)
+        assert nizk.verify_dl(group, stmt, proof, CTX)
+        shifted = nizk.DlProof(proof.commitment, proof.response + group.order)
+        assert not nizk.verify_dl(group, stmt, shifted, CTX)
+
+    def test_dleq_response_plus_q(self, group, rng):
+        q = group.order
+        w = rng.randrange(q)
+        b1, b2 = group.base_exp(rng.randrange(1, q)), group.base_exp(rng.randrange(1, q))
+        o1, o2 = group.exp(b1, w), group.exp(b2, w)
+        proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+        shifted = nizk.DleqProof(proof.commitment_1, proof.commitment_2, proof.response + q)
+        assert not nizk.verify_dleq(group, b1, o1, b2, o2, shifted, CTX)
+
+    def test_share_decryption_share_plus_q(self, group, rng):
+        kp = pke.pke_keygen(group, rng)
+        ct = pke.pke_encrypt(group, kp.pk, 5, pke.sample_enc_randomness(group, rng))
+        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        assert not nizk.verify_share_decryption(group, kp.pk, ct, share + group.order,
+                                                proof, CTX)
+
+    def test_representation_response_plus_q(self, group, rng):
+        _, guardians, _, _, cts, bundle = make_deal(group, rng)
+        proof = bundle.encryption_proofs[0]
+        shifted = nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
+                                           proof.response_k + group.order, proof.response_r)
+        bad = nizk.DealProofBundle(bundle.commitments,
+                                   (shifted,) + bundle.encryption_proofs[1:])
+        assert not nizk.verify_deal(group, 2, guardians, cts, bad, CTX)
+
+    def test_deal_delta_plus_q(self, group, rng):
+        _, guardians, _, _, cts, bundle = make_deal(group, rng)
+        cts = list(cts)
+        cts[0] = pke.PkeCiphertext(cts[0].c1, cts[0].c2, cts[0].delta + group.order)
+        assert not nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
+
+    def test_ballot_challenge_and_response_plus_q(self, group, rng):
+        q = group.order
+        allowed = [1, 32]
+        global_pk = group.base_exp(rng.randrange(1, q))
+        blinding = rng.randrange(q)
+        ballot = (group.base_exp(blinding),
+                  group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
+        proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
+        assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
+        br = proof.branches[0]
+        for shifted in (nizk.BallotBranch(br.commitment_1, br.commitment_2,
+                                          br.challenge + q, br.response),
+                        nizk.BallotBranch(br.commitment_1, br.commitment_2,
+                                          br.challenge, br.response + q)):
+            bad = nizk.BallotProof((shifted,) + proof.branches[1:])
+            assert not nizk.verify_ballot(group, global_pk, ballot, allowed, bad, CTX)

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from fdkg import nizk, pke, protocol, shamir
+from fdkg.groups import SECP256K1
 from fdkg.protocol import (ComplaintReveal, DealMessage, GuardianSet, Params,
                            SecretReveal, ShareReveal)
 
@@ -294,6 +296,107 @@ class TestComplaints:
             public, [smear] + reveals, params, group, CTX)
         assert outcome.excluded == ()
         assert outcome.success
+
+
+class TestCanonicalReveals:
+    """Scalars shifted by q are rejected wherever they enter on the wire."""
+
+    def test_deal_delta_plus_q_rejected(self, group, rng):
+        params = Params(10, 2, 3)
+        pki, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 5}})
+        msg = messages[0]
+        cts = dict(msg.ciphertexts)
+        ct = cts[3]
+        cts[3] = pke.PkeCiphertext(ct.c1, ct.c2, ct.delta + group.order)
+        bad = DealMessage(msg.dealer, msg.partial_pk, msg.guardians, cts, msg.proofs)
+        assert protocol.verify_deal_message(msg, params, pub, group)
+        assert not protocol.verify_deal_message(bad, params, pub, group)
+
+    def test_share_value_plus_q_rejected(self, group, rng):
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        shifted = [ShareReveal(m.sender, m.dealer, m.value + group.order, m.proof)
+                   for m in reveals if isinstance(m, ShareReveal)]
+        assert protocol.verified_shares(public, shifted, group, CTX) == {
+            m.dealer: {} for m in shifted}
+
+    def test_secret_value_plus_q_rejected(self, group, rng):
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        shifted = [SecretReveal(m.sender, m.value + group.order, m.proof)
+                   if isinstance(m, SecretReveal) and m.sender == 3 else m
+                   for m in reveals]
+        outcome = protocol.offline_reconstruct(public, shifted, params, group, CTX)
+        assert outcome.success
+        assert outcome.recovered[3] == ("shares", (5, 7))
+
+
+def secp_round2(seed=5):
+    """n=5, t=2, k=3 ceremony on secp256k1 with every party revealing."""
+    group = SECP256K1
+    rng = random.Random(seed)
+    params = Params(5, 2, 3)
+    sets = {i: {(i + d - 1) % 5 + 1 for d in (1, 2, 3)} for i in range(1, 6)}
+    pki, _, _, states, public = run_round1(group, rng, params, sets)
+    reveals = scenario_reveals(group, rng, params, pki, states, public, set(sets))
+    return params, public, reveals
+
+
+class TestBatchedReveals:
+    def test_bad_reveal_in_batch_gives_per_message_verdicts(self):
+        group = SECP256K1
+        params, public, reveals = secp_round2()
+        shares = [m for m in reveals if isinstance(m, ShareReveal)]
+        forged = shares[4]
+        bad_dleq = nizk.DleqProof(forged.proof.dleq.commitment_1,
+                                  forged.proof.dleq.commitment_2,
+                                  (forged.proof.dleq.response + 1) % group.order)
+        shares[4] = ShareReveal(forged.sender, forged.dealer, forged.value,
+                                nizk.ShareDecryptionProof(forged.proof.mask, bad_dleq))
+        shares[9] = ShareReveal(shares[9].sender, shares[9].dealer,
+                                (shares[9].value + 1) % group.order, shares[9].proof)
+        expected = {}
+        for m in shares:
+            ct = public.deals[m.dealer].ciphertexts[m.sender]
+            if nizk.verify_share_decryption(group, public.pki[m.sender], ct, m.value,
+                                            m.proof, CTX):
+                expected.setdefault(m.dealer, {}).setdefault(m.sender, m.value)
+        assert sum(map(len, expected.values())) == len(shares) - 2
+        assert protocol.verified_shares(public, shares, group, CTX) == expected
+        assert public.verdicts[CTX, shares[4]] is False
+        assert public.verdicts[CTX, shares[9]] is False
+
+    def test_each_reveal_checked_once_across_corruption_sets(self, group, rng, monkeypatch):
+        params = Params(5, 2, 3)
+        sets = {1: {2, 3, 4}, 2: {3, 4, 5}, 3: {1, 4, 5}, 4: {1, 2, 5}, 5: {1, 2, 3}}
+        pki, _, _, states, public = run_round1(group, rng, params, sets)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, set(sets))
+        dleq_checks, dl_checks = Counter(), Counter()
+        real_dleq, real_dl = nizk._dleq_equations, nizk.verify_dl
+
+        def counting_dleq(group, base1, out1, base2, out2, proof, context):
+            dleq_checks[proof] += 1
+            return real_dleq(group, base1, out1, base2, out2, proof, context)
+
+        def counting_dl(group, statement, proof, context):
+            dl_checks[proof] += 1
+            return real_dl(group, statement, proof, context)
+
+        monkeypatch.setattr(nizk, "_dleq_equations", counting_dleq)
+        monkeypatch.setattr(nizk, "verify_dl", counting_dl)
+        parties = sorted(sets)
+        for size in range(len(parties) + 1):
+            for corrupted in itertools.combinations(parties, size):
+                live = [m for m in reveals if m.sender not in corrupted]
+                outcome = protocol.offline_reconstruct(public, live, params, group, CTX)
+                assert outcome.success == protocol.liveness_holds(
+                    corrupted, parties, sets, params)
+        share_proofs = [m.proof.dleq for m in reveals if isinstance(m, ShareReveal)]
+        secret_proofs = [m.proof for m in reveals if isinstance(m, SecretReveal)]
+        assert len(share_proofs) == 15 and len(secret_proofs) == 5
+        assert dleq_checks == Counter(share_proofs)
+        assert dl_checks == Counter(secret_proofs)
+        assert len(public.verdicts) == 20
 
 
 def brute_force_capable(s, participants, guardian_sets, t):
