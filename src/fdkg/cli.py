@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
             topology=_resolve(args, cfg, "topology", simulate.TOPOLOGY_ER),
             seed=_resolve(args, cfg, "seed", 0, int),
         )
-    except simulate.SweepConfigError as exc:
+    except (simulate.SweepConfigError, ValueError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 2
     _echo_config("simulate", {
@@ -165,7 +165,7 @@ def cmd_election(args) -> int:
         if votes_text is None:
             raise ValueError("votes are required")
         votes = {i + 1: c for i, c in enumerate(_int_list(votes_text))}
-        encoding = derive_encoding(params.n, candidates, group.order)
+        encoding = derive_encoding(max(params.n, len(votes)), candidates, group.order)
         for candidate in votes.values():
             encoding.exponent_for(candidate)
     except (ValueError, ProtocolError, VotingError) as exc:
@@ -193,14 +193,18 @@ def cmd_election(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = _load_section(args.config, "cost")
-    spec = costmodel.ScenarioSpec(
-        n=_resolve(args, cfg, "n", 0, int),
-        dealers=_resolve(args, cfg, "dealers", 0, int),
-        k=_resolve(args, cfg, "k", 0, int),
-        voters=_resolve(args, cfg, "voters", 0, int),
-        direct_revealers=_resolve(args, cfg, "direct-revealers", 0, int),
-        shares_revealed=_resolve(args, cfg, "shares-revealed", 0, int),
-    )
+    try:
+        spec = costmodel.ScenarioSpec(
+            n=_resolve(args, cfg, "n", 0, int),
+            dealers=_resolve(args, cfg, "dealers", 0, int),
+            k=_resolve(args, cfg, "k", 0, int),
+            voters=_resolve(args, cfg, "voters", 0, int),
+            direct_revealers=_resolve(args, cfg, "direct-revealers", 0, int),
+            shares_revealed=_resolve(args, cfg, "shares-revealed", 0, int),
+        )
+    except ValueError as exc:
+        print(f"cost: {exc}", file=sys.stderr)
+        return 2
     _echo_config("cost", {"dealers": spec.dealers, "k": spec.k,
                           "voters": spec.voters,
                           "direct-revealers": spec.direct_revealers,

@@ -32,9 +32,13 @@ class ElectionResult:
 def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
                  group, seed: int, n_bound=None, guardian_sets=None) -> ElectionResult:
     """votes: voter index -> candidate (1-based).  Returns failure data
-    instead of raising when the tally cannot be completed."""
+    instead of raising when the tally cannot be completed.  Slots hold
+    counts up to `n_bound`, by default n or the number of votes, whichever
+    is larger; ValueError when it is below the number of votes."""
     if n_bound is None:
-        n_bound = params.n
+        n_bound = max(params.n, len(votes))
+    if n_bound < len(votes):
+        raise ValueError(f"n_bound {n_bound} is below the {len(votes)} votes")
     encoding = voting.derive_encoding(n_bound, candidates, group.order)
     board, pki, dealer_states, public_state = deal_round(
         params, behaviors, group, seed, guardian_sets)

@@ -154,11 +154,9 @@ class MultiplicativeGroup(Group):
         return a % self.q
 
 
-# Affine point; None is the point at infinity.
-Point = "tuple[int, int] | None"
-
-# Jacobian point (X, Y, Z) standing for the affine (X/Z^2, Y/Z^3); None is
-# infinity here too.  The helpers below take and return finite points or None.
+# An affine point is a tuple (x, y); a Jacobian point (X, Y, Z) stands for the
+# affine (X/Z^2, Y/Z^3).  None is infinity in both forms; the helpers below
+# take and return finite points or None.
 
 COMB_TEETH = 8
 

@@ -80,14 +80,6 @@ class DealerState:
     polynomial: shamir.Polynomial
 
 
-@dataclass(frozen=True)
-class DealRecord:
-    partial_pk: object
-    guardians: GuardianSet
-    ciphertexts: dict
-    commitments: nizk.FeldmanCommitments
-
-
 @dataclass
 class PublicState:
     """Verified post-round-1 world: participant set and global key.
@@ -101,7 +93,7 @@ class PublicState:
     pki: dict  # party index -> pke public key
     participants: tuple = ()
     global_pk: object = None  # undefined when participants is empty
-    deals: dict = field(default_factory=dict)  # dealer -> DealRecord
+    deals: dict = field(default_factory=dict)  # dealer -> accepted DealMessage
     verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def guardian_sets(self) -> dict:
@@ -180,6 +172,8 @@ def _deal_binding(group, dealer: int) -> bytes:
 
 
 def verify_deal_message(msg: DealMessage, params: Params, pki: dict, group) -> bool:
+    if not 1 <= msg.dealer <= params.n:
+        return False
     try:
         GuardianSet.create(msg.dealer, msg.guardians.members, params)
     except InvalidGuardianSetError:
@@ -204,9 +198,7 @@ def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
         if msg.dealer in deals:
             continue
         if verify_deal_message(msg, params, pki, group):
-            deals[msg.dealer] = DealRecord(
-                msg.partial_pk, msg.guardians, dict(msg.ciphertexts),
-                msg.proofs.commitments)
+            deals[msg.dealer] = msg
     state.deals = deals
     state.participants = tuple(sorted(deals))
     if state.participants:

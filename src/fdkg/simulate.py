@@ -55,18 +55,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    n: int
-    p: float
-    r: float
-    k: int
-    t: int
-    dealers: int
-    present: int
-    success: bool
-
-
-@dataclass(frozen=True)
 class SuccessRate:
     n: int
     p: float

@@ -1,9 +1,11 @@
 """Stable line-delimited transcript serialization.
 
 One JSON object per board entry, group elements hex-encoded in their
-canonical form, keys sorted.  Replaying an imported transcript through
-round-1 processing and offline reconstruction reproduces the original
-result byte for byte.
+canonical form, keys sorted, laid out by the `LAYOUT` and `MESSAGES` tables
+alone.  Import is strict: a line is accepted only if re-exporting its entry
+gives that exact line back, and only if its sender is its message's author;
+anything else raises `TranscriptError`.  Replaying an imported transcript
+reproduces the original result byte for byte.
 """
 
 from __future__ import annotations
@@ -12,151 +14,145 @@ import json
 
 from . import nizk, pke, protocol, voting
 from .board import BroadcastBoard
+from .groups import GroupError
 
 
 class TranscriptError(Exception):
     pass
 
 
-def _e(group, elem) -> str:
-    return group.encode(elem).hex()
+# codecs: a group element as hex, an int, a frozenset as a sorted list of
+# ints, a laid-out type, (LIST, codec) and (DICT, codec) for a dict keyed by
+# ints written as strings
+ELEM, INT, SET, LIST, DICT = "elem", "int", "set", "list", "dict"
+
+# type -> its fields, each (attribute, codec) or (attribute, codec, JSON key);
+# the key defaults to the attribute's name, and a None key writes the nested
+# object's keys into its parent
+LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fields)
+          for cls, fields in {
+    pke.PkeCiphertext: (("c1", ELEM), ("c2", ELEM), ("delta", INT)),
+    nizk.DlProof: (("commitment", ELEM), ("response", INT)),
+    nizk.DleqProof: (("commitment_1", ELEM, "c1"), ("commitment_2", ELEM, "c2"),
+                     ("response", INT)),
+    nizk.ShareDecryptionProof: (("mask", ELEM), ("dleq", nizk.DleqProof)),
+    nizk.RepresentationProof: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
+                               ("response_k", INT, "zk"), ("response_r", INT, "zr")),
+    nizk.FeldmanCommitments: (("commitments", (LIST, ELEM)),),
+    nizk.DealProofBundle: (("commitments", nizk.FeldmanCommitments, None),
+                           ("encryption_proofs", (LIST, nizk.RepresentationProof), "enc_proofs")),
+    nizk.BallotBranch: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
+                        ("challenge", INT), ("response", INT)),
+    nizk.BallotProof: (("branches", (LIST, nizk.BallotBranch)),),
+    protocol.GuardianSet: (("owner", INT, "dealer"), ("members", SET, "guardians")),
+    # the guardian set's owner is written first, so the deal's own dealer wins
+    protocol.DealMessage: (("guardians", protocol.GuardianSet, None), ("dealer", INT),
+                           ("partial_pk", ELEM), ("ciphertexts", (DICT, pke.PkeCiphertext)),
+                           ("proofs", nizk.DealProofBundle, None)),
+    protocol.SecretReveal: (("sender", INT), ("value", INT), ("proof", nizk.DlProof)),
+    protocol.ShareReveal: (("sender", INT), ("dealer", INT), ("value", INT),
+                           ("proof", nizk.ShareDecryptionProof)),
+    voting.Ballot: (("voter", INT), ("a", ELEM), ("b", ELEM), ("proof", nizk.BallotProof, None)),
+    voting.PartialDecryption: (("dealer", INT), ("value", ELEM), ("proof", nizk.DleqProof)),
+}.items()}
+LAYOUT[protocol.ComplaintReveal] = LAYOUT[protocol.ShareReveal]
+
+# board message type -> (wire kind, the attribute naming its author)
+MESSAGES = {
+    protocol.DealMessage: ("deal", "dealer"),
+    protocol.SecretReveal: ("secret", "sender"),
+    protocol.ShareReveal: ("share", "sender"),
+    protocol.ComplaintReveal: ("complaint", "sender"),
+    voting.Ballot: ("ballot", "voter"),
+    voting.PartialDecryption: ("pdecrypt", "dealer"),
+}
 
 
-def _d(group, text: str):
-    return group.decode(bytes.fromhex(text))
+def _encode(group, codec, value):
+    if codec is ELEM:
+        return group.encode(value).hex()
+    if codec is INT:
+        return value
+    if codec is SET:
+        return sorted(value)
+    if isinstance(codec, tuple):
+        shape, item = codec
+        if shape is LIST:
+            return [_encode(group, item, v) for v in value]
+        return {str(j): _encode(group, item, v) for j, v in value.items()}
+    out = {}
+    for attr, sub, key in LAYOUT[codec]:
+        encoded = _encode(group, sub, getattr(value, attr))
+        out.update(encoded if key is None else {key: encoded})
+    return out
 
 
-def _ciphertext_out(group, ct: pke.PkeCiphertext) -> dict:
-    return {"c1": _e(group, ct.c1), "c2": _e(group, ct.c2), "delta": ct.delta}
+def _typed(obj, kind):
+    if type(obj) is not kind:  # rejects a bool or a float as an int
+        raise TranscriptError(f"expected {kind.__name__}, got {type(obj).__name__}")
+    return obj
 
 
-def _ciphertext_in(group, obj) -> pke.PkeCiphertext:
-    return pke.PkeCiphertext(_d(group, obj["c1"]), _d(group, obj["c2"]), obj["delta"])
-
-
-def _dl_proof_out(group, p: nizk.DlProof) -> dict:
-    return {"commitment": _e(group, p.commitment), "response": p.response}
-
-
-def _dl_proof_in(group, obj) -> nizk.DlProof:
-    return nizk.DlProof(_d(group, obj["commitment"]), obj["response"])
-
-
-def _dleq_out(group, p: nizk.DleqProof) -> dict:
-    return {"c1": _e(group, p.commitment_1), "c2": _e(group, p.commitment_2),
-            "response": p.response}
-
-
-def _dleq_in(group, obj) -> nizk.DleqProof:
-    return nizk.DleqProof(_d(group, obj["c1"]), _d(group, obj["c2"]), obj["response"])
-
-
-def _sdp_out(group, p: nizk.ShareDecryptionProof) -> dict:
-    return {"mask": _e(group, p.mask), "dleq": _dleq_out(group, p.dleq)}
-
-
-def _sdp_in(group, obj) -> nizk.ShareDecryptionProof:
-    return nizk.ShareDecryptionProof(_d(group, obj["mask"]), _dleq_in(group, obj["dleq"]))
-
-
-def _rep_out(group, p: nizk.RepresentationProof) -> dict:
-    return {"t1": _e(group, p.commitment_1), "t2": _e(group, p.commitment_2),
-            "zk": p.response_k, "zr": p.response_r}
-
-
-def _rep_in(group, obj) -> nizk.RepresentationProof:
-    return nizk.RepresentationProof(_d(group, obj["t1"]), _d(group, obj["t2"]),
-                                    obj["zk"], obj["zr"])
+def _decode(group, codec, obj):
+    if codec is ELEM:
+        return group.decode(bytes.fromhex(_typed(obj, str)))
+    if codec is INT:
+        return _typed(obj, int)
+    if codec is SET:
+        return frozenset(_typed(j, int) for j in _typed(obj, list))
+    if isinstance(codec, tuple):
+        shape, item = codec
+        if shape is LIST:
+            return tuple(_decode(group, item, v) for v in _typed(obj, list))
+        return {int(j): _decode(group, item, v) for j, v in _typed(obj, dict).items()}
+    _typed(obj, dict)
+    return codec(**{attr: _decode(group, sub, obj if key is None else obj[key])
+                    for attr, sub, key in LAYOUT[codec]})
 
 
 def message_to_dict(group, message) -> dict:
-    if isinstance(message, protocol.DealMessage):
-        indices = sorted(message.guardians.members)
-        return {
-            "kind": "deal",
-            "dealer": message.dealer,
-            "partial_pk": _e(group, message.partial_pk),
-            "guardians": indices,
-            "ciphertexts": {str(j): _ciphertext_out(group, message.ciphertexts[j])
-                            for j in indices},
-            "commitments": [_e(group, a) for a in message.proofs.commitments.commitments],
-            "enc_proofs": [_rep_out(group, p) for p in message.proofs.encryption_proofs],
-        }
-    if isinstance(message, protocol.SecretReveal):
-        return {"kind": "secret", "sender": message.sender, "value": message.value,
-                "proof": _dl_proof_out(group, message.proof)}
-    if isinstance(message, (protocol.ShareReveal, protocol.ComplaintReveal)):
-        kind = "complaint" if isinstance(message, protocol.ComplaintReveal) else "share"
-        return {"kind": kind, "sender": message.sender, "dealer": message.dealer,
-                "value": message.value, "proof": _sdp_out(group, message.proof)}
-    if isinstance(message, voting.Ballot):
-        return {
-            "kind": "ballot", "voter": message.voter,
-            "a": _e(group, message.a), "b": _e(group, message.b),
-            "branches": [
-                {"t1": _e(group, br.commitment_1), "t2": _e(group, br.commitment_2),
-                 "challenge": br.challenge, "response": br.response}
-                for br in message.proof.branches
-            ],
-        }
-    if isinstance(message, voting.PartialDecryption):
-        return {"kind": "pdecrypt", "dealer": message.dealer,
-                "value": _e(group, message.value),
-                "proof": _dleq_out(group, message.proof)}
-    raise TranscriptError(f"unsupported message type {type(message).__name__}")
+    if type(message) not in MESSAGES:
+        raise TranscriptError(f"unsupported message type {type(message).__name__}")
+    return {"kind": MESSAGES[type(message)][0], **_encode(group, type(message), message)}
 
 
 def message_from_dict(group, obj):
-    kind = obj.get("kind")
-    if kind == "deal":
-        indices = list(obj["guardians"])
-        dealer = obj["dealer"]
-        guardians = protocol.GuardianSet(dealer, frozenset(indices))
-        bundle = nizk.DealProofBundle(
-            nizk.FeldmanCommitments(tuple(_d(group, a) for a in obj["commitments"])),
-            tuple(_rep_in(group, p) for p in obj["enc_proofs"]),
-        )
-        return protocol.DealMessage(
-            dealer, _d(group, obj["partial_pk"]), guardians,
-            {j: _ciphertext_in(group, obj["ciphertexts"][str(j)]) for j in indices},
-            bundle)
-    if kind == "secret":
-        return protocol.SecretReveal(obj["sender"], obj["value"],
-                                     _dl_proof_in(group, obj["proof"]))
-    if kind in ("share", "complaint"):
-        cls = protocol.ComplaintReveal if kind == "complaint" else protocol.ShareReveal
-        return cls(obj["sender"], obj["dealer"], obj["value"],
-                   _sdp_in(group, obj["proof"]))
-    if kind == "ballot":
-        proof = nizk.BallotProof(tuple(
-            nizk.BallotBranch(_d(group, br["t1"]), _d(group, br["t2"]),
-                              br["challenge"], br["response"])
-            for br in obj["branches"]))
-        return voting.Ballot(obj["voter"], _d(group, obj["a"]), _d(group, obj["b"]), proof)
-    if kind == "pdecrypt":
-        return voting.PartialDecryption(obj["dealer"], _d(group, obj["value"]),
-                                        _dleq_in(group, obj["proof"]))
-    raise TranscriptError(f"unsupported message kind {kind!r}")
+    kind = _typed(obj, dict).get("kind")
+    cls = next((c for c, (name, _) in MESSAGES.items() if name == kind), None)
+    if cls is None:
+        raise TranscriptError(f"unsupported message kind {kind!r}")
+    return _decode(group, cls, obj)
+
+
+def _line(group, sender, round_no, message) -> str:
+    record = {"sender": sender, "round": round_no,
+              "message": message_to_dict(group, message)}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def export_lines(board: BroadcastBoard, group) -> list:
-    lines = []
-    for entry in board.entries():
-        record = {"sender": entry.sender, "round": entry.round,
-                  "message": message_to_dict(group, entry.message)}
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return lines
+    return [_line(group, e.sender, e.round, e.message) for e in board.entries()]
 
 
 def import_lines(lines, group) -> BroadcastBoard:
+    """The board of a transcript; blank lines are skipped."""
     board = BroadcastBoard()
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        board.append(record["sender"], record["round"],
-                     message_from_dict(group, record["message"]))
+        try:
+            record = _typed(json.loads(line), dict)
+            sender, round_no = _typed(record["sender"], int), _typed(record["round"], int)
+            message = message_from_dict(group, record["message"])
+            if _line(group, sender, round_no, message) != line:
+                raise TranscriptError("not the canonical encoding of its entry")
+            kind, author = MESSAGES[type(message)]
+            if getattr(message, author) != sender:
+                raise TranscriptError(f"sender {sender} is not the author of its {kind}")
+        except (TranscriptError, ValueError, KeyError, GroupError, RecursionError) as exc:
+            raise TranscriptError(f"line {number}: {exc!r}") from exc
+        board.append(sender, round_no, message)
     return board
 
 

@@ -159,6 +159,23 @@ class TestSimulate:
         assert "10,1.0,1.0,4,2,er,5,5,1.0000" in out
 
 
+class TestSimulateInputErrors:
+    """Malformed sweep input exits 2 with a message, never a traceback."""
+
+    def test_non_integer_trials_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[simulate]\nn = 10\nk = 3\nt = 2\ntrials = x\n")
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("simulate: ") and "'x'" in err
+
+    def test_non_numeric_rate_flag(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "simulate", "--n", "10", "--k", "3", "--t", "2", "--r", "x"])
+        assert code == 2
+        assert err.startswith("simulate: ") and "'x'" in err
+
+
 class TestElection:
     def test_honest_exact_counts(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -185,6 +202,13 @@ class TestElection:
         assert code == 0
         assert "result,1,2" in out
         assert "result,2,1" in out
+
+    def test_more_votes_than_parties(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "election", "--n", "4", "--t", "1", "--k", "2", "--candidates", "2",
+            "--votes", "1,1,1,1,1,1,1,1", *TEST_GROUP_FLAGS])
+        assert code == 0
+        assert "result,1,8" in out and "result,2,0" in out
 
     def test_unreachable_dealer_fails(self, capsys, tmp_path):
         cfg = tmp_path / "blocked.ini"
@@ -260,6 +284,19 @@ class TestCost:
         code, out, _ = run_cli(capsys, ["cost"])
         assert code == 0
         assert "total             0" in out
+
+    def test_non_integer_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cost.ini"
+        cfg.write_text("[cost]\nn = x\n")
+        code, out, err = run_cli(capsys, ["cost", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("cost: ") and "'x'" in err
+        assert "total" not in out
+
+    def test_more_dealers_than_parties(self, capsys):
+        code, _, err = run_cli(capsys, ["cost", "--n", "5", "--dealers", "9"])
+        assert code == 2
+        assert "cost: |D| cannot exceed n" in err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cost.ini"

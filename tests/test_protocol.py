@@ -135,6 +135,17 @@ class TestProcessRound1:
         public = protocol.process_round1([], params, pub, group)
         assert public.participants == () and public.global_pk is None
 
+    @pytest.mark.parametrize("dealer", [-1, 2 ** 40])
+    def test_dealer_outside_party_range_rejected(self, group, rng, dealer):
+        params = Params(6, 2, 3)
+        _, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 4}})
+        msg = messages[0]
+        bad = DealMessage(dealer, msg.partial_pk, GuardianSet(dealer, msg.guardians.members),
+                          msg.ciphertexts, msg.proofs)
+        assert not protocol.verify_deal_message(bad, params, pub, group)
+        public = protocol.process_round1([bad, msg], params, pub, group)
+        assert public.participants == (1,)
+
 
 def example_scenario(group, rng):
     """n=10, t=2, k=3; dealers {1,3,5,7,9}; round-2 presence T={3,5,7}."""

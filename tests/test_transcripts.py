@@ -1,13 +1,17 @@
 import hashlib
+import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdkg import protocol, transcripts, voting
 from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT,
-                        WITHHOLD_SHARES, Behavior, run_ceremony)
+                        WITHHOLD_SHARES, Behavior, BroadcastBoard, run_ceremony)
 from fdkg.election import run_election
-from fdkg.groups import SECP256K1
-from fdkg.protocol import Params
+from fdkg.groups import SECP256K1, TEST_GROUP
+from fdkg.protocol import ComplaintReveal, Params, ShareReveal
 
 
 def ceremony_with_faults(group):
@@ -76,6 +80,169 @@ class TestErrors:
     def test_unknown_kind(self, group):
         with pytest.raises(transcripts.TranscriptError):
             transcripts.message_from_dict(group, {"kind": "smoke-signal"})
+
+
+def every_kind_entries(group) -> dict:
+    """kind -> (line, message) of the first message of that kind, over a
+    faulty ceremony, an election and a complaint against one of the
+    ceremony's dealers."""
+    _, ceremony = ceremony_with_faults(group)
+    election = run_election(Params(6, 2, 3), {i: Behavior() for i in range(1, 7)},
+                            {1: 1, 2: 2}, 2, group, seed=56)
+    board = BroadcastBoard()
+    for e in ceremony.board.entries() + election.board.entries():
+        board.append(e.sender, e.round, e.message)
+    share = next(e.message for e in ceremony.board.entries(2)
+                 if isinstance(e.message, ShareReveal))
+    board.append(share.sender, 2, ComplaintReveal(share.sender, share.dealer,
+                                                  share.value, share.proof))
+    out = {}
+    for entry, line in zip(board.entries(), transcripts.export_lines(board, group)):
+        out.setdefault(json.loads(line)["message"]["kind"], (line, entry.message))
+    return out
+
+
+@pytest.fixture(scope="module")
+def every_kind():
+    return every_kind_entries(TEST_GROUP)
+
+
+@pytest.fixture(scope="module")
+def lines(every_kind):
+    return {kind: line for kind, (line, _) in every_kind.items()}
+
+
+KINDS = ["deal", "secret", "share", "complaint", "ballot", "pdecrypt"]
+
+
+def _canonical(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _edited(line, edit) -> str:
+    record = json.loads(line)
+    edit(record)
+    return _canonical(record)
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roundtrip(self, every_kind, kind):
+        line, message = every_kind[kind]
+        board = transcripts.import_lines([line], TEST_GROUP)
+        (entry,) = board.entries()
+        assert entry.message == message
+        assert transcripts.export_lines(board, TEST_GROUP) == [line]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sender_must_be_author(self, lines, kind):
+        def edit(record):
+            record["sender"] += 1
+        with pytest.raises(transcripts.TranscriptError, match="author"):
+            transcripts.import_lines([_edited(lines[kind], edit)], TEST_GROUP)
+
+
+class TestStrictImport:
+    """Malformed lines raise TranscriptError and nothing else, and every
+    value has exactly one accepted encoding."""
+
+    def _rejects(self, line):
+        with pytest.raises(transcripts.TranscriptError):
+            transcripts.import_lines([line], TEST_GROUP)
+
+    @pytest.mark.parametrize("value", ["7", True, 7.0])
+    def test_scalar_must_be_an_int(self, lines, value):
+        def edit(record):
+            record["message"]["value"] = value
+        self._rejects(_edited(lines["share"], edit))
+
+    def test_not_json(self):
+        self._rejects("{")
+
+    def test_not_an_object(self):
+        self._rejects("[1,2]")
+
+    def test_deep_nesting(self):
+        self._rejects("[" * 100000 + "]" * 100000)
+
+    def test_missing_key(self, lines):
+        def edit(record):
+            del record["message"]["proof"]
+        self._rejects(_edited(lines["secret"], edit))
+
+    def test_upper_case_hex(self, lines):
+        hex_value = re.compile(r'(?<=:")[0-9a-f]*[a-f][0-9a-f]*(?=")')
+        line = lines["deal"]
+        value = hex_value.search(line)
+        assert value is not None
+        self._rejects(line[:value.start()] + value.group().upper() + line[value.end():])
+
+    def test_extra_whitespace(self, lines):
+        line = lines["secret"]
+        assert '"kind":"secret"' in line
+        self._rejects(line.replace('"kind":"secret"', '"kind": "secret"'))
+
+    def test_extra_key(self, lines):
+        def edit(record):
+            record["message"]["note"] = 1
+        self._rejects(_edited(lines["pdecrypt"], edit))
+
+    def test_bad_element(self, lines):
+        def edit(record):
+            record["message"]["value"] = "zz"
+        self._rejects(_edited(lines["pdecrypt"], edit))
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=2), st.just({}),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-2, 9),
+    st.binary(max_size=3).map(bytes.hex))
+
+
+def _leaves(obj, path=()):
+    """Paths to every non-container value of a decoded JSON record."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+class TestMutationProperty:
+    """One JSON leaf of one line of a modp ceremony transcript replaced by a
+    value of another type, another int or a hex string: either the import
+    raises TranscriptError, or it re-exports exactly the mutated lines and
+    the replay raises nothing."""
+
+    PARAMS, RESULT = ceremony_with_faults(TEST_GROUP)
+    LINES = transcripts.export_lines(RESULT.board, TEST_GROUP)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_mutated_leaf(self, data):
+        lines = list(self.LINES)
+        index = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[index])
+        *parents, leaf = data.draw(st.sampled_from(list(_leaves(record))))
+        target = record
+        for key in parents:
+            target = target[key]
+        target[leaf] = data.draw(OTHER_VALUES)
+        lines[index] = _canonical(record)
+        try:
+            board = transcripts.import_lines(lines, TEST_GROUP)
+        except transcripts.TranscriptError:
+            return
+        assert transcripts.export_lines(board, TEST_GROUP) == lines
+        public = protocol.process_round1(
+            [e.message for e in board.entries(1)], self.PARAMS,
+            self.RESULT.public_state.pki, TEST_GROUP)
+        protocol.offline_reconstruct(public, [e.message for e in board.entries(2)],
+                                     self.PARAMS, TEST_GROUP, REVEAL_CONTEXT)
 
 
 def test_lines_are_stable_across_runs(group):

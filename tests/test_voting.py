@@ -276,6 +276,20 @@ class TestRunElection:
         with pytest.raises(ValueError, match=r"\[4\]"):
             run_election(Params(5, 2, 2), behaviors, {1: 1}, 2, group, seed=18)
 
+    def test_more_votes_than_parties(self, group):
+        # 8 votes for one candidate need 4-bit slots; n = 4 alone gives 3
+        behaviors = {i: Behavior() for i in range(1, 5)}
+        votes = {v: 1 for v in range(1, 9)}
+        result = run_election(Params(4, 1, 2), behaviors, votes, 2, group, seed=19)
+        assert result.encoding.n_bound == 8
+        assert result.success and result.tally.counts == (8, 0)
+
+    def test_n_bound_below_vote_count_rejected(self, group):
+        behaviors = {i: Behavior() for i in range(1, 5)}
+        votes = {v: 1 for v in range(1, 5)}
+        with pytest.raises(ValueError, match="below the 4 votes"):
+            run_election(Params(4, 1, 2), behaviors, votes, 2, group, seed=20, n_bound=3)
+
     def test_deterministic(self, group):
         params = Params(6, 2, 3)
         behaviors = {i: Behavior() for i in range(1, 7)}
