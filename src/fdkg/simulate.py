@@ -14,6 +14,7 @@ import hashlib
 import logging
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .protocol import reconstruction_capable
 
@@ -47,6 +48,10 @@ class SweepConfig:
             raise SweepConfigError(f"unknown topology {self.topology!r}")
         if bool(self.t_values) == bool(self.t_ratios):
             raise SweepConfigError("set exactly one of t_values / t_ratios")
+        for name, values in (("p", self.p_values), ("r", self.r_values)):
+            for value in values:
+                if not 0.0 <= value <= 1.0:  # also false for nan
+                    raise SweepConfigError(f"{name}={value} must lie in [0, 1]")
 
     def thresholds(self, k: int) -> tuple:
         if self.t_values:
@@ -75,31 +80,80 @@ def round_half_up(x: float) -> int:
 
 
 def select_guardians_er(n: int, k: int, owner: int, rng: random.Random) -> frozenset:
-    """Uniform k-subset of the other parties."""
+    """Uniform k-subset of the other parties.  `sample` draws positions in
+    the n-1 others; position v is party v, or v+1 once past the owner."""
     if k > n - 1:
         raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
-    candidates = [j for j in range(1, n + 1) if j != owner]
-    return frozenset(rng.sample(candidates, k))
+    return frozenset([v + (v >= owner) for v in rng.sample(range(1, n), k)])
 
 
 def select_guardians_ba(n: int, k: int, rng: random.Random) -> dict:
     """Preferential attachment: owners pick in index order; a candidate's
-    weight is 1 plus the number of times earlier owners already chose it."""
+    weight is 1 plus the number of times earlier owners already chose it.
+
+    Each pick is the one `rng.choices(candidates, weights)` would make: one
+    `random()` scaled by the live total, then the first candidate whose
+    integer prefix sum exceeds it, clamped to the last candidate.  The
+    weights live in a Fenwick tree over parties 1..n, where the owner and
+    the parties it has already chosen weigh 0 while it picks; a zero weight
+    is never the first prefix sum above the draw, so the walk lands on the
+    party `bisect` finds in the candidate list, in O(log n).  Integer sums
+    are compared with the float draw, never subtracted from it, so no
+    rounding can move a pick."""
     if k > n - 1:
         raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
-    in_degree = {j: 0 for j in range(1, n + 1)}
+    weight = [1] * (n + 1)  # weight[j] = 1 + in-degree of party j
+    tree = [0] + [j & -j for j in range(1, n + 1)]  # Fenwick tree of all-ones
+
+    def add(j, delta):
+        while j <= n:
+            tree[j] += delta
+            j += j & -j
+
+    top = 1 << (n.bit_length() - 1)
+    draw = rng.random
+    total = n
     sets = {}
     for owner in range(1, n + 1):
-        chosen = set()
+        add(owner, -weight[owner])
+        live = total - weight[owner]
+        chosen = []
         for _ in range(k):
-            candidates = [j for j in range(1, n + 1) if j != owner and j not in chosen]
-            weights = [1 + in_degree[j] for j in candidates]
-            pick = rng.choices(candidates, weights=weights)[0]
-            chosen.add(pick)
+            x = draw() * float(live)
+            if x >= live:  # only when random() returns 1.0; `choices` clamps
+                x = live - 1
+            pos, acc, step = 0, 0, top
+            while step:  # largest pos whose prefix sum is <= x
+                nxt = pos + step
+                if nxt <= n and acc + tree[nxt] <= x:
+                    pos, acc = nxt, acc + tree[nxt]
+                step >>= 1
+            pick = pos + 1
+            add(pick, -weight[pick])
+            live -= weight[pick]
+            chosen.append(pick)
+        add(owner, weight[owner])
         for j in chosen:
-            in_degree[j] += 1
+            weight[j] += 1
+            add(j, weight[j])
+        total += k
         sets[owner] = frozenset(chosen)
     return sets
+
+
+def exact_rate_er(n: int, p: float, r: float, k: int, t: int) -> float:
+    """Exact success rate of an ER trial with a fresh topology.  A dealer
+    outside T is recovered with probability h = P[Hypergeom(n-1, |T|, k) >= t],
+    independently of the other dealers, and |D \\ T| is hypergeometric, so
+    rate = sum over m of P[|D \\ T| = m] * h^m."""
+    if k > n - 1:
+        raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
+    dealers, present = round_half_up(p * n), round_half_up(r * n)
+    absent = n - present
+    h = sum(comb(present, j) * comb(n - 1 - present, k - j)
+            for j in range(t, k + 1)) / comb(n - 1, k)
+    return sum(comb(absent, m) * comb(present, dealers - m) * h ** m
+               for m in range(min(dealers, absent) + 1)) / comb(n, dealers)
 
 
 def sample_round_sets(n: int, p: float, r: float, rng: random.Random):

@@ -175,6 +175,14 @@ class TestSimulateInputErrors:
         assert code == 2
         assert err.startswith("simulate: ") and "'x'" in err
 
+    @pytest.mark.parametrize("flag,value", [("--p", "1.5"), ("--r", "-0.2"),
+                                            ("--p", "nan"), ("--r", "inf")])
+    def test_rate_outside_unit_interval(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, [
+            "simulate", "--n", "10", "--k", "3", "--t", "2", flag, value])
+        assert code == 2
+        assert err.startswith("simulate: ") and "must lie in [0, 1]" in err
+
 
 class TestElection:
     def test_honest_exact_counts(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -5,11 +6,51 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdkg import simulate
-from fdkg.simulate import (SweepConfig, SweepConfigError, round_half_up,
-                           run_sweep, sample_round_sets, select_guardians_ba,
-                           select_guardians_er, trial_success, write_csv)
+from fdkg.simulate import (SweepConfig, SweepConfigError, exact_rate_er,
+                           round_half_up, run_sweep, sample_round_sets,
+                           select_guardians_ba, select_guardians_er,
+                           trial_success, write_csv)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# The samplers as first written, O(n) per ER owner and per BA pick.  The fast
+# samplers must draw the same sets with the same RNG calls.
+
+def reference_select_guardians_er(n: int, k: int, owner: int, rng: random.Random) -> frozenset:
+    """Uniform k-subset of the other parties."""
+    if k > n - 1:
+        raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
+    candidates = [j for j in range(1, n + 1) if j != owner]
+    return frozenset(rng.sample(candidates, k))
+
+
+def reference_select_guardians_ba(n: int, k: int, rng: random.Random) -> dict:
+    """Preferential attachment: owners pick in index order; a candidate's
+    weight is 1 plus the number of times earlier owners already chose it."""
+    if k > n - 1:
+        raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
+    in_degree = {j: 0 for j in range(1, n + 1)}
+    sets = {}
+    for owner in range(1, n + 1):
+        chosen = set()
+        for _ in range(k):
+            candidates = [j for j in range(1, n + 1) if j != owner and j not in chosen]
+            weights = [1 + in_degree[j] for j in candidates]
+            pick = rng.choices(candidates, weights=weights)[0]
+            chosen.add(pick)
+        for j in chosen:
+            in_degree[j] += 1
+        sets[owner] = frozenset(chosen)
+    return sets
+
+
+def er_topology(sampler, n, k, rng):
+    return {i: sampler(n, k, i, rng) for i in range(1, n + 1)}
 
 
 class TestRounding:
@@ -44,6 +85,15 @@ class TestSweepConfig:
     def test_neither_t_rule_rejected(self):
         with pytest.raises(SweepConfigError):
             self.base(t_values=())
+
+    @pytest.mark.parametrize("field", ["p_values", "r_values"])
+    @pytest.mark.parametrize("value", [1.5, -0.2, 1.0000001, math.nan, math.inf, -math.inf])
+    def test_rate_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(SweepConfigError, match="must lie in"):
+            self.base(**{field: (0.5, value)})
+
+    def test_rate_bounds_accepted(self):
+        self.base(p_values=(0.0, 1.0), r_values=(0.0, 1.0))
 
     def test_ratio_thresholds(self):
         cfg = self.base(t_values=(), t_ratios=(0.2, 0.7))
@@ -278,3 +328,156 @@ class TestRunSweep:
             (rate,) = run_sweep(cfg)
             half_width = 2.576 * math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
             assert abs(rate.rate - exact) <= max(half_width, 1e-9), (r, exact, rate.rate)
+
+    # Digests taken with the reference samplers.  Most cells of this grid
+    # succeed in neither all nor none of their trials, so changed draws
+    # show up as changed counts.
+    CSV_SHA256 = {
+        "er": "4a81c24a2c8e8022c869d461c1b4310b8c4449f84eb995aecea8f98de25a6f88",
+        "ba": "f208f5c048877eab6133cd57406b4ea20d62eb996b917e84a3d2fa2a1d0e571c",
+    }
+
+    @pytest.mark.parametrize("topology", ["er", "ba"])
+    def test_pinned_csv_bytes(self, topology):
+        cfg = SweepConfig(n_values=(40, 60), p_values=(0.8,), r_values=(0.6, 0.7),
+                          k_values=(6,), t_values=(2, 3), trials=30,
+                          topology=topology, seed=5)
+        buf = io.StringIO()
+        write_csv(run_sweep(cfg), buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == self.CSV_SHA256[topology]
+
+
+@st.composite
+def sampler_cases(draw):
+    n = draw(st.integers(2, 80))
+    return (n, draw(st.integers(1, n - 1)), draw(st.integers(1, n)),
+            draw(st.integers(0, 2**64)))
+
+
+class TestSamplersMatchReference:
+    """Same sets and the same final RNG state as the reference samplers."""
+
+    @staticmethod
+    def assert_same_draws(fast, reference, seed, *args):
+        fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert fast(*args, fast_rng) == reference(*args, reference_rng)
+        assert fast_rng.getstate() == reference_rng.getstate()
+
+    @PROPERTY
+    @given(sampler_cases())
+    def test_er_property(self, case):
+        n, k, owner, seed = case
+        self.assert_same_draws(select_guardians_er, reference_select_guardians_er,
+                               seed, n, k, owner)
+
+    @PROPERTY
+    @given(sampler_cases())
+    def test_ba_property(self, case):
+        n, k, _, seed = case
+        self.assert_same_draws(select_guardians_ba, reference_select_guardians_ba,
+                               seed, n, k)
+
+    @pytest.mark.parametrize("n,k", [(300, 20), (200, 5)])
+    def test_ba_fixed(self, n, k):
+        self.assert_same_draws(select_guardians_ba, reference_select_guardians_ba, 11, n, k)
+
+    def test_er_fixed_topology(self):
+        fast_rng, reference_rng = random.Random(12), random.Random(12)
+        assert (er_topology(select_guardians_er, 1000, 40, fast_rng)
+                == er_topology(reference_select_guardians_er, 1000, 40, reference_rng))
+        assert fast_rng.getstate() == reference_rng.getstate()
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose `random()` cycles through fixed values (`sample` then
+    draws through `random()` too).  Its `choices` counts the draws whose
+    scaled value `x` falls exactly on an integer prefix sum or reaches the
+    total, where `bisect` clamps to the last candidate."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = values
+        self.calls = 0
+        self.on_prefix = 0
+        self.clamped = 0
+
+    def random(self):
+        value = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return value
+
+    def choices(self, population, weights):
+        cum = list(itertools.accumulate(weights))
+        x = self.values[self.calls % len(self.values)] * float(cum[-1])
+        self.on_prefix += x in cum
+        self.clamped += x >= cum[-1]
+        return super().choices(population, weights=weights)
+
+
+class TestScriptedDraws:
+    """Boundary draws that random seeds almost never produce.  1 - 2**-53 is
+    the largest `random()`; times an integer total below 2**53 it stays
+    below the total, so only a `random()` of 1.0 (a subclass may return it)
+    reaches `choices`' clamp to the last candidate."""
+
+    SCRIPTS = [
+        (0.0, 0.5, 1 / 3, 1 - 2**-53, 0.25, 2 / 3, 1.0, 0.75),
+        (1.0, 1 - 2**-53, 0.0, 0.5, 0.125, 0.6, 1 / 3),
+    ]
+
+    def test_exact_prefix_pick(self):
+        # owner 1 of n=5: weights 1,1,1,1 on parties 2..5, so x = 0.5 * 4 = 2
+        # is the second prefix sum and bisect_right takes the third, party 4;
+        # then x = 1/3 * 3 = 1 on parties 2, 3, 5 takes the second, party 3
+        sets = select_guardians_ba(5, 2, ScriptedRandom((0.5, 1 / 3)))
+        assert sets[1] == frozenset({3, 4})
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_ba_matches_reference(self, script):
+        on_prefix = clamped = 0
+        for n in range(2, 13):
+            for k in range(1, n):
+                fast, reference = ScriptedRandom(script), ScriptedRandom(script)
+                assert select_guardians_ba(n, k, fast) == reference_select_guardians_ba(
+                    n, k, reference), (n, k)
+                assert fast.calls == reference.calls
+                on_prefix += reference.on_prefix
+                clamped += reference.clamped
+        assert on_prefix > 0 and clamped > 0  # both boundaries were exercised
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_er_matches_reference(self, script):
+        # n <= 21 keeps `sample` in its pool branch, which never redraws; in
+        # its set branch a short cycle of values could redraw forever
+        for n in range(2, 13):
+            for k in range(1, n):
+                fast, reference = ScriptedRandom(script), ScriptedRandom(script)
+                assert (er_topology(select_guardians_er, n, k, fast)
+                        == er_topology(reference_select_guardians_er, n, k, reference))
+                assert fast.calls == reference.calls
+
+
+class TestExactRateEr:
+    @pytest.mark.parametrize("t,expected", list(zip(
+        range(1, 9), [1.0, 0.9999, 0.9986, 0.9868, 0.9182, 0.6714, 0.2417, 0.0179])))
+    def test_half_retention(self, t, expected):
+        assert round(exact_rate_er(100, 0.8, 0.5, 20, t), 4) == expected
+
+    @pytest.mark.parametrize("t,expected", [(14, 0.9989), (16, 0.8836)])
+    def test_high_retention(self, t, expected):
+        assert round(exact_rate_er(100, 0.8, 0.9, 20, t), 4) == expected
+
+    def test_monte_carlo_within_binomial_ci(self):
+        n, p, r, k, t, trials = 30, 0.8, 0.5, 6, 2, 1000
+        exact = exact_rate_er(n, p, r, k, t)
+        assert 0.2 < exact < 0.8  # a cell far from 0 and 1
+        cfg = SweepConfig(n_values=(n,), p_values=(p,), r_values=(r,), k_values=(k,),
+                          t_values=(t,), trials=trials, seed=3)
+        (rate,) = run_sweep(cfg)
+        half_width = 2.576 * math.sqrt(exact * (1 - exact) / trials)
+        assert abs(rate.rate - exact) <= half_width, (rate.rate, exact)
+
+    def test_oversized_k_rejected(self):
+        with pytest.raises(SweepConfigError):
+            exact_rate_er(5, 0.8, 0.5, 5, 1)
