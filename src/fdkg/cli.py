@@ -94,7 +94,10 @@ def _resolve_run(args, cfg: dict) -> tuple:
                                lambda text: frozenset(_int_list(text))) or None
     if guardians:
         dealer_guardian_sets(params, behaviors, guardians)
-    return params, _resolve(args, cfg, "seed", 0, int), GROUPS[name], behaviors, guardians
+    seed = _resolve(args, cfg, "seed", 0, int)
+    if not -2 ** 127 <= seed < 2 ** 127:  # child_rng packs it into 16 signed bytes
+        raise ValueError(f"seed {seed} outside [-2**127, 2**127)")
+    return params, seed, GROUPS[name], behaviors, guardians
 
 
 def cmd_ceremony(args) -> int:
@@ -191,24 +194,18 @@ def cmd_election(args) -> int:
     return 0
 
 
+COST_FLAGS = ("n", "dealers", "k", "voters", "direct-revealers", "shares-revealed")
+
+
 def cmd_cost(args) -> int:
     cfg = _load_section(args.config, "cost")
     try:
-        spec = costmodel.ScenarioSpec(
-            n=_resolve(args, cfg, "n", 0, int),
-            dealers=_resolve(args, cfg, "dealers", 0, int),
-            k=_resolve(args, cfg, "k", 0, int),
-            voters=_resolve(args, cfg, "voters", 0, int),
-            direct_revealers=_resolve(args, cfg, "direct-revealers", 0, int),
-            shares_revealed=_resolve(args, cfg, "shares-revealed", 0, int),
-        )
+        resolved = {key: _resolve(args, cfg, key, 0, int) for key in COST_FLAGS}
+        spec = costmodel.ScenarioSpec(**{k.replace("-", "_"): v for k, v in resolved.items()})
     except ValueError as exc:
         print(f"cost: {exc}", file=sys.stderr)
         return 2
-    _echo_config("cost", {"dealers": spec.dealers, "k": spec.k,
-                          "voters": spec.voters,
-                          "direct-revealers": spec.direct_revealers,
-                          "shares-revealed": spec.shares_revealed})
+    _echo_config("cost", {key: resolved[key] for key in COST_FLAGS[1:]})
     breakdown = costmodel.estimate(spec)
     print(f"fdkg-distribution {breakdown.fdkg_bytes}")
     print(f"voting            {breakdown.voting_bytes}")
@@ -230,44 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path")
 
+    def run(p):  # the flags of a ceremony and of an election
+        for key in ("n", "t", "k"):
+            p.add_argument(f"--{key}", type=int)
+        p.add_argument("--group", choices=sorted(GROUPS))
+
     p = sub.add_parser("ceremony", help="run a two-round key-generation ceremony")
     common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--group", choices=sorted(GROUPS))
+    run(p)
     p.set_defaults(func=cmd_ceremony)
 
     p = sub.add_parser("simulate", help="Monte-Carlo liveness sweep to CSV")
     common(p)
-    p.add_argument("--n")
-    p.add_argument("--p")
-    p.add_argument("--r")
-    p.add_argument("--k")
-    p.add_argument("--t")
-    p.add_argument("--t-ratio")
+    for key in ("n", "p", "r", "k", "t", "t-ratio"):  # comma lists
+        p.add_argument(f"--{key}")
     p.add_argument("--trials", type=int)
     p.add_argument("--topology", choices=[simulate.TOPOLOGY_ER, simulate.TOPOLOGY_BA])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("election", help="full election pipeline")
     common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--k", type=int)
+    run(p)
     p.add_argument("--candidates", type=int)
     p.add_argument("--votes", help="comma list, candidate per voter")
-    p.add_argument("--group", choices=sorted(GROUPS))
     p.set_defaults(func=cmd_election)
 
     p = sub.add_parser("cost", help="broadcast-size estimate")
     common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dealers", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--voters", type=int)
-    p.add_argument("--direct-revealers", type=int)
-    p.add_argument("--shares-revealed", type=int)
+    for key in COST_FLAGS:
+        p.add_argument(f"--{key}", type=int)
     p.set_defaults(func=cmd_cost)
     return parser
 

@@ -45,40 +45,18 @@ def scalar_to_bytes(value: int, q: int) -> bytes:
 
 
 class Group:
-    """Interface shared by all group backends.
+    """Interface shared by all group backends: each defines `generator()`,
+    `identity()`, `mul(a, b)`, `inv(a)`, `exp(a, e)`, `encode(a) -> bytes`,
+    `decode(data)` and `chi(a) -> int`, a deterministic coordinate map to
+    Z_q; the methods below derive from those.
 
-    Elements are opaque values; use only the methods below to combine them.
+    Elements are opaque values; use only these methods to combine them.
     Canonical encodings are injective and stable across versions: they feed
     Fiat-Shamir transcripts and on-disk ceremony transcripts.
     """
 
     name: str
     order: int  # prime q
-
-    def generator(self):
-        raise NotImplementedError
-
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def exp(self, a, e: int):
-        raise NotImplementedError
-
-    def encode(self, a) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data: bytes):
-        raise NotImplementedError
-
-    def chi(self, a) -> int:
-        """Deterministic coordinate map GroupElement -> Z_q."""
-        raise NotImplementedError
 
     def scalar_bytes(self, value: int) -> bytes:
         return scalar_to_bytes(value, self.order)

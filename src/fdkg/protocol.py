@@ -12,6 +12,7 @@ the simulator and by the security test harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional
 
 from . import nizk, pke, shamir
@@ -84,9 +85,9 @@ class DealerState:
 class PublicState:
     """Verified post-round-1 world: participant set and global key.
 
-    `verdicts` memoizes the check of every round-2 reveal (secret, share or
-    complaint) against this state, keyed by (context, message), so each
-    distinct reveal is verified once however often it is combined.
+    Reconstruction from subsets of the same reveals checks nothing twice:
+    `verdicts` memoizes `judge_reveals`, and `candidates` the checked
+    interpolation per (dealer, chosen (guardian, share) pairs).
     """
 
     params: Params
@@ -95,6 +96,7 @@ class PublicState:
     global_pk: object = None  # undefined when participants is empty
     deals: dict = field(default_factory=dict)  # dealer -> accepted DealMessage
     verdicts: dict = field(default_factory=dict, compare=False, repr=False)
+    candidates: dict = field(default_factory=dict, compare=False, repr=False)
 
     def guardian_sets(self) -> dict:
         return {i: self.deals[i].guardians.members for i in self.participants}
@@ -124,6 +126,20 @@ class ComplaintReveal:
     dealer: int
     value: int
     proof: nizk.ShareDecryptionProof
+
+
+class Verdict(Enum):
+    """What one round-2 message shows on its own; see `judge_reveals`."""
+
+    ACCEPTED = "accepted"  # for a complaint: upheld
+    NOT_A_REVEAL = "not a round-2 reveal"
+    NOT_A_PARTICIPANT = "not a participant"  # a secret from a party without a deal
+    NOT_A_GUARDIAN = "not a guardian"  # of the named dealer's accepted deal
+    OUT_OF_RANGE = "value outside [0, q)"
+    PK_MISMATCH = "value does not match partial pk"
+    BAD_DL_PROOF = "bad DL proof"
+    BAD_DLEQ = "bad DLEQ"
+    NOT_UPHELD = "complaint not upheld"  # the share is consistent
 
 
 @dataclass(frozen=True)
@@ -238,91 +254,108 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     return out
 
 
-def _guarded(public_state: PublicState, msg) -> bool:
-    record = public_state.deals.get(msg.dealer)
-    return record is not None and msg.sender in record.guardians.members
+def _secret_verdict(record, msg: SecretReveal, group, context: bytes) -> Verdict:
+    if record is None:
+        return Verdict.NOT_A_PARTICIPANT
+    if not 0 <= msg.value < group.order:
+        return Verdict.OUT_OF_RANGE
+    if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
+        return Verdict.PK_MISMATCH
+    if not nizk.verify_dl(group, record.partial_pk, msg.proof, context):
+        return Verdict.BAD_DL_PROOF
+    return Verdict.ACCEPTED
 
 
-def _decryption_claim(public_state: PublicState, msg) -> tuple:
-    """(pk, ct, share, proof) of a share or complaint reveal."""
-    ct = public_state.deals[msg.dealer].ciphertexts[msg.sender]
-    return public_state.pki[msg.sender], ct, msg.value, msg.proof
+def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> list:
+    """The Verdict of each message in `reveals`: a fact about that message
+    alone.  Which accepted reveal counts, and which dealers an upheld
+    complaint excludes, depend on the list and are left to its combination.
 
-
-def _verdict(public_state: PublicState, context: bytes, msg, check) -> bool:
-    key = (context, msg)
-    if key not in public_state.verdicts:
-        public_state.verdicts[key] = check()
-    return public_state.verdicts[key]
-
-
-def verified_shares(public_state: PublicState, share_reveals, group,
-                    context: bytes) -> dict:
-    """{dealer: {guardian: value}} over the share reveals whose decryption
-    proof verifies; the first valid reveal per (dealer, guardian) wins.
-
-    Reveals without a memoized verdict are checked in one batch; when the
-    batch fails, each of them is checked on its own."""
-    verdicts = public_state.verdicts
-    guarded = [msg for msg in share_reveals if _guarded(public_state, msg)]
-    fresh = list(dict.fromkeys(msg for msg in guarded if (context, msg) not in verdicts))
-    claims = [_decryption_claim(public_state, msg) for msg in fresh]
+    Verdicts are memoized in `public_state.verdicts` as id(message) ->
+    (message, context, verdict); holding the message keeps its id from
+    being reused, and an equal but distinct copy is judged again.  The
+    decryption proofs of the share and complaint reveals not yet judged are
+    checked in one batch, and one by one only when the batch fails."""
+    memo, deals = public_state.verdicts, public_state.deals
+    fresh = {id(msg): msg for msg in reveals if memo.get(id(msg), (None, None))[1] != context}
+    claimed = []
+    for msg in fresh.values():
+        if isinstance(msg, SecretReveal):
+            verdict = _secret_verdict(deals.get(msg.sender), msg, group, context)
+        elif not isinstance(msg, (ShareReveal, ComplaintReveal)):
+            verdict = Verdict.NOT_A_REVEAL
+        elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].guardians.members:
+            verdict = Verdict.NOT_A_GUARDIAN
+        elif not 0 <= msg.value < group.order:
+            verdict = Verdict.OUT_OF_RANGE
+        else:
+            claimed.append(msg)
+            continue
+        memo[id(msg)] = (msg, context, verdict)
+    claims = [(public_state.pki[m.sender], deals[m.dealer].ciphertexts[m.sender], m.value,
+               m.proof) for m in claimed]
     batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
-    for msg, claim in zip(fresh, claims):
-        verdicts[context, msg] = batch_ok or nizk.verify_share_decryption(
-            group, *claim, context)
+    for msg, claim in zip(claimed, claims):
+        if not (batch_ok or nizk.verify_share_decryption(group, *claim, context)):
+            verdict = Verdict.BAD_DLEQ
+        elif isinstance(msg, ComplaintReveal) and nizk.guardian_check_share(
+                group, msg.value, msg.sender, deals[msg.dealer].commitments):
+            verdict = Verdict.NOT_UPHELD
+        else:
+            verdict = Verdict.ACCEPTED
+        memo[id(msg)] = (msg, context, verdict)
+    return [memo[id(msg)][2] for msg in reveals]
+
+
+def verified_shares(public_state: PublicState, reveals, group, context: bytes) -> dict:
+    """{dealer: {guardian: value}} over the accepted share reveals, the first
+    per (dealer, guardian) winning; a guardian's rejected reveal still opens
+    its dealer's bucket."""
     shares = {}
-    for msg in guarded:
-        bucket = shares.setdefault(msg.dealer, {})
-        if msg.sender not in bucket and verdicts[context, msg]:
-            bucket[msg.sender] = msg.value
+    for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
+        if isinstance(msg, ShareReveal) and verdict is not Verdict.NOT_A_GUARDIAN:
+            bucket = shares.setdefault(msg.dealer, {})
+            if verdict is Verdict.ACCEPTED:
+                bucket.setdefault(msg.sender, msg.value)
     return shares
+
+
+def _checked_interpolation(public_state: PublicState, dealer: int, chosen: tuple, group):
+    """f(0) from the (guardian, share) pairs `chosen` if G^f(0) is the
+    dealer's partial pk, else None; memoized in `public_state.candidates`."""
+    key = (dealer, chosen)
+    if key not in public_state.candidates:
+        candidate = shamir.reconstruct(
+            [shamir.Share(j, value) for j, value in chosen], len(chosen), group.order)
+        expected = public_state.deals[dealer].partial_pk
+        consistent = group.encode(group.base_exp(candidate)) == group.encode(expected)
+        public_state.candidates[key] = candidate if consistent else None
+    return public_state.candidates[key]
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
                         group, context: bytes) -> ReconstructionOutcome:
-    """Recover every dealer's partial secret from the round-2 broadcasts.
+    """Recover every dealer's partial secret from the round-2 broadcasts by
+    combining the reveals that `judge_reveals` accepts.
 
-    Verified complaints remove the offending dealer (and its partial pk)
-    before reconstruction.  When more than t verified shares exist for a
-    dealer, the t lowest guardian indices are used, so identical reveal
-    multisets always produce identical outcomes.  Each reveal's verdict is
-    memoized on `public_state`, so calls on subsets of the same broadcasts
-    verify nothing twice.
+    Upheld complaints remove the offending dealer (and its partial pk).
+    The first accepted secret per dealer and share per (dealer, guardian)
+    count; of more than t shares for a dealer, the t lowest guardian
+    indices are used, so identical reveal multisets give identical outcomes.
     """
-    q = group.order
-    excluded = set()
-    for msg in reveals:
-        if not isinstance(msg, ComplaintReveal) or not _guarded(public_state, msg):
+    excluded, secrets, shares = set(), {}, {}
+    for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
+        if verdict is not Verdict.ACCEPTED:
             continue
-        commitments = public_state.deals[msg.dealer].commitments
-        if _verdict(public_state, context, msg, lambda: (
-                nizk.verify_share_decryption(
-                    group, *_decryption_claim(public_state, msg), context)
-                and not nizk.guardian_check_share(group, msg.value, msg.sender, commitments))):
+        if isinstance(msg, ShareReveal):
+            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+        elif isinstance(msg, SecretReveal):
+            secrets.setdefault(msg.sender, msg.value)
+        else:
             excluded.add(msg.dealer)
 
     active = [i for i in public_state.participants if i not in excluded]
-
-    secrets = {}
-    for msg in reveals:
-        if not isinstance(msg, SecretReveal):
-            continue
-        record = public_state.deals.get(msg.sender)
-        if record is None or msg.sender in excluded or msg.sender in secrets:
-            continue
-        if _verdict(public_state, context, msg, lambda: (
-                0 <= msg.value < q
-                and group.encode(group.base_exp(msg.value)) == group.encode(record.partial_pk)
-                and nizk.verify_dl(group, record.partial_pk, msg.proof, context))):
-            secrets[msg.sender] = msg.value
-    shares = verified_shares(public_state, [
-        msg for msg in reveals
-        if isinstance(msg, ShareReveal) and msg.dealer not in excluded], group, context)
-
-    recovered = {}
-    values = {}
-    failed = []
+    recovered, values, failed = {}, {}, []
     for dealer in active:
         if dealer in secrets:
             values[dealer] = secrets[dealer]
@@ -330,13 +363,11 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
             continue
         bucket = shares.get(dealer, {})
         if len(bucket) >= params.t:
-            chosen = tuple(sorted(bucket)[: params.t])
-            candidate = shamir.reconstruct(
-                [shamir.Share(j, bucket[j]) for j in chosen], params.t, q)
-            expected = public_state.deals[dealer].partial_pk
-            if group.encode(group.base_exp(candidate)) == group.encode(expected):
+            chosen = tuple((j, bucket[j]) for j in sorted(bucket)[: params.t])
+            candidate = _checked_interpolation(public_state, dealer, chosen, group)
+            if candidate is not None:
                 values[dealer] = candidate
-                recovered[dealer] = ("shares", chosen)
+                recovered[dealer] = ("shares", tuple(j for j, _ in chosen))
                 continue
             # valid proofs but inconsistent interpolation: impossible under
             # soundness; treat as an integrity failure for this dealer
@@ -345,7 +376,7 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     if failed or not active:
         return ReconstructionOutcome(False, None, recovered, tuple(failed),
                                      tuple(sorted(excluded)))
-    d = sum(values[i] for i in active) % q
+    d = sum(values[i] for i in active) % group.order
     return ReconstructionOutcome(True, d, recovered, (), tuple(sorted(excluded)))
 
 

@@ -14,7 +14,7 @@ import hashlib
 import logging
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 from .protocol import reconstruction_capable
 
@@ -38,7 +38,7 @@ class SweepConfig:
     t_ratios: tuple = ()  # thresholds as max(1, round(ratio * k))
     trials: int = 100
     topology: str = TOPOLOGY_ER
-    seed: int = 0
+    seed: int = 0  # in [-2**127, 2**127): `_trial_rng` packs it into 16 signed bytes
     fresh_topology_per_trial: bool = True
 
     def __post_init__(self):
@@ -52,6 +52,11 @@ class SweepConfig:
             for value in values:
                 if not 0.0 <= value <= 1.0:  # also false for nan
                     raise SweepConfigError(f"{name}={value} must lie in [0, 1]")
+        for ratio in self.t_ratios:
+            if not (isfinite(ratio) and ratio >= 0):
+                raise SweepConfigError(f"t-ratio={ratio} must be finite and >= 0")
+        if not -2 ** 127 <= self.seed < 2 ** 127:
+            raise SweepConfigError(f"seed {self.seed} outside [-2**127, 2**127)")
 
     def thresholds(self, k: int) -> tuple:
         if self.t_values:

@@ -169,32 +169,26 @@ def collect_decryption_values(group, public_state: PublicState, c1,
                               partial_decryptions, share_reveals,
                               context: bytes, t: int) -> dict:
     """Per-dealer C1^{d_i}: direct partial decryptions where available, else
-    Lagrange interpolation in the exponent over t verified share reveals
-    (lowest guardian indices first).  Raises TallyFailure listing dealers
-    with no recovery path."""
-    values = {}
-    shares = verified_shares(public_state, share_reveals, group, context)
-
+    Lagrange interpolation in the exponent over t share reveals that
+    `judge_reveals` accepts (lowest guardian indices first).  Raises
+    TallyFailure listing dealers with no recovery path."""
     direct = {}
     for pd in partial_decryptions:
         record = public_state.deals.get(pd.dealer)
-        if record is None or pd.dealer in direct:
-            continue
-        if verify_partial_decryption(group, record.partial_pk, c1, pd):
+        if (record is not None and pd.dealer not in direct
+                and verify_partial_decryption(group, record.partial_pk, c1, pd)):
             direct[pd.dealer] = pd.value
-
-    missing = []
+    shares = verified_shares(public_state, share_reveals, group, context)
+    values, missing = {}, []
     for dealer in public_state.participants:
+        bucket = shares.get(dealer, {})
         if dealer in direct:
             values[dealer] = direct[dealer]
-            continue
-        bucket = shares.get(dealer, {})
-        if len(bucket) < t:
+        elif len(bucket) >= t:
+            values[dealer] = shamir.reconstruct_in_exponent(
+                {j: group.exp(c1, bucket[j]) for j in sorted(bucket)[:t]}, group)
+        else:
             missing.append(dealer)
-            continue
-        chosen = sorted(bucket)[:t]
-        points = {j: group.exp(c1, bucket[j]) for j in chosen}
-        values[dealer] = shamir.reconstruct_in_exponent(points, group)
     if missing:
         raise TallyFailure(missing)
     return values

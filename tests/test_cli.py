@@ -183,6 +183,45 @@ class TestSimulateInputErrors:
         assert code == 2
         assert err.startswith("simulate: ") and "must lie in [0, 1]" in err
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf", "-1", "0.5,-0.1"])
+    def test_non_finite_or_negative_t_ratio(self, capsys, ratio):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--n", "10", "--k", "3", f"--t-ratio={ratio}"])
+        assert code == 2
+        assert err.startswith("simulate: t-ratio=") and "finite and >= 0" in err
+        assert out == ""
+
+
+class TestSeedRange:
+    """A seed outside [-2**127, 2**127) does not fit the 16 signed bytes the
+    per-party and per-trial generators pack it into: exit 2, not a traceback."""
+
+    ARGS = {"ceremony": ["--n", "5", "--t", "2", "--k", "2", *TEST_GROUP_FLAGS],
+            "election": ["--n", "5", "--t", "2", "--k", "2", "--votes", "1,2",
+                         *TEST_GROUP_FLAGS],
+            "simulate": ["--n", "10", "--k", "3", "--t", "2", "--trials", "2"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("seed", [str(10 ** 41), str(2 ** 127), str(-2 ** 127 - 1)])
+    def test_out_of_range_seed(self, capsys, command, seed):
+        code, out, err = run_cli(capsys, [command, *self.ARGS[command], "--seed", seed])
+        assert code == 2
+        assert err.startswith(f"{command}: seed {seed} outside")
+        assert "resolved config" not in out
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_range_ends_accepted(self, capsys, command):
+        for seed in (2 ** 127 - 1, -2 ** 127):
+            code, _, _ = run_cli(capsys, [command, *self.ARGS[command], "--seed", str(seed)])
+            assert code == 0
+
+    def test_out_of_range_seed_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[ceremony]\nn = 5\nt = 2\nk = 2\nseed = {2 ** 127}\n")
+        code, _, err = run_cli(capsys, ["ceremony", "--config", str(cfg)])
+        assert code == 2
+        assert "outside [-2**127, 2**127)" in err
+
 
 class TestElection:
     def test_honest_exact_counts(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -5,9 +6,9 @@ from collections import Counter
 import pytest
 
 from fdkg import nizk, pke, protocol, shamir
-from fdkg.groups import SECP256K1
+from fdkg.groups import SECP256K1, TEST_GROUP
 from fdkg.protocol import (ComplaintReveal, DealMessage, GuardianSet, Params,
-                           SecretReveal, ShareReveal)
+                           SecretReveal, ShareReveal, Verdict)
 
 CTX = b"fdkg/round2"
 
@@ -246,31 +247,138 @@ class TestRound2AndReconstruct:
         assert a == b
 
 
-class TestComplaints:
-    def _bad_deal(self, group, rng, params, pub):
-        """Dealer 1 commits to one polynomial but encrypts a wrong share to
-        guardian 2, with a representation proof matching the ciphertext."""
-        q = group.order
-        indices = [2, 3, 5]
-        d = rng.randrange(q)
-        shares, poly = shamir.share_secret(d, params.t, indices, rng, q)
-        values = {s.index: s.value for s in shares}
-        values[2] = (values[2] + 1) % q  # inconsistent with the commitments
-        randomness = [pke.sample_enc_randomness(group, rng) for _ in indices]
-        cts = [pke.pke_encrypt(group, pub[j], values[j], rand)
-               for j, rand in zip(indices, randomness)]
-        guardian_keys = [(j, pub[j]) for j in indices]
-        bundle = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
-                                 protocol._deal_binding(group, 1), rng)
-        gset = GuardianSet.create(1, set(indices), params)
-        msg = DealMessage(1, group.base_exp(d), gset, dict(zip(indices, cts)), bundle)
-        return msg, d
+def forged_reveal(case, group, rng, public, reveals):
+    """A round-2 message that `judge_reveals` rejects for the reason `case`
+    names, built from the example scenario's reveals with {3, 5, 7} present."""
+    q = group.order
+    share = next(m for m in reveals if isinstance(m, ShareReveal) and m.dealer == 1)
+    secret = next(m for m in reveals if isinstance(m, SecretReveal) and m.sender == 3)
+    if case == "secret from a non-dealer":
+        return SecretReveal(2, 7, nizk.prove_dl(group, 7, group.base_exp(7), CTX, rng))
+    if case == "share from a non-guardian":
+        return ShareReveal(4, 1, share.value, share.proof)
+    if case == "share for a non-dealer":
+        return ShareReveal(share.sender, 2, share.value, share.proof)
+    if case == "share plus q":
+        return ShareReveal(share.sender, share.dealer, share.value + q, share.proof)
+    if case == "secret plus q":
+        return SecretReveal(3, secret.value + q, secret.proof)
+    if case == "negative share":
+        return ShareReveal(share.sender, share.dealer, share.value - q, share.proof)
+    if case == "wrong secret":
+        wrong = (secret.value + 1) % q
+        return SecretReveal(3, wrong, nizk.prove_dl(group, wrong, group.base_exp(wrong), CTX, rng))
+    if case == "forged DL proof":
+        return SecretReveal(3, secret.value, nizk.DlProof(secret.proof.commitment,
+                                                          (secret.proof.response + 1) % q))
+    if case == "wrong share":
+        return ShareReveal(share.sender, share.dealer, (share.value + 1) % q, share.proof)
+    if case == "forged DLEQ":
+        dleq = share.proof.dleq
+        proof = nizk.ShareDecryptionProof(share.proof.mask, nizk.DleqProof(
+            dleq.commitment_1, dleq.commitment_2, (dleq.response + 1) % q))
+        return ShareReveal(share.sender, share.dealer, share.value, proof)
+    if case == "baseless complaint":
+        return ComplaintReveal(share.sender, share.dealer, share.value, share.proof)
+    if case == "deal in round 2":
+        return public.deals[1]
+    raise AssertionError(case)
 
+
+class TestVerdicts:
+    """One forged message per rejection reason: `judge_reveals` names the
+    reason, and placed first among honest reveals it changes no outcome."""
+
+    CASES = [
+        ("secret from a non-dealer", Verdict.NOT_A_PARTICIPANT),
+        ("share from a non-guardian", Verdict.NOT_A_GUARDIAN),
+        ("share for a non-dealer", Verdict.NOT_A_GUARDIAN),
+        ("share plus q", Verdict.OUT_OF_RANGE),
+        ("secret plus q", Verdict.OUT_OF_RANGE),
+        ("negative share", Verdict.OUT_OF_RANGE),
+        ("wrong secret", Verdict.PK_MISMATCH),
+        ("forged DL proof", Verdict.BAD_DL_PROOF),
+        ("wrong share", Verdict.BAD_DLEQ),
+        ("forged DLEQ", Verdict.BAD_DLEQ),
+        ("baseless complaint", Verdict.NOT_UPHELD),
+        ("deal in round 2", Verdict.NOT_A_REVEAL),
+    ]
+
+    @pytest.mark.parametrize("case,reason", CASES)
+    def test_rejection_reason(self, group, rng, case, reason):
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        bad = forged_reveal(case, group, rng, public, reveals)
+        verdicts = protocol.judge_reveals(public, [bad] + reveals, group, CTX)
+        assert verdicts == [reason] + [Verdict.ACCEPTED] * len(reveals)
+        honest = protocol.offline_reconstruct(public, reveals, params, group, CTX)
+        assert honest.success and honest.recovered[1] == ("shares", (3, 5))
+        assert protocol.offline_reconstruct(
+            public, [bad] + reveals, params, group, CTX) == honest
+
+    def test_reason_texts(self):
+        assert [v.value for v in Verdict] == [
+            "accepted", "not a round-2 reveal", "not a participant", "not a guardian",
+            "value outside [0, q)", "value does not match partial pk", "bad DL proof",
+            "bad DLEQ", "complaint not upheld"]
+
+    def test_upheld_complaint_accepted(self, group, rng):
+        params = Params(10, 2, 3)
+        pki = make_pki(group, rng, params.n)
+        pub = {i: kp.pk for i, kp in pki.items()}
+        msg, _ = bad_deal(group, rng, params, pub)
+        public = protocol.process_round1([msg], params, pub, group)
+        (complaint,) = protocol.round2_reveal_shares(2, pki[2].sk, public, CTX, group, rng)
+        assert isinstance(complaint, ComplaintReveal)
+        assert protocol.judge_reveals(public, [complaint], group, CTX) == [Verdict.ACCEPTED]
+
+    def test_verdict_is_per_context(self, group, rng):
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        assert set(protocol.judge_reveals(public, reveals, group, CTX)) == {Verdict.ACCEPTED}
+        other = protocol.judge_reveals(public, reveals, group, b"another context")
+        assert Verdict.BAD_DL_PROOF in other and Verdict.BAD_DLEQ in other
+        assert set(protocol.judge_reveals(public, reveals, group, CTX)) == {Verdict.ACCEPTED}
+
+    def test_equal_copy_judged_again(self, group, rng, monkeypatch):
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        protocol.judge_reveals(public, reveals, group, CTX)
+        calls = []
+        real = nizk.verify_dl
+        monkeypatch.setattr(nizk, "verify_dl", lambda *a: calls.append(a) or real(*a))
+        secret = next(m for m in reveals if isinstance(m, SecretReveal))
+        copy = SecretReveal(secret.sender, secret.value, secret.proof)
+        assert protocol.judge_reveals(public, [secret, copy], group, CTX) == [Verdict.ACCEPTED] * 2
+        assert len(calls) == 1
+
+
+def bad_deal(group, rng, params, pub):
+    """Dealer 1 commits to one polynomial but encrypts a wrong share to
+    guardian 2, with a representation proof matching the ciphertext."""
+    q = group.order
+    indices = [2, 3, 5]
+    d = rng.randrange(q)
+    shares, poly = shamir.share_secret(d, params.t, indices, rng, q)
+    values = {s.index: s.value for s in shares}
+    values[2] = (values[2] + 1) % q  # inconsistent with the commitments
+    randomness = [pke.sample_enc_randomness(group, rng) for _ in indices]
+    cts = [pke.pke_encrypt(group, pub[j], values[j], rand)
+           for j, rand in zip(indices, randomness)]
+    guardian_keys = [(j, pub[j]) for j in indices]
+    bundle = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
+                             protocol._deal_binding(group, 1), rng)
+    gset = GuardianSet.create(1, set(indices), params)
+    msg = DealMessage(1, group.base_exp(d), gset, dict(zip(indices, cts)), bundle)
+    return msg, d
+
+
+class TestComplaints:
     def test_guardian_complains_and_dealer_excluded(self, group, rng):
         params = Params(10, 2, 3)
         pki = make_pki(group, rng, params.n)
         pub = {i: kp.pk for i, kp in pki.items()}
-        bad_msg, _ = self._bad_deal(group, rng, params, pub)
+        bad_msg, _ = bad_deal(group, rng, params, pub)
         sets = {3: {4, 5, 7}, 5: {3, 6, 7}}
         honest = []
         states = {}
@@ -374,8 +482,9 @@ class TestBatchedReveals:
                 expected.setdefault(m.dealer, {}).setdefault(m.sender, m.value)
         assert sum(map(len, expected.values())) == len(shares) - 2
         assert protocol.verified_shares(public, shares, group, CTX) == expected
-        assert public.verdicts[CTX, shares[4]] is False
-        assert public.verdicts[CTX, shares[9]] is False
+        verdicts = protocol.judge_reveals(public, shares, group, CTX)
+        assert verdicts[4] is Verdict.BAD_DLEQ
+        assert verdicts[9] is Verdict.BAD_DLEQ
 
     def test_each_reveal_checked_once_across_corruption_sets(self, group, rng, monkeypatch):
         params = Params(5, 2, 3)
@@ -402,12 +511,73 @@ class TestBatchedReveals:
                 outcome = protocol.offline_reconstruct(public, live, params, group, CTX)
                 assert outcome.success == protocol.liveness_holds(
                     corrupted, parties, sets, params)
+        # exactly the 20 reveals were judged: judging them again checks nothing
+        assert len(public.verdicts) == 20
+        assert protocol.judge_reveals(public, reveals, group, CTX) == [Verdict.ACCEPTED] * 20
         share_proofs = [m.proof.dleq for m in reveals if isinstance(m, ShareReveal)]
         secret_proofs = [m.proof for m in reveals if isinstance(m, SecretReveal)]
         assert len(share_proofs) == 15 and len(secret_proofs) == 5
         assert dleq_checks == Counter(share_proofs)
         assert dl_checks == Counter(secret_proofs)
-        assert len(public.verdicts) == 20
+
+
+def outcome_digest(public, reveals, params, group, parties):
+    """sha256 over the outcome of every corruption set of `parties`, each
+    withholding all it would have sent."""
+    h = hashlib.sha256()
+    for size in range(len(parties) + 1):
+        for corrupted in itertools.combinations(parties, size):
+            live = [m for m in reveals if m.sender not in corrupted]
+            o = protocol.offline_reconstruct(public, live, params, group, CTX)
+            h.update(repr((o.success, o.global_secret, sorted(o.recovered.items()),
+                           o.failed, o.excluded)).encode())
+    return h.hexdigest()
+
+
+class TestOutcomePins:
+    """Reconstruction outcomes over all 32 corruption sets, pinned by sha256
+    before the verdict and combination steps were reworked."""
+
+    def test_modp_topologies(self):
+        group = TEST_GROUP
+        rng = random.Random(2027)
+        params = Params(5, 2, 3)
+        parties = (1, 2, 3, 4, 5)
+        h = hashlib.sha256()
+        for _ in range(8):
+            sets = {i: set(rng.sample([j for j in parties if j != i], 3)) for i in parties}
+            pki, _, _, states, public = run_round1(group, rng, params, sets)
+            reveals = scenario_reveals(group, rng, params, pki, states, public, set(parties))
+            h.update(outcome_digest(public, reveals, params, group, parties).encode())
+        assert h.hexdigest() == MODP_PIN
+
+    def test_secp_forged_share_and_upheld_complaint(self):
+        group = SECP256K1
+        rng = random.Random(11)
+        params = Params(5, 2, 3)
+        parties = (1, 2, 3, 4, 5)
+        pki = make_pki(group, rng, params.n)
+        pub = {i: kp.pk for i, kp in pki.items()}
+        bad_msg, d = bad_deal(group, rng, params, pub)
+        messages, states = [bad_msg], {1: protocol.DealerState(1, d, None)}
+        for dealer in parties[1:]:
+            members = {(dealer + s - 1) % 5 + 1 for s in (1, 2, 3)}
+            msg, states[dealer] = protocol.round1_deal(
+                dealer, params, GuardianSet.create(dealer, members, params), pub, group, rng)
+            messages.append(msg)
+        public = protocol.process_round1(messages, params, pub, group)
+        assert public.participants == parties
+        reveals = scenario_reveals(group, rng, params, pki, states, public, set(parties))
+        genuine = next(m for m in reveals if isinstance(m, ShareReveal) and m.dealer == 4)
+        forged = ShareReveal(genuine.sender, genuine.dealer,
+                             (genuine.value + 1) % group.order, genuine.proof)
+        reveals.insert(reveals.index(genuine), forged)
+        assert any(isinstance(m, ComplaintReveal) for m in reveals)
+        assert outcome_digest(public, reveals, params, group, parties) == SECP_PIN
+
+
+MODP_PIN = "b6dd524d52446d11b3a3eda47d6e9338bf05388f686b9d7e0447fd180796be2c"
+SECP_PIN = "89b20191d10c9af9958339c474319c0347a2c1e2c46fb11b9fca29ff7484060e"
 
 
 def brute_force_capable(s, participants, guardian_sets, t):

@@ -95,6 +95,24 @@ class TestSweepConfig:
     def test_rate_bounds_accepted(self):
         self.base(p_values=(0.0, 1.0), r_values=(0.0, 1.0))
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+    def test_non_finite_or_negative_ratio_rejected(self, ratio):
+        with pytest.raises(SweepConfigError, match="t-ratio"):
+            self.base(t_values=(), t_ratios=(0.5, ratio))
+
+    def test_ratio_zero_accepted(self):
+        assert self.base(t_values=(), t_ratios=(0.0,)).thresholds(5) == (1,)
+
+    @pytest.mark.parametrize("seed", [2 ** 127, -2 ** 127 - 1, 10 ** 41])
+    def test_seed_outside_16_signed_bytes_rejected(self, seed):
+        with pytest.raises(SweepConfigError, match="seed"):
+            self.base(seed=seed)
+
+    @pytest.mark.parametrize("seed", [2 ** 127 - 1, -2 ** 127])
+    def test_seed_range_ends_run(self, seed):
+        (rate,) = simulate.run_sweep(self.base(seed=seed, trials=2))
+        assert rate.trials == 2
+
     def test_ratio_thresholds(self):
         cfg = self.base(t_values=(), t_ratios=(0.2, 0.7))
         assert cfg.thresholds(20) == (4, 14)
