@@ -1,9 +1,11 @@
-"""Operator command line: ceremonies, liveness sweeps, elections and cost
-estimates.
+"""Operator command line: ceremonies, liveness sweeps, elections and cost estimates.
 
-Parameters come from flags plus an optional INI-style config file; flags
-override file values and every run echoes its fully resolved configuration
-for auditability.
+Each subcommand declares its settings once, as (name, cast, default, help)
+rows: a row is the flag `--name` and the key `name` of the subcommand's
+section in an optional INI file.  A flag overrides the file, one cast reads
+both, and a None default marks a required setting.  `check(settings, config)`
+only validates, raising a usage error (exit 2); then the resolved settings
+are echoed for auditability and `run(its result, out)` does the work.
 """
 
 from __future__ import annotations
@@ -24,33 +26,17 @@ class ConfigFileError(Exception):
     """The --config file cannot be read or parsed."""
 
 
-def _load_section(path, section) -> dict:
+def _load_config(path) -> dict:
+    """{section: {key: value}} of the config file, values taken literally."""
     if not path:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigFileError(f"cannot read config {path}: {exc}") from None
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
-
-
-def _resolve(args, config: dict, key: str, default=None, cast=str):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _echo_config(name: str, resolved: dict) -> None:
-    print(f"[{name}] resolved config:")
-    for key in sorted(resolved):
-        print(f"  {key} = {resolved[key]}")
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
 def _int_list(text: str) -> tuple:
@@ -61,11 +47,11 @@ def _float_list(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _party_section(path, section: str, n: int, parse) -> dict:
+def _party_section(config: dict, section: str, n: int, parse) -> dict:
     """A `party = value` section, e.g. [behaviors] `5 = withhold-shares:1,9`
     or [guardians] `1 = 2,3,5`; every party must lie in 1..n."""
     out = {}
-    for key, value in _load_section(path, section).items():
+    for key, value in config.get(section, {}).items():
         party = int(key)
         if not 1 <= party <= n:
             raise ValueError(f"[{section}] party {party} outside 1..{n}")
@@ -78,49 +64,45 @@ def _behavior(text: str) -> Behavior:
     return Behavior(kind.strip(), frozenset(_int_list(targets)))
 
 
-def _resolve_run(args, cfg: dict) -> tuple:
-    """(params, seed, group, behaviors, guardian sets or None) of a ceremony or
-    an election; ValueError or ProtocolError on input the run would reject."""
-    n, t, k = (_resolve(args, cfg, key, cast=int) for key in ("n", "t", "k"))
-    if None in (n, t, k):
-        raise ValueError("n, t and k are required")
-    params = Params(n, t, k)
-    name = _resolve(args, cfg, "group", "secp256k1")
+RUN_SETTINGS = (
+    ("n", int, None, "number of parties (required)"),
+    ("t", int, None, "reconstruction threshold (required)"),
+    ("k", int, None, "guardians per dealer (required)"),
+    ("group", str, "secp256k1", f"one of {', '.join(sorted(GROUPS))}"),
+    ("seed", int, 0, "seed in [-2**127, 2**127)"))
+
+
+def check_run(settings: dict, config: dict) -> dict:
+    """`run_ceremony`'s keyword arguments; a usage error if it would reject them."""
+    params = Params(settings["n"], settings["t"], settings["k"])
+    name = settings["group"]
     if name not in GROUPS:
         raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
-    behaviors = {i: Behavior(HONEST) for i in range(1, n + 1)}  # unlisted: honest
-    behaviors.update(_party_section(args.config, "behaviors", n, _behavior))
-    guardians = _party_section(args.config, "guardians", n,
+    behaviors = {i: Behavior(HONEST) for i in range(1, params.n + 1)}  # unlisted: honest
+    behaviors.update(_party_section(config, "behaviors", params.n, _behavior))
+    guardians = _party_section(config, "guardians", params.n,
                                lambda text: frozenset(_int_list(text))) or None
     if guardians:
         dealer_guardian_sets(params, behaviors, guardians)
-    seed = _resolve(args, cfg, "seed", 0, int)
+    seed = settings["seed"]
     if not -2 ** 127 <= seed < 2 ** 127:  # child_rng packs it into 16 signed bytes
         raise ValueError(f"seed {seed} outside [-2**127, 2**127)")
-    return params, seed, GROUPS[name], behaviors, guardians
+    return dict(params=params, behaviors=behaviors, group=GROUPS[name], seed=seed,
+                guardian_sets=guardians)
 
 
-def cmd_ceremony(args) -> int:
-    cfg = _load_section(args.config, "ceremony")
-    try:
-        params, seed, group, behaviors, guardians = _resolve_run(args, cfg)
-    except (ValueError, ProtocolError) as exc:
-        print(f"ceremony: {exc}", file=sys.stderr)
-        return 2
-    _echo_config("ceremony", {**vars(params), "seed": seed, "group": group.name})
-    result = run_ceremony(params, behaviors, group, seed, guardian_sets=guardians)
-    if args.out:
-        transcripts.save(result.board, group, args.out)
-        print(f"transcript written to {args.out}")
+def cmd_ceremony(run: dict, out) -> int:
+    result = run_ceremony(**run)
+    if out:
+        transcripts.save(result.board, run["group"], out)
+        print(f"transcript written to {out}")
     print(f"participants: {list(result.public_state.participants)}")
     outcome = result.outcome
     if outcome.excluded:
         print(f"excluded by complaint: {list(outcome.excluded)}")
     for dealer, how in sorted(outcome.recovered.items()):
-        if how[0] == "direct":
-            print(f"dealer {dealer}: recovered directly")
-        else:
-            print(f"dealer {dealer}: recovered via guardians {list(how[1])}")
+        via = "directly" if how[0] == "direct" else f"via guardians {list(how[1])}"
+        print(f"dealer {dealer}: recovered {via}")
     if outcome.success:
         print("reconstruction: success")
         return 0
@@ -128,59 +110,57 @@ def cmd_ceremony(args) -> int:
     return 1
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_section(args.config, "simulate")
-    try:
-        config = simulate.SweepConfig(
-            n_values=_int_list(_resolve(args, cfg, "n", "100")),
-            p_values=_float_list(_resolve(args, cfg, "p", "1.0")),
-            r_values=_float_list(_resolve(args, cfg, "r", "1.0")),
-            k_values=_int_list(_resolve(args, cfg, "k", "3")),
-            t_values=_int_list(_resolve(args, cfg, "t", "") or ""),
-            t_ratios=_float_list(_resolve(args, cfg, "t-ratio", "") or ""),
-            trials=_resolve(args, cfg, "trials", 100, int),
-            topology=_resolve(args, cfg, "topology", simulate.TOPOLOGY_ER),
-            seed=_resolve(args, cfg, "seed", 0, int),
-        )
-    except (simulate.SweepConfigError, ValueError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
-    _echo_config("simulate", {
-        "n": config.n_values, "p": config.p_values, "r": config.r_values,
-        "k": config.k_values, "t": config.t_values or config.t_ratios,
-        "trials": config.trials, "topology": config.topology, "seed": config.seed})
-    rates = simulate.run_sweep(config)
-    if args.out:
-        with open(args.out, "w") as fh:
+SIMULATE_SETTINGS = (
+    ("n", _int_list, (100,), "party counts, comma list"),
+    ("p", _float_list, (1.0,), "round-1 dealer fractions, comma list"),
+    ("r", _float_list, (1.0,), "round-2 present fractions, comma list"),
+    ("k", _int_list, (3,), "guardian-set sizes, comma list"),
+    ("t", _int_list, (), "thresholds, comma list; exclusive with t-ratio"),
+    ("t-ratio", _float_list, (), "thresholds as fractions of k, comma list"),
+    ("trials", int, 100, "trials per grid point"),
+    ("topology", str, simulate.TOPOLOGY_ER, "er (uniform) or ba (preferential)"),
+    ("seed", int, 0, "master seed in [-2**127, 2**127)"))
+
+
+def check_simulate(settings: dict, config: dict) -> simulate.SweepConfig:
+    return simulate.SweepConfig(
+        n_values=settings["n"], p_values=settings["p"], r_values=settings["r"],
+        k_values=settings["k"], t_values=settings["t"], t_ratios=settings["t-ratio"],
+        trials=settings["trials"], topology=settings["topology"], seed=settings["seed"])
+
+
+def cmd_simulate(sweep: simulate.SweepConfig, out) -> int:
+    rates = simulate.run_sweep(sweep)
+    if out:
+        with open(out, "w") as fh:
             simulate.write_csv(rates, fh)
-        print(f"csv written to {args.out}")
+        print(f"csv written to {out}")
     else:
         simulate.write_csv(rates, sys.stdout)
     return 0
 
 
-def cmd_election(args) -> int:
-    cfg = _load_section(args.config, "election")
-    try:
-        params, seed, group, behaviors, guardians = _resolve_run(args, cfg)
-        candidates = _resolve(args, cfg, "candidates", 2, int)
-        votes_text = _resolve(args, cfg, "votes")
-        if votes_text is None:
-            raise ValueError("votes are required")
-        votes = {i + 1: c for i, c in enumerate(_int_list(votes_text))}
-        encoding = derive_encoding(max(params.n, len(votes)), candidates, group.order)
-        for candidate in votes.values():
-            encoding.exponent_for(candidate)
-    except (ValueError, ProtocolError, VotingError) as exc:
-        print(f"election: {exc}", file=sys.stderr)
-        return 2
-    _echo_config("election", {**vars(params), "candidates": candidates,
-                              "votes": len(votes), "seed": seed, "group": group.name})
-    result = run_election(params, behaviors, votes, candidates, group, seed,
-                          guardian_sets=guardians)
-    if args.out:
-        transcripts.save(result.board, group, args.out)
-        print(f"transcript written to {args.out}")
+ELECTION_SETTINGS = RUN_SETTINGS + (
+    ("candidates", int, 2, "number of candidates"),
+    ("votes", _int_list, None, "candidate per voter, comma list (required)"))
+
+
+def check_election(settings: dict, config: dict) -> dict:
+    """The keyword arguments of `run_election`."""
+    run = check_run(settings, config)
+    votes = {i + 1: c for i, c in enumerate(settings["votes"])}
+    candidates = settings["candidates"]
+    encoding = derive_encoding(max(run["params"].n, len(votes)), candidates, run["group"].order)
+    for candidate in votes.values():
+        encoding.exponent_for(candidate)
+    return {**run, "votes": votes, "candidates": candidates}
+
+
+def cmd_election(run: dict, out) -> int:
+    result = run_election(**run)
+    if out:
+        transcripts.save(result.board, run["group"], out)
+        print(f"transcript written to {out}")
     print(f"valid ballots: {len(result.accepted_voters)}")
     if not result.success:
         print(f"tally: FAILED, unrecoverable dealers {list(result.failed_dealers)}")
@@ -194,18 +174,18 @@ def cmd_election(args) -> int:
     return 0
 
 
-COST_FLAGS = ("n", "dealers", "k", "voters", "direct-revealers", "shares-revealed")
+COST_SETTINGS = tuple((name, int, 0, help_text) for name, help_text in (
+    ("n", "number of parties"), ("dealers", "round-1 dealers |D|"),
+    ("k", "guardians per dealer"), ("voters", "voters |V|"),
+    ("direct-revealers", "dealers revealing their own secret"),
+    ("shares-revealed", "share reveals across all talliers")))
 
 
-def cmd_cost(args) -> int:
-    cfg = _load_section(args.config, "cost")
-    try:
-        resolved = {key: _resolve(args, cfg, key, 0, int) for key in COST_FLAGS}
-        spec = costmodel.ScenarioSpec(**{k.replace("-", "_"): v for k, v in resolved.items()})
-    except ValueError as exc:
-        print(f"cost: {exc}", file=sys.stderr)
-        return 2
-    _echo_config("cost", {key: resolved[key] for key in COST_FLAGS[1:]})
+def check_cost(settings: dict, config: dict) -> costmodel.ScenarioSpec:
+    return costmodel.ScenarioSpec(**{k.replace("-", "_"): v for k, v in settings.items()})
+
+
+def cmd_cost(spec: costmodel.ScenarioSpec, out) -> int:
     breakdown = costmodel.estimate(spec)
     print(f"fdkg-distribution {breakdown.fdkg_bytes}")
     print(f"voting            {breakdown.voting_bytes}")
@@ -215,58 +195,50 @@ def cmd_cost(args) -> int:
     return 0
 
 
+COMMANDS = {  # subcommand: (help, settings, check, run)
+    "ceremony": ("run a two-round key-generation ceremony",
+                 RUN_SETTINGS, check_run, cmd_ceremony),
+    "simulate": ("Monte-Carlo liveness sweep to CSV",
+                 SIMULATE_SETTINGS, check_simulate, cmd_simulate),
+    "election": ("full election pipeline", ELECTION_SETTINGS, check_election, cmd_election),
+    "cost": ("broadcast-size estimate", COST_SETTINGS, check_cost, cmd_cost)}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fdkg",
-        description="federated key-generation ceremonies, liveness sweeps, "
-                    "elections and communication-cost estimates")
+    parser = argparse.ArgumentParser(prog="fdkg", description="federated key-generation "
+                                     "ceremonies, liveness sweeps, elections and "
+                                     "communication-cost estimates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, settings, _, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path")
-
-    def run(p):  # the flags of a ceremony and of an election
-        for key in ("n", "t", "k"):
-            p.add_argument(f"--{key}", type=int)
-        p.add_argument("--group", choices=sorted(GROUPS))
-
-    p = sub.add_parser("ceremony", help="run a two-round key-generation ceremony")
-    common(p)
-    run(p)
-    p.set_defaults(func=cmd_ceremony)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo liveness sweep to CSV")
-    common(p)
-    for key in ("n", "p", "r", "k", "t", "t-ratio"):  # comma lists
-        p.add_argument(f"--{key}")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--topology", choices=[simulate.TOPOLOGY_ER, simulate.TOPOLOGY_BA])
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("election", help="full election pipeline")
-    common(p)
-    run(p)
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--votes", help="comma list, candidate per voter")
-    p.set_defaults(func=cmd_election)
-
-    p = sub.add_parser("cost", help="broadcast-size estimate")
-    common(p)
-    for key in COST_FLAGS:
-        p.add_argument(f"--{key}", type=int)
-    p.set_defaults(func=cmd_cost)
+        for name, _, _, setting_help in settings:  # read as text, cast in main
+            p.add_argument(f"--{name}", dest=name, help=setting_help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args["command"]
+    _, settings, check, run = COMMANDS[command]
     try:
-        return args.func(args)
-    except ConfigFileError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        config = _load_config(args["config"])
+        resolved = {}
+        for name, cast, default, _ in settings:  # flag, else config key, else default
+            text = args[name] if args[name] is not None else config.get(command, {}).get(name)
+            if text is None and default is None:
+                raise ValueError(f"missing required setting {name!r}")
+            resolved[name] = default if text is None else cast(text)
+        checked = check(resolved, config)
+    except (ConfigFileError, ValueError, ProtocolError, VotingError,
+            simulate.SweepConfigError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
+    print(f"[{command}] resolved config:")
+    for name in sorted(resolved):
+        print(f"  {name} = {resolved[name]}")
+    return run(checked, args["out"])
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ class SweepConfig:
     r_values: tuple
     k_values: tuple
     t_values: tuple = ()  # absolute thresholds; mutually exclusive with ratios
-    t_ratios: tuple = ()  # thresholds as max(1, round(ratio * k))
+    t_ratios: tuple = ()  # in [0, 1]; thresholds as max(1, round(ratio * k))
     trials: int = 100
     topology: str = TOPOLOGY_ER
     seed: int = 0  # in [-2**127, 2**127): `_trial_rng` packs it into 16 signed bytes
@@ -55,6 +55,8 @@ class SweepConfig:
         for ratio in self.t_ratios:
             if not (isfinite(ratio) and ratio >= 0):
                 raise SweepConfigError(f"t-ratio={ratio} must be finite and >= 0")
+            if ratio > 1:  # t = ratio * k, and t <= k
+                raise SweepConfigError(f"t-ratio={ratio} must be <= 1")
         if not -2 ** 127 <= self.seed < 2 ** 127:
             raise SweepConfigError(f"seed {self.seed} outside [-2**127, 2**127)")
 

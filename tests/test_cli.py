@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fdkg.cli import main
@@ -192,6 +194,15 @@ class TestSimulateInputErrors:
         assert out == ""
 
 
+    @pytest.mark.parametrize("ratio", ["1.0000001", "1e308"])
+    def test_t_ratio_above_one(self, capsys, ratio):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--n", "10", "--k", "3", "--t-ratio", ratio, "--trials", "2"])
+        assert code == 2
+        assert err.startswith("simulate: t-ratio=") and "must be <= 1" in err
+        assert out == ""
+
+
 class TestSeedRange:
     """A seed outside [-2**127, 2**127) does not fit the 16 signed bytes the
     per-party and per-trial generators pack it into: exit 2, not a traceback."""
@@ -308,6 +319,16 @@ class TestConfigFileErrors:
         assert code == 2
         assert "cannot read config" in err and "section header" in err
 
+    @pytest.mark.parametrize("value", ["5%", "%(x)s"])
+    def test_percent_in_value_is_literal(self, capsys, tmp_path, command, value):
+        # values are not interpolated: a `%` reaches the cast like any other text
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text(f"[{command}]\nn = {value}\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith(f"{command}: ") and repr(value) in err
+        assert "resolved config" not in out
+
 
 class TestCost:
     def test_example_scenario_total(self, capsys):
@@ -357,3 +378,68 @@ class TestCost:
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["decrypt-everything"])
+
+
+VALID_SETTINGS = {
+    "ceremony": {"n": "5", "t": "2", "k": "2", "group": "modp-2027"},
+    "election": {"n": "5", "t": "2", "k": "2", "group": "modp-2027", "votes": "1,2"},
+    "simulate": {"n": "10", "k": "3", "t": "2", "trials": "2"},
+    "cost": {"n": "5"},
+}
+
+
+def flag_and_config_runs(capsys, tmp_path, command, name, value):
+    """Run `command` on a valid config with setting `name` = `value`, given
+    once as a flag over the config and once as a config key."""
+    def config(settings):
+        cfg = tmp_path / "parity.ini"
+        cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        return str(cfg)
+    base = VALID_SETTINGS[command]
+    by_flag = run_cli(capsys, [command, "--config", config(base), f"--{name}", value])
+    by_config = run_cli(capsys, [command, "--config", config({**base, name: value})])
+    return by_flag, by_config
+
+
+NUMERIC_SETTINGS = [(command, name) for command, names in (
+    ("ceremony", "n t k seed"), ("election", "n t k seed candidates votes"),
+    ("simulate", "n p r k t t-ratio trials seed"),
+    ("cost", "n dealers k voters direct-revealers shares-revealed")) for name in names.split()]
+
+
+class TestFlagConfigParity:
+    """A flag and its config key share one cast and one check: a bad value
+    exits 2 with the same message from either, before any echo."""
+
+    @pytest.mark.parametrize("command,name", NUMERIC_SETTINGS)
+    def test_non_numeric_value(self, capsys, tmp_path, command, name):
+        by_flag, by_config = flag_and_config_runs(capsys, tmp_path, command, name, "x")
+        assert by_flag == by_config
+        code, out, err = by_flag
+        assert code == 2
+        assert err.startswith(f"{command}: ") and "'x'" in err
+        assert "resolved config" not in out
+
+    @pytest.mark.parametrize("command,name,value,message", [
+        ("ceremony", "group", "nope", "unknown group 'nope'"),
+        ("election", "group", "nope", "unknown group 'nope'"),
+        ("simulate", "topology", "ring", "unknown topology 'ring'")])
+    def test_unknown_name(self, capsys, tmp_path, command, name, value, message):
+        by_flag, by_config = flag_and_config_runs(capsys, tmp_path, command, name, value)
+        assert by_flag == by_config
+        code, out, err = by_flag
+        assert code == 2 and message in err and out == ""
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ceremony", "n t k group seed"),
+    ("simulate", "n p r k t t-ratio trials topology seed"),
+    ("election", "n t k group seed candidates votes"),
+    ("cost", "n dealers k voters direct-revealers shares-revealed")])
+def test_help_lists_exactly_the_settings(capsys, command, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    expected = {f"--{name}" for name in flags.split()} | {"--help", "--config", "--out"}
+    assert listed == expected

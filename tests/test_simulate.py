@@ -103,6 +103,15 @@ class TestSweepConfig:
     def test_ratio_zero_accepted(self):
         assert self.base(t_values=(), t_ratios=(0.0,)).thresholds(5) == (1,)
 
+    def test_ratio_one_accepted(self):
+        assert self.base(t_values=(), t_ratios=(1.0,)).thresholds(5) == (5,)
+
+    @pytest.mark.parametrize("ratio", [1.0000001, 1e308])
+    def test_ratio_above_one_rejected(self, ratio):
+        # t = ratio * k exceeds k; 1e308 * k used to overflow in `thresholds`
+        with pytest.raises(SweepConfigError, match=r"t-ratio=.* must be <= 1"):
+            self.base(t_values=(), t_ratios=(0.5, ratio))
+
     @pytest.mark.parametrize("seed", [2 ** 127, -2 ** 127 - 1, 10 ** 41])
     def test_seed_outside_16_signed_bytes_rejected(self, seed):
         with pytest.raises(SweepConfigError, match="seed"):
