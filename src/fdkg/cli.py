@@ -4,8 +4,9 @@ Each subcommand declares its settings once, as (name, cast, default, help)
 rows: a row is the flag `--name` and the key `name` of the subcommand's
 section in an optional INI file.  A flag overrides the file, one cast reads
 both, and a None default marks a required setting.  `check(settings, config)`
-only validates, raising a usage error (exit 2); then the resolved settings
-are echoed for auditability and `run(its result, out)` does the work.
+only validates, raising a usage error (exit 2), as does an `--out` path that
+cannot be opened for writing; then the resolved settings are echoed for
+auditability and `run(its result, out)` does the work.
 """
 
 from __future__ import annotations
@@ -231,8 +232,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"missing required setting {name!r}")
             resolved[name] = default if text is None else cast(text)
         checked = check(resolved, config)
+        if args["out"] and command != "cost":  # an unwritable --out fails before the run
+            open(args["out"], "a").close()
     except (ConfigFileError, ValueError, ProtocolError, VotingError,
-            simulate.SweepConfigError) as exc:
+            simulate.SweepConfigError, OSError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
     print(f"[{command}] resolved config:")

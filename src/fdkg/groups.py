@@ -14,7 +14,9 @@ Two interchangeable backends:
   (wNAF) digits over affine odd multiples of every base, and the Lim-Lee
   comb for the generator (8 teeth 32 bits apart over 255 affine multiples
   of G, built on first use and cached on the group instance).  `exp` and
-  `base_exp` are its one-term cases.
+  `base_exp` are its one-term cases.  On a curve with a GLV endomorphism
+  (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits is split as
+  k1 + k2·λ with both halves below 2^128, halving the doubling chain.
 
 `multi_exp(group, pairs)` is the entry point that verification equations
 use: it runs a group's own kernel (native `pow` on MultiplicativeGroup) or,
@@ -140,18 +142,21 @@ COMB_TEETH = 8
 
 
 def _wnaf(e: int, width: int) -> list:
-    """Width-`width` NAF digits of e > 0, least significant first."""
+    """Width-`width` NAF of a signed e as (position, digit) pairs of its
+    nonzero digits, least significant first: the sum of d * 2^position is e,
+    every d is odd with |d| < 2^(width-1), and positions are >= width apart."""
     digits = []
-    full = 1 << width
+    pos = 0
     while e:
-        d = 0
-        if e & 1:
-            d = e & (full - 1)
-            if d >= full >> 1:
-                d -= full
-            e -= d
-        digits.append(d)
-        e >>= 1
+        zeros = (e & -e).bit_length() - 1  # skip the run of zero digits
+        e >>= zeros
+        pos += zeros
+        d = e & ((1 << width) - 1)
+        if d >> (width - 1):
+            d -= 1 << width
+        digits.append((pos, d))
+        e = (e - d) >> width
+        pos += width
     return digits
 
 
@@ -247,6 +252,9 @@ class CurveGroup(Group):
     gx: int
     gy: int
     name: str = "curve"
+    # (β, a1, b1, a2, b2) of a GLV endomorphism λ·(x, y) = (β·x, y), with the
+    # reduced basis a_i + b_i·λ ≡ 0 (mod q); empty for a curve without one
+    glv: tuple = ()
 
     @property
     def order(self) -> int:
@@ -292,12 +300,16 @@ class CurveGroup(Group):
         """prod P^e over the (P, e) pairs in one Straus loop.
 
         Equal bases, and P with -P, are merged into one term.  A term whose
-        exponent exceeds q/2 is taken as (-P)^(q - e), then written in width-w
-        NAF: odd signed digits below 2^(w-1) in absolute value, at most one
-        in w+1 positions nonzero.  The odd multiples P, 3P, .. of all terms
-        are made affine with one inversion, so the loop adds them with
-        mixed additions.  Generator terms are summed into one comb scalar
-        whose rows join the same loop at its lowest `_comb_spacing` bits.
+        exponent exceeds q/2 is taken as (-P)^(q - e).  With `glv` set, an
+        exponent still over 128 bits is split into halves k1 + k2·λ below
+        2^128 (a shorter one, such as a batch weight, stays whole).  Each is
+        written in width-w NAF: odd signed digits below 2^(w-1) in absolute
+        value, at least w positions apart.  The odd multiples P, 3P, .. of
+        all terms are made affine with one inversion, so the loop adds them
+        with mixed additions; k2's digits index their β-images (β·x, y), λ
+        times them at no group operation.  Generator terms are summed into
+        one comb scalar whose rows join the same loop at its lowest
+        `_comb_spacing` bits.
         """
         a, p, q = self.a, self.p, self.q
         g_e = 0
@@ -312,15 +324,19 @@ class CurveGroup(Group):
             if 2 * y > p:
                 y, e = p - y, -e
             terms[x, y] = terms.get((x, y), 0) + e
-        jac, naf = [], []  # odd multiples of every term; (digits, first index in jac)
+        jac, naf, lam = [], [], []  # odd multiples; (digits, first index); λ-halves
         for (x, y), e in terms.items():
             e %= q
             if not e:
                 continue
             if 2 * e > q:
                 y, e = p - y, q - e
-            width = 5 if e.bit_length() > 128 else 4 if e.bit_length() > 16 else 2
+            e, k2 = self._split(e) if self.glv and e.bit_length() > 128 else (e, 0)
+            bits = abs(e).bit_length() + abs(k2).bit_length()  # digits the table serves
+            width = 5 if bits > 128 else 4 if bits > 16 else 2
             naf.append((_wnaf(e, width), len(jac)))
+            if k2:
+                lam.append((_wnaf(k2, width), len(jac), 1 << (width - 2)))
             P = (x, y, 1)
             jac.append(P)
             if width > 2:
@@ -329,10 +345,13 @@ class CurveGroup(Group):
                     P = _jac_add(P, P2, a, p)
                     jac.append(P)
         odd = _to_affine(jac, p)
+        for ds, start, size in lam:  # k2's digits index the β-images of its base's table
+            naf.append((ds, len(odd)))
+            odd += [(self.glv[0] * x % p, y) for x, y in odd[start:start + size]]
 
         g_e %= q
         spacing = self._comb_spacing if g_e else 0
-        adds = [[] for _ in range(max([spacing] + [len(ds) for ds, _ in naf]))]
+        adds = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _ in naf if ds]))]
         if g_e:
             comb = self._comb
             low = (1 << spacing) - 1
@@ -344,16 +363,23 @@ class CurveGroup(Group):
                 if m:
                     adds[i].append(comb[m])
         for ds, start in naf:
-            for i, d in enumerate(ds):
-                if d:
-                    x, y = odd[start + (abs(d) >> 1)]
-                    adds[i].append((x, y) if d > 0 else (x, p - y))
+            for i, d in ds:
+                x, y = odd[start + (abs(d) >> 1)]
+                adds[i].append((x, y) if d > 0 else (x, p - y))
         acc = None
         for row in reversed(adds):
             acc = _jac_double(acc, a, p)
             for x, y in row:
                 acc = _jac_add_affine(acc, x, y, a, p)
         return _to_affine([acc], p)[0]
+
+    def _split(self, e: int) -> tuple:
+        """(k1, k2) with k1 + k2·λ ≡ e (mod q) and |k1|, |k2| < 2^128: e
+        rounded (Babai) against the reduced basis of `glv`."""
+        _, a1, b1, a2, b2 = self.glv
+        q = self.q
+        c1, c2 = (b2 * e + q // 2) // q, (-b1 * e + q // 2) // q
+        return e - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
     @property
     def _comb_spacing(self) -> int:
@@ -432,6 +458,9 @@ SECP256K1 = CurveGroup(
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
     name="secp256k1",
+    glv=(0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE,
+         0x3086D221A7D46BCDE86C90E49284EB15, -0xE4437ED6010E88286F547FA90ABFE4C3,
+         0x114CA50F7A8E2F3F657C1108D9D44CFD8, 0x3086D221A7D46BCDE86C90E49284EB15),
 )
 
 GROUPS = {g.name: g for g in (TEST_GROUP, SECP256K1)}

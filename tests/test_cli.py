@@ -443,3 +443,39 @@ def test_help_lists_exactly_the_settings(capsys, command, flags):
     listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     expected = {f"--{name}" for name in flags.split()} | {"--help", "--config", "--out"}
     assert listed == expected
+
+
+class TestOutPath:
+    """An --out path that cannot be written is a usage error found before any
+    work: exit 2 with the reason, never a traceback after the whole run."""
+
+    ARGS = TestSeedRange.ARGS
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        target = tmp_path / "missing-dir" / "out.txt"
+        code, out, err = run_cli(capsys, [command, *self.ARGS[command], "--out", str(target)])
+        assert code == 2
+        assert err.startswith(f"{command}: ") and "No such file or directory" in err
+        assert out == ""
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_directory_as_out(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, [command, *self.ARGS[command], "--out", str(tmp_path)])
+        assert code == 2 and err.startswith(f"{command}: ") and out == ""
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_existing_out_is_overwritten_with_the_same_bytes(self, capsys, tmp_path, command):
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        stale.write_text("left over from an earlier run\n" * 50)
+        for path in (fresh, stale):
+            code, _, _ = run_cli(capsys, [command, *self.ARGS[command], "--out", str(path)])
+            assert code == 0
+        assert fresh.read_bytes() and stale.read_bytes() == fresh.read_bytes()
+
+    def test_cost_ignores_out(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "out.txt"
+        code, out, _ = run_cli(capsys, ["cost", "--n", "4", "--out", str(target)])
+        assert code == 0 and "total" in out
+        assert not target.parent.exists()

@@ -2,11 +2,15 @@
 Straus multi_exp against the exp/mul fold, and the canonical-encoding
 contract of both decoders."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError, multi_exp
+from fdkg import groups, nizk
+from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError, _wnaf, multi_exp
 
 # Prime-order curve with a != 0 (y^2 = x^3 + 2x + 18 over F_1019, 1013
 # points), small enough to check every scalar and to hit the coincident-point
@@ -225,3 +229,184 @@ class TestEncoding:
         data = SECP256K1.encode(SECP256K1.generator())
         with pytest.raises(GroupError):
             SECP256K1.decode((data * 2)[:length])
+
+
+class TestWnaf:
+    """The sparse signed-digit form: (position, digit) pairs of the nonzero
+    digits only, for any signed integer."""
+
+    @staticmethod
+    def check(e, width):
+        digits = _wnaf(e, width)
+        assert sum(d << pos for pos, d in digits) == e
+        assert all(d % 2 and abs(d) < 1 << (width - 1) for _, d in digits)
+        positions = [pos for pos, _ in digits]
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+        assert positions == sorted(positions)
+
+    @PROPERTY
+    @given(e=st.one_of(st.integers(min_value=-(2**300), max_value=2**300),
+                       st.sampled_from(EDGE_SCALARS)))
+    @pytest.mark.parametrize("width", [2, 4, 5])
+    def test_random_and_edge(self, e, width):
+        self.check(e, width)
+
+    @pytest.mark.parametrize("width", [2, 4, 5])
+    def test_powers_of_two_and_neighbours(self, width):
+        for k in range(260):
+            for e in (2**k - 1, 2**k, 2**k + 1):
+                self.check(e, width)
+                self.check(-e, width)
+        assert _wnaf(0, width) == []
+
+
+LAMBDA = -SECP256K1.glv[1] * pow(SECP256K1.glv[2], -1, Q) % Q  # a1 + b1*λ ≡ 0
+GENERIC = dataclasses.replace(SECP256K1, glv=())  # the same curve without the split
+
+
+def lambda_image(P):
+    return (SECP256K1.glv[0] * P[0] % SECP256K1.p, P[1])
+
+
+def rounding_boundary():
+    """Scalars e with b*e mod q within a few units of q/2 for each rounding
+    coefficient b of the split, where Babai rounding changes its mind."""
+    _, _, b1, _, b2 = SECP256K1.glv
+    return [(Q // 2 + delta) * pow(b, -1, Q) % Q for b in (b2, -b1) for delta in range(-3, 4)]
+
+
+GLV_SCALARS = [2**128 - 1, 2**128, 2**128 + 1, LAMBDA, Q - LAMBDA, (Q - 1) // 2, (Q + 1) // 2,
+               *rounding_boundary()]
+
+
+class TestGlv:
+    """secp256k1's endomorphism λ·(x, y) = (β·x, y): its constants, the
+    split of an exponent into two halves below 2^128, and the kernel with
+    the split against the reference and against the same curve without it."""
+
+    def test_constants(self):
+        beta, a1, b1, a2, b2 = SECP256K1.glv
+        p, g = SECP256K1.p, SECP256K1.generator()
+        assert beta != 1 and pow(beta, 3, p) == 1
+        assert LAMBDA != 1 and pow(LAMBDA, 3, Q) == 1
+        assert ref_exp(SECP256K1, g, LAMBDA) == lambda_image(g)
+        assert (a1 + b1 * LAMBDA) % Q == 0 and (a2 + b2 * LAMBDA) % Q == 0
+        assert TOY_CURVE.glv == () and GENERIC.glv == ()
+        assert CurveGroup(p, SECP256K1.a, SECP256K1.b, Q, *g).glv == ()  # empty by default
+
+    @PROPERTY
+    @given(e=st.one_of(st.sampled_from(EDGE_SCALARS + GLV_SCALARS),
+                       st.integers(min_value=0, max_value=Q - 1)))
+    def test_split(self, e):
+        k1, k2 = SECP256K1._split(e % Q)
+        assert (k1 + k2 * LAMBDA - e) % Q == 0
+        assert max(abs(k1), abs(k2)) < 2**128
+
+    def test_split_on_every_listed_and_2000_random_scalars(self):
+        rng = random.Random(2001)
+        for e in EDGE_SCALARS + GLV_SCALARS + [rng.randrange(Q) for _ in range(2000)]:
+            k1, k2 = SECP256K1._split(e % Q)
+            assert (k1 + k2 * LAMBDA - e) % Q == 0
+            assert max(abs(k1), abs(k2)) < 2**128
+
+    @pytest.mark.parametrize("e", GLV_SCALARS)
+    def test_exp_and_multi_exp_at_split_scalars(self, e):
+        P = ref_exp(SECP256K1, SECP256K1.generator(), 0xC0FFEE)
+        Q2 = ref_exp(SECP256K1, SECP256K1.generator(), 0xBEEF)
+        assert SECP256K1.exp(P, e) == ref_exp(SECP256K1, P, e)
+        assert SECP256K1.exp(P, -e) == ref_exp(SECP256K1, P, -e)
+        pairs = [(P, e), (Q2, Q - e), (SECP256K1.generator(), e), (lambda_image(P), e)]
+        assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+        assert multi_exp(SECP256K1, pairs) == multi_exp(GENERIC, pairs)
+
+    def test_point_and_its_image_as_separate_terms(self):
+        P = ref_exp(SECP256K1, SECP256K1.generator(), 0xC0FFEE)
+        image = lambda_image(P)
+        assert SECP256K1.exp(P, LAMBDA) == image
+        assert multi_exp(SECP256K1, [(P, LAMBDA), (image, -1)]) is None
+        assert multi_exp(SECP256K1, [(P, Q - LAMBDA), (image, 1)]) is None
+        for e1, e2 in [(LAMBDA, 1), (2**200 + 3, 2**130 + 1), (Q - 5, LAMBDA), (7, Q - LAMBDA)]:
+            pairs = [(P, e1), (image, e2), (SECP256K1.inv(image), e1)]
+            assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+            assert multi_exp(SECP256K1, pairs) == multi_exp(GENERIC, pairs)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_split_and_generic_kernels_agree(self, data):
+        pairs = data.draw(multi_exp_pairs(SECP256K1))
+        extra = [(lambda_image(P), e) for P, e in pairs if P is not None]
+        assert multi_exp(SECP256K1, pairs + extra) == multi_exp(GENERIC, pairs + extra)
+        assert multi_exp(SECP256K1, pairs + extra) == fold(SECP256K1, pairs + extra)
+
+
+class TestOperationCounts:
+    """Group operations of the kernel, which do not depend on the host: the
+    split halves the doubling chain of every long exponent, the generator's
+    comb is untouched, and an exponent of 128 bits or fewer (a batch weight
+    of `nizk._all_hold`) stays whole, so a batch pays no extra additions.
+    The parent figures are those of the kernel before the split."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"double": 0, "add": 0}
+        for name, key in (("_jac_double", "double"), ("_jac_add_affine", "add")):
+            def counted(*args, inner=getattr(groups, name), key=key):
+                counts[key] += 1
+                return inner(*args)
+            monkeypatch.setattr(groups, name, counted)
+        return counts
+
+    @staticmethod
+    def measure(counts, fn, *args):
+        counts.update(double=0, add=0)
+        fn(*args)
+        return counts["double"], counts["add"]
+
+    def test_exp_doublings(self, counts):
+        rng = random.Random(9)
+        P = SECP256K1.base_exp(rng.randrange(1, Q))
+        for _ in range(8):
+            e = rng.randrange(2**254, Q)
+            assert self.measure(counts, SECP256K1.exp, P, e)[0] <= 132  # about 256 before
+            assert self.measure(counts, GENERIC.exp, P, e)[0] >= 240
+
+    def test_base_exp_doublings(self, counts):
+        SECP256K1.base_exp(1)  # the comb is built once, outside the count
+        rng = random.Random(9)
+        for _ in range(8):
+            assert self.measure(counts, SECP256K1.base_exp, rng.randrange(Q))[0] <= 34
+
+    @staticmethod
+    def dl_equations(count):
+        """The verification equations of `count` DL proofs, as `verify_dl` writes them."""
+        rng = random.Random(9)
+        out = []
+        for _ in range(count):
+            x = rng.randrange(1, Q)
+            X = SECP256K1.base_exp(x)
+            proof = nizk.prove_dl(SECP256K1, x, X, b"ctx", rng)
+            c = nizk._challenge(SECP256K1, "dl", b"ctx", X, proof.commitment)
+            out.append([(SECP256K1.generator(), proof.response), (proof.commitment, -1), (X, -c)])
+        return out
+
+    def test_verify_dl_equation(self, counts):
+        SECP256K1.base_exp(1)
+        doublings, additions = zip(*(self.measure(counts, multi_exp, SECP256K1, eq)
+                                     for eq in self.dl_equations(3)))
+        assert max(doublings) <= 132  # 257, 257 and 255 before
+        # Two wNAF chains for the split exponent are on average 0.3 digits
+        # longer than one (spread -8 .. +9 over 20,000 random exponents), so
+        # the bound is the kernel's before the split on these inputs.
+        assert sum(additions) <= 77 + 78 + 79
+
+    def test_batch_with_short_weights(self, counts):
+        SECP256K1.base_exp(1)
+        equations = self.dl_equations(6)
+        doublings, additions = self.measure(counts, nizk._all_hold, SECP256K1, b"ctx", equations)
+        assert doublings <= 132 + 12  # 267 before; one more per base for its table
+        assert additions <= 421
+        # the batch's short terms alone, each a commitment to its weight:
+        # whole, exactly as before
+        rng = random.Random(9)
+        short = [(eq[1][0], -(1 + rng.randrange(2**128 - 1))) for eq in equations]
+        assert self.measure(counts, multi_exp, SECP256K1, short) == (135, 158)
