@@ -196,13 +196,14 @@ def cmd_cost(spec: costmodel.ScenarioSpec, out) -> int:
     return 0
 
 
-COMMANDS = {  # subcommand: (help, settings, check, run)
+COMMANDS = {  # subcommand: (help, settings, check, run, --out help or None)
     "ceremony": ("run a two-round key-generation ceremony",
-                 RUN_SETTINGS, check_run, cmd_ceremony),
+                 RUN_SETTINGS, check_run, cmd_ceremony, "transcript path"),
     "simulate": ("Monte-Carlo liveness sweep to CSV",
-                 SIMULATE_SETTINGS, check_simulate, cmd_simulate),
-    "election": ("full election pipeline", ELECTION_SETTINGS, check_election, cmd_election),
-    "cost": ("broadcast-size estimate", COST_SETTINGS, check_cost, cmd_cost)}
+                 SIMULATE_SETTINGS, check_simulate, cmd_simulate, "CSV path"),
+    "election": ("full election pipeline", ELECTION_SETTINGS, check_election, cmd_election,
+                 "transcript path"),
+    "cost": ("broadcast-size estimate", COST_SETTINGS, check_cost, cmd_cost, None)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,10 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "ceremonies, liveness sweeps, elections and "
                                      "communication-cost estimates")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, settings, _, _) in COMMANDS.items():
+    for command, (help_text, settings, _, _, out_help) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output path")
+        if out_help:
+            p.add_argument("--out", help=out_help)
         for name, _, _, setting_help in settings:  # read as text, cast in main
             p.add_argument(f"--{name}", dest=name, help=setting_help)
     return parser
@@ -222,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     command = args["command"]
-    _, settings, check, run = COMMANDS[command]
+    _, settings, check, run, _ = COMMANDS[command]
+    out = args.get("out")
     try:
         config = _load_config(args["config"])
         resolved = {}
@@ -232,8 +235,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"missing required setting {name!r}")
             resolved[name] = default if text is None else cast(text)
         checked = check(resolved, config)
-        if args["out"] and command != "cost":  # an unwritable --out fails before the run
-            open(args["out"], "a").close()
+        if out:  # an unwritable --out fails before the run
+            open(out, "a").close()
     except (ConfigFileError, ValueError, ProtocolError, VotingError,
             simulate.SweepConfigError, OSError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
@@ -241,7 +244,7 @@ def main(argv=None) -> int:
     print(f"[{command}] resolved config:")
     for name in sorted(resolved):
         print(f"  {name} = {resolved[name]}")
-    return run(checked, args["out"])
+    return run(checked, out)
 
 
 if __name__ == "__main__":

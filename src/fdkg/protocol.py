@@ -384,7 +384,7 @@ def reconstruction_capable(s, participants, guardian_sets, t: int) -> bool:
     """True iff every dealer is in s or has >= t guardians in s."""
     s = set(s)
     return all(
-        i in s or len(s & set(guardian_sets[i])) >= t
+        i in s or len(s.intersection(guardian_sets[i])) >= t
         for i in participants
     )
 
@@ -394,7 +394,7 @@ def liveness_holds(corrupted, participants, guardian_sets, params: Params) -> bo
     misses either the dealer itself or more than k - t of its guardians."""
     corrupted = set(corrupted)
     return all(
-        i not in corrupted or len(corrupted & set(guardian_sets[i])) <= params.k - params.t
+        i not in corrupted or len(corrupted.intersection(guardian_sets[i])) <= params.k - params.t
         for i in participants
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 import random
 from dataclasses import dataclass
 from math import comb, isfinite
@@ -87,11 +88,26 @@ def round_half_up(x: float) -> int:
 
 
 def select_guardians_er(n: int, k: int, owner: int, rng: random.Random) -> frozenset:
-    """Uniform k-subset of the other parties.  `sample` draws positions in
-    the n-1 others; position v is party v, or v+1 once past the owner."""
+    """Uniform k-subset of the other parties: the set `rng.sample` draws from
+    their positions, where position j is party j+1 below the owner and j+2
+    from it on.  Past its pool limit, 21 + 4**ceil(log(3k, 4)) (21 for
+    k <= 5), `sample` takes one `getrandbits(m.bit_length())` word per draw
+    for m = n-1 positions, drawing again on one >= m or already chosen; a
+    set forgets the order, so the loop below takes the same words.  Other
+    generators (a subclass may draw through `random()`) and a smaller m go
+    through `sample`."""
     if k > n - 1:
         raise SweepConfigError(f"k={k} exceeds n-1={n - 1}")
-    return frozenset([v + (v >= owner) for v in rng.sample(range(1, n), k)])
+    m = n - 1
+    if type(rng) is not random.Random or k < 0 or m <= 21 + (
+            4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
+        return frozenset([v + (v >= owner) for v in rng.sample(range(1, n), k)])
+    bits, getrandbits, chosen = m.bit_length(), rng.getrandbits, set()
+    while len(chosen) < k:
+        j = getrandbits(bits)
+        if j < m:
+            chosen.add(j + 1 if j < owner - 1 else j + 2)
+    return frozenset(chosen)
 
 
 def select_guardians_ba(n: int, k: int, rng: random.Random) -> dict:

@@ -441,7 +441,9 @@ def test_help_lists_exactly_the_settings(capsys, command, flags):
         main([command, "--help"])
     assert exit_info.value.code == 0
     listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-    expected = {f"--{name}" for name in flags.split()} | {"--help", "--config", "--out"}
+    expected = {f"--{name}" for name in flags.split()} | {"--help", "--config"}
+    if command != "cost":  # the one subcommand that writes no file
+        expected.add("--out")
     assert listed == expected
 
 
@@ -474,8 +476,12 @@ class TestOutPath:
             assert code == 0
         assert fresh.read_bytes() and stale.read_bytes() == fresh.read_bytes()
 
-    def test_cost_ignores_out(self, capsys, tmp_path):
-        target = tmp_path / "missing-dir" / "out.txt"
-        code, out, _ = run_cli(capsys, ["cost", "--n", "4", "--out", str(target)])
-        assert code == 0 and "total" in out
-        assert not target.parent.exists()
+    def test_cost_rejects_out(self, capsys, tmp_path):
+        # cost writes no file, so it declares no --out to accept and ignore
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cost", "--n", "4", "--out", str(target)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --out" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -629,3 +629,23 @@ class TestPredicates:
         # corrupting only non-dealers never blocks liveness
         assert protocol.liveness_holds({2, 4, 6}, participants, gsets, params)
         assert protocol.liveness_holds(set(), participants, gsets, params)
+
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_sequence_guardian_sets_against_bruteforce(self, container):
+        # the predicates intersect with each guardian set as given, so any
+        # iterable of parties must answer as the frozenset of it would
+        rng = random.Random(4)
+        params = Params(6, 2, 3)
+        participants = (1, 2, 3, 4, 5)
+        for _ in range(20):
+            gsets = {i: container(rng.sample([j for j in range(1, 7) if j != i], 3))
+                     for i in participants}
+            for size in range(7):
+                for s in itertools.combinations(range(1, 7), size):
+                    for t in (1, 2, 3):
+                        assert protocol.reconstruction_capable(
+                            s, participants, gsets, t) == brute_force_capable(
+                                s, participants, gsets, t)
+                    assert protocol.liveness_holds(s, participants, gsets, params) == all(
+                        i not in s or sum(g in s for g in gsets[i]) <= params.k - params.t
+                        for i in participants)

@@ -485,6 +485,100 @@ class TestScriptedDraws:
                 assert fast.calls == reference.calls
 
 
+class DelegatingRandom(random.Random):
+    """Overrides only `random()`, delegating to a real generator, so `sample`
+    draws through `random()` instead of `getrandbits`."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.inner = random.Random(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.inner.random()
+
+
+class CountingRandom(random.Random):
+    """Counts the `getrandbits` words it hands out."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+class TestErSetBranch:
+    """`select_guardians_er` draws `sample`'s set branch inline; it must give
+    the reference sets and leave the generator in the reference state."""
+
+    # the largest population `sample` shuffles as a pool:
+    # 21 + 4**ceil(log(3k, 4)), or 21 for k <= 5
+    POOL_LIMIT = {1: 21, 5: 21, 6: 85, 40: 277}
+
+    @staticmethod
+    def assert_matches_reference(n, k, seed=7):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for owner in (1, 2, n // 2, n - 1, n):
+            assert (select_guardians_er(n, k, owner, fast)
+                    == reference_select_guardians_er(n, k, owner, reference)), (n, k, owner)
+        assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n,k", [(1025, 40), (1025, 5), (1024, 40), (1024, 1),
+                                     (257, 6), (256, 6)])
+    def test_power_of_two_boundaries(self, n, k):
+        # m = n-1 = 2**b takes b+1 bits and rejects about half the words;
+        # m = 2**b - 1 takes b bits and rejects one word in 2**b
+        self.assert_matches_reference(n, k)
+
+    @pytest.mark.parametrize("k", sorted(POOL_LIMIT))
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_pool_limit(self, k, above):
+        n = self.POOL_LIMIT[k] + 1 + above  # m at the limit, then one above it
+        for seed in range(5):
+            self.assert_matches_reference(n, k, seed)
+
+    @pytest.mark.parametrize("n,k", [(30, 3), (300, 20), (1000, 40)])
+    def test_random_only_subclass(self, n, k):
+        # n > 21 keeps `sample` in its set branch; the delegate never cycles
+        fast, reference = DelegatingRandom(5), DelegatingRandom(5)
+        assert (er_topology(select_guardians_er, n, k, fast)
+                == er_topology(reference_select_guardians_er, n, k, reference))
+        assert fast.calls == reference.calls > 0
+        assert fast.inner.getstate() == reference.inner.getstate()
+        assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n,k", [(30, 3), (1025, 40)])
+    def test_getrandbits_subclass(self, n, k):
+        fast, reference, plain = CountingRandom(6), CountingRandom(6), random.Random(6)
+        assert (er_topology(select_guardians_er, n, k, fast)
+                == er_topology(reference_select_guardians_er, n, k, reference)
+                == er_topology(select_guardians_er, n, k, plain))
+        assert fast.words == reference.words >= n * k
+        assert fast.getstate() == reference.getstate() == plain.getstate()
+
+
+def refuse_sample(*args, **kwargs):
+    raise AssertionError("Random.sample called")
+
+
+class TestFastBranchTaken:
+    """The identity tests stay green if `select_guardians_er` falls back to
+    `sample` everywhere; these do not."""
+
+    @pytest.mark.parametrize("n,k", [(1000, 40)] + [
+        (limit + 2, k) for k, limit in sorted(TestErSetBranch.POOL_LIMIT.items())])
+    def test_no_sample_call(self, monkeypatch, n, k):
+        # the sweep's size, and one population above each pool limit
+        reference = random.Random(12)
+        expected = er_topology(reference_select_guardians_er, n, k, reference)
+        monkeypatch.setattr(random.Random, "sample", refuse_sample)
+        fast = random.Random(12)
+        assert er_topology(select_guardians_er, n, k, fast) == expected
+        assert fast.getstate() == reference.getstate()
+
+
 class TestExactRateEr:
     @pytest.mark.parametrize("t,expected", list(zip(
         range(1, 9), [1.0, 0.9999, 0.9986, 0.9868, 0.9182, 0.6714, 0.2417, 0.0179])))
