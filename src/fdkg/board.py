@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pke, protocol
 from .protocol import (DealMessage, GuardianSet, Params, PublicState,
                        ReconstructionOutcome)
+from .shamir import Polynomial
 
 
 class ActivationError(Exception):
@@ -94,7 +95,6 @@ class CeremonyResult:
     public_state: PublicState
     outcome: ReconstructionOutcome
     board: BroadcastBoard
-    log: list = field(default_factory=list)
 
 
 def child_rng(seed: int, party: int, stream: int) -> random.Random:
@@ -178,13 +178,26 @@ def deal_round(params: Params, behaviors: dict, group, seed: int,
     return board, pki, dealer_states, public_state
 
 
-def post_shares(board: BroadcastBoard, sender: int, round_no: int,
-                behavior: Behavior, messages) -> list:
-    """Broadcast `sender`'s share messages bar those it withholds; returns them."""
-    posted = [m for m in messages
-              if behavior.kind != WITHHOLD_SHARES or m.dealer not in behavior.targets]
-    for msg in posted:
-        board.append(sender, round_no, msg)
+def reveal_round(board: BroadcastBoard, round_no: int, behaviors: dict, pki: dict,
+                 public_state: PublicState, seed: int, stream: int, context: bytes,
+                 group, own) -> list:
+    """The reveal round of a ceremony (round 2) or an election (round 3):
+    each present party posts `own(party, rng)` if it dealt, then its
+    guardian messages (`protocol.round2_reveal_shares`) bar those it
+    withholds.  Returns every message posted, in board order."""
+    posted = []
+    for i in range(1, public_state.params.n + 1):
+        b = behaviors[i]
+        if not b.present_round2:
+            continue
+        rng = child_rng(seed, i, stream)
+        messages = [own(i, rng)] if i in public_state.participants else []
+        messages += [m for m in protocol.round2_reveal_shares(
+                         i, pki[i].sk, public_state, context, group, rng)
+                     if b.kind != WITHHOLD_SHARES or m.dealer not in b.targets]
+        for msg in messages:
+            board.append(i, round_no, msg)
+        posted += messages
     return posted
 
 
@@ -197,28 +210,13 @@ def run_ceremony(params: Params, behaviors: dict, group, seed: int,
     """
     board, pki, dealer_states, public_state = deal_round(
         params, behaviors, group, seed, guardian_sets, pki)
-    log = []
-    for e in board.entries(1):
-        status = "accepted" if e.sender in public_state.participants else "rejected"
-        log.append(f"round1 dealer={e.sender} {status}")
-
-    for i in range(1, params.n + 1):
-        b = behaviors[i]
-        if not b.present_round2:
-            continue
-        rng = child_rng(seed, i, _STREAM_ROUND2)
-        if i in public_state.participants:
-            reveal = protocol.round2_reveal_secret(
-                i, dealer_states[i], public_state, REVEAL_CONTEXT, group, rng)
-            board.append(i, 2, reveal)
-        post_shares(board, i, 2, b, protocol.round2_reveal_shares(
-            i, pki[i].sk, public_state, REVEAL_CONTEXT, group, rng))
-
-    reveals = [e.message for e in board.entries(2)]
+    reveals = reveal_round(
+        board, 2, behaviors, pki, public_state, seed, _STREAM_ROUND2, REVEAL_CONTEXT,
+        group, lambda i, rng: protocol.round2_reveal_secret(
+            i, dealer_states[i], public_state, REVEAL_CONTEXT, group, rng))
     outcome = protocol.offline_reconstruct(
         public_state, reveals, params, group, REVEAL_CONTEXT)
-    log.append(f"round2 reveals={len(reveals)} success={outcome.success}")
-    return CeremonyResult(public_state, outcome, board, log)
+    return CeremonyResult(public_state, outcome, board)
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,6 @@ def ideal_functionality_run(params: Params, activations, group, seed: int) -> Id
         if isinstance(act, HonestActivation):
             rng = child_rng(seed, i, _STREAM_ROUND1)
             coeffs = tuple(rng.randrange(q) for _ in range(params.t))
-            from .shamir import Polynomial
             poly = Polynomial(coeffs, q)
             honest.add(i)
         else:

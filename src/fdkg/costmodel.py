@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import transcripts
+
 GROUP_ELEMENT_BYTES = 64
 SCALAR_BYTES = 32
 PROOF_BYTES = 256
@@ -83,6 +85,4 @@ def estimate(spec: ScenarioSpec) -> CostBreakdown:
 def measured_transcript_bytes(board, group) -> int:
     """Actual serialized size of a ceremony transcript, for comparison with
     the published constants."""
-    from . import transcripts
-
     return sum(len(line.encode()) for line in transcripts.export_lines(board, group))

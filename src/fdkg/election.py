@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import voting
-from .board import BroadcastBoard, child_rng, deal_round, post_shares
+from .board import BroadcastBoard, child_rng, deal_round, reveal_round
 from .protocol import Params, PublicState
 
 _STREAM_BALLOT = 4
@@ -58,22 +58,13 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
         tally = voting.TallyResult((0,) * candidates, 0)
         return ElectionResult(True, tally, (), public_state, accepted, board, encoding)
 
-    partial_decryptions = []
-    share_reveals = []
-    for i in range(1, params.n + 1):
-        b = behaviors[i]
-        if not b.present_round2:
-            continue
-        rng = child_rng(seed, i, _STREAM_TALLY)
-        if i in public_state.participants:
-            pd = voting.tally_partial_decrypt(
-                group, i, dealer_states[i].partial_secret,
-                public_state.deals[i].partial_pk, aggregate.c1, rng)
-            partial_decryptions.append(pd)
-            board.append(i, 3, pd)
-        share_reveals += post_shares(board, i, 3, b, voting.tally_share_reveal(
-            group, i, pki[i].sk, public_state, voting.TALLY_CONTEXT, rng))
-
+    posted = reveal_round(
+        board, 3, behaviors, pki, public_state, seed, _STREAM_TALLY, voting.TALLY_CONTEXT,
+        group, lambda i, rng: voting.tally_partial_decrypt(
+            group, i, dealer_states[i].partial_secret, public_state.deals[i].partial_pk,
+            aggregate.c1, rng))
+    partial_decryptions = [m for m in posted if isinstance(m, voting.PartialDecryption)]
+    share_reveals = [m for m in posted if not isinstance(m, voting.PartialDecryption)]
     try:
         values = voting.collect_decryption_values(
             group, public_state, aggregate.c1, partial_decryptions,

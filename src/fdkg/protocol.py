@@ -307,17 +307,22 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
     return [memo[id(msg)][2] for msg in reveals]
 
 
-def verified_shares(public_state: PublicState, reveals, group, context: bytes) -> dict:
-    """{dealer: {guardian: value}} over the accepted share reveals, the first
-    per (dealer, guardian) winning; a guardian's rejected reveal still opens
-    its dealer's bucket."""
-    shares = {}
+def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
+    """(secrets, shares, excluded) over the messages `judge_reveals` accepts:
+    {dealer: value} with the first secret per dealer, {dealer: {guardian:
+    value}} with the first share per (dealer, guardian), and the set of
+    dealers named by an upheld complaint."""
+    secrets, shares, excluded = {}, {}, set()
     for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
-        if isinstance(msg, ShareReveal) and verdict is not Verdict.NOT_A_GUARDIAN:
-            bucket = shares.setdefault(msg.dealer, {})
-            if verdict is Verdict.ACCEPTED:
-                bucket.setdefault(msg.sender, msg.value)
-    return shares
+        if verdict is not Verdict.ACCEPTED:
+            continue
+        if isinstance(msg, ShareReveal):
+            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+        elif isinstance(msg, SecretReveal):
+            secrets.setdefault(msg.sender, msg.value)
+        else:
+            excluded.add(msg.dealer)
+    return secrets, shares, excluded
 
 
 def _checked_interpolation(public_state: PublicState, dealer: int, chosen: tuple, group):
@@ -343,17 +348,7 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     count; of more than t shares for a dealer, the t lowest guardian
     indices are used, so identical reveal multisets give identical outcomes.
     """
-    excluded, secrets, shares = set(), {}, {}
-    for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
-        if verdict is not Verdict.ACCEPTED:
-            continue
-        if isinstance(msg, ShareReveal):
-            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
-        elif isinstance(msg, SecretReveal):
-            secrets.setdefault(msg.sender, msg.value)
-        else:
-            excluded.add(msg.dealer)
-
+    secrets, shares, excluded = accepted_reveals(public_state, reveals, group, context)
     active = [i for i in public_state.participants if i not in excluded]
     recovered, values, failed = {}, {}, []
     for dealer in active:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .groups import multi_exp
+
 
 class ShamirError(Exception):
     pass
@@ -104,7 +106,4 @@ def reconstruct_in_exponent(points: Mapping[int, object], group):
     if not points:
         raise InsufficientSharesError("no points to interpolate")
     lam = lagrange_coefficients(points.keys(), group.order)
-    acc = group.identity()
-    for j, point in points.items():
-        acc = group.mul(acc, group.exp(point, lam[j]))
-    return acc
+    return multi_exp(group, [(point, lam[j]) for j, point in points.items()])

@@ -40,7 +40,6 @@ class SweepConfig:
     trials: int = 100
     topology: str = TOPOLOGY_ER
     seed: int = 0  # in [-2**127, 2**127): `_trial_rng` packs it into 16 signed bytes
-    fresh_topology_per_trial: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -227,12 +226,9 @@ def run_sweep(config: SweepConfig) -> list:
 def _run_cell(config: SweepConfig, n, p, r, k, t) -> SuccessRate:
     cell_id = f"{n}:{p}:{r}:{k}:{t}:{config.topology}"
     successes = 0
-    shared_topology = None
-    if not config.fresh_topology_per_trial:
-        shared_topology = _topology(n, k, config.topology, _trial_rng(config.seed, cell_id, 0xFFFF))
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, cell_id, trial)
-        topology = shared_topology or _topology(n, k, config.topology, rng)
+        topology = _topology(n, k, config.topology, rng)
         dealers, present = sample_round_sets(n, p, r, rng)
         if trial_success(dealers, present, topology, t):
             successes += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import nizk, shamir
-from .protocol import PublicState, ShareReveal, verified_shares
+from .protocol import PublicState, accepted_reveals
 
 
 class VotingError(Exception):
@@ -150,35 +150,22 @@ def verify_partial_decryption(group, partial_pk, c1, pd: PartialDecryption) -> b
                             pd.proof, TALLY_CONTEXT)
 
 
-def tally_share_reveal(group, guardian: int, sk: int, public_state: PublicState,
-                       context: bytes, rng) -> list:
-    """Reveal decrypted shares so observers can exponentiate C1 themselves."""
-    out = []
-    for dealer in public_state.participants:
-        record = public_state.deals[dealer]
-        if guardian not in record.guardians.members:
-            continue
-        ct = record.ciphertexts[guardian]
-        share, proof = nizk.prove_share_decryption(
-            group, sk, public_state.pki[guardian], ct, context, rng)
-        out.append(ShareReveal(guardian, dealer, share, proof))
-    return out
-
-
 def collect_decryption_values(group, public_state: PublicState, c1,
                               partial_decryptions, share_reveals,
                               context: bytes, t: int) -> dict:
     """Per-dealer C1^{d_i}: direct partial decryptions where available, else
     Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first).  Raises
-    TallyFailure listing dealers with no recovery path."""
+    `judge_reveals` accepts (lowest guardian indices first).  An upheld
+    complaint removes no dealer here, since the election key already holds
+    its partial pk; its share just does not count.  Raises TallyFailure
+    listing dealers with no recovery path."""
     direct = {}
     for pd in partial_decryptions:
         record = public_state.deals.get(pd.dealer)
         if (record is not None and pd.dealer not in direct
                 and verify_partial_decryption(group, record.partial_pk, c1, pd)):
             direct[pd.dealer] = pd.value
-    shares = verified_shares(public_state, share_reveals, group, context)
+    _, shares, _ = accepted_reveals(public_state, share_reveals, group, context)
     values, missing = {}, []
     for dealer in public_state.participants:
         bucket = shares.get(dealer, {})

@@ -1,5 +1,6 @@
 """Module-layout rules for `src/fdkg`: no module reaches into a sibling's
-private names, and no module imports a name it never uses."""
+private names, no module imports a name it never uses, and every import
+sits at module level, never inside a function body."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,18 @@ def _imports(tree):
                 yield alias.asname or alias.name, alias.name, sibling
 
 
+def _function_imports(tree):
+    """(line, function name) of each import statement inside a function,
+    named by its outermost enclosing function."""
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(node, fn.name)
+    return sorted((node.lineno, name) for node, name in found.items())
+
+
 def layout_violations(source: str) -> list:
     tree = ast.parse(source)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -31,6 +44,8 @@ def layout_violations(source: str) -> list:
             out.append(f"private import {name}")
         if bound not in used:
             out.append(f"unused import {bound}")
+    for line, fn in _function_imports(tree):
+        out.append(f"import inside function {fn} (line {line})")
     return out
 
 
@@ -43,7 +58,12 @@ def test_rules_catch_violations():
     source = ("from . import pke, nizk\n"
               "from .board import _malform, run_ceremony\n"
               "import hashlib\n"
-              "run_ceremony(pke.x)\n")
+              "run_ceremony(pke.x)\n"
+              "def audit(board):\n"
+              "    def replay():\n"
+              "        from . import transcripts\n"
+              "        return transcripts.load(board)\n"
+              "    return replay()\n")
     assert layout_violations(source) == [
         "unused import nizk", "private import _malform", "unused import _malform",
-        "unused import hashlib"]
+        "unused import hashlib", "import inside function audit (line 7)"]

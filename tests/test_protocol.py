@@ -436,8 +436,7 @@ class TestCanonicalReveals:
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         shifted = [ShareReveal(m.sender, m.dealer, m.value + group.order, m.proof)
                    for m in reveals if isinstance(m, ShareReveal)]
-        assert protocol.verified_shares(public, shifted, group, CTX) == {
-            m.dealer: {} for m in shifted}
+        assert protocol.accepted_reveals(public, shifted, group, CTX)[1] == {}
 
     def test_secret_value_plus_q_rejected(self, group, rng):
         params, pki, states, public = example_scenario(group, rng)
@@ -481,7 +480,7 @@ class TestBatchedReveals:
                                             m.proof, CTX):
                 expected.setdefault(m.dealer, {}).setdefault(m.sender, m.value)
         assert sum(map(len, expected.values())) == len(shares) - 2
-        assert protocol.verified_shares(public, shares, group, CTX) == expected
+        assert protocol.accepted_reveals(public, shares, group, CTX)[1] == expected
         verdicts = protocol.judge_reveals(public, shares, group, CTX)
         assert verdicts[4] is Verdict.BAD_DLEQ
         assert verdicts[9] is Verdict.BAD_DLEQ

@@ -327,14 +327,6 @@ class TestRunSweep:
         rates = [s.rate for s in run_sweep(cfg)]
         assert rates == sorted(rates)
 
-    def test_shared_topology_flag(self):
-        cfg = SweepConfig(n_values=(10,), p_values=(0.8,), r_values=(0.5,),
-                          k_values=(3,), t_values=(2,), trials=30, seed=2,
-                          fresh_topology_per_trial=False)
-        a = run_sweep(cfg)
-        b = run_sweep(cfg)
-        assert a == b
-
     def test_analytic_cross_check_n3(self):
         # n=3, k=1, t=1, p=1: success iff every party is present or its one
         # guardian is; exact probability by enumerating guardians and T sets

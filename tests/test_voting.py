@@ -3,16 +3,16 @@ import time
 
 import pytest
 
-from fdkg import voting
+from fdkg import protocol, shamir, voting
 from fdkg.board import (ABSENT_ROUND2, WITHHOLD_SHARES, Behavior, run_ceremony)
 from fdkg.election import run_election
-from fdkg.protocol import Params
+from fdkg.groups import SECP256K1, TEST_GROUP
+from fdkg.protocol import Params, round2_reveal_shares
 from fdkg.voting import (Ballot, DlogNotFoundError, TallyFailure,
                          TallyIntegrityError, UnsupportedConfigurationError,
                          VotingError, aggregate_ballots, bsgs_dlog, cast_ballot,
                          collect_decryption_values, derive_encoding,
-                         tally_finalize, tally_partial_decrypt,
-                         tally_share_reveal, verify_ballot,
+                         tally_finalize, tally_partial_decrypt, verify_ballot,
                          verify_partial_decryption)
 
 
@@ -134,8 +134,8 @@ class TestShareRevealTally:
         pki = generate_pki(params, group, 31)
         reveals = []
         for i in range(1, params.n + 1):
-            reveals.extend(tally_share_reveal(
-                group, i, pki[i].sk, public, voting.TALLY_CONTEXT, rng))
+            reveals.extend(round2_reveal_shares(
+                i, pki[i].sk, public, voting.TALLY_CONTEXT, group, rng))
         values = collect_decryption_values(
             group, public, c1, [], reveals, voting.TALLY_CONTEXT, params.t)
         # ceremony succeeded, so the true partial secrets are reconstructible
@@ -289,6 +289,48 @@ class TestRunElection:
         votes = {v: 1 for v in range(1, 5)}
         with pytest.raises(ValueError, match="below the 4 votes"):
             run_election(Params(4, 1, 2), behaviors, votes, 2, group, seed=20, n_bound=3)
+
+    @pytest.mark.parametrize("bad, success, counts, failed", [
+        ({2}, True, (3, 2), ()),
+        ({2, 3}, False, None, (1,)),
+    ], ids=["one-bad-share", "two-bad-shares"])
+    @pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+    def test_inconsistent_shares_of_absent_dealer(self, monkeypatch, curve, bad,
+                                                  success, counts, failed):
+        """Dealer 1's deal passes round 1, but the shares it encrypts to the
+        guardians in `bad` are off by one; dealer 1 is absent at the tally.
+        Those guardians complain instead of revealing, so the tally completes
+        while t consistent shares remain and names dealer 1 otherwise."""
+        real_deal, real_share = protocol.round1_deal, shamir.share_secret
+
+        def off_by_one(secret, t, indices, rng, q):
+            shares, poly = real_share(secret, t, indices, rng, q)
+            return [shamir.Share(s.index, (s.value + 1) % q) if s.index in bad else s
+                    for s in shares], poly
+
+        def round1_deal(me, *args):
+            with monkeypatch.context() as m:
+                if me == 1:
+                    m.setattr(shamir, "share_secret", off_by_one)
+                return real_deal(me, *args)
+
+        monkeypatch.setattr(protocol, "round1_deal", round1_deal)
+        sets = {i: frozenset((i + d - 1) % 5 + 1 for d in (1, 2, 3)) for i in range(1, 6)}
+        behaviors = {i: Behavior() for i in range(1, 6)}
+        behaviors[1] = Behavior(ABSENT_ROUND2)
+        votes = {1: 1, 2: 2, 3: 1, 4: 1, 5: 2}
+        result = run_election(Params(5, 2, 3), behaviors, votes, 2, curve, seed=3,
+                              guardian_sets=sets)
+        assert 1 in result.public_state.participants
+        complaints = {(e.sender, e.message.dealer) for e in result.board.entries(3)
+                      if isinstance(e.message, protocol.ComplaintReveal)}
+        assert complaints == {(j, 1) for j in bad}
+        assert result.success is success
+        assert result.failed_dealers == failed
+        if success:
+            assert result.tally.counts == counts
+        else:
+            assert result.tally is None
 
     def test_deterministic(self, group):
         params = Params(6, 2, 3)
