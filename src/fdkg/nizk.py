@@ -2,8 +2,12 @@
 
 Relations covered: discrete log (partial-secret reveals), DLEQ
 (partial decryptions, share-decryption link), ciphertext well-formedness
-(per-share representation proofs inside a deal), coefficient commitments
-with recipient-side share checks, and the disjunctive ballot proof.
+(per-share representation proofs inside a deal), Feldman coefficient
+commitments with the check of a revealed share against them, and the
+disjunctive ballot proof.  `verify_share_decryptions` checks a revealed
+share's decryption proof and its Feldman equation in the same batch; the
+commitments are fixed by the dealer's accepted deal before any share is
+revealed.
 
 Challenges are sha256 over a domain tag, the caller-supplied context bytes
 and the length-prefixed canonical encodings of all statement/commitment
@@ -169,18 +173,22 @@ def _share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
 
 def verify_share_decryption(group, pk, ct: PkeCiphertext, share: int,
                             proof: ShareDecryptionProof, context: bytes) -> bool:
-    return verify_share_decryptions(group, [(pk, ct, share, proof)], context)
+    equations = _share_decryption_equations(group, pk, ct, share, proof, context)
+    return equations is not None and _all_hold(group, context, equations)
 
 
 def verify_share_decryptions(group, claims, context: bytes) -> bool:
-    """True iff every (pk, ct, share, proof) claim verifies, checked in one
-    batch; a False names no culprit, check the claims one by one for that."""
+    """True iff for every (pk, ct, share, proof, index, commitments) claim
+    the decryption proof verifies and the share passes guardian `index`'s
+    Feldman check, all in one batch.  A False names no culprit: check each
+    claim with `verify_share_decryption` and `guardian_check_share` for
+    that."""
     equations = []
-    for claim in claims:
-        found = _share_decryption_equations(group, *claim, context)
+    for pk, ct, share, proof, index, commitments in claims:
+        found = _share_decryption_equations(group, pk, ct, share, proof, context)
         if found is None:
             return False
-        equations += found
+        equations += found + [_feldman_equation(group, share, index, commitments)]
     return _all_hold(group, context, equations)
 
 
@@ -189,8 +197,8 @@ class RepresentationProof:
     """Knowledge of (k, r) with C1 = G^k and C2 = pk^k * G^r.
 
     Binds a share ciphertext to the recipient key; it does not tie the
-    plaintext to the dealer's polynomial, which is the recipient's job via
-    guardian_check_share.
+    plaintext to the dealer's polynomial: that is the Feldman check of the
+    revealed share (`verify_share_decryptions`, `guardian_check_share`).
     """
 
     commitment_1: object  # for the C1 equation
@@ -241,16 +249,20 @@ def commit_polynomial(group, poly: Polynomial) -> FeldmanCommitments:
     return FeldmanCommitments(tuple(group.base_exp(c) for c in poly.coefficients))
 
 
-def guardian_check_share(group, share: int, index: int,
-                         commitments: FeldmanCommitments) -> bool:
-    """True iff G^share = prod_l A_l^{index^l}."""
+def _feldman_equation(group, share: int, index: int, commitments: FeldmanCommitments):
     equation = []
     power = 1
     for a_l in commitments.commitments:
         equation.append((a_l, power))
         power = power * index % group.order
     equation.append((group.generator(), -share))
-    return _all_hold(group, b"", [equation])
+    return equation
+
+
+def guardian_check_share(group, share: int, index: int,
+                         commitments: FeldmanCommitments) -> bool:
+    """True iff G^share = prod_l A_l^{index^l}."""
+    return _all_hold(group, b"", [_feldman_equation(group, share, index, commitments)])
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ class PublicState:
     """Verified post-round-1 world: participant set and global key.
 
     Reconstruction from subsets of the same reveals checks nothing twice:
-    `verdicts` memoizes `judge_reveals`, and `candidates` the checked
-    interpolation per (dealer, chosen (guardian, share) pairs).
+    `verdicts` memoizes `judge_reveals`, and `candidates` caches the value
+    interpolated from each chosen tuple of (guardian, share) pairs.
     """
 
     params: Params
@@ -117,21 +117,10 @@ class ShareReveal:
     proof: nizk.ShareDecryptionProof
 
 
-@dataclass(frozen=True)
-class ComplaintReveal:
-    """Guardian evidence that a dealer's ciphertext decrypts to a share
-    inconsistent with the published coefficient commitments."""
-
-    sender: int
-    dealer: int
-    value: int
-    proof: nizk.ShareDecryptionProof
-
-
 class Verdict(Enum):
     """What one round-2 message shows on its own; see `judge_reveals`."""
 
-    ACCEPTED = "accepted"  # for a complaint: upheld
+    ACCEPTED = "accepted"
     NOT_A_REVEAL = "not a round-2 reveal"
     NOT_A_PARTICIPANT = "not a participant"  # a secret from a party without a deal
     NOT_A_GUARDIAN = "not a guardian"  # of the named dealer's accepted deal
@@ -139,7 +128,7 @@ class Verdict(Enum):
     PK_MISMATCH = "value does not match partial pk"
     BAD_DL_PROOF = "bad DL proof"
     BAD_DLEQ = "bad DLEQ"
-    NOT_UPHELD = "complaint not upheld"  # the share is consistent
+    INCONSISTENT = "share inconsistent with commitments"  # the dealer's fault
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ class ReconstructionOutcome:
     global_secret: Optional[int]
     recovered: dict  # dealer -> ("direct",) | ("shares", (j1..jt))
     failed: tuple  # dealers that could not be recovered
-    excluded: tuple = ()  # dealers removed by verified complaints
+    excluded: tuple = ()  # dealers named by a share judged INCONSISTENT
 
 
 def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
@@ -237,20 +226,16 @@ def round2_reveal_secret(me: int, dealer_state: DealerState,
 
 def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
                          context: bytes, group, rng) -> list:
-    """One Share message per dealer that picked `me` as guardian; a Complaint
-    instead when the decrypted value contradicts the dealer's commitments."""
+    """One ShareReveal per dealer that picked `me` as guardian: the share
+    its ciphertext decrypts to, with the decryption proof.  Whether the
+    share counts is for `judge_reveals` to say."""
     out = []
     for dealer in public_state.participants:
         record = public_state.deals[dealer]
-        if me not in record.guardians.members:
-            continue
-        ct = record.ciphertexts[me]
-        share, proof = nizk.prove_share_decryption(
-            group, sk_me, public_state.pki[me], ct, context, rng)
-        if nizk.guardian_check_share(group, share, me, record.commitments):
+        if me in record.guardians.members:
+            share, proof = nizk.prove_share_decryption(
+                group, sk_me, public_state.pki[me], record.ciphertexts[me], context, rng)
             out.append(ShareReveal(me, dealer, share, proof))
-        else:
-            out.append(ComplaintReveal(me, dealer, share, proof))
     return out
 
 
@@ -268,21 +253,25 @@ def _secret_verdict(record, msg: SecretReveal, group, context: bytes) -> Verdict
 
 def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> list:
     """The Verdict of each message in `reveals`: a fact about that message
-    alone.  Which accepted reveal counts, and which dealers an upheld
-    complaint excludes, depend on the list and are left to its combination.
+    alone.  A share is ACCEPTED when its decryption proof holds and it
+    passes the Feldman check against its dealer's commitments, and
+    INCONSISTENT when only the proof holds: the dealer encrypted a wrong
+    share.  Which accepted reveal counts, and what an INCONSISTENT share
+    does to its dealer, depend on the list and are left to its combination.
 
     Verdicts are memoized in `public_state.verdicts` as id(message) ->
     (message, context, verdict); holding the message keeps its id from
     being reused, and an equal but distinct copy is judged again.  The
-    decryption proofs of the share and complaint reveals not yet judged are
-    checked in one batch, and one by one only when the batch fails."""
+    share reveals not yet judged are checked in one batch, decryption
+    proofs and Feldman equations together, and one by one only when the
+    batch fails."""
     memo, deals = public_state.verdicts, public_state.deals
     fresh = {id(msg): msg for msg in reveals if memo.get(id(msg), (None, None))[1] != context}
     claimed = []
     for msg in fresh.values():
         if isinstance(msg, SecretReveal):
             verdict = _secret_verdict(deals.get(msg.sender), msg, group, context)
-        elif not isinstance(msg, (ShareReveal, ComplaintReveal)):
+        elif not isinstance(msg, ShareReveal):
             verdict = Verdict.NOT_A_REVEAL
         elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].guardians.members:
             verdict = Verdict.NOT_A_GUARDIAN
@@ -293,14 +282,15 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
             continue
         memo[id(msg)] = (msg, context, verdict)
     claims = [(public_state.pki[m.sender], deals[m.dealer].ciphertexts[m.sender], m.value,
-               m.proof) for m in claimed]
+               m.proof, m.sender, deals[m.dealer].commitments) for m in claimed]
     batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
-    for msg, claim in zip(claimed, claims):
-        if not (batch_ok or nizk.verify_share_decryption(group, *claim, context)):
+    for msg, (pk, ct, value, proof, index, commitments) in zip(claimed, claims):
+        if batch_ok:
+            verdict = Verdict.ACCEPTED
+        elif not nizk.verify_share_decryption(group, pk, ct, value, proof, context):
             verdict = Verdict.BAD_DLEQ
-        elif isinstance(msg, ComplaintReveal) and nizk.guardian_check_share(
-                group, msg.value, msg.sender, deals[msg.dealer].commitments):
-            verdict = Verdict.NOT_UPHELD
+        elif not nizk.guardian_check_share(group, value, index, commitments):
+            verdict = Verdict.INCONSISTENT
         else:
             verdict = Verdict.ACCEPTED
         memo[id(msg)] = (msg, context, verdict)
@@ -308,34 +298,19 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
 
 
 def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
-    """(secrets, shares, excluded) over the messages `judge_reveals` accepts:
-    {dealer: value} with the first secret per dealer, {dealer: {guardian:
-    value}} with the first share per (dealer, guardian), and the set of
-    dealers named by an upheld complaint."""
+    """(secrets, shares, excluded) over the verdicts of `judge_reveals`:
+    {dealer: value} with the first accepted secret per dealer, {dealer:
+    {guardian: value}} with the first accepted share per (dealer, guardian),
+    and the set of dealers named by a share judged INCONSISTENT."""
     secrets, shares, excluded = {}, {}, set()
     for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
-        if verdict is not Verdict.ACCEPTED:
-            continue
-        if isinstance(msg, ShareReveal):
-            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
-        elif isinstance(msg, SecretReveal):
-            secrets.setdefault(msg.sender, msg.value)
-        else:
+        if verdict is Verdict.INCONSISTENT:
             excluded.add(msg.dealer)
+        elif verdict is Verdict.ACCEPTED and isinstance(msg, ShareReveal):
+            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+        elif verdict is Verdict.ACCEPTED:
+            secrets.setdefault(msg.sender, msg.value)
     return secrets, shares, excluded
-
-
-def _checked_interpolation(public_state: PublicState, dealer: int, chosen: tuple, group):
-    """f(0) from the (guardian, share) pairs `chosen` if G^f(0) is the
-    dealer's partial pk, else None; memoized in `public_state.candidates`."""
-    key = (dealer, chosen)
-    if key not in public_state.candidates:
-        candidate = shamir.reconstruct(
-            [shamir.Share(j, value) for j, value in chosen], len(chosen), group.order)
-        expected = public_state.deals[dealer].partial_pk
-        consistent = group.encode(group.base_exp(candidate)) == group.encode(expected)
-        public_state.candidates[key] = candidate if consistent else None
-    return public_state.candidates[key]
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
@@ -343,30 +318,33 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     """Recover every dealer's partial secret from the round-2 broadcasts by
     combining the reveals that `judge_reveals` accepts.
 
-    Upheld complaints remove the offending dealer (and its partial pk).
-    The first accepted secret per dealer and share per (dealer, guardian)
-    count; of more than t shares for a dealer, the t lowest guardian
-    indices are used, so identical reveal multisets give identical outcomes.
+    A dealer named by a share judged INCONSISTENT is excluded: its partial
+    secret is left out, so on success `global_secret` is the secret key of
+    the product of the partial pks of the participants not excluded, which
+    is `public_state.global_pk` only when none is.  The first accepted
+    secret per dealer and share per (dealer, guardian) count; of more than
+    t shares for a dealer, the t lowest guardian indices are interpolated,
+    so identical reveal multisets give identical outcomes.  Accepted shares
+    passed the Feldman check against t commitments whose A_0 is the partial
+    pk, so any t of them interpolate to the partial secret.
     """
     secrets, shares, excluded = accepted_reveals(public_state, reveals, group, context)
     active = [i for i in public_state.participants if i not in excluded]
     recovered, values, failed = {}, {}, []
     for dealer in active:
+        bucket = shares.get(dealer, {})
         if dealer in secrets:
             values[dealer] = secrets[dealer]
             recovered[dealer] = ("direct",)
-            continue
-        bucket = shares.get(dealer, {})
-        if len(bucket) >= params.t:
+        elif len(bucket) >= params.t:
             chosen = tuple((j, bucket[j]) for j in sorted(bucket)[: params.t])
-            candidate = _checked_interpolation(public_state, dealer, chosen, group)
-            if candidate is not None:
-                values[dealer] = candidate
-                recovered[dealer] = ("shares", tuple(j for j, _ in chosen))
-                continue
-            # valid proofs but inconsistent interpolation: impossible under
-            # soundness; treat as an integrity failure for this dealer
-        failed.append(dealer)
+            if chosen not in public_state.candidates:
+                public_state.candidates[chosen] = shamir.reconstruct(
+                    [shamir.Share(j, value) for j, value in chosen], params.t, group.order)
+            values[dealer] = public_state.candidates[chosen]
+            recovered[dealer] = ("shares", tuple(j for j, _ in chosen))
+        else:
+            failed.append(dealer)
 
     if failed or not active:
         return ReconstructionOutcome(False, None, recovered, tuple(failed),

@@ -55,14 +55,12 @@ LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fiel
     voting.Ballot: (("voter", INT), ("a", ELEM), ("b", ELEM), ("proof", nizk.BallotProof, None)),
     voting.PartialDecryption: (("dealer", INT), ("value", ELEM), ("proof", nizk.DleqProof)),
 }.items()}
-LAYOUT[protocol.ComplaintReveal] = LAYOUT[protocol.ShareReveal]
 
 # board message type -> (wire kind, the attribute naming its author)
 MESSAGES = {
     protocol.DealMessage: ("deal", "dealer"),
     protocol.SecretReveal: ("secret", "sender"),
     protocol.ShareReveal: ("share", "sender"),
-    protocol.ComplaintReveal: ("complaint", "sender"),
     voting.Ballot: ("ballot", "voter"),
     voting.PartialDecryption: ("pdecrypt", "dealer"),
 }

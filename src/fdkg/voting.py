@@ -155,10 +155,11 @@ def collect_decryption_values(group, public_state: PublicState, c1,
                               context: bytes, t: int) -> dict:
     """Per-dealer C1^{d_i}: direct partial decryptions where available, else
     Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first).  An upheld
-    complaint removes no dealer here, since the election key already holds
-    its partial pk; its share just does not count.  Raises TallyFailure
-    listing dealers with no recovery path."""
+    `judge_reveals` accepts (lowest guardian indices first), each checked
+    against the dealer's commitments there.  A share judged INCONSISTENT
+    removes no dealer here, since the election key already holds its
+    partial pk; the share just does not count.  Raises TallyFailure listing
+    dealers with no recovery path."""
     direct = {}
     for pd in partial_decryptions:
         record = public_state.deals.get(pd.dealer)

@@ -254,25 +254,32 @@ def test_deal_with_one_tampered_proof_rejected(group):
 
 @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
 def test_share_decryption_batch(group):
-    """A batch verifies iff every claim in it does."""
+    """A batch holds iff every claim in it does: its decryption proof and
+    the Feldman check of its share."""
     rng = random.Random(12)
+    _, guardians, keypairs, _, cts, bundle = make_deal(group, rng, k=4)
     claims = []
-    for _ in range(4):
-        kp = pke.pke_keygen(group, rng)
-        ct = pke.pke_encrypt(group, kp.pk, rng.randrange(group.order),
-                             pke.sample_enc_randomness(group, rng))
-        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
-        claims.append((kp.pk, ct, share, proof))
+    for (j, pk), kp, ct in zip(guardians, keypairs, cts):
+        share, proof = nizk.prove_share_decryption(group, kp.sk, pk, ct, CTX, rng)
+        claims.append((pk, ct, share, proof, j, bundle.commitments))
     assert nizk.verify_share_decryptions(group, claims, CTX)
     assert nizk.verify_share_decryptions(group, [], CTX)
-    pk, ct, share, proof = claims[2]
+    pk, ct, share, proof, j, commitments = claims[2]
     bad_dleq = nizk.DleqProof(proof.dleq.commitment_1, proof.dleq.commitment_2,
                               (proof.dleq.response + 1) % group.order)
     for bad in [(pk, ct, (share + 1) % group.order, proof),
                 (pk, ct, share, nizk.ShareDecryptionProof(proof.mask, bad_dleq))]:
-        batch = claims[:2] + [bad] + claims[3:]
+        batch = claims[:2] + [bad + (j, commitments)] + claims[3:]
         assert not nizk.verify_share_decryption(group, *bad, CTX)
         assert not nizk.verify_share_decryptions(group, batch, CTX)
+    # a ciphertext of a wrong share: the decryption proof holds, Feldman does not
+    wrong = pke.pke_encrypt(group, pk, (share + 1) % group.order,
+                            pke.sample_enc_randomness(group, rng))
+    share, proof = nizk.prove_share_decryption(group, keypairs[2].sk, pk, wrong, CTX, rng)
+    assert nizk.verify_share_decryption(group, pk, wrong, share, proof, CTX)
+    assert not nizk.guardian_check_share(group, share, j, commitments)
+    batch = claims[:2] + [(pk, wrong, share, proof, j, commitments)] + claims[3:]
+    assert not nizk.verify_share_decryptions(group, batch, CTX)
 
 
 def test_combined_checks_reject_single_tampers_on_secp256k1():

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from fdkg import nizk, pke, protocol, shamir
+from fdkg import nizk, pke, protocol, shamir, voting
 from fdkg.groups import SECP256K1, TEST_GROUP
-from fdkg.protocol import (ComplaintReveal, DealMessage, GuardianSet, Params,
-                           SecretReveal, ShareReveal, Verdict)
+from fdkg.protocol import (DealMessage, GuardianSet, Params, SecretReveal,
+                           ShareReveal, Verdict)
 
 CTX = b"fdkg/round2"
 
@@ -278,8 +278,6 @@ def forged_reveal(case, group, rng, public, reveals):
         proof = nizk.ShareDecryptionProof(share.proof.mask, nizk.DleqProof(
             dleq.commitment_1, dleq.commitment_2, (dleq.response + 1) % q))
         return ShareReveal(share.sender, share.dealer, share.value, proof)
-    if case == "baseless complaint":
-        return ComplaintReveal(share.sender, share.dealer, share.value, share.proof)
     if case == "deal in round 2":
         return public.deals[1]
     raise AssertionError(case)
@@ -300,7 +298,6 @@ class TestVerdicts:
         ("forged DL proof", Verdict.BAD_DL_PROOF),
         ("wrong share", Verdict.BAD_DLEQ),
         ("forged DLEQ", Verdict.BAD_DLEQ),
-        ("baseless complaint", Verdict.NOT_UPHELD),
         ("deal in round 2", Verdict.NOT_A_REVEAL),
     ]
 
@@ -320,17 +317,23 @@ class TestVerdicts:
         assert [v.value for v in Verdict] == [
             "accepted", "not a round-2 reveal", "not a participant", "not a guardian",
             "value outside [0, q)", "value does not match partial pk", "bad DL proof",
-            "bad DLEQ", "complaint not upheld"]
+            "bad DLEQ", "share inconsistent with commitments"]
 
-    def test_upheld_complaint_accepted(self, group, rng):
-        params = Params(10, 2, 3)
-        pki = make_pki(group, rng, params.n)
-        pub = {i: kp.pk for i, kp in pki.items()}
-        msg, _ = bad_deal(group, rng, params, pub)
-        public = protocol.process_round1([msg], params, pub, group)
-        (complaint,) = protocol.round2_reveal_shares(2, pki[2].sk, public, CTX, group, rng)
-        assert isinstance(complaint, ComplaintReveal)
-        assert protocol.judge_reveals(public, [complaint], group, CTX) == [Verdict.ACCEPTED]
+    def test_inconsistent_share(self, group, rng):
+        public, share = inconsistent_share(group, rng)
+        assert protocol.judge_reveals(public, [share], group, CTX) == [Verdict.INCONSISTENT]
+
+    def test_every_rejection_reason_produced(self, group, rng):
+        """Each verdict but ACCEPTED comes out of `judge_reveals` for some
+        message built here: the CASES above, and INCONSISTENT, which is no
+        case there since it excludes the dealer and so changes the outcome."""
+        params, pki, states, public = example_scenario(group, rng)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
+        forged = [forged_reveal(case, group, rng, public, reveals) for case, _ in self.CASES]
+        produced = set(protocol.judge_reveals(public, forged, group, CTX))
+        bad_public, share = inconsistent_share(group, rng)
+        produced.update(protocol.judge_reveals(bad_public, [share], group, CTX))
+        assert produced == set(Verdict) - {Verdict.ACCEPTED}
 
     def test_verdict_is_per_context(self, group, rng):
         params, pki, states, public = example_scenario(group, rng)
@@ -373,6 +376,36 @@ def bad_deal(group, rng, params, pub):
     return msg, d
 
 
+def inconsistent_share(group, rng):
+    """(public state, share reveal): guardian 2's honest reveal of the wrong
+    share that `bad_deal` encrypted to it."""
+    params = Params(10, 2, 3)
+    pki = make_pki(group, rng, params.n)
+    pub = {i: kp.pk for i, kp in pki.items()}
+    msg, _ = bad_deal(group, rng, params, pub)
+    public = protocol.process_round1([msg], params, pub, group)
+    (share,) = protocol.round2_reveal_shares(2, pki[2].sk, public, CTX, group, rng)
+    return public, share
+
+
+def bad_dealer_round1(group, rng):
+    """n=5, t=2, k=3 round 1 in which dealer 1 is `bad_deal`'s, guarded by
+    {2, 3, 5}, and every other dealer i is guarded by i+1..i+3 mod 5."""
+    params = Params(5, 2, 3)
+    pki = make_pki(group, rng, params.n)
+    pub = {i: kp.pk for i, kp in pki.items()}
+    bad_msg, d = bad_deal(group, rng, params, pub)
+    messages, states = [bad_msg], {1: protocol.DealerState(1, d, None)}
+    for dealer in range(2, 6):
+        members = {(dealer + s - 1) % 5 + 1 for s in (1, 2, 3)}
+        msg, states[dealer] = protocol.round1_deal(
+            dealer, params, GuardianSet.create(dealer, members, params), pub, group, rng)
+        messages.append(msg)
+    public = protocol.process_round1(messages, params, pub, group)
+    assert public.participants == (1, 2, 3, 4, 5)
+    return params, pki, states, public
+
+
 class TestComplaints:
     def test_guardian_complains_and_dealer_excluded(self, group, rng):
         params = Params(10, 2, 3)
@@ -397,24 +430,68 @@ class TestComplaints:
                     i, states[i], public, CTX, group, rng))
             reveals.extend(protocol.round2_reveal_shares(
                 i, pki[i].sk, public, CTX, group, rng))
-        assert any(isinstance(m, ComplaintReveal) and (m.sender, m.dealer) == (2, 1)
-                   for m in reveals)
+        (complaint,) = [m for m in reveals
+                        if isinstance(m, ShareReveal) and (m.sender, m.dealer) == (2, 1)]
+        assert protocol.judge_reveals(public, [complaint], group, CTX) == [Verdict.INCONSISTENT]
         outcome = protocol.offline_reconstruct(public, reveals, params, group, CTX)
         assert outcome.excluded == (1,)
         assert outcome.success
         expected = sum(states[i].partial_secret for i in (3, 5)) % group.order
         assert outcome.global_secret == expected
+        # the secret of the partial pks left, not of the global key, which keeps dealer 1's
+        rest = group.mul(public.deals[3].partial_pk, public.deals[5].partial_pk)
+        assert group.base_exp(outcome.global_secret) == rest != public.global_pk
 
     def test_baseless_complaint_ignored(self, group, rng):
+        """A guardian cannot make an honest dealer's share look inconsistent:
+        a wrong value fails its decryption proof and excludes nobody."""
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
-        share_msgs = [m for m in reveals if isinstance(m, ShareReveal)]
-        smear = ComplaintReveal(share_msgs[0].sender, share_msgs[0].dealer,
-                                share_msgs[0].value, share_msgs[0].proof)
+        share = next(m for m in reveals if isinstance(m, ShareReveal))
+        smear = ShareReveal(share.sender, share.dealer, (share.value + 1) % group.order,
+                            share.proof)
+        assert protocol.judge_reveals(public, [smear], group, CTX) == [Verdict.BAD_DLEQ]
         outcome = protocol.offline_reconstruct(
             public, [smear] + reveals, params, group, CTX)
         assert outcome.excluded == ()
         assert outcome.success
+
+    @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+    def test_colluding_guardian_cannot_block_dealer(self, group):
+        """Dealer 1 encrypts a wrong share to guardian 2 and is absent in
+        round 2; guardian 2 colludes and posts its decryption as a plain
+        share.  One corrupt guardian of three leaves liveness intact, so the
+        ceremony reconstructs with dealer 1 excluded, and the tally recovers
+        C1^{d_1} from the other two guardians' shares."""
+        rng = random.Random(12)
+        params, pki, states, public = bad_dealer_round1(group, rng)
+        assert protocol.liveness_holds({1, 2}, public.participants, public.guardian_sets(),
+                                       params)
+
+        def dealer_1_shares(context):
+            share, proof = nizk.prove_share_decryption(
+                group, pki[2].sk, pki[2].pk, public.deals[1].ciphertexts[2], context, rng)
+            return [ShareReveal(2, 1, share, proof)] + [
+                m for i in (3, 5)
+                for m in protocol.round2_reveal_shares(i, pki[i].sk, public, context, group, rng)
+                if m.dealer == 1]
+
+        secrets = [protocol.round2_reveal_secret(i, states[i], public, CTX, group, rng)
+                   for i in range(2, 6)]
+        outcome = protocol.offline_reconstruct(
+            public, secrets + dealer_1_shares(CTX), params, group, CTX)
+        assert outcome.success and outcome.excluded == (1,)
+        assert outcome.global_secret == sum(
+            states[i].partial_secret for i in range(2, 6)) % group.order
+
+        c1 = group.base_exp(rng.randrange(1, group.order))
+        partial_decryptions = [voting.tally_partial_decrypt(
+            group, i, states[i].partial_secret, public.deals[i].partial_pk, c1, rng)
+            for i in range(2, 6)]
+        values = voting.collect_decryption_values(
+            group, public, c1, partial_decryptions, dealer_1_shares(voting.TALLY_CONTEXT),
+            voting.TALLY_CONTEXT, params.t)
+        assert values[1] == group.exp(c1, states[1].partial_secret)
 
 
 class TestCanonicalReveals:
@@ -553,25 +630,17 @@ class TestOutcomePins:
     def test_secp_forged_share_and_upheld_complaint(self):
         group = SECP256K1
         rng = random.Random(11)
-        params = Params(5, 2, 3)
         parties = (1, 2, 3, 4, 5)
-        pki = make_pki(group, rng, params.n)
-        pub = {i: kp.pk for i, kp in pki.items()}
-        bad_msg, d = bad_deal(group, rng, params, pub)
-        messages, states = [bad_msg], {1: protocol.DealerState(1, d, None)}
-        for dealer in parties[1:]:
-            members = {(dealer + s - 1) % 5 + 1 for s in (1, 2, 3)}
-            msg, states[dealer] = protocol.round1_deal(
-                dealer, params, GuardianSet.create(dealer, members, params), pub, group, rng)
-            messages.append(msg)
-        public = protocol.process_round1(messages, params, pub, group)
-        assert public.participants == parties
+        params, pki, states, public = bad_dealer_round1(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, set(parties))
         genuine = next(m for m in reveals if isinstance(m, ShareReveal) and m.dealer == 4)
         forged = ShareReveal(genuine.sender, genuine.dealer,
                              (genuine.value + 1) % group.order, genuine.proof)
         reveals.insert(reveals.index(genuine), forged)
-        assert any(isinstance(m, ComplaintReveal) for m in reveals)
+        verdicts = protocol.judge_reveals(public, reveals, group, CTX)
+        assert verdicts[reveals.index(forged)] is Verdict.BAD_DLEQ
+        assert [(m.sender, m.dealer) for m, v in zip(reveals, verdicts)
+                if v is Verdict.INCONSISTENT] == [(2, 1)]
         assert outcome_digest(public, reveals, params, group, parties) == SECP_PIN
 
 

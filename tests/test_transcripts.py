@@ -11,7 +11,7 @@ from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT,
                         WITHHOLD_SHARES, Behavior, BroadcastBoard, run_ceremony)
 from fdkg.election import run_election
 from fdkg.groups import SECP256K1, TEST_GROUP
-from fdkg.protocol import ComplaintReveal, Params, ShareReveal
+from fdkg.protocol import Params
 
 
 def ceremony_with_faults(group):
@@ -84,18 +84,13 @@ class TestErrors:
 
 def every_kind_entries(group) -> dict:
     """kind -> (line, message) of the first message of that kind, over a
-    faulty ceremony, an election and a complaint against one of the
-    ceremony's dealers."""
+    faulty ceremony and an election."""
     _, ceremony = ceremony_with_faults(group)
     election = run_election(Params(6, 2, 3), {i: Behavior() for i in range(1, 7)},
                             {1: 1, 2: 2}, 2, group, seed=56)
     board = BroadcastBoard()
     for e in ceremony.board.entries() + election.board.entries():
         board.append(e.sender, e.round, e.message)
-    share = next(e.message for e in ceremony.board.entries(2)
-                 if isinstance(e.message, ShareReveal))
-    board.append(share.sender, 2, ComplaintReveal(share.sender, share.dealer,
-                                                  share.value, share.proof))
     out = {}
     for entry, line in zip(board.entries(), transcripts.export_lines(board, group)):
         out.setdefault(json.loads(line)["message"]["kind"], (line, entry.message))
@@ -112,7 +107,7 @@ def lines(every_kind):
     return {kind: line for kind, (line, _) in every_kind.items()}
 
 
-KINDS = ["deal", "secret", "share", "complaint", "ballot", "pdecrypt"]
+KINDS = [kind for kind, _ in transcripts.MESSAGES.values()]
 
 
 def _canonical(record) -> str:
@@ -123,6 +118,20 @@ def _edited(line, edit) -> str:
     record = json.loads(line)
     edit(record)
     return _canonical(record)
+
+
+def test_every_layout_type_reachable_from_a_message():
+    """LAYOUT lays out no type that no board message holds."""
+    reached, todo = set(), list(transcripts.MESSAGES)
+    while todo:
+        cls = todo.pop()
+        if cls not in reached:
+            reached.add(cls)
+            for _, codec, _ in transcripts.LAYOUT[cls]:
+                item = codec[1] if isinstance(codec, tuple) else codec
+                if isinstance(item, type):
+                    todo.append(item)
+    assert reached == set(transcripts.LAYOUT)
 
 
 class TestEveryKind:
@@ -154,6 +163,12 @@ class TestStrictImport:
     def test_scalar_must_be_an_int(self, lines, value):
         def edit(record):
             record["message"]["value"] = value
+        self._rejects(_edited(lines["share"], edit))
+
+    def test_complaint_kind_rejected(self, lines):
+        # guardians post every share as a share; the complaint kind is gone
+        def edit(record):
+            record["message"]["kind"] = "complaint"
         self._rejects(_edited(lines["share"], edit))
 
     def test_not_json(self):

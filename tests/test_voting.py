@@ -299,8 +299,9 @@ class TestRunElection:
                                                   success, counts, failed):
         """Dealer 1's deal passes round 1, but the shares it encrypts to the
         guardians in `bad` are off by one; dealer 1 is absent at the tally.
-        Those guardians complain instead of revealing, so the tally completes
-        while t consistent shares remain and names dealer 1 otherwise."""
+        Their shares are judged inconsistent and do not count, so the tally
+        completes while t consistent shares remain and names dealer 1
+        otherwise."""
         real_deal, real_share = protocol.round1_deal, shamir.share_secret
 
         def off_by_one(secret, t, indices, rng, q):
@@ -322,8 +323,11 @@ class TestRunElection:
         result = run_election(Params(5, 2, 3), behaviors, votes, 2, curve, seed=3,
                               guardian_sets=sets)
         assert 1 in result.public_state.participants
-        complaints = {(e.sender, e.message.dealer) for e in result.board.entries(3)
-                      if isinstance(e.message, protocol.ComplaintReveal)}
+        round3 = [e.message for e in result.board.entries(3)]
+        verdicts = protocol.judge_reveals(result.public_state, round3, curve,
+                                          voting.TALLY_CONTEXT)
+        complaints = {(m.sender, m.dealer) for m, v in zip(round3, verdicts)
+                      if v is protocol.Verdict.INCONSISTENT}
         assert complaints == {(j, 1) for j in bad}
         assert result.success is success
         assert result.failed_dealers == failed
