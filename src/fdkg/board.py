@@ -150,7 +150,7 @@ def _malform(msg: DealMessage, group) -> DealMessage:
     bad = pke.PkeCiphertext(ct.c1, group.mul(ct.c2, group.generator()), ct.delta)
     cts = dict(msg.ciphertexts)
     cts[victim] = bad
-    return DealMessage(msg.dealer, msg.partial_pk, msg.guardians, cts, msg.proofs)
+    return DealMessage(msg.dealer, cts, msg.proofs)
 
 
 def deal_round(params: Params, behaviors: dict, group, seed: int,

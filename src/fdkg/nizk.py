@@ -1,13 +1,13 @@
 """Fiat-Shamir sigma-protocol proofs.
 
-Relations covered: discrete log (partial-secret reveals), DLEQ
-(partial decryptions, share-decryption link), ciphertext well-formedness
-(per-share representation proofs inside a deal), Feldman coefficient
-commitments with the check of a revealed share against them, and the
-disjunctive ballot proof.  `verify_share_decryptions` checks a revealed
-share's decryption proof and its Feldman equation in the same batch; the
-commitments are fixed by the dealer's accepted deal before any share is
-revealed.
+Relations covered: DLEQ (partial decryptions, share-decryption link),
+ciphertext well-formedness (per-share representation proofs inside a
+deal), Feldman coefficient commitments with the check of a revealed share
+against them, and the disjunctive ballot proof.  A revealed partial
+secret needs no proof: it is checked against its partial pk in the clear.
+`verify_share_decryptions` checks a revealed share's decryption proof and
+its Feldman equation in the same batch; the commitments are fixed by the
+dealer's accepted deal before any share is revealed.
 
 Challenges are sha256 over a domain tag, the caller-supplied context bytes
 and the length-prefixed canonical encodings of all statement/commitment
@@ -88,27 +88,6 @@ def _all_hold(group, context: bytes, equations) -> bool:
 def _canonical(group, *scalars) -> bool:
     q = group.order
     return all(0 <= s < q for s in scalars)
-
-
-@dataclass(frozen=True)
-class DlProof:
-    commitment: object
-    response: int
-
-
-def prove_dl(group, witness: int, statement, context: bytes, rng) -> DlProof:
-    w = rng.randrange(group.order)
-    commitment = group.base_exp(w)
-    e = _challenge(group, "dl", context, statement, commitment)
-    return DlProof(commitment, (w + e * witness) % group.order)
-
-
-def verify_dl(group, statement, proof: DlProof, context: bytes) -> bool:
-    if not _canonical(group, proof.response):
-        return False
-    e = _challenge(group, "dl", context, statement, proof.commitment)
-    return _all_hold(group, context, [
-        [(group.generator(), proof.response), (proof.commitment, -1), (statement, -e)]])
 
 
 @dataclass(frozen=True)

@@ -61,15 +61,26 @@ class GuardianSet:
 
 @dataclass(frozen=True)
 class DealMessage:
+    """A PVSS deal: one share ciphertext per guardian, keyed by its party
+    index, and the Feldman commitments with their proofs.  The guardian
+    set is the key set of `ciphertexts`, and the partial pk is A_0, which
+    `verify_deal` requires to exist."""
+
     dealer: int
-    partial_pk: object
-    guardians: GuardianSet
     ciphertexts: dict  # guardian index -> PkeCiphertext
     proofs: nizk.DealProofBundle
 
     @property
     def commitments(self) -> nizk.FeldmanCommitments:
         return self.proofs.commitments
+
+    @property
+    def partial_pk(self):
+        return self.commitments.commitments[0]
+
+    @property
+    def guardians(self) -> GuardianSet:
+        return GuardianSet(self.dealer, frozenset(self.ciphertexts))
 
 
 @dataclass(frozen=True)
@@ -99,14 +110,13 @@ class PublicState:
     candidates: dict = field(default_factory=dict, compare=False, repr=False)
 
     def guardian_sets(self) -> dict:
-        return {i: self.deals[i].guardians.members for i in self.participants}
+        return {i: frozenset(self.deals[i].ciphertexts) for i in self.participants}
 
 
 @dataclass(frozen=True)
 class SecretReveal:
     sender: int
     value: int
-    proof: nizk.DlProof
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,6 @@ class Verdict(Enum):
     NOT_A_GUARDIAN = "not a guardian"  # of the named dealer's accepted deal
     OUT_OF_RANGE = "value outside [0, q)"
     PK_MISMATCH = "value does not match partial pk"
-    BAD_DL_PROOF = "bad DL proof"
     BAD_DLEQ = "bad DLEQ"
     INCONSISTENT = "share inconsistent with commitments"  # the dealer's fault
 
@@ -162,14 +171,7 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
     context = _deal_binding(group, me)
     bundle = nizk.prove_deal(group, poly, guardian_keys, randomness,
                              ciphertexts, context, rng)
-    message = DealMessage(
-        dealer=me,
-        partial_pk=group.base_exp(d),
-        guardians=guardians,
-        ciphertexts=dict(zip(indices, ciphertexts)),
-        proofs=bundle,
-    )
-    return message, DealerState(me, d, poly)
+    return DealMessage(me, dict(zip(indices, ciphertexts)), bundle), DealerState(me, d, poly)
 
 
 def _deal_binding(group, dealer: int) -> bytes:
@@ -180,15 +182,10 @@ def verify_deal_message(msg: DealMessage, params: Params, pki: dict, group) -> b
     if not 1 <= msg.dealer <= params.n:
         return False
     try:
-        GuardianSet.create(msg.dealer, msg.guardians.members, params)
+        GuardianSet.create(msg.dealer, msg.ciphertexts, params)
     except InvalidGuardianSetError:
         return False
-    indices = sorted(msg.guardians.members)
-    if sorted(msg.ciphertexts) != indices:
-        return False
-    commitments = msg.proofs.commitments.commitments
-    if not commitments or group.encode(commitments[0]) != group.encode(msg.partial_pk):
-        return False
+    indices = sorted(msg.ciphertexts)
     guardian_keys = [(j, pki[j]) for j in indices]
     ciphertexts = [msg.ciphertexts[j] for j in indices]
     return nizk.verify_deal(group, params.t, guardian_keys, ciphertexts,
@@ -217,11 +214,12 @@ def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
 def round2_reveal_secret(me: int, dealer_state: DealerState,
                          public_state: PublicState, context: bytes,
                          group, rng) -> SecretReveal:
+    """The dealer's partial secret in the clear; the judge checks it
+    against the partial pk.  `context`, `group` and `rng` are unused and
+    kept because `perfbench/workloads.py` calls this positionally."""
     if me not in public_state.participants:
         raise NotAParticipantError(f"party {me} is not in the participant set")
-    proof = nizk.prove_dl(group, dealer_state.partial_secret,
-                          public_state.deals[me].partial_pk, context, rng)
-    return SecretReveal(me, dealer_state.partial_secret, proof)
+    return SecretReveal(me, dealer_state.partial_secret)
 
 
 def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
@@ -232,22 +230,20 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     out = []
     for dealer in public_state.participants:
         record = public_state.deals[dealer]
-        if me in record.guardians.members:
+        if me in record.ciphertexts:
             share, proof = nizk.prove_share_decryption(
                 group, sk_me, public_state.pki[me], record.ciphertexts[me], context, rng)
             out.append(ShareReveal(me, dealer, share, proof))
     return out
 
 
-def _secret_verdict(record, msg: SecretReveal, group, context: bytes) -> Verdict:
+def _secret_verdict(record, msg: SecretReveal, group) -> Verdict:
     if record is None:
         return Verdict.NOT_A_PARTICIPANT
     if not 0 <= msg.value < group.order:
         return Verdict.OUT_OF_RANGE
     if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
         return Verdict.PK_MISMATCH
-    if not nizk.verify_dl(group, record.partial_pk, msg.proof, context):
-        return Verdict.BAD_DL_PROOF
     return Verdict.ACCEPTED
 
 
@@ -270,10 +266,10 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
     claimed = []
     for msg in fresh.values():
         if isinstance(msg, SecretReveal):
-            verdict = _secret_verdict(deals.get(msg.sender), msg, group, context)
+            verdict = _secret_verdict(deals.get(msg.sender), msg, group)
         elif not isinstance(msg, ShareReveal):
             verdict = Verdict.NOT_A_REVEAL
-        elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].guardians.members:
+        elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].ciphertexts:
             verdict = Verdict.NOT_A_GUARDIAN
         elif not 0 <= msg.value < group.order:
             verdict = Verdict.OUT_OF_RANGE

@@ -21,10 +21,9 @@ class TranscriptError(Exception):
     pass
 
 
-# codecs: a group element as hex, an int, a frozenset as a sorted list of
-# ints, a laid-out type, (LIST, codec) and (DICT, codec) for a dict keyed by
-# ints written as strings
-ELEM, INT, SET, LIST, DICT = "elem", "int", "set", "list", "dict"
+# codecs: a group element as hex, an int, a laid-out type, (LIST, codec) and
+# (DICT, codec) for a dict keyed by ints written as strings
+ELEM, INT, LIST, DICT = "elem", "int", "list", "dict"
 
 # type -> its fields, each (attribute, codec) or (attribute, codec, JSON key);
 # the key defaults to the attribute's name, and a None key writes the nested
@@ -32,7 +31,6 @@ ELEM, INT, SET, LIST, DICT = "elem", "int", "set", "list", "dict"
 LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fields)
           for cls, fields in {
     pke.PkeCiphertext: (("c1", ELEM), ("c2", ELEM), ("delta", INT)),
-    nizk.DlProof: (("commitment", ELEM), ("response", INT)),
     nizk.DleqProof: (("commitment_1", ELEM, "c1"), ("commitment_2", ELEM, "c2"),
                      ("response", INT)),
     nizk.ShareDecryptionProof: (("mask", ELEM), ("dleq", nizk.DleqProof)),
@@ -44,12 +42,9 @@ LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fiel
     nizk.BallotBranch: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
                         ("challenge", INT), ("response", INT)),
     nizk.BallotProof: (("branches", (LIST, nizk.BallotBranch)),),
-    protocol.GuardianSet: (("owner", INT, "dealer"), ("members", SET, "guardians")),
-    # the guardian set's owner is written first, so the deal's own dealer wins
-    protocol.DealMessage: (("guardians", protocol.GuardianSet, None), ("dealer", INT),
-                           ("partial_pk", ELEM), ("ciphertexts", (DICT, pke.PkeCiphertext)),
+    protocol.DealMessage: (("dealer", INT), ("ciphertexts", (DICT, pke.PkeCiphertext)),
                            ("proofs", nizk.DealProofBundle, None)),
-    protocol.SecretReveal: (("sender", INT), ("value", INT), ("proof", nizk.DlProof)),
+    protocol.SecretReveal: (("sender", INT), ("value", INT)),
     protocol.ShareReveal: (("sender", INT), ("dealer", INT), ("value", INT),
                            ("proof", nizk.ShareDecryptionProof)),
     voting.Ballot: (("voter", INT), ("a", ELEM), ("b", ELEM), ("proof", nizk.BallotProof, None)),
@@ -71,8 +66,6 @@ def _encode(group, codec, value):
         return group.encode(value).hex()
     if codec is INT:
         return value
-    if codec is SET:
-        return sorted(value)
     if isinstance(codec, tuple):
         shape, item = codec
         if shape is LIST:
@@ -96,8 +89,6 @@ def _decode(group, codec, obj):
         return group.decode(bytes.fromhex(_typed(obj, str)))
     if codec is INT:
         return _typed(obj, int)
-    if codec is SET:
-        return frozenset(_typed(j, int) for j in _typed(obj, list))
     if isinstance(codec, tuple):
         shape, item = codec
         if shape is LIST:

@@ -116,7 +116,8 @@ def verify_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> b
 
 
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
-    """Drop ballots with invalid proofs; componentwise product of the rest.
+    """Componentwise product of the first ballot with a valid proof per
+    voter; the rest are dropped.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
@@ -124,7 +125,7 @@ def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     c1, c2 = group.identity(), group.identity()
     accepted = []
     for ballot in ballots:
-        if not verify_ballot(group, encoding, global_pk, ballot):
+        if ballot.voter in accepted or not verify_ballot(group, encoding, global_pk, ballot):
             continue
         c1 = group.mul(c1, ballot.a)
         c2 = group.mul(c2, ballot.b)

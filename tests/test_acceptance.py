@@ -438,17 +438,6 @@ def _fuzz_relation(make_case, rng):
     assert attempted >= MUTATIONS_PER_RELATION
 
 
-def _dl_case(rng):
-    w = rng.randrange(GROUP.order)
-    stmt = GROUP.base_exp(w)
-    proof = nizk.prove_dl(GROUP, w, stmt, CTX, rng)
-    fields = [("elem", proof.commitment), ("scalar", proof.response)]
-
-    def verify(values):
-        return nizk.verify_dl(GROUP, stmt, nizk.DlProof(values[0], values[1]), CTX)
-    return fields, verify
-
-
 def _dleq_case(rng):
     q = GROUP.order
     w = rng.randrange(q)
@@ -541,7 +530,6 @@ def test_c9_crypto_property_suites():
             for subset in itertools.combinations(shares, t):
                 assert shamir.reconstruct(list(subset), t, q) == secret
 
-    for case in (_dl_case, _dleq_case, _share_decryption_case,
-                 _representation_case, _ballot_case):
+    for case in (_dleq_case, _share_decryption_case, _representation_case, _ballot_case):
         _fuzz_relation(lambda: case(rng), rng)
     assert time.perf_counter() - start < budget_s

@@ -378,15 +378,17 @@ class TestOperationCounts:
 
     @staticmethod
     def dl_equations(count):
-        """The verification equations of `count` DL proofs, as `verify_dl` writes them."""
+        """The verification equations G^z = R * X^c of `count` Schnorr proofs
+        of knowledge of x in X = G^x, with nonce w, R = G^w and z = w + c*x."""
         rng = random.Random(9)
         out = []
         for _ in range(count):
             x = rng.randrange(1, Q)
             X = SECP256K1.base_exp(x)
-            proof = nizk.prove_dl(SECP256K1, x, X, b"ctx", rng)
-            c = nizk._challenge(SECP256K1, "dl", b"ctx", X, proof.commitment)
-            out.append([(SECP256K1.generator(), proof.response), (proof.commitment, -1), (X, -c)])
+            w = rng.randrange(Q)
+            R = SECP256K1.base_exp(w)
+            c = nizk._challenge(SECP256K1, "dl", b"ctx", X, R)
+            out.append([(SECP256K1.generator(), (w + c * x) % Q), (R, -1), (X, -c)])
         return out
 
     def test_verify_dl_equation(self, counts):

@@ -12,37 +12,6 @@ def bump(group, elem):
     return group.mul(elem, group.generator())
 
 
-class TestDlProof:
-    def test_identity_statement(self, group, rng):
-        proof = nizk.prove_dl(group, 0, group.identity(), CTX, rng)
-        assert nizk.verify_dl(group, group.identity(), proof, CTX)
-
-    def test_honest_roundtrip(self, group, rng):
-        for _ in range(50):
-            w = rng.randrange(group.order)
-            stmt = group.base_exp(w)
-            proof = nizk.prove_dl(group, w, stmt, CTX, rng)
-            assert nizk.verify_dl(group, stmt, proof, CTX)
-
-    def test_wrong_statement_fails(self, group, rng):
-        w = rng.randrange(group.order)
-        proof = nizk.prove_dl(group, w, group.base_exp(w), CTX, rng)
-        assert not nizk.verify_dl(group, group.base_exp(w + 1), proof, CTX)
-
-    def test_context_binding(self, group, rng):
-        w = rng.randrange(group.order)
-        stmt = group.base_exp(w)
-        proof = nizk.prove_dl(group, w, stmt, CTX, rng)
-        assert not nizk.verify_dl(group, stmt, proof, b"other-context")
-
-    def test_deterministic(self, group):
-        w = 321
-        stmt = group.base_exp(w)
-        a = nizk.prove_dl(group, w, stmt, CTX, random.Random(5))
-        b = nizk.prove_dl(group, w, stmt, CTX, random.Random(5))
-        assert a == b
-
-
 class TestDleqProof:
     def _setup(self, group, rng, w=None):
         q = group.order
@@ -322,14 +291,6 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
 class TestCanonicalScalars:
     """A scalar shifted by q satisfies every equation mod q; verifiers must
     still reject it, so each wire value has one accepted encoding."""
-
-    def test_dl_response_plus_q(self, group, rng):
-        w = rng.randrange(group.order)
-        stmt = group.base_exp(w)
-        proof = nizk.prove_dl(group, w, stmt, CTX, rng)
-        assert nizk.verify_dl(group, stmt, proof, CTX)
-        shifted = nizk.DlProof(proof.commitment, proof.response + group.order)
-        assert not nizk.verify_dl(group, stmt, shifted, CTX)
 
     def test_dleq_response_plus_q(self, group, rng):
         q = group.order

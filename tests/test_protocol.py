@@ -89,16 +89,21 @@ class TestRound1:
         cts = dict(msg.ciphertexts)
         ct = cts[2]
         cts[2] = pke.PkeCiphertext(ct.c1, group.mul(ct.c2, group.generator()), ct.delta)
-        bad = DealMessage(msg.dealer, msg.partial_pk, msg.guardians, cts, msg.proofs)
+        bad = DealMessage(msg.dealer, cts, msg.proofs)
         assert not protocol.verify_deal_message(bad, params, pub, group)
 
-    def test_partial_pk_commitment_mismatch_rejected(self, group, rng):
+    @pytest.mark.parametrize("members", [{2, 3}, {2, 3, 4, 5}, {1, 3, 5}, {2, 3, 11}],
+                             ids=["k-1 keys", "k+1 keys", "dealer's own index", "index n+1"])
+    def test_deal_to_invalid_guardian_keys_rejected(self, group, rng, members):
+        """Dealer 1's deal to `members`, with every proof honest for its
+        ciphertext keys: only the check of the keys as a guardian set of
+        size k within 1..n, the dealer left out, rejects it."""
         params = Params(10, 2, 3)
-        pki, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 5}})
-        msg = messages[0]
-        bad = DealMessage(msg.dealer, group.mul(msg.partial_pk, group.generator()),
-                          msg.guardians, msg.ciphertexts, msg.proofs)
-        assert not protocol.verify_deal_message(bad, params, pub, group)
+        pub = {i: kp.pk for i, kp in make_pki(group, rng, params.n + 1).items()}
+        msg, _ = protocol.round1_deal(1, params, GuardianSet(1, frozenset(members)),
+                                      pub, group, rng)
+        assert sorted(msg.ciphertexts) == sorted(members)
+        assert not protocol.verify_deal_message(msg, params, pub, group)
 
 
 class TestProcessRound1:
@@ -125,8 +130,7 @@ class TestProcessRound1:
         pki, pub, messages, _, _ = run_round1(
             group, rng, params, {1: {2, 3, 4}, 2: {3, 4, 5}})
         msg = messages[1]
-        bad = DealMessage(msg.dealer, group.mul(msg.partial_pk, group.generator()),
-                          msg.guardians, msg.ciphertexts, msg.proofs)
+        bad = DealMessage(msg.dealer, {j: msg.ciphertexts[j] for j in (3, 4)}, msg.proofs)
         public = protocol.process_round1([messages[0], bad], params, pub, group)
         assert public.participants == (1,)
 
@@ -141,8 +145,7 @@ class TestProcessRound1:
         params = Params(6, 2, 3)
         _, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 4}})
         msg = messages[0]
-        bad = DealMessage(dealer, msg.partial_pk, GuardianSet(dealer, msg.guardians.members),
-                          msg.ciphertexts, msg.proofs)
+        bad = DealMessage(dealer, msg.ciphertexts, msg.proofs)
         assert not protocol.verify_deal_message(bad, params, pub, group)
         public = protocol.process_round1([bad, msg], params, pub, group)
         assert public.participants == (1,)
@@ -232,9 +235,8 @@ class TestRound2AndReconstruct:
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         wrong = states[1].partial_secret + 1
-        proof = nizk.prove_dl(group, wrong, group.base_exp(wrong), CTX, rng)
         outcome = protocol.offline_reconstruct(
-            public, [SecretReveal(1, wrong, proof)] + reveals, params, group, CTX)
+            public, [SecretReveal(1, wrong)] + reveals, params, group, CTX)
         assert outcome.success
         assert outcome.recovered[1] == ("shares", (3, 5))
 
@@ -247,14 +249,14 @@ class TestRound2AndReconstruct:
         assert a == b
 
 
-def forged_reveal(case, group, rng, public, reveals):
+def forged_reveal(case, group, public, reveals):
     """A round-2 message that `judge_reveals` rejects for the reason `case`
     names, built from the example scenario's reveals with {3, 5, 7} present."""
     q = group.order
     share = next(m for m in reveals if isinstance(m, ShareReveal) and m.dealer == 1)
     secret = next(m for m in reveals if isinstance(m, SecretReveal) and m.sender == 3)
     if case == "secret from a non-dealer":
-        return SecretReveal(2, 7, nizk.prove_dl(group, 7, group.base_exp(7), CTX, rng))
+        return SecretReveal(2, 7)
     if case == "share from a non-guardian":
         return ShareReveal(4, 1, share.value, share.proof)
     if case == "share for a non-dealer":
@@ -262,15 +264,11 @@ def forged_reveal(case, group, rng, public, reveals):
     if case == "share plus q":
         return ShareReveal(share.sender, share.dealer, share.value + q, share.proof)
     if case == "secret plus q":
-        return SecretReveal(3, secret.value + q, secret.proof)
+        return SecretReveal(3, secret.value + q)
     if case == "negative share":
         return ShareReveal(share.sender, share.dealer, share.value - q, share.proof)
     if case == "wrong secret":
-        wrong = (secret.value + 1) % q
-        return SecretReveal(3, wrong, nizk.prove_dl(group, wrong, group.base_exp(wrong), CTX, rng))
-    if case == "forged DL proof":
-        return SecretReveal(3, secret.value, nizk.DlProof(secret.proof.commitment,
-                                                          (secret.proof.response + 1) % q))
+        return SecretReveal(3, (secret.value + 1) % q)
     if case == "wrong share":
         return ShareReveal(share.sender, share.dealer, (share.value + 1) % q, share.proof)
     if case == "forged DLEQ":
@@ -295,7 +293,6 @@ class TestVerdicts:
         ("secret plus q", Verdict.OUT_OF_RANGE),
         ("negative share", Verdict.OUT_OF_RANGE),
         ("wrong secret", Verdict.PK_MISMATCH),
-        ("forged DL proof", Verdict.BAD_DL_PROOF),
         ("wrong share", Verdict.BAD_DLEQ),
         ("forged DLEQ", Verdict.BAD_DLEQ),
         ("deal in round 2", Verdict.NOT_A_REVEAL),
@@ -305,7 +302,7 @@ class TestVerdicts:
     def test_rejection_reason(self, group, rng, case, reason):
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
-        bad = forged_reveal(case, group, rng, public, reveals)
+        bad = forged_reveal(case, group, public, reveals)
         verdicts = protocol.judge_reveals(public, [bad] + reveals, group, CTX)
         assert verdicts == [reason] + [Verdict.ACCEPTED] * len(reveals)
         honest = protocol.offline_reconstruct(public, reveals, params, group, CTX)
@@ -316,8 +313,8 @@ class TestVerdicts:
     def test_reason_texts(self):
         assert [v.value for v in Verdict] == [
             "accepted", "not a round-2 reveal", "not a participant", "not a guardian",
-            "value outside [0, q)", "value does not match partial pk", "bad DL proof",
-            "bad DLEQ", "share inconsistent with commitments"]
+            "value outside [0, q)", "value does not match partial pk", "bad DLEQ",
+            "share inconsistent with commitments"]
 
     def test_inconsistent_share(self, group, rng):
         public, share = inconsistent_share(group, rng)
@@ -329,7 +326,7 @@ class TestVerdicts:
         case there since it excludes the dealer and so changes the outcome."""
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
-        forged = [forged_reveal(case, group, rng, public, reveals) for case, _ in self.CASES]
+        forged = [forged_reveal(case, group, public, reveals) for case, _ in self.CASES]
         produced = set(protocol.judge_reveals(public, forged, group, CTX))
         bad_public, share = inconsistent_share(group, rng)
         produced.update(protocol.judge_reveals(bad_public, [share], group, CTX))
@@ -339,8 +336,10 @@ class TestVerdicts:
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         assert set(protocol.judge_reveals(public, reveals, group, CTX)) == {Verdict.ACCEPTED}
+        # a secret carries no proof, so only the shares' proofs fail there
         other = protocol.judge_reveals(public, reveals, group, b"another context")
-        assert Verdict.BAD_DL_PROOF in other and Verdict.BAD_DLEQ in other
+        assert other == [Verdict.ACCEPTED if isinstance(m, SecretReveal) else Verdict.BAD_DLEQ
+                         for m in reveals]
         assert set(protocol.judge_reveals(public, reveals, group, CTX)) == {Verdict.ACCEPTED}
 
     def test_equal_copy_judged_again(self, group, rng, monkeypatch):
@@ -348,10 +347,10 @@ class TestVerdicts:
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         protocol.judge_reveals(public, reveals, group, CTX)
         calls = []
-        real = nizk.verify_dl
-        monkeypatch.setattr(nizk, "verify_dl", lambda *a: calls.append(a) or real(*a))
+        real = protocol._secret_verdict
+        monkeypatch.setattr(protocol, "_secret_verdict", lambda *a: calls.append(a) or real(*a))
         secret = next(m for m in reveals if isinstance(m, SecretReveal))
-        copy = SecretReveal(secret.sender, secret.value, secret.proof)
+        copy = SecretReveal(secret.sender, secret.value)
         assert protocol.judge_reveals(public, [secret, copy], group, CTX) == [Verdict.ACCEPTED] * 2
         assert len(calls) == 1
 
@@ -371,9 +370,7 @@ def bad_deal(group, rng, params, pub):
     guardian_keys = [(j, pub[j]) for j in indices]
     bundle = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
                              protocol._deal_binding(group, 1), rng)
-    gset = GuardianSet.create(1, set(indices), params)
-    msg = DealMessage(1, group.base_exp(d), gset, dict(zip(indices, cts)), bundle)
-    return msg, d
+    return DealMessage(1, dict(zip(indices, cts)), bundle), d
 
 
 def inconsistent_share(group, rng):
@@ -504,7 +501,7 @@ class TestCanonicalReveals:
         cts = dict(msg.ciphertexts)
         ct = cts[3]
         cts[3] = pke.PkeCiphertext(ct.c1, ct.c2, ct.delta + group.order)
-        bad = DealMessage(msg.dealer, msg.partial_pk, msg.guardians, cts, msg.proofs)
+        bad = DealMessage(msg.dealer, cts, msg.proofs)
         assert protocol.verify_deal_message(msg, params, pub, group)
         assert not protocol.verify_deal_message(bad, params, pub, group)
 
@@ -518,7 +515,7 @@ class TestCanonicalReveals:
     def test_secret_value_plus_q_rejected(self, group, rng):
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
-        shifted = [SecretReveal(m.sender, m.value + group.order, m.proof)
+        shifted = [SecretReveal(m.sender, m.value + group.order)
                    if isinstance(m, SecretReveal) and m.sender == 3 else m
                    for m in reveals]
         outcome = protocol.offline_reconstruct(public, shifted, params, group, CTX)
@@ -567,19 +564,19 @@ class TestBatchedReveals:
         sets = {1: {2, 3, 4}, 2: {3, 4, 5}, 3: {1, 4, 5}, 4: {1, 2, 5}, 5: {1, 2, 3}}
         pki, _, _, states, public = run_round1(group, rng, params, sets)
         reveals = scenario_reveals(group, rng, params, pki, states, public, set(sets))
-        dleq_checks, dl_checks = Counter(), Counter()
-        real_dleq, real_dl = nizk._dleq_equations, nizk.verify_dl
+        dleq_checks, secret_checks = Counter(), Counter()
+        real_dleq, real_secret = nizk._dleq_equations, protocol._secret_verdict
 
         def counting_dleq(group, base1, out1, base2, out2, proof, context):
             dleq_checks[proof] += 1
             return real_dleq(group, base1, out1, base2, out2, proof, context)
 
-        def counting_dl(group, statement, proof, context):
-            dl_checks[proof] += 1
-            return real_dl(group, statement, proof, context)
+        def counting_secret(record, msg, group):
+            secret_checks[msg] += 1
+            return real_secret(record, msg, group)
 
         monkeypatch.setattr(nizk, "_dleq_equations", counting_dleq)
-        monkeypatch.setattr(nizk, "verify_dl", counting_dl)
+        monkeypatch.setattr(protocol, "_secret_verdict", counting_secret)
         parties = sorted(sets)
         for size in range(len(parties) + 1):
             for corrupted in itertools.combinations(parties, size):
@@ -591,10 +588,10 @@ class TestBatchedReveals:
         assert len(public.verdicts) == 20
         assert protocol.judge_reveals(public, reveals, group, CTX) == [Verdict.ACCEPTED] * 20
         share_proofs = [m.proof.dleq for m in reveals if isinstance(m, ShareReveal)]
-        secret_proofs = [m.proof for m in reveals if isinstance(m, SecretReveal)]
-        assert len(share_proofs) == 15 and len(secret_proofs) == 5
+        secrets = [m for m in reveals if isinstance(m, SecretReveal)]
+        assert len(share_proofs) == 15 and len(secrets) == 5
         assert dleq_checks == Counter(share_proofs)
-        assert dl_checks == Counter(secret_proofs)
+        assert secret_checks == Counter(secrets)
 
 
 def outcome_digest(public, reveals, params, group, parties):
@@ -644,7 +641,7 @@ class TestOutcomePins:
         assert outcome_digest(public, reveals, params, group, parties) == SECP_PIN
 
 
-MODP_PIN = "b6dd524d52446d11b3a3eda47d6e9338bf05388f686b9d7e0447fd180796be2c"
+MODP_PIN = "b6f84f42401e98c4d8e7b18673b66d7dd7bb9503ac39dbcedabe4f634f3bcf3e"
 SECP_PIN = "89b20191d10c9af9958339c474319c0347a2c1e2c46fb11b9fca29ff7484060e"
 
 

@@ -134,6 +134,21 @@ def test_every_layout_type_reachable_from_a_message():
     assert reached == set(transcripts.LAYOUT)
 
 
+def _message_keys(cls) -> list:
+    """The JSON keys a `cls` writes at its own level, those of each nested
+    type laid out with a None key included."""
+    keys = []
+    for _, codec, key in transcripts.LAYOUT[cls]:
+        keys += _message_keys(codec) if key is None else [key]
+    return keys
+
+
+@pytest.mark.parametrize("cls", list(transcripts.MESSAGES), ids=lambda cls: cls.__name__)
+def test_no_key_written_twice(cls):
+    keys = ["kind"] + _message_keys(cls)
+    assert len(keys) == len(set(keys)), keys
+
+
 class TestEveryKind:
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip(self, every_kind, kind):
@@ -182,8 +197,23 @@ class TestStrictImport:
 
     def test_missing_key(self, lines):
         def edit(record):
-            del record["message"]["proof"]
+            del record["message"]["value"]
         self._rejects(_edited(lines["secret"], edit))
+
+    @pytest.mark.parametrize("kind,key", [("deal", "partial_pk"), ("deal", "guardians"),
+                                          ("secret", "proof")])
+    def test_dropped_field_rejected(self, lines, kind, key):
+        """A deal's partial pk and guardian set are its A_0 and its
+        ciphertext keys, and a secret is checked without a proof: none of
+        the three is a key of its line."""
+        deal = json.loads(lines["deal"])["message"]
+        value = {"partial_pk": deal["commitments"][0],
+                 "guardians": sorted(int(j) for j in deal["ciphertexts"]),
+                 "proof": {"commitment": deal["commitments"][0], "response": 1}}[key]
+
+        def edit(record):
+            record["message"][key] = value
+        self._rejects(_edited(lines[kind], edit))
 
     def test_upper_case_hex(self, lines):
         hex_value = re.compile(r'(?<=:")[0-9a-f]*[a-f][0-9a-f]*(?=")')
@@ -284,9 +314,9 @@ class TestSecp256k1Pins:
         result = run_ceremony(params, behaviors, SECP256K1, seed=2025)
         assert result.outcome.success
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 17253)
+        assert (len(lines), sum(map(len, lines))) == (21, 16020)
         assert _lines_digest(lines) == \
-            "4f8945d9d28b24406356bb8cb72e61adace1529952b6fa9d975affc0fe4aa1cb"
+            "db5e233848f8310b1552b8235a004e2f976a2192d0de73bd04d5d7a4618d39e5"
 
     def test_election_transcript_bytes(self):
         params = Params(4, 2, 2)
@@ -296,7 +326,7 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (1, 2)
         lines = transcripts.export_lines(result.board, SECP256K1)
         assert _lines_digest(lines) == \
-            "dab90499971edab64a6e1d48d4526f7c90311bc721fe45246a6cb57ac4896b84"
+            "b8914f71e023b8b06a54c43b402c27e87abb57de62b1aba85617afaee1bee4a3"
 
     # n=6, t=2, k=3: party 1 absent in round 2, party 2 withholding its
     # share of dealer 1, party 4 dealing a malformed ciphertext
@@ -314,9 +344,9 @@ class TestSecp256k1Pins:
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         assert result.outcome.recovered[1] == ("shares", (3, 5))
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 18781)
+        assert (len(lines), sum(map(len, lines))) == (21, 17445)
         assert _lines_digest(lines) == \
-            "c6fe512dd3cd6f565a065027f8dfc2862af55f802d078129503cbabe3a221ade"
+            "df3c0618c4e57c55719b3020ed81e7dd6a9e1038da1809517548aaa669db3140"
 
     def test_election_fault_paths_bytes(self):
         votes = {1: 1, 2: 3, 3: 2, 4: 1, 5: 3, 6: 1, 7: 2}
@@ -326,6 +356,6 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (3, 2, 2)
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (28, 27465)
+        assert (len(lines), sum(map(len, lines))) == (28, 26853)
         assert _lines_digest(lines) == \
-            "fd41f55cf40eeac249fc89c748657e0152f493945992825d351d1efbbafbe13b"
+            "631491d19ac71aa4a2b6a4470f64068767cf319afee74a06542780c4091435b0"

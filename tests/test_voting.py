@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fdkg import protocol, shamir, voting
+from fdkg import protocol, shamir, transcripts, voting
 from fdkg.board import (ABSENT_ROUND2, WITHHOLD_SHARES, Behavior, run_ceremony)
 from fdkg.election import run_election
 from fdkg.groups import SECP256K1, TEST_GROUP
@@ -103,6 +103,38 @@ class TestBallots:
         agg, accepted = aggregate_ballots(
             group, enc, ceremony.public_state.global_pk, [])
         assert agg is None and accepted == ()
+
+
+@pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_repeated_ballot_counts_once(curve):
+    """Voter 1's ballot posted twice counts once, the first valid ballot per
+    voter: on the election's own ballots and on an imported transcript with
+    voter 1's round-2 line repeated, whose audit gives the same tally."""
+    params = Params(4, 2, 2)
+    result = run_election(params, {i: Behavior() for i in range(1, 5)},
+                          {1: 1, 2: 2, 3: 2}, 2, curve, seed=5)
+    assert result.success and result.tally.counts == (1, 2)
+    pk, enc = result.public_state.global_pk, result.encoding
+    ballots = [e.message for e in result.board.entries(2)]
+    honest = aggregate_ballots(curve, enc, pk, ballots)
+    assert honest[1] == (1, 2, 3)
+    assert aggregate_ballots(curve, enc, pk, ballots + [ballots[0]]) == honest
+
+    lines = transcripts.export_lines(result.board, curve)
+    first = next(i for i, e in enumerate(result.board.entries()) if e.round == 2)
+    board = transcripts.import_lines(lines[:first + 1] + lines[first:], curve)
+    public = protocol.process_round1([e.message for e in board.entries(1)], params,
+                                     result.public_state.pki, curve)
+    aggregate, accepted = aggregate_ballots(
+        curve, enc, public.global_pk, [e.message for e in board.entries(2)])
+    assert len(board.entries(2)) == 4 and (aggregate, accepted) == honest
+    posted = [e.message for e in board.entries(3)]
+    values = collect_decryption_values(
+        curve, public, aggregate.c1,
+        [m for m in posted if isinstance(m, voting.PartialDecryption)],
+        [m for m in posted if not isinstance(m, voting.PartialDecryption)],
+        voting.TALLY_CONTEXT, params.t)
+    assert tally_finalize(curve, aggregate, values, len(accepted), enc).counts == (1, 2)
 
 
 class TestPartialDecryption:
