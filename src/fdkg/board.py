@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from . import pke, protocol
-from .protocol import (DealMessage, GuardianSet, Params, PublicState,
-                       ReconstructionOutcome)
+from .protocol import (DealMessage, GuardianSet, InvalidGuardianSetError, Params,
+                       PublicState, ReconstructionOutcome)
 from .shamir import Polynomial
 
 
@@ -150,7 +150,7 @@ def _malform(msg: DealMessage, group) -> DealMessage:
     bad = pke.PkeCiphertext(ct.c1, group.mul(ct.c2, group.generator()), ct.delta)
     cts = dict(msg.ciphertexts)
     cts[victim] = bad
-    return DealMessage(msg.dealer, cts, msg.proofs)
+    return DealMessage(msg.dealer, cts, msg.commitments, msg.enc_proofs)
 
 
 def deal_round(params: Params, behaviors: dict, group, seed: int,
@@ -268,11 +268,10 @@ def ideal_functionality_run(params: Params, activations, group, seed: int) -> Id
             raise ActivationError(f"party {i} outside 1..n")
         if i in polynomials:
             continue  # already activated; ignore
-        guardians = frozenset(act.guardians)
-        if len(guardians) != params.k:
-            raise ActivationError(f"guardian set of {i} must have size {params.k}")
-        if i in guardians:
-            raise ActivationError(f"party {i} cannot guard itself")
+        try:
+            guardians = GuardianSet.create(i, act.guardians, params).members
+        except InvalidGuardianSetError as exc:
+            raise ActivationError(str(exc)) from exc
         if isinstance(act, HonestActivation):
             rng = child_rng(seed, i, _STREAM_ROUND1)
             coeffs = tuple(rng.randrange(q) for _ in range(params.t))

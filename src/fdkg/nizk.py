@@ -191,7 +191,7 @@ def prove_representation(group, k: int, r: int, pk, ct: PkeCiphertext,
     a = rng.randrange(group.order)
     b = rng.randrange(group.order)
     t1 = group.base_exp(a)
-    t2 = group.mul(group.exp(pk, a), group.base_exp(b))
+    t2 = multi_exp(group, [(pk, a), (group.generator(), b)])
     e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, ct.delta, t1, t2)
     return RepresentationProof(t1, t2, (a + e * k) % group.order, (b + e * r) % group.order)
 
@@ -214,47 +214,31 @@ def verify_representation(group, pk, ct: PkeCiphertext, proof: RepresentationPro
     return equations is not None and _all_hold(group, context, equations)
 
 
-@dataclass(frozen=True)
-class FeldmanCommitments:
+def commit_polynomial(group, poly: Polynomial) -> tuple:
     """A_l = G^{a_l} for every polynomial coefficient; A_0 is the partial pk."""
-
-    commitments: tuple
-
-    def __len__(self):
-        return len(self.commitments)
+    return tuple(group.base_exp(c) for c in poly.coefficients)
 
 
-def commit_polynomial(group, poly: Polynomial) -> FeldmanCommitments:
-    return FeldmanCommitments(tuple(group.base_exp(c) for c in poly.coefficients))
-
-
-def _feldman_equation(group, share: int, index: int, commitments: FeldmanCommitments):
+def _feldman_equation(group, share: int, index: int, commitments):
     equation = []
     power = 1
-    for a_l in commitments.commitments:
+    for a_l in commitments:
         equation.append((a_l, power))
         power = power * index % group.order
     equation.append((group.generator(), -share))
     return equation
 
 
-def guardian_check_share(group, share: int, index: int,
-                         commitments: FeldmanCommitments) -> bool:
+def guardian_check_share(group, share: int, index: int, commitments) -> bool:
     """True iff G^share = prod_l A_l^{index^l}."""
     return _all_hold(group, b"", [_feldman_equation(group, share, index, commitments)])
-
-
-@dataclass(frozen=True)
-class DealProofBundle:
-    commitments: FeldmanCommitments
-    encryption_proofs: tuple  # one RepresentationProof per ciphertext, guardian order
 
 
 def _deal_context(group, context, commitments, guardians, ciphertexts) -> bytes:
     # bind every sub-proof to the full deal statement
     h = hashlib.sha256()
     h.update(context)
-    for a_l in commitments.commitments:
+    for a_l in commitments:
         h.update(group.encode(a_l))
     for (idx, pk), ct in zip(guardians, ciphertexts):
         h.update(idx.to_bytes(4, "big"))
@@ -264,26 +248,28 @@ def _deal_context(group, context, commitments, guardians, ciphertexts) -> bytes:
 
 
 def prove_deal(group, polynomial: Polynomial, guardians, enc_randomness,
-               ciphertexts, context: bytes, rng) -> DealProofBundle:
-    """guardians: list of (party index, pke pk), aligned with the other lists."""
+               ciphertexts, context: bytes, rng) -> tuple:
+    """(commitments, proofs): the Feldman commitments and one
+    RepresentationProof per ciphertext.  guardians: list of (party index,
+    pke pk), aligned with the other lists."""
     commitments = commit_polynomial(group, polynomial)
     ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
     proofs = tuple(
         prove_representation(group, rand.k, rand.r, pk, ct, ctx, rng)
         for (idx, pk), rand, ct in zip(guardians, enc_randomness, ciphertexts)
     )
-    return DealProofBundle(commitments, proofs)
+    return commitments, proofs
 
 
-def verify_deal(group, t: int, guardians, ciphertexts, bundle: DealProofBundle,
+def verify_deal(group, t: int, guardians, ciphertexts, commitments, proofs,
                 context: bytes) -> bool:
-    if len(bundle.commitments) != t:
+    if len(commitments) != t:
         return False
-    if len(bundle.encryption_proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
+    if len(proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
         return False
-    ctx = _deal_context(group, context, bundle.commitments, guardians, ciphertexts)
+    ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
     equations = []
-    for (idx, pk), ct, proof in zip(guardians, ciphertexts, bundle.encryption_proofs):
+    for (idx, pk), ct, proof in zip(guardians, ciphertexts, proofs):
         found = _representation_equations(group, pk, ct, proof, ctx)
         if found is None:
             return False
@@ -299,77 +285,59 @@ class BallotBranch:
     response: int
 
 
-@dataclass(frozen=True)
-class BallotProof:
-    """OR-composition over the allowed vote exponents; the real branch is
-    hidden among simulated ones and the branch challenges sum to the master
-    challenge."""
-
-    branches: tuple
-
-
 class BallotProverError(Exception):
     """Vote exponent not in the allowed set."""
 
 
-def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
-                 allowed, context: bytes, rng) -> BallotProof:
+def _ballot_terms(group, pk, ballot, exponent: int, challenge: int, response: int):
+    """The two term lists of the ballot branch for `exponent`: their
+    products are the branch's commitments T1 = G^z A^-e and
+    T2 = pk^z (B / G^exponent)^-e."""
     a_elem, b_elem = ballot
+    g = group.generator()
+    return ([(g, response), (a_elem, -challenge)],
+            [(pk, response), (b_elem, -challenge), (g, exponent * challenge)])
+
+
+def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
+                 allowed, context: bytes, rng) -> tuple:
+    """The BallotBranches of an OR-composition over the allowed vote
+    exponents: the real branch is hidden among simulated ones and the
+    branch challenges sum to the master challenge."""
     allowed = list(allowed)
     try:
         real = allowed.index(vote_exponent)
     except ValueError:
         raise BallotProverError("vote exponent not in allowed set") from None
     q = group.order
-    g = group.generator()
-    branches = []
     w = rng.randrange(q)
-    for i, exponent in enumerate(allowed):
-        if i == real:
-            branches.append(None)  # filled in after the master challenge
-            continue
-        # simulated branch: pick challenge/response first, derive commitments
-        e_i = rng.randrange(q)
-        z_i = rng.randrange(q)
-        target = group.div(b_elem, group.base_exp(exponent))
-        t1 = group.div(group.base_exp(z_i), group.exp(a_elem, e_i))
-        t2 = group.div(group.exp(global_pk, z_i), group.exp(target, e_i))
-        branches.append((t1, t2, e_i, z_i))
-    t1_real = group.base_exp(w)
-    t2_real = group.exp(global_pk, w)
-    parts = [global_pk, a_elem, b_elem]
-    for i in range(len(allowed)):
-        if i == real:
-            parts.extend([t1_real, t2_real])
-        else:
-            parts.extend([branches[i][0], branches[i][1]])
-    master = _challenge(group, "ballot", context, *parts)
-    e_real = (master - sum(br[2] for br in branches if br is not None)) % q
-    z_real = (w + e_real * blinding) % q
-    branches[real] = (t1_real, t2_real, e_real, z_real)
-    return BallotProof(tuple(BallotBranch(*br) for br in branches))
+    # a simulated branch picks its challenge and response first; the real
+    # branch commits at challenge 0 with response w
+    scalars = [(0, w) if i == real else (rng.randrange(q), rng.randrange(q))
+               for i in range(len(allowed))]
+    commitments = [[multi_exp(group, terms)
+                    for terms in _ballot_terms(group, global_pk, ballot, exponent, e, z)]
+                   for exponent, (e, z) in zip(allowed, scalars)]
+    master = _challenge(group, "ballot", context, global_pk, *ballot,
+                        *(t for pair in commitments for t in pair))
+    e_real = (master - sum(e for e, _ in scalars)) % q
+    scalars[real] = (e_real, (w + e_real * blinding) % q)
+    return tuple(BallotBranch(t1, t2, e, z) for (t1, t2), (e, z) in zip(commitments, scalars))
 
 
-def verify_ballot(group, global_pk, ballot, allowed, proof: BallotProof,
-                  context: bytes) -> bool:
-    a_elem, b_elem = ballot
+def verify_ballot(group, global_pk, ballot, allowed, branches, context: bytes) -> bool:
     allowed = list(allowed)
-    if len(proof.branches) != len(allowed):
+    if len(branches) != len(allowed):
         return False
-    q = group.order
-    if not _canonical(group, *(s for br in proof.branches for s in (br.challenge, br.response))):
+    if not _canonical(group, *(s for br in branches for s in (br.challenge, br.response))):
         return False
-    parts = [global_pk, a_elem, b_elem]
-    for br in proof.branches:
-        parts.extend([br.commitment_1, br.commitment_2])
-    master = _challenge(group, "ballot", context, *parts)
-    if sum(br.challenge for br in proof.branches) % q != master:
+    master = _challenge(group, "ballot", context, global_pk, *ballot,
+                        *(t for br in branches for t in (br.commitment_1, br.commitment_2)))
+    if sum(br.challenge for br in branches) % group.order != master:
         return False
-    g = group.generator()
     equations = []
-    for br, exponent in zip(proof.branches, allowed):
-        # the second equation is pk^z = T2 * (B / G^exponent)^challenge
-        equations.append([(g, br.response), (br.commitment_1, -1), (a_elem, -br.challenge)])
-        equations.append([(global_pk, br.response), (br.commitment_2, -1),
-                          (b_elem, -br.challenge), (g, exponent * br.challenge)])
+    for br, exponent in zip(branches, allowed):
+        terms_1, terms_2 = _ballot_terms(group, global_pk, ballot, exponent,
+                                         br.challenge, br.response)
+        equations += [terms_1 + [(br.commitment_1, -1)], terms_2 + [(br.commitment_2, -1)]]
     return _all_hold(group, context, equations)

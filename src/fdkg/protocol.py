@@ -62,21 +62,19 @@ class GuardianSet:
 @dataclass(frozen=True)
 class DealMessage:
     """A PVSS deal: one share ciphertext per guardian, keyed by its party
-    index, and the Feldman commitments with their proofs.  The guardian
-    set is the key set of `ciphertexts`, and the partial pk is A_0, which
-    `verify_deal` requires to exist."""
+    index, the Feldman commitments A_l, and one RepresentationProof per
+    ciphertext in guardian order.  The guardian set is the key set of
+    `ciphertexts`, and the partial pk is A_0, which `verify_deal` requires
+    to exist."""
 
     dealer: int
     ciphertexts: dict  # guardian index -> PkeCiphertext
-    proofs: nizk.DealProofBundle
-
-    @property
-    def commitments(self) -> nizk.FeldmanCommitments:
-        return self.proofs.commitments
+    commitments: tuple
+    enc_proofs: tuple
 
     @property
     def partial_pk(self):
-        return self.commitments.commitments[0]
+        return self.commitments[0]
 
     @property
     def guardians(self) -> GuardianSet:
@@ -169,9 +167,10 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
         for s, rand in zip(shares, randomness)
     ]
     context = _deal_binding(group, me)
-    bundle = nizk.prove_deal(group, poly, guardian_keys, randomness,
-                             ciphertexts, context, rng)
-    return DealMessage(me, dict(zip(indices, ciphertexts)), bundle), DealerState(me, d, poly)
+    commitments, proofs = nizk.prove_deal(group, poly, guardian_keys, randomness,
+                                          ciphertexts, context, rng)
+    return (DealMessage(me, dict(zip(indices, ciphertexts)), commitments, proofs),
+            DealerState(me, d, poly))
 
 
 def _deal_binding(group, dealer: int) -> bytes:
@@ -188,8 +187,8 @@ def verify_deal_message(msg: DealMessage, params: Params, pki: dict, group) -> b
     indices = sorted(msg.ciphertexts)
     guardian_keys = [(j, pki[j]) for j in indices]
     ciphertexts = [msg.ciphertexts[j] for j in indices]
-    return nizk.verify_deal(group, params.t, guardian_keys, ciphertexts,
-                            msg.proofs, _deal_binding(group, msg.dealer))
+    return nizk.verify_deal(group, params.t, guardian_keys, ciphertexts, msg.commitments,
+                            msg.enc_proofs, _deal_binding(group, msg.dealer))
 
 
 def process_round1(messages, params: Params, pki: dict, group) -> PublicState:

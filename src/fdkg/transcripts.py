@@ -26,8 +26,7 @@ class TranscriptError(Exception):
 ELEM, INT, LIST, DICT = "elem", "int", "list", "dict"
 
 # type -> its fields, each (attribute, codec) or (attribute, codec, JSON key);
-# the key defaults to the attribute's name, and a None key writes the nested
-# object's keys into its parent
+# the key defaults to the attribute's name
 LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fields)
           for cls, fields in {
     pke.PkeCiphertext: (("c1", ELEM), ("c2", ELEM), ("delta", INT)),
@@ -36,18 +35,16 @@ LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fiel
     nizk.ShareDecryptionProof: (("mask", ELEM), ("dleq", nizk.DleqProof)),
     nizk.RepresentationProof: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
                                ("response_k", INT, "zk"), ("response_r", INT, "zr")),
-    nizk.FeldmanCommitments: (("commitments", (LIST, ELEM)),),
-    nizk.DealProofBundle: (("commitments", nizk.FeldmanCommitments, None),
-                           ("encryption_proofs", (LIST, nizk.RepresentationProof), "enc_proofs")),
     nizk.BallotBranch: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
                         ("challenge", INT), ("response", INT)),
-    nizk.BallotProof: (("branches", (LIST, nizk.BallotBranch)),),
     protocol.DealMessage: (("dealer", INT), ("ciphertexts", (DICT, pke.PkeCiphertext)),
-                           ("proofs", nizk.DealProofBundle, None)),
+                           ("commitments", (LIST, ELEM)),
+                           ("enc_proofs", (LIST, nizk.RepresentationProof))),
     protocol.SecretReveal: (("sender", INT), ("value", INT)),
     protocol.ShareReveal: (("sender", INT), ("dealer", INT), ("value", INT),
                            ("proof", nizk.ShareDecryptionProof)),
-    voting.Ballot: (("voter", INT), ("a", ELEM), ("b", ELEM), ("proof", nizk.BallotProof, None)),
+    voting.Ballot: (("voter", INT), ("a", ELEM), ("b", ELEM),
+                    ("proof", (LIST, nizk.BallotBranch), "branches")),
     voting.PartialDecryption: (("dealer", INT), ("value", ELEM), ("proof", nizk.DleqProof)),
 }.items()}
 
@@ -71,11 +68,7 @@ def _encode(group, codec, value):
         if shape is LIST:
             return [_encode(group, item, v) for v in value]
         return {str(j): _encode(group, item, v) for j, v in value.items()}
-    out = {}
-    for attr, sub, key in LAYOUT[codec]:
-        encoded = _encode(group, sub, getattr(value, attr))
-        out.update(encoded if key is None else {key: encoded})
-    return out
+    return {key: _encode(group, sub, getattr(value, attr)) for attr, sub, key in LAYOUT[codec]}
 
 
 def _typed(obj, kind):
@@ -95,8 +88,7 @@ def _decode(group, codec, obj):
             return tuple(_decode(group, item, v) for v in _typed(obj, list))
         return {int(j): _decode(group, item, v) for j, v in _typed(obj, dict).items()}
     _typed(obj, dict)
-    return codec(**{attr: _decode(group, sub, obj if key is None else obj[key])
-                    for attr, sub, key in LAYOUT[codec]})
+    return codec(**{attr: _decode(group, sub, obj[key]) for attr, sub, key in LAYOUT[codec]})
 
 
 def message_to_dict(group, message) -> dict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import nizk, shamir
+from .groups import multi_exp
 from .protocol import PublicState, accepted_reveals
 
 
@@ -73,7 +74,7 @@ class Ballot:
     voter: int
     a: object  # G^r
     b: object  # E^r * G^{vote exponent}
-    proof: nizk.BallotProof
+    proof: tuple  # nizk.BallotBranch per allowed vote exponent
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
     exponent = encoding.exponent_for(candidate)
     blinding = rng.randrange(group.order)
     a = group.base_exp(blinding)
-    b = group.mul(group.exp(global_pk, blinding), group.base_exp(exponent))
+    b = multi_exp(group, [(global_pk, blinding), (group.generator(), exponent)])
     proof = nizk.prove_ballot(group, global_pk, (a, b), blinding, exponent,
                               encoding.allowed_exponents(), BALLOT_CONTEXT, rng)
     return Ballot(voter, a, b, proof)

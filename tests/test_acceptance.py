@@ -496,15 +496,14 @@ def _ballot_case(rng):
     proof = nizk.prove_ballot(GROUP, global_pk, (a, b), blinding, exponent,
                               allowed, CTX, rng)
     fields = []
-    for br in proof.branches:
+    for br in proof:
         fields += [("elem", br.commitment_1), ("elem", br.commitment_2),
                    ("scalar", br.challenge), ("scalar", br.response)]
 
     def verify(values):
         branches = tuple(
             nizk.BallotBranch(*values[i:i + 4]) for i in range(0, len(values), 4))
-        return nizk.verify_ballot(GROUP, global_pk, (a, b), allowed,
-                                  nizk.BallotProof(branches), CTX)
+        return nizk.verify_ballot(GROUP, global_pk, (a, b), allowed, branches, CTX)
     return fields, verify
 
 

@@ -162,6 +162,13 @@ class TestIdealFunctionality:
                 Params(6, 2, 3), [HonestActivation(1, frozenset({1, 2, 3}))],
                 group, seed=0)
 
+    @pytest.mark.parametrize("outsider", [0, 7], ids=["guardian 0", "guardian n+1"])
+    def test_guardian_outside_party_set_rejected(self, group, outsider):
+        with pytest.raises(ActivationError, match="outside the party set"):
+            ideal_functionality_run(
+                Params(6, 2, 3), [HonestActivation(1, frozenset({2, 3, outsider}))],
+                group, seed=0)
+
     def test_wrong_degree_polynomial_rejected(self, group):
         poly = shamir.Polynomial((1, 2, 3), group.order)  # degree 2, t=2 needs 2 coeffs
         with pytest.raises(ActivationError):

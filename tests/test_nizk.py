@@ -82,37 +82,32 @@ def make_deal(group, rng, t=2, k=3, secret=None):
     randomness = [pke.sample_enc_randomness(group, rng) for _ in shares]
     cts = [pke.pke_encrypt(group, pk, s.value, rand)
            for (j, pk), s, rand in zip(guardians, shares, randomness)]
-    bundle = nizk.prove_deal(group, poly, guardians, randomness, cts, CTX, rng)
-    return poly, guardians, keypairs, shares, cts, bundle
+    commitments, proofs = nizk.prove_deal(group, poly, guardians, randomness, cts, CTX, rng)
+    return poly, guardians, keypairs, shares, cts, (commitments, proofs)
 
 
 class TestDealProofs:
     def test_honest_deal_verifies(self, group, rng):
         for _ in range(20):
-            poly, guardians, _, shares, cts, bundle = make_deal(group, rng)
-            assert nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
+            poly, guardians, _, shares, cts, (commitments, proofs) = make_deal(group, rng)
+            assert nizk.verify_deal(group, 2, guardians, cts, commitments, proofs, CTX)
             for s in shares:
-                assert nizk.guardian_check_share(group, s.value, s.index,
-                                                 bundle.commitments)
+                assert nizk.guardian_check_share(group, s.value, s.index, commitments)
 
     def test_perturbed_ciphertext_fails(self, group, rng):
-        poly, guardians, _, shares, cts, bundle = make_deal(group, rng)
+        poly, guardians, _, shares, cts, deal = make_deal(group, rng)
         cts = list(cts)
         cts[1] = pke.PkeCiphertext(cts[1].c1, bump(group, cts[1].c2), cts[1].delta)
-        assert not nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
+        assert not nizk.verify_deal(group, 2, guardians, cts, *deal, CTX)
 
     def test_truncated_commitments_fail(self, group, rng):
-        poly, guardians, _, shares, cts, bundle = make_deal(group, rng)
-        short = nizk.DealProofBundle(
-            nizk.FeldmanCommitments(bundle.commitments.commitments[:1]),
-            bundle.encryption_proofs)
-        assert not nizk.verify_deal(group, 2, guardians, cts, short, CTX)
+        poly, guardians, _, shares, cts, (commitments, proofs) = make_deal(group, rng)
+        assert not nizk.verify_deal(group, 2, guardians, cts, commitments[:1], proofs, CTX)
 
     def test_guardian_check_rejects_offset_share(self, group, rng):
-        poly, guardians, _, shares, cts, bundle = make_deal(group, rng)
+        poly, guardians, _, shares, cts, (commitments, _) = make_deal(group, rng)
         s = shares[0]
-        assert not nizk.guardian_check_share(group, s.value + 1, s.index,
-                                             bundle.commitments)
+        assert not nizk.guardian_check_share(group, s.value + 1, s.index, commitments)
 
     def test_constant_polynomial_check(self, group, rng):
         secret = rng.randrange(group.order)
@@ -177,11 +172,10 @@ class TestBallotProof:
         allowed = [1, 32, 64]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 32)
         proof = nizk.prove_ballot(group, pk, ballot, blinding, 32, allowed, CTX, rng)
-        br = proof.branches[0]
-        tampered = nizk.BallotProof(
-            (nizk.BallotBranch(br.commitment_1, br.commitment_2,
-                               (br.challenge + 1) % group.order, br.response),)
-            + proof.branches[1:])
+        br = proof[0]
+        tampered = (nizk.BallotBranch(br.commitment_1, br.commitment_2,
+                                      (br.challenge + 1) % group.order, br.response),
+                    *proof[1:])
         assert not nizk.verify_ballot(group, pk, ballot, allowed, tampered, CTX)
 
     def test_context_binding(self, group, rng):
@@ -211,14 +205,13 @@ def test_deal_with_one_tampered_proof_rejected(group):
     """All proofs of a deal are checked together; a single bad one, at any
     position and in any part, rejects the deal."""
     rng = random.Random(11)
-    _, guardians, _, _, cts, bundle = make_deal(group, rng, t=2, k=3)
-    assert nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
-    for position, proof in enumerate(bundle.encryption_proofs):
+    _, guardians, _, _, cts, (commitments, proofs) = make_deal(group, rng, t=2, k=3)
+    assert nizk.verify_deal(group, 2, guardians, cts, commitments, proofs, CTX)
+    for position, proof in enumerate(proofs):
         for bad in tampered_proofs(group, proof):
-            proofs = list(bundle.encryption_proofs)
-            proofs[position] = bad
-            tampered = nizk.DealProofBundle(bundle.commitments, tuple(proofs))
-            assert not nizk.verify_deal(group, 2, guardians, cts, tampered, CTX), position
+            tampered = proofs[:position] + (bad,) + proofs[position + 1:]
+            assert not nizk.verify_deal(group, 2, guardians, cts, commitments, tampered,
+                                        CTX), position
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
@@ -226,11 +219,11 @@ def test_share_decryption_batch(group):
     """A batch holds iff every claim in it does: its decryption proof and
     the Feldman check of its share."""
     rng = random.Random(12)
-    _, guardians, keypairs, _, cts, bundle = make_deal(group, rng, k=4)
+    _, guardians, keypairs, _, cts, (commitments, _) = make_deal(group, rng, k=4)
     claims = []
     for (j, pk), kp, ct in zip(guardians, keypairs, cts):
         share, proof = nizk.prove_share_decryption(group, kp.sk, pk, ct, CTX, rng)
-        claims.append((pk, ct, share, proof, j, bundle.commitments))
+        claims.append((pk, ct, share, proof, j, commitments))
     assert nizk.verify_share_decryptions(group, claims, CTX)
     assert nizk.verify_share_decryptions(group, [], CTX)
     pk, ct, share, proof, j, commitments = claims[2]
@@ -277,15 +270,13 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
               group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
     proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
     assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
-    for position, br in enumerate(proof.branches):
+    for position, br in enumerate(proof):
         for bad in (nizk.BallotBranch(bump(group, br.commitment_1), br.commitment_2,
                                       br.challenge, br.response),
                     nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                       br.challenge, (br.response + 1) % q)):
-            branches = list(proof.branches)
-            branches[position] = bad
-            assert not nizk.verify_ballot(group, global_pk, ballot, allowed,
-                                          nizk.BallotProof(tuple(branches)), CTX)
+            branches = proof[:position] + (bad,) + proof[position + 1:]
+            assert not nizk.verify_ballot(group, global_pk, ballot, allowed, branches, CTX)
 
 
 class TestCanonicalScalars:
@@ -309,19 +300,18 @@ class TestCanonicalScalars:
                                                 proof, CTX)
 
     def test_representation_response_plus_q(self, group, rng):
-        _, guardians, _, _, cts, bundle = make_deal(group, rng)
-        proof = bundle.encryption_proofs[0]
+        _, guardians, _, _, cts, (commitments, proofs) = make_deal(group, rng)
+        proof = proofs[0]
         shifted = nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
                                            proof.response_k + group.order, proof.response_r)
-        bad = nizk.DealProofBundle(bundle.commitments,
-                                   (shifted,) + bundle.encryption_proofs[1:])
-        assert not nizk.verify_deal(group, 2, guardians, cts, bad, CTX)
+        assert not nizk.verify_deal(group, 2, guardians, cts, commitments,
+                                    (shifted,) + proofs[1:], CTX)
 
     def test_deal_delta_plus_q(self, group, rng):
-        _, guardians, _, _, cts, bundle = make_deal(group, rng)
+        _, guardians, _, _, cts, deal = make_deal(group, rng)
         cts = list(cts)
         cts[0] = pke.PkeCiphertext(cts[0].c1, cts[0].c2, cts[0].delta + group.order)
-        assert not nizk.verify_deal(group, 2, guardians, cts, bundle, CTX)
+        assert not nizk.verify_deal(group, 2, guardians, cts, *deal, CTX)
 
     def test_ballot_challenge_and_response_plus_q(self, group, rng):
         q = group.order
@@ -332,10 +322,10 @@ class TestCanonicalScalars:
                   group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
         proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
         assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
-        br = proof.branches[0]
+        br = proof[0]
         for shifted in (nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                           br.challenge + q, br.response),
                         nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                           br.challenge, br.response + q)):
-            bad = nizk.BallotProof((shifted,) + proof.branches[1:])
+            bad = (shifted,) + proof[1:]
             assert not nizk.verify_ballot(group, global_pk, ballot, allowed, bad, CTX)

@@ -89,7 +89,7 @@ class TestRound1:
         cts = dict(msg.ciphertexts)
         ct = cts[2]
         cts[2] = pke.PkeCiphertext(ct.c1, group.mul(ct.c2, group.generator()), ct.delta)
-        bad = DealMessage(msg.dealer, cts, msg.proofs)
+        bad = DealMessage(msg.dealer, cts, msg.commitments, msg.enc_proofs)
         assert not protocol.verify_deal_message(bad, params, pub, group)
 
     @pytest.mark.parametrize("members", [{2, 3}, {2, 3, 4, 5}, {1, 3, 5}, {2, 3, 11}],
@@ -130,7 +130,8 @@ class TestProcessRound1:
         pki, pub, messages, _, _ = run_round1(
             group, rng, params, {1: {2, 3, 4}, 2: {3, 4, 5}})
         msg = messages[1]
-        bad = DealMessage(msg.dealer, {j: msg.ciphertexts[j] for j in (3, 4)}, msg.proofs)
+        bad = DealMessage(msg.dealer, {j: msg.ciphertexts[j] for j in (3, 4)},
+                          msg.commitments, msg.enc_proofs)
         public = protocol.process_round1([messages[0], bad], params, pub, group)
         assert public.participants == (1,)
 
@@ -145,7 +146,7 @@ class TestProcessRound1:
         params = Params(6, 2, 3)
         _, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 4}})
         msg = messages[0]
-        bad = DealMessage(dealer, msg.ciphertexts, msg.proofs)
+        bad = DealMessage(dealer, msg.ciphertexts, msg.commitments, msg.enc_proofs)
         assert not protocol.verify_deal_message(bad, params, pub, group)
         public = protocol.process_round1([bad, msg], params, pub, group)
         assert public.participants == (1,)
@@ -368,9 +369,9 @@ def bad_deal(group, rng, params, pub):
     cts = [pke.pke_encrypt(group, pub[j], values[j], rand)
            for j, rand in zip(indices, randomness)]
     guardian_keys = [(j, pub[j]) for j in indices]
-    bundle = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
-                             protocol._deal_binding(group, 1), rng)
-    return DealMessage(1, dict(zip(indices, cts)), bundle), d
+    commitments, proofs = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
+                                          protocol._deal_binding(group, 1), rng)
+    return DealMessage(1, dict(zip(indices, cts)), commitments, proofs), d
 
 
 def inconsistent_share(group, rng):
@@ -501,7 +502,7 @@ class TestCanonicalReveals:
         cts = dict(msg.ciphertexts)
         ct = cts[3]
         cts[3] = pke.PkeCiphertext(ct.c1, ct.c2, ct.delta + group.order)
-        bad = DealMessage(msg.dealer, cts, msg.proofs)
+        bad = DealMessage(msg.dealer, cts, msg.commitments, msg.enc_proofs)
         assert protocol.verify_deal_message(msg, params, pub, group)
         assert not protocol.verify_deal_message(bad, params, pub, group)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -135,18 +136,21 @@ def test_every_layout_type_reachable_from_a_message():
 
 
 def _message_keys(cls) -> list:
-    """The JSON keys a `cls` writes at its own level, those of each nested
-    type laid out with a None key included."""
-    keys = []
-    for _, codec, key in transcripts.LAYOUT[cls]:
-        keys += _message_keys(codec) if key is None else [key]
-    return keys
+    """The JSON keys a `cls` writes at its own level."""
+    return [key for _, _, key in transcripts.LAYOUT[cls]]
 
 
 @pytest.mark.parametrize("cls", list(transcripts.MESSAGES), ids=lambda cls: cls.__name__)
 def test_no_key_written_twice(cls):
     keys = ["kind"] + _message_keys(cls)
     assert len(keys) == len(set(keys)), keys
+
+
+@pytest.mark.parametrize("cls", list(transcripts.LAYOUT), ids=lambda cls: cls.__name__)
+def test_layout_names_every_field(cls):
+    """A wire type cannot gain a field that the codec drops."""
+    assert [attr for attr, _, _ in transcripts.LAYOUT[cls]] == \
+        [f.name for f in dataclasses.fields(cls)]
 
 
 class TestEveryKind:
