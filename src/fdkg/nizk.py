@@ -249,9 +249,8 @@ def _deal_context(group, context, commitments, guardians, ciphertexts) -> bytes:
 
 def prove_deal(group, polynomial: Polynomial, guardians, enc_randomness,
                ciphertexts, context: bytes, rng) -> tuple:
-    """(commitments, proofs): the Feldman commitments and one
-    RepresentationProof per ciphertext.  guardians: list of (party index,
-    pke pk), aligned with the other lists."""
+    """(Feldman commitments, one RepresentationProof per ciphertext);
+    guardians: list of (party index, pke pk), aligned with the other lists."""
     commitments = commit_polynomial(group, polynomial)
     ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
     proofs = tuple(

@@ -99,6 +99,12 @@ class TallyResult:
 BALLOT_CONTEXT = b"fdkg/ballot"
 
 
+def _ballot_context(voter: int) -> bytes:
+    """BALLOT_CONTEXT bound to the voter by its shortest two's-complement
+    bytes: injective, and defined for every int."""
+    return BALLOT_CONTEXT + voter.to_bytes(voter.bit_length() // 8 + 1, "big", signed=True)
+
+
 def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
                 candidate: int, rng) -> Ballot:
     exponent = encoding.exponent_for(candidate)
@@ -106,19 +112,20 @@ def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
     a = group.base_exp(blinding)
     b = multi_exp(group, [(global_pk, blinding), (group.generator(), exponent)])
     proof = nizk.prove_ballot(group, global_pk, (a, b), blinding, exponent,
-                              encoding.allowed_exponents(), BALLOT_CONTEXT, rng)
+                              encoding.allowed_exponents(), _ballot_context(voter), rng)
     return Ballot(voter, a, b, proof)
 
 
 def verify_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> bool:
     return nizk.verify_ballot(group, global_pk, (ballot.a, ballot.b),
                               encoding.allowed_exponents(), ballot.proof,
-                              BALLOT_CONTEXT)
+                              _ballot_context(ballot.voter))
 
 
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot with a valid proof per
-    voter; the rest are dropped.
+    voter; the rest are dropped.  The proof binds its voter, so a ballot
+    re-posted under another voter id is not valid.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.

@@ -330,7 +330,7 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (1, 2)
         lines = transcripts.export_lines(result.board, SECP256K1)
         assert _lines_digest(lines) == \
-            "b8914f71e023b8b06a54c43b402c27e87abb57de62b1aba85617afaee1bee4a3"
+            "364ecef0c8592cb74ae2ec1f5f0a8a2dfc48be84eeb8a89b557000cdaee4d5c6"
 
     # n=6, t=2, k=3: party 1 absent in round 2, party 2 withholding its
     # share of dealer 1, party 4 dealing a malformed ciphertext
@@ -360,6 +360,6 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (3, 2, 2)
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (28, 26853)
+        assert (len(lines), sum(map(len, lines))) == (28, 26856)
         assert _lines_digest(lines) == \
-            "631491d19ac71aa4a2b6a4470f64068767cf319afee74a06542780c4091435b0"
+            "4f34efb69048b241f2b702c769d51dc0ffbac604944c480f34d4054dcf3e2ada"

@@ -137,6 +137,22 @@ def test_repeated_ballot_counts_once(curve):
     assert tally_finalize(curve, aggregate, values, len(accepted), enc).counts == (1, 2)
 
 
+@pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_ballot_reposted_under_another_voter_not_counted(curve):
+    """A ballot's proof binds its voter: voter 1's ballot posted again as
+    voter 4, -1 or 2^40 is dropped, and no voter id raises."""
+    result = run_election(Params(4, 2, 2), {i: Behavior() for i in range(1, 5)},
+                          {1: 1, 2: 2, 3: 2}, 2, curve, seed=5)
+    pk, enc = result.public_state.global_pk, result.encoding
+    ballots = [e.message for e in result.board.entries(2)]
+    honest = aggregate_ballots(curve, enc, pk, ballots)
+    assert honest[1] == (1, 2, 3)
+    for voter in (4, -1, 2 ** 40):
+        copy = voting.Ballot(voter, ballots[0].a, ballots[0].b, ballots[0].proof)
+        assert not verify_ballot(curve, enc, pk, copy)
+        assert aggregate_ballots(curve, enc, pk, ballots + [copy]) == honest
+
+
 class TestPartialDecryption:
     def test_zero_secret_forced(self, group, rng):
         c1 = group.base_exp(5)
