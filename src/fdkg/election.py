@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import voting
+from . import groups, voting
 from .board import BroadcastBoard, child_rng, deal_round, reveal_round
 from .protocol import Params, PublicState
 
@@ -31,29 +31,31 @@ class ElectionResult:
 
 def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
                  group, seed: int, n_bound=None, guardian_sets=None) -> ElectionResult:
-    """votes: voter index -> candidate (1-based).  Returns failure data
-    instead of raising when the tally cannot be completed.  Slots hold
-    counts up to `n_bound`, by default n or the number of votes, whichever
-    is larger; ValueError when it is below the number of votes."""
+    """votes: voter on the roll 1..n_bound -> candidate (1-based).  Returns
+    failure data instead of raising when the tally cannot be completed.
+    Slots hold counts up to `n_bound`, by default n or the number of votes,
+    whichever is larger; ValueError for fewer slots or a voter off the roll."""
     if n_bound is None:
         n_bound = max(params.n, len(votes))
     if n_bound < len(votes):
         raise ValueError(f"n_bound {n_bound} is below the {len(votes)} votes")
+    if not all(1 <= voter <= n_bound for voter in votes):
+        raise ValueError(f"voter ids must be in 1..{n_bound}")
     encoding = voting.derive_encoding(n_bound, candidates, group.order)
     board, pki, dealer_states, public_state = deal_round(
         params, behaviors, group, seed, guardian_sets)
     if not public_state.participants:
         return ElectionResult(False, None, (), public_state, (), board, encoding)
 
-    for voter in sorted(votes):
-        ballot = voting.cast_ballot(
-            group, encoding, public_state.global_pk, voter, votes[voter],
-            child_rng(seed, voter, _STREAM_BALLOT))
-        board.append(voter, 2, ballot)
-
-    aggregate, accepted = voting.aggregate_ballots(
-        group, encoding, public_state.global_pk,
-        [e.message for e in board.entries(2)])
+    with groups.fixed_base(group, public_state.global_pk):  # one comb table per round
+        for voter in sorted(votes):
+            ballot = voting.cast_ballot(
+                group, encoding, public_state.global_pk, voter, votes[voter],
+                child_rng(seed, voter, _STREAM_BALLOT))
+            board.append(voter, 2, ballot)
+        aggregate, accepted = voting.aggregate_ballots(
+            group, encoding, public_state.global_pk,
+            [e.message for e in board.entries(2)])
     if aggregate is None:
         tally = voting.TallyResult((0,) * candidates, 0)
         return ElectionResult(True, tally, (), public_state, accepted, board, encoding)

@@ -11,9 +11,9 @@ Two interchangeable backends:
   so an operation makes one field inversion at its end instead of one per
   step.  All scalar multiplication is one kernel, `multi_exp`: a Straus
   loop that computes prod P_i^e_i with shared doublings, signed-window
-  (wNAF) digits over affine odd multiples of every base, and the Lim-Lee
-  comb for the generator (8 teeth 32 bits apart over 255 affine multiples
-  of G, built on first use and cached on the group instance).  `exp` and
+  (wNAF) digits over affine odd multiples of every base, and Lim-Lee combs
+  (8 teeth 32 bits apart over 255 affine points) for G, cached on first use,
+  and for a base fixed by `fixed_base` while its block is open.  `exp` and
   `base_exp` are its one-term cases.  On a curve with a GLV endomorphism
   (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits is split as
   k1 + k2·λ with both halves below 2^128, halving the doubling chain.
@@ -30,6 +30,7 @@ only requirement on chi is determinism.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -307,19 +308,20 @@ class CurveGroup(Group):
         value, at least w positions apart.  The odd multiples P, 3P, .. of
         all terms are made affine with one inversion, so the loop adds them
         with mixed additions; k2's digits index their β-images (β·x, y), λ
-        times them at no group operation.  Generator terms are summed into
-        one comb scalar whose rows join the same loop at its lowest
-        `_comb_spacing` bits.
+        times them at no group operation.  Terms on ±G, and on ±a base
+        fixed by `fixed_base`, are summed into one comb scalar per base,
+        whose rows join the same loop at its lowest `_comb_spacing` bits.
         """
         a, p, q = self.a, self.p, self.q
-        g_e = 0
+        fixed = self._fixed
+        comb_e = dict.fromkeys(fixed, 0)
         terms = {}
         for P, e in pairs:
             if P is None:
                 continue
             x, y = P
-            if x == self.gx:  # P is G or -G
-                g_e += e if y == self.gy else -e
+            if x in comb_e:  # P is a comb base or its inverse
+                comb_e[x] += e if y == fixed[x][0] else -e
                 continue
             if 2 * y > p:
                 y, e = p - y, -e
@@ -349,13 +351,12 @@ class CurveGroup(Group):
             naf.append((ds, len(odd)))
             odd += [(self.glv[0] * x % p, y) for x, y in odd[start:start + size]]
 
-        g_e %= q
-        spacing = self._comb_spacing if g_e else 0
+        combs = [(fixed[x][1] or self._comb, e % q) for x, e in comb_e.items() if e % q]
+        spacing = self._comb_spacing if combs else 0
         adds = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _ in naf if ds]))]
-        if g_e:
-            comb = self._comb
-            low = (1 << spacing) - 1
-            rows = [(g_e >> (spacing * j)) & low for j in range(COMB_TEETH)]
+        low = (1 << spacing) - 1
+        for comb, e in combs:
+            rows = [(e >> (spacing * j)) & low for j in range(COMB_TEETH)]
             for i in range(spacing):
                 m = 0
                 for j, row in enumerate(rows):
@@ -387,10 +388,18 @@ class CurveGroup(Group):
 
     @cached_property
     def _comb(self) -> list:
-        """_comb[m] = sum of 2^(spacing*j) * G over the set bits j of m,
+        return self._comb_table(self.gx, self.gy)
+
+    @cached_property
+    def _fixed(self) -> dict:
+        """x -> (y, comb table) of each comb base; G's table is `_comb`."""
+        return {self.gx: (self.gy, None)}
+
+    def _comb_table(self, x: int, y: int) -> list:
+        """[m] = sum of 2^(spacing*j) * (x, y) over the set bits j of m,
         affine, for m in 1 .. 2^COMB_TEETH - 1."""
         a, p = self.a, self.p
-        teeth = [(self.gx, self.gy, 1)]
+        teeth = [(x, y, 1)]
         while len(teeth) < COMB_TEETH:
             T = teeth[-1]
             for _ in range(self._comb_spacing):
@@ -445,6 +454,21 @@ def multi_exp(group, pairs):
     if isinstance(group, Group):
         return group.multi_exp(pairs)
     return Group.multi_exp(group, pairs)
+
+
+@contextmanager
+def fixed_base(group, P):
+    """While the block is open, `CurveGroup.multi_exp` makes terms on ±P comb
+    terms, as G's are; a no-op on any other group, the identity or a base
+    already fixed.  Single-threaded, as G's cached table is."""
+    if not isinstance(group, CurveGroup) or P is None or P[0] in group._fixed:
+        yield
+        return
+    group._fixed[P[0]] = (P[1], group._comb_table(*P))
+    try:
+        yield
+    finally:
+        del group._fixed[P[0]]
 
 
 # Small safe-prime subgroup: p = 2q + 1, generator 4 = 2^2 has order q.

@@ -302,7 +302,9 @@ def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
                  allowed, context: bytes, rng) -> tuple:
     """The BallotBranches of an OR-composition over the allowed vote
     exponents: the real branch is hidden among simulated ones and the
-    branch challenges sum to the master challenge."""
+    branch challenges sum to the master challenge.  From the witness (r, m),
+    a simulated branch's T1 = G^z A^-e and T2 = pk^z (B / G^m_i)^-e are
+    G^(z - r e) and pk^(z - r e) G^((m_i - m) e): terms on G and pk only."""
     allowed = list(allowed)
     try:
         real = allowed.index(vote_exponent)
@@ -314,9 +316,11 @@ def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
     # branch commits at challenge 0 with response w
     scalars = [(0, w) if i == real else (rng.randrange(q), rng.randrange(q))
                for i in range(len(allowed))]
-    commitments = [[multi_exp(group, terms)
-                    for terms in _ballot_terms(group, global_pk, ballot, exponent, e, z)]
-                   for exponent, (e, z) in zip(allowed, scalars)]
+    g = group.generator()
+    commitments = [(group.base_exp(d),
+                    multi_exp(group, [(global_pk, d), (g, (exponent - vote_exponent) * e)]))
+                   for exponent, (e, z) in zip(allowed, scalars)
+                   for d in [(z - blinding * e) % q]]
     master = _challenge(group, "ballot", context, global_pk, *ballot,
                         *(t for pair in commitments for t in pair))
     e_real = (master - sum(e for e, _ in scalars)) % q

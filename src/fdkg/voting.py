@@ -124,8 +124,8 @@ def verify_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> b
 
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot with a valid proof per
-    voter; the rest are dropped.  The proof binds its voter, so a ballot
-    re-posted under another voter id is not valid.
+    voter on the roll 1..n_bound; the rest are dropped.  The proof binds its
+    voter, so a ballot re-posted under another voter id is not valid.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
@@ -133,7 +133,8 @@ def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     c1, c2 = group.identity(), group.identity()
     accepted = []
     for ballot in ballots:
-        if ballot.voter in accepted or not verify_ballot(group, encoding, global_pk, ballot):
+        if (ballot.voter in accepted or not 1 <= ballot.voter <= encoding.n_bound
+                or not verify_ballot(group, encoding, global_pk, ballot)):
             continue
         c1 = group.mul(c1, ballot.a)
         c2 = group.mul(c2, ballot.b)

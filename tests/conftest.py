@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fdkg import groups
 from fdkg.groups import TEST_GROUP
 
 
@@ -13,6 +14,21 @@ def group():
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the curve kernel's point operations while the test runs, by
+    kind: doublings, mixed additions (Jacobian plus affine) and Jacobian
+    additions.  They do not depend on the host."""
+    counts = {"double": 0, "add": 0, "jac_add": 0}
+    for name, key in (("_jac_double", "double"), ("_jac_add_affine", "add"),
+                      ("_jac_add", "jac_add")):
+        def counted(*args, inner=getattr(groups, name), key=key):
+            counts[key] += 1
+            return inner(*args)
+        monkeypatch.setattr(groups, name, counted)
+    return counts
 
 
 _acceptance_results = {}

@@ -346,16 +346,6 @@ class TestOperationCounts:
     of `nizk._all_hold`) stays whole, so a batch pays no extra additions.
     The parent figures are those of the kernel before the split."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"double": 0, "add": 0}
-        for name, key in (("_jac_double", "double"), ("_jac_add_affine", "add")):
-            def counted(*args, inner=getattr(groups, name), key=key):
-                counts[key] += 1
-                return inner(*args)
-            monkeypatch.setattr(groups, name, counted)
-        return counts
-
     @staticmethod
     def measure(counts, fn, *args):
         counts.update(double=0, add=0)
@@ -412,3 +402,108 @@ class TestOperationCounts:
         rng = random.Random(9)
         short = [(eq[1][0], -(1 + rng.randrange(2**128 - 1))) for eq in equations]
         assert self.measure(counts, multi_exp, SECP256K1, short) == (135, 158)
+
+
+FIXED = SECP256K1.base_exp(0xFEEDFACE)
+FIXED_EXPONENTS = [0, 1, Q - 1, Q, Q + 1, -1, -2, -Q, -Q - 1, 2**255, 2**256 - 1]
+
+
+class GroupMethodsOnly:
+    """A stand-in that offers only the Group methods, as a counting proxy
+    does: `fixed_base` must leave it and the group behind it alone."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name, self.order = inner.name, inner.order
+        for op in ("generator", "identity", "mul", "inv", "exp", "base_exp", "div",
+                   "encode", "decode", "chi", "scalar_bytes"):
+            setattr(self, op, getattr(inner, op))
+
+
+def fresh_curve():
+    return dataclasses.replace(SECP256K1, name="fresh")
+
+
+class TestFixedBase:
+    """`groups.fixed_base`: inside the block, terms on ±P are comb terms and
+    multi_exp still equals the affine reference; the block leaves the group
+    as it found it, however it exits; and it is a no-op where there is
+    nothing to fix."""
+
+    @PROPERTY
+    @given(e=st.one_of(st.sampled_from(FIXED_EXPONENTS), st.integers(-(2**257), 2**257)),
+           f=st.one_of(st.sampled_from(FIXED_EXPONENTS), st.integers(-(2**257), 2**257)))
+    def test_matches_reference(self, e, f):
+        g, fresh = SECP256K1.generator(), SECP256K1.base_exp(0xABCDEF)
+        cases = [[(FIXED, e)], [(SECP256K1.inv(FIXED), e)], [(FIXED, e), (FIXED, f)],
+                 [(FIXED, e), (g, f), (fresh, e - f)],
+                 [(FIXED, e), (SECP256K1.inv(FIXED), f), (g, e)]]
+        with groups.fixed_base(SECP256K1, FIXED):
+            got = [multi_exp(SECP256K1, pairs) for pairs in cases]
+        assert got == [fold(SECP256K1, pairs) for pairs in cases]
+
+    def test_every_scalar_on_toy_curve(self):
+        g = TOY_CURVE.generator()
+        P = ref_exp(TOY_CURVE, g, 500)
+        with groups.fixed_base(TOY_CURVE, P):
+            for e in range(TOY_CURVE.q):
+                expected = TOY_CURVE.mul(ref_exp(TOY_CURVE, P, e), ref_exp(TOY_CURVE, g, 3 * e))
+                assert multi_exp(TOY_CURVE, [(P, e), (g, 3 * e)]) == expected, e
+                assert multi_exp(TOY_CURVE, [(TOY_CURVE.inv(P), e)]) == \
+                    ref_exp(TOY_CURVE, P, -e), e
+
+    def test_terms_on_p_are_comb_terms(self, counts):
+        SECP256K1.base_exp(1)
+        e = 2**256 - 1
+        with groups.fixed_base(SECP256K1, FIXED):  # the table is built here
+            counts.update(dict.fromkeys(counts, 0))
+            multi_exp(SECP256K1, [(FIXED, e), (SECP256K1.generator(), e)])
+            assert counts["double"] <= 32 and counts["jac_add"] == 0
+        counts.update(dict.fromkeys(counts, 0))
+        multi_exp(SECP256K1, [(FIXED, e)])
+        assert counts["double"] > 100 and counts["jac_add"] > 0  # the table is gone
+
+    def test_state_after_normal_exit_and_exception(self):
+        group = fresh_curve()
+        group.base_exp(1)
+        before = dict(vars(group))
+        fixed_before = dict(group._fixed)
+        with groups.fixed_base(group, FIXED):
+            assert set(group._fixed) == {group.gx, FIXED[0]}
+        assert vars(group) == before and group._fixed == fixed_before
+        with pytest.raises(RuntimeError):
+            with groups.fixed_base(group, FIXED):
+                raise RuntimeError
+        assert vars(group) == before and group._fixed == fixed_before
+        assert group.exp(FIXED, 5) == ref_exp(group, FIXED, 5)
+
+    @pytest.mark.parametrize("base", ["inner", "G", "-G", "identity"])
+    def test_no_op_bases(self, base, counts):
+        """A nested block on the same P, and a block on G, -G or the
+        identity, change nothing, and the generator's comb survives it."""
+        group = fresh_curve()
+        group.base_exp(1)
+        comb = group._comb
+        point = {"inner": FIXED, "G": group.generator(),
+                 "-G": group.inv(group.generator()), "identity": None}[base]
+        with groups.fixed_base(group, FIXED):
+            fixed = dict(group._fixed)
+            with groups.fixed_base(group, point):
+                assert group._fixed == fixed
+            assert group._fixed == fixed  # the inner exit dropped nothing
+            counts.update(dict.fromkeys(counts, 0))
+            assert group.exp(FIXED, 7) == ref_exp(group, FIXED, 7)
+            assert counts["jac_add"] == 0
+        assert group._fixed == {group.gx: (group.gy, None)} and group._comb is comb
+        assert group.base_exp(Q - 3) == ref_exp(group, group.generator(), -3)
+
+    @pytest.mark.parametrize("stand_in", ["modp", "methods-only"])
+    def test_no_op_groups(self, stand_in):
+        group = TEST_GROUP if stand_in == "modp" else GroupMethodsOnly(SECP256K1)
+        P = group.base_exp(5)
+        before, inner = dict(vars(group)), dict(SECP256K1._fixed)
+        pairs = [(P, 3), (group.generator(), 4)]
+        with groups.fixed_base(group, P):
+            assert vars(group) == before and SECP256K1._fixed == inner
+            assert multi_exp(group, pairs) == group.base_exp(19)
+        assert vars(group) == before and SECP256K1._fixed == inner

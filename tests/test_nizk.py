@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from fdkg import nizk, pke, shamir
-from fdkg.groups import SECP256K1, TEST_GROUP
+from fdkg import groups, nizk, pke, shamir
+from fdkg.groups import SECP256K1, TEST_GROUP, multi_exp
 
 CTX = b"test-context"
 
@@ -183,6 +183,53 @@ class TestBallotProof:
         pk, ballot, blinding = self._ballot(group, rng, allowed, 1)
         proof = nizk.prove_ballot(group, pk, ballot, blinding, 1, allowed, CTX, rng)
         assert not nizk.verify_ballot(group, pk, ballot, allowed, proof, b"other")
+
+
+def reference_prove_ballot(group, global_pk, ballot, blinding, vote_exponent, allowed,
+                           context, rng):
+    """The prover whose commitments are the multi_exps of the verifier's
+    term lists, on the fresh A and B: each branch at its (challenge,
+    response), the real one at (0, w)."""
+    real = allowed.index(vote_exponent)
+    q = group.order
+    w = rng.randrange(q)
+    scalars = [(0, w) if i == real else (rng.randrange(q), rng.randrange(q))
+               for i in range(len(allowed))]
+    commitments = [[multi_exp(group, terms)
+                    for terms in nizk._ballot_terms(group, global_pk, ballot, exponent, e, z)]
+                   for exponent, (e, z) in zip(allowed, scalars)]
+    master = nizk._challenge(group, "ballot", context, global_pk, *ballot,
+                             *(t for pair in commitments for t in pair))
+    e_real = (master - sum(e for e, _ in scalars)) % q
+    scalars[real] = (e_real, (w + e_real * blinding) % q)
+    return tuple(nizk.BallotBranch(t1, t2, e, z) for (t1, t2), (e, z) in zip(commitments, scalars))
+
+
+@pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_witness_commitments_match_reference(curve):
+    """prove_ballot's commitments, computed from the witness on G and pk
+    alone, equal the reference's on A and B branch by branch, for every
+    allowed exponent as the real vote, and inside a `fixed_base` block on
+    pk too."""
+    rng = random.Random(21)
+    allowed = [1, 8, 64]
+    q = curve.order
+    pk = curve.base_exp(rng.randrange(1, q))
+    for vote in allowed:
+        blinding = rng.randrange(q)
+        ballot = (curve.base_exp(blinding),
+                  multi_exp(curve, [(pk, blinding), (curve.generator(), vote)]))
+        seed = rng.randrange(2**32)
+        want = reference_prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
+                                      random.Random(seed))
+        got = nizk.prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
+                                random.Random(seed))
+        assert len(got) == len(want)
+        for mine, ref in zip(got, want):
+            assert mine == ref, vote
+        with groups.fixed_base(curve, pk):
+            assert nizk.prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
+                                     random.Random(seed)) == want
 
 
 def tampered_proofs(group, proof):

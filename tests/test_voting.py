@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fdkg import protocol, shamir, transcripts, voting
+from fdkg import groups, protocol, shamir, transcripts, voting
 from fdkg.board import (ABSENT_ROUND2, WITHHOLD_SHARES, Behavior, run_ceremony)
 from fdkg.election import run_election
 from fdkg.groups import SECP256K1, TEST_GROUP
@@ -81,7 +81,7 @@ class TestBallots:
 
     def test_aggregate_drops_tampered(self, group, rng, election_keys):
         params, ceremony = election_keys
-        enc = derive_encoding(4, 2, group.order)
+        enc = derive_encoding(5, 2, group.order)  # voters 1..5 on the roll
         pk = ceremony.public_state.global_pk
         ballots = [cast_ballot(group, enc, pk, v, 1, rng) for v in range(1, 6)]
         b = ballots[2]
@@ -151,6 +151,73 @@ def test_ballot_reposted_under_another_voter_not_counted(curve):
         copy = voting.Ballot(voter, ballots[0].a, ballots[0].b, ballots[0].proof)
         assert not verify_ballot(curve, enc, pk, copy)
         assert aggregate_ballots(curve, enc, pk, ballots + [copy]) == honest
+
+
+@pytest.fixture(scope="module", params=[TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def roll_keys(request):
+    """A curve with an honest ceremony's election key and its secret."""
+    curve = request.param
+    result = run_ceremony(Params(4, 2, 2), {i: Behavior() for i in range(1, 5)}, curve, seed=5)
+    return curve, result.public_state.global_pk, result.outcome.global_secret
+
+
+def test_ballots_past_the_roll_not_counted(roll_keys):
+    """Ten valid ballots for candidate 1 under an encoding for 4 voters:
+    only voters 1..4 are on the roll, so the tally is exact instead of
+    overflowing candidate 1's slot into TallyIntegrityError."""
+    curve, pk, d = roll_keys
+    enc = derive_encoding(4, 2, curve.order)
+    rng = random.Random(40)
+    ballots = [cast_ballot(curve, enc, pk, v, 1, rng) for v in range(1, 11)]
+    assert all(verify_ballot(curve, enc, pk, b) for b in ballots)
+    agg, accepted = aggregate_ballots(curve, enc, pk, ballots)
+    assert accepted == (1, 2, 3, 4)
+    result = tally_finalize(curve, agg, {0: curve.exp(agg.c1, d)}, len(accepted), enc)
+    assert result.counts == (4, 0)
+
+
+def test_voter_ids_off_the_roll_not_counted(roll_keys):
+    """A ballot with a valid proof under voter id -1, 0 or 2^40 is dropped,
+    and none of them raises."""
+    curve, pk, _ = roll_keys
+    enc = derive_encoding(4, 2, curve.order)
+    rng = random.Random(41)
+    honest = [cast_ballot(curve, enc, pk, v, 2, rng) for v in (1, 2)]
+    for voter in (-1, 0, 2 ** 40):
+        ballot = cast_ballot(curve, enc, pk, voter, 1, rng)
+        assert verify_ballot(curve, enc, pk, ballot)
+        assert aggregate_ballots(curve, enc, pk, [ballot]) == (None, ())
+        assert aggregate_ballots(curve, enc, pk, honest + [ballot]) == \
+            aggregate_ballots(curve, enc, pk, honest)
+
+
+@pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+@pytest.mark.parametrize("votes", [{0: 1}, {-1: 1}, {1: 1, 5: 2}], ids=["0", "-1", "n_bound+1"])
+def test_run_election_rejects_voters_off_the_roll(curve, votes):
+    behaviors = {i: Behavior() for i in range(1, 5)}
+    with pytest.raises(ValueError, match=r"1\.\.4"):
+        run_election(Params(4, 2, 2), behaviors, votes, 2, curve, seed=5)
+
+
+def test_ballot_cost_in_group_operations(counts):
+    """One 3-candidate secp256k1 ballot in curve operations, which do not
+    depend on the host.  Its commitments come from the witness, on G and the
+    election key only; inside a `fixed_base` block on the key, each of its 8
+    multi_exps is comb rows alone: 32 doublings, no table of odd multiples,
+    so no Jacobian addition."""
+    pk = SECP256K1.base_exp(0xC0FFEE)
+    enc = derive_encoding(20, 3, SECP256K1.order)
+    SECP256K1.base_exp(1)  # G's comb is built outside the count
+
+    def cost():
+        counts.update(dict.fromkeys(counts, 0))
+        cast_ballot(SECP256K1, enc, pk, 1, 2, random.Random(7))
+        return counts["double"], counts["add"], counts["jac_add"]
+
+    assert cost()[0] <= 650  # 830-842 on the multi-base commitments on A and B
+    with groups.fixed_base(SECP256K1, pk):  # the key's table is built here
+        double, add, jac_add = cost()
+    assert double <= 256 and add <= 330 and jac_add == 0
 
 
 class TestPartialDecryption:
