@@ -154,14 +154,13 @@ def _malform(msg: DealMessage, group) -> DealMessage:
 
 
 def deal_round(params: Params, behaviors: dict, group, seed: int,
-               guardian_sets=None, pki=None) -> tuple:
+               guardian_sets=None) -> tuple:
     """Round 1 of a ceremony or an election: every dealing party shares to
     its guardian set.  Returns (board, pki, dealer_states, public_state)."""
     if guardian_sets is None:
         guardian_sets = _default_guardians(params, seed)
     gsets = dealer_guardian_sets(params, behaviors, guardian_sets)
-    if pki is None:
-        pki = generate_pki(params, group, seed)
+    pki = generate_pki(params, group, seed)
     pub_keys = {i: kp.pk for i, kp in pki.items()}
 
     board = BroadcastBoard()
@@ -202,14 +201,14 @@ def reveal_round(board: BroadcastBoard, round_no: int, behaviors: dict, pki: dic
 
 
 def run_ceremony(params: Params, behaviors: dict, group, seed: int,
-                 guardian_sets=None, pki=None) -> CeremonyResult:
+                 guardian_sets=None) -> CeremonyResult:
     """Execute both rounds under the given per-party behaviors.
 
     `behaviors` must cover parties 1..n.  Failures are data: the outcome
     reports unrecoverable dealers instead of raising.
     """
     board, pki, dealer_states, public_state = deal_round(
-        params, behaviors, group, seed, guardian_sets, pki)
+        params, behaviors, group, seed, guardian_sets)
     reveals = reveal_round(
         board, 2, behaviors, pki, public_state, seed, _STREAM_ROUND2, REVEAL_CONTEXT,
         group, lambda i, rng: protocol.round2_reveal_secret(

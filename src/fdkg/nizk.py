@@ -50,8 +50,6 @@ def _challenge(group, relation: str, context: bytes, *parts) -> int:
     for part in parts:
         if isinstance(part, int):
             data = group.scalar_bytes(part)
-        elif isinstance(part, bytes):
-            data = part
         else:
             data = group.encode(part)
         h.update(len(data).to_bytes(4, "big") + data)

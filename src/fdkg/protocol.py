@@ -126,11 +126,14 @@ class ShareReveal:
 
 
 class Verdict(Enum):
-    """What one round-2 message shows on its own; see `judge_reveals`."""
+    """What one message shows on its own; each `judge_*` function gives one."""
 
     ACCEPTED = "accepted"
+    OFF_ROLL = "sender off the roll"  # a dealer outside 1..n, a voter outside 1..n_bound
+    BAD_GUARDIAN_SET = "invalid guardian set"  # a deal's ciphertext keys
+    BAD_PROOF = "bad proof"  # of a deal or a ballot
     NOT_A_REVEAL = "not a round-2 reveal"
-    NOT_A_PARTICIPANT = "not a participant"  # a secret from a party without a deal
+    NOT_A_PARTICIPANT = "not a participant"  # a secret or partial decryption without a deal
     NOT_A_GUARDIAN = "not a guardian"  # of the named dealer's accepted deal
     OUT_OF_RANGE = "value outside [0, q)"
     PK_MISMATCH = "value does not match partial pk"
@@ -177,28 +180,28 @@ def _deal_binding(group, dealer: int) -> bytes:
     return b"deal:" + dealer.to_bytes(4, "big")
 
 
-def verify_deal_message(msg: DealMessage, params: Params, pki: dict, group) -> bool:
+def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
+    """OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF, checked in that order, else ACCEPTED."""
     if not 1 <= msg.dealer <= params.n:
-        return False
+        return Verdict.OFF_ROLL
     try:
         GuardianSet.create(msg.dealer, msg.ciphertexts, params)
     except InvalidGuardianSetError:
-        return False
+        return Verdict.BAD_GUARDIAN_SET
     indices = sorted(msg.ciphertexts)
     guardian_keys = [(j, pki[j]) for j in indices]
     ciphertexts = [msg.ciphertexts[j] for j in indices]
-    return nizk.verify_deal(group, params.t, guardian_keys, ciphertexts, msg.commitments,
-                            msg.enc_proofs, _deal_binding(group, msg.dealer))
+    ok = nizk.verify_deal(group, params.t, guardian_keys, ciphertexts, msg.commitments,
+                          msg.enc_proofs, _deal_binding(group, msg.dealer))
+    return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
 
 
 def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
-    """Keep the first valid deal per dealer; aggregate the global key."""
+    """Keep each dealer's first accepted deal, judging none after it; aggregate the global key."""
     state = PublicState(params=params, pki=dict(pki))
     deals = {}
     for msg in messages:
-        if msg.dealer in deals:
-            continue
-        if verify_deal_message(msg, params, pki, group):
+        if msg.dealer not in deals and judge_deal(msg, params, pki, group) is Verdict.ACCEPTED:
             deals[msg.dealer] = msg
     state.deals = deals
     state.participants = tuple(sorted(deals))

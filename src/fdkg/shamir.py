@@ -72,12 +72,12 @@ def share_secret(secret, t, indices, rng, q):
     return [Share(i, poly.evaluate(i)) for i in indices], poly
 
 
-def lagrange_coefficients(indices: Iterable[int], q: int, eval_at: int = 0) -> dict:
-    """lambda_j = prod_{m != j} (eval_at - m) / (j - m) mod q."""
+def lagrange_coefficients(indices: Iterable[int], q: int) -> dict:
+    """lambda_j = prod_{m != j} m / (m - j) mod q, which interpolate f(0)."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise InvalidIndexError("duplicate indices")
-    if eval_at == 0 and any(i == 0 for i in indices):
+    if any(i == 0 for i in indices):
         raise InvalidIndexError("index 0 is reserved for the secret")
     coeffs = {}
     for j in indices:
@@ -85,7 +85,7 @@ def lagrange_coefficients(indices: Iterable[int], q: int, eval_at: int = 0) -> d
         for m in indices:
             if m == j:
                 continue
-            num = num * (eval_at - m) % q
+            num = num * -m % q
             den = den * (j - m) % q
         coeffs[j] = num * pow(den, -1, q) % q
     return coeffs

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import PublicState, accepted_reveals
+from .protocol import PublicState, Verdict, accepted_reveals
 
 
 class VotingError(Exception):
@@ -116,16 +116,20 @@ def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
     return Ballot(voter, a, b, proof)
 
 
-def verify_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> bool:
-    return nizk.verify_ballot(group, global_pk, (ballot.a, ballot.b),
-                              encoding.allowed_exponents(), ballot.proof,
-                              _ballot_context(ballot.voter))
+def judge_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> Verdict:
+    """OFF_ROLL off the roll 1..n_bound, else BAD_PROOF unless the voter-bound proof holds."""
+    if not 1 <= ballot.voter <= encoding.n_bound:
+        return Verdict.OFF_ROLL
+    ok = nizk.verify_ballot(group, global_pk, (ballot.a, ballot.b),
+                            encoding.allowed_exponents(), ballot.proof,
+                            _ballot_context(ballot.voter))
+    return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
 
 
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
-    """Componentwise product of the first ballot with a valid proof per
-    voter on the roll 1..n_bound; the rest are dropped.  The proof binds its
-    voter, so a ballot re-posted under another voter id is not valid.
+    """Componentwise product of the first ballot per voter that
+    `judge_ballot` accepts; a later ballot from an accepted voter is not
+    judged, and the rest are dropped.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
@@ -133,12 +137,11 @@ def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     c1, c2 = group.identity(), group.identity()
     accepted = []
     for ballot in ballots:
-        if (ballot.voter in accepted or not 1 <= ballot.voter <= encoding.n_bound
-                or not verify_ballot(group, encoding, global_pk, ballot)):
-            continue
-        c1 = group.mul(c1, ballot.a)
-        c2 = group.mul(c2, ballot.b)
-        accepted.append(ballot.voter)
+        if (ballot.voter not in accepted
+                and judge_ballot(group, encoding, global_pk, ballot) is Verdict.ACCEPTED):
+            c1 = group.mul(c1, ballot.a)
+            c2 = group.mul(c2, ballot.b)
+            accepted.append(ballot.voter)
     if not accepted:
         return None, ()
     return AggregatedCiphertext(c1, c2), tuple(accepted)
@@ -155,26 +158,29 @@ def tally_partial_decrypt(group, dealer: int, partial_secret: int, partial_pk,
     return PartialDecryption(dealer, value, proof)
 
 
-def verify_partial_decryption(group, partial_pk, c1, pd: PartialDecryption) -> bool:
-    return nizk.verify_dleq(group, group.generator(), partial_pk, c1, pd.value,
-                            pd.proof, TALLY_CONTEXT)
+def judge_partial_decryption(group, public_state: PublicState, c1, pd) -> Verdict:
+    """NOT_A_PARTICIPANT for a non-dealer, else BAD_DLEQ unless the DLEQ proof holds."""
+    if pd.dealer not in public_state.deals:
+        return Verdict.NOT_A_PARTICIPANT
+    ok = nizk.verify_dleq(group, group.generator(), public_state.deals[pd.dealer].partial_pk,
+                          c1, pd.value, pd.proof, TALLY_CONTEXT)
+    return Verdict.ACCEPTED if ok else Verdict.BAD_DLEQ
 
 
 def collect_decryption_values(group, public_state: PublicState, c1,
                               partial_decryptions, share_reveals,
                               context: bytes, t: int) -> dict:
-    """Per-dealer C1^{d_i}: direct partial decryptions where available, else
+    """Per-dealer C1^{d_i}: its first partial decryption that
+    `judge_partial_decryption` accepts (later ones are not judged), else
     Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first), each checked
-    against the dealer's commitments there.  A share judged INCONSISTENT
-    removes no dealer here, since the election key already holds its
-    partial pk; the share just does not count.  Raises TallyFailure listing
-    dealers with no recovery path."""
+    `judge_reveals` accepts (lowest guardian indices first).  A share judged
+    INCONSISTENT removes no dealer here, since the election key already
+    holds its partial pk; the share just does not count.  Raises
+    TallyFailure listing dealers with no recovery path."""
     direct = {}
     for pd in partial_decryptions:
-        record = public_state.deals.get(pd.dealer)
-        if (record is not None and pd.dealer not in direct
-                and verify_partial_decryption(group, record.partial_pk, c1, pd)):
+        if pd.dealer not in direct and judge_partial_decryption(
+                group, public_state, c1, pd) is Verdict.ACCEPTED:
             direct[pd.dealer] = pd.value
     _, shares, _ = accepted_reveals(public_state, share_reveals, group, context)
     values, missing = {}, []

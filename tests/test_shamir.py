@@ -64,6 +64,10 @@ class TestLagrange:
         with pytest.raises(shamir.InvalidIndexError):
             shamir.lagrange_coefficients([1, 1, 2], Q97)
 
+    def test_index_zero_rejected(self):
+        with pytest.raises(shamir.InvalidIndexError, match="index 0"):
+            shamir.lagrange_coefficients([0, 1], Q97)
+
 
 class TestReconstruct:
     def test_inverts_fixed_example(self):

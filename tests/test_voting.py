@@ -3,17 +3,24 @@ import time
 
 import pytest
 
-from fdkg import groups, protocol, shamir, transcripts, voting
-from fdkg.board import (ABSENT_ROUND2, WITHHOLD_SHARES, Behavior, run_ceremony)
+from fdkg import groups, nizk, protocol, shamir, transcripts, voting
+from fdkg.board import (ABSENT_ROUND1, ABSENT_ROUND2, WITHHOLD_SHARES, Behavior,
+                        run_ceremony)
 from fdkg.election import run_election
 from fdkg.groups import SECP256K1, TEST_GROUP
-from fdkg.protocol import Params, round2_reveal_shares
+from fdkg.protocol import Params, Verdict, round2_reveal_shares
 from fdkg.voting import (Ballot, DlogNotFoundError, TallyFailure,
                          TallyIntegrityError, UnsupportedConfigurationError,
                          VotingError, aggregate_ballots, bsgs_dlog, cast_ballot,
                          collect_decryption_values, derive_encoding,
-                         tally_finalize, tally_partial_decrypt, verify_ballot,
-                         verify_partial_decryption)
+                         judge_ballot, judge_partial_decryption, tally_finalize,
+                         tally_partial_decrypt)
+
+
+def proof_holds(group, enc, pk, ballot) -> bool:
+    """Whether the ballot's proof verifies for its voter id, on the roll or off."""
+    return nizk.verify_ballot(group, pk, (ballot.a, ballot.b), enc.allowed_exponents(),
+                              ballot.proof, voting._ballot_context(ballot.voter))
 
 
 class TestEncoding:
@@ -68,7 +75,7 @@ class TestBallots:
         pk = ceremony.public_state.global_pk
         for candidate in (1, 2):
             ballot = cast_ballot(group, enc, pk, 1, candidate, rng)
-            assert verify_ballot(group, enc, pk, ballot)
+            assert judge_ballot(group, enc, pk, ballot) is Verdict.ACCEPTED
 
     def test_tampered_ballot_rejected(self, group, rng, election_keys):
         params, ceremony = election_keys
@@ -77,7 +84,15 @@ class TestBallots:
         ballot = cast_ballot(group, enc, pk, 1, 1, rng)
         bad = Ballot(1, ballot.a, group.mul(ballot.b, group.generator()),
                      ballot.proof)
-        assert not verify_ballot(group, enc, pk, bad)
+        assert judge_ballot(group, enc, pk, bad) is Verdict.BAD_PROOF
+
+    def test_ballot_missing_branch_rejected(self, group, rng, election_keys):
+        params, ceremony = election_keys
+        enc = derive_encoding(4, 2, group.order)
+        pk = ceremony.public_state.global_pk
+        ballot = cast_ballot(group, enc, pk, 1, 1, rng)
+        bad = Ballot(1, ballot.a, ballot.b, ballot.proof[:-1])
+        assert judge_ballot(group, enc, pk, bad) is Verdict.BAD_PROOF
 
     def test_aggregate_drops_tampered(self, group, rng, election_keys):
         params, ceremony = election_keys
@@ -140,16 +155,19 @@ def test_repeated_ballot_counts_once(curve):
 @pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
 def test_ballot_reposted_under_another_voter_not_counted(curve):
     """A ballot's proof binds its voter: voter 1's ballot posted again as
-    voter 4, -1 or 2^40 is dropped, and no voter id raises."""
+    voter 4, -1 or 2^40 fails its proof and is dropped, judged BAD_PROOF on
+    the roll 1..4 and OFF_ROLL off it; no voter id raises."""
     result = run_election(Params(4, 2, 2), {i: Behavior() for i in range(1, 5)},
                           {1: 1, 2: 2, 3: 2}, 2, curve, seed=5)
     pk, enc = result.public_state.global_pk, result.encoding
     ballots = [e.message for e in result.board.entries(2)]
     honest = aggregate_ballots(curve, enc, pk, ballots)
     assert honest[1] == (1, 2, 3)
-    for voter in (4, -1, 2 ** 40):
+    for voter, verdict in ((4, Verdict.BAD_PROOF), (-1, Verdict.OFF_ROLL),
+                           (2 ** 40, Verdict.OFF_ROLL)):
         copy = voting.Ballot(voter, ballots[0].a, ballots[0].b, ballots[0].proof)
-        assert not verify_ballot(curve, enc, pk, copy)
+        assert not proof_holds(curve, enc, pk, copy)
+        assert judge_ballot(curve, enc, pk, copy) is verdict
         assert aggregate_ballots(curve, enc, pk, ballots + [copy]) == honest
 
 
@@ -169,7 +187,9 @@ def test_ballots_past_the_roll_not_counted(roll_keys):
     enc = derive_encoding(4, 2, curve.order)
     rng = random.Random(40)
     ballots = [cast_ballot(curve, enc, pk, v, 1, rng) for v in range(1, 11)]
-    assert all(verify_ballot(curve, enc, pk, b) for b in ballots)
+    assert all(proof_holds(curve, enc, pk, b) for b in ballots)
+    assert [judge_ballot(curve, enc, pk, b) for b in ballots] == \
+        [Verdict.ACCEPTED] * 4 + [Verdict.OFF_ROLL] * 6
     agg, accepted = aggregate_ballots(curve, enc, pk, ballots)
     assert accepted == (1, 2, 3, 4)
     result = tally_finalize(curve, agg, {0: curve.exp(agg.c1, d)}, len(accepted), enc)
@@ -185,7 +205,8 @@ def test_voter_ids_off_the_roll_not_counted(roll_keys):
     honest = [cast_ballot(curve, enc, pk, v, 2, rng) for v in (1, 2)]
     for voter in (-1, 0, 2 ** 40):
         ballot = cast_ballot(curve, enc, pk, voter, 1, rng)
-        assert verify_ballot(curve, enc, pk, ballot)
+        assert proof_holds(curve, enc, pk, ballot)
+        assert judge_ballot(curve, enc, pk, ballot) is Verdict.OFF_ROLL
         assert aggregate_ballots(curve, enc, pk, [ballot]) == (None, ())
         assert aggregate_ballots(curve, enc, pk, honest + [ballot]) == \
             aggregate_ballots(curve, enc, pk, honest)
@@ -197,6 +218,16 @@ def test_run_election_rejects_voters_off_the_roll(curve, votes):
     behaviors = {i: Behavior() for i in range(1, 5)}
     with pytest.raises(ValueError, match=r"1\.\.4"):
         run_election(Params(4, 2, 2), behaviors, votes, 2, curve, seed=5)
+
+
+def test_election_without_dealers_fails(group):
+    """Every party absent in round 1 leaves no election key: nothing is
+    posted after round 1, and the election fails with no tally."""
+    behaviors = {i: Behavior(ABSENT_ROUND1) for i in range(1, 5)}
+    result = run_election(Params(4, 2, 2), behaviors, {1: 1, 2: 2}, 2, group, seed=5)
+    assert not result.success and result.tally is None
+    assert result.public_state.participants == () and result.accepted_voters == ()
+    assert len(result.board) == 0
 
 
 def test_ballot_cost_in_group_operations(counts):
@@ -220,22 +251,36 @@ def test_ballot_cost_in_group_operations(counts):
     assert double <= 256 and add <= 330 and jac_add == 0
 
 
+def dealer_1_state(partial_pk):
+    """A public state whose one accepted deal, dealer 1's, has `partial_pk`."""
+    deal = protocol.DealMessage(1, {}, (partial_pk,), ())
+    return protocol.PublicState(Params(3, 1, 1), {}, participants=(1,),
+                                global_pk=partial_pk, deals={1: deal})
+
+
 class TestPartialDecryption:
     def test_zero_secret_forced(self, group, rng):
         c1 = group.base_exp(5)
         pd = tally_partial_decrypt(group, 1, 0, group.identity(), c1, rng)
         assert pd.value == group.identity()
-        assert verify_partial_decryption(group, group.identity(), c1, pd)
+        assert judge_partial_decryption(
+            group, dealer_1_state(group.identity()), c1, pd) is Verdict.ACCEPTED
 
     def test_honest_roundtrip_and_mutation(self, group, rng):
         d = rng.randrange(group.order)
         pk = group.base_exp(d)
+        public = dealer_1_state(pk)
         c1 = group.base_exp(rng.randrange(1, group.order))
         pd = tally_partial_decrypt(group, 1, d, pk, c1, rng)
-        assert verify_partial_decryption(group, pk, c1, pd)
+        assert judge_partial_decryption(group, public, c1, pd) is Verdict.ACCEPTED
         forged = voting.PartialDecryption(
             pd.dealer, group.mul(pd.value, group.generator()), pd.proof)
-        assert not verify_partial_decryption(group, pk, c1, forged)
+        assert judge_partial_decryption(group, public, c1, forged) is Verdict.BAD_DLEQ
+        stray = voting.PartialDecryption(2, pd.value, pd.proof)
+        assert judge_partial_decryption(group, public, c1, stray) is Verdict.NOT_A_PARTICIPANT
+        assert collect_decryption_values(
+            group, public, c1, [stray, forged, pd], [], voting.TALLY_CONTEXT, 1) == \
+            {1: pd.value}
 
 
 class TestShareRevealTally:
