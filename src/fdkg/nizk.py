@@ -7,12 +7,19 @@ against them, and the disjunctive ballot proof.  A revealed partial
 secret needs no proof: it is checked against its partial pk in the clear.
 `verify_share_decryptions` checks a revealed share's decryption proof and
 its Feldman equation in the same batch; the commitments are fixed by the
-dealer's accepted deal before any share is revealed.
+dealer's accepted deal before any share is revealed.  `verify_ballots` and
+`verify_dleqs` likewise check many ballots, or many partial decryptions,
+in one batch.  A failed batch names no culprit; the caller then checks
+each proof on its own (`voting` does so for ballots and partial
+decryptions).
 
-Challenges are sha256 over a domain tag, the caller-supplied context bytes
-and the length-prefixed canonical encodings of all statement/commitment
-parts, reduced mod q.  Identical inputs (including nonces) therefore yield
-byte-identical proofs.
+Challenges are sha256, reduced mod q, over a domain tag, the
+caller-supplied context bytes and the length-prefixed parts of the
+statement and commitments: a group element as its canonical
+`group.encode`, a bytes part (such as a scalar's `group.scalar_bytes`) as
+given.  An element is never reduced mod q, which on the toy modp group
+would let x and x + q share a challenge.  Identical inputs (including
+nonces) therefore yield byte-identical proofs.
 
 Verifiers accept only canonical scalars (responses, challenges, ciphertext
 deltas and claimed shares in [0, q)) and write every verification
@@ -48,10 +55,7 @@ def _challenge(group, relation: str, context: bytes, *parts) -> int:
     h.update(len(tag).to_bytes(2, "big") + tag)
     h.update(len(context).to_bytes(4, "big") + context)
     for part in parts:
-        if isinstance(part, int):
-            data = group.scalar_bytes(part)
-        else:
-            data = group.encode(part)
+        data = part if isinstance(part, bytes) else group.encode(part)
         h.update(len(data).to_bytes(4, "big") + data)
     return int.from_bytes(h.digest(), "big") % group.order
 
@@ -81,6 +85,18 @@ def _all_hold(group, context: bytes, equations) -> bool:
                       for base, e in equation]]
     identity = group.identity()
     return all(multi_exp(group, equation) == identity for equation in equations)
+
+
+def _claims_hold(group, context: bytes, found) -> bool:
+    """`_all_hold` over the equations of every claim in `found`, an iterable
+    of equation lists, or False at the first None: a claim rejected before
+    any group operation."""
+    equations = []
+    for claim in found:
+        if claim is None:
+            return False
+        equations += claim
+    return _all_hold(group, context, equations)
 
 
 def _canonical(group, *scalars) -> bool:
@@ -116,6 +132,14 @@ def _dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: 
 def verify_dleq(group, base1, out1, base2, out2, proof: DleqProof, context: bytes) -> bool:
     equations = _dleq_equations(group, base1, out1, base2, out2, proof, context)
     return equations is not None and _all_hold(group, context, equations)
+
+
+def verify_dleqs(group, claims, context: bytes) -> bool:
+    """True iff every (base1, out1, base2, out2, proof) claim verifies under
+    `context`, all in one batch.  A False names no culprit: check each claim
+    with `verify_dleq` for that."""
+    return _claims_hold(group, context,
+                        (_dleq_equations(group, *claim, context) for claim in claims))
 
 
 @dataclass(frozen=True)
@@ -160,13 +184,10 @@ def verify_share_decryptions(group, claims, context: bytes) -> bool:
     Feldman check, all in one batch.  A False names no culprit: check each
     claim with `verify_share_decryption` and `guardian_check_share` for
     that."""
-    equations = []
-    for pk, ct, share, proof, index, commitments in claims:
-        found = _share_decryption_equations(group, pk, ct, share, proof, context)
-        if found is None:
-            return False
-        equations += found + [_feldman_equation(group, share, index, commitments)]
-    return _all_hold(group, context, equations)
+    return _claims_hold(group, context, (
+        equations for pk, ct, share, proof, index, commitments in claims
+        for equations in (_share_decryption_equations(group, pk, ct, share, proof, context),
+                          [_feldman_equation(group, share, index, commitments)])))
 
 
 @dataclass(frozen=True)
@@ -190,7 +211,8 @@ def prove_representation(group, k: int, r: int, pk, ct: PkeCiphertext,
     b = rng.randrange(group.order)
     t1 = group.base_exp(a)
     t2 = multi_exp(group, [(pk, a), (group.generator(), b)])
-    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, ct.delta, t1, t2)
+    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, group.scalar_bytes(ct.delta),
+                   t1, t2)
     return RepresentationProof(t1, t2, (a + e * k) % group.order, (b + e * r) % group.order)
 
 
@@ -198,7 +220,7 @@ def _representation_equations(group, pk, ct: PkeCiphertext, proof: Representatio
                               context: bytes):
     if not _canonical(group, proof.response_k, proof.response_r, ct.delta):
         return None
-    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, ct.delta,
+    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, group.scalar_bytes(ct.delta),
                    proof.commitment_1, proof.commitment_2)
     g = group.generator()
     return [[(g, proof.response_k), (proof.commitment_1, -1), (ct.c1, -e)],
@@ -265,13 +287,9 @@ def verify_deal(group, t: int, guardians, ciphertexts, commitments, proofs,
     if len(proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
         return False
     ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
-    equations = []
-    for (idx, pk), ct, proof in zip(guardians, ciphertexts, proofs):
-        found = _representation_equations(group, pk, ct, proof, ctx)
-        if found is None:
-            return False
-        equations += found
-    return _all_hold(group, ctx, equations)
+    return _claims_hold(group, ctx, (
+        _representation_equations(group, pk, ct, proof, ctx)
+        for (_, pk), ct, proof in zip(guardians, ciphertexts, proofs)))
 
 
 @dataclass(frozen=True)
@@ -326,19 +344,36 @@ def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
     return tuple(BallotBranch(t1, t2, e, z) for (t1, t2), (e, z) in zip(commitments, scalars))
 
 
-def verify_ballot(group, global_pk, ballot, allowed, branches, context: bytes) -> bool:
+def _ballot_equations(group, global_pk, ballot, allowed, branches, context: bytes):
+    """The two equations of each ballot branch, or None for a wrong branch
+    count, a non-canonical scalar or a master-challenge mismatch."""
     allowed = list(allowed)
     if len(branches) != len(allowed):
-        return False
+        return None
     if not _canonical(group, *(s for br in branches for s in (br.challenge, br.response))):
-        return False
+        return None
     master = _challenge(group, "ballot", context, global_pk, *ballot,
                         *(t for br in branches for t in (br.commitment_1, br.commitment_2)))
     if sum(br.challenge for br in branches) % group.order != master:
-        return False
+        return None
     equations = []
     for br, exponent in zip(branches, allowed):
         terms_1, terms_2 = _ballot_terms(group, global_pk, ballot, exponent,
                                          br.challenge, br.response)
         equations += [terms_1 + [(br.commitment_1, -1)], terms_2 + [(br.commitment_2, -1)]]
-    return _all_hold(group, context, equations)
+    return equations
+
+
+def verify_ballot(group, global_pk, ballot, allowed, branches, context: bytes) -> bool:
+    equations = _ballot_equations(group, global_pk, ballot, allowed, branches, context)
+    return equations is not None and _all_hold(group, context, equations)
+
+
+def verify_ballots(group, global_pk, allowed, claims, context: bytes) -> bool:
+    """True iff for every (ballot, branches, ballot context) claim the
+    ballot proof verifies, all in one batch weighted under `context`.  A
+    False names no culprit: check each claim with `verify_ballot` for that."""
+    allowed = list(allowed)
+    return _claims_hold(group, context, (
+        _ballot_equations(group, global_pk, ballot, allowed, branches, ballot_context)
+        for ballot, branches, ballot_context in claims))

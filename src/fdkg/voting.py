@@ -126,24 +126,48 @@ def judge_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> Ve
     return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
 
 
+def _first_accepted(messages, key, eligible, batch_holds, judge) -> dict:
+    """{key: message} of the first message per key that `judge` accepts, in
+    message order; a later message whose key is filled is not judged.  The
+    first `eligible` message per key is the only one the judge could accept
+    first, so when two or more keys have one, those are checked in one batch
+    by `batch_holds` and all accepted if it holds; otherwise, or when it
+    fails, `judge` decides one message at a time."""
+    firsts = {}
+    for msg in messages:
+        if eligible(msg):
+            firsts.setdefault(key(msg), msg)
+    if len(firsts) > 1 and batch_holds(list(firsts.values())):
+        return firsts
+    accepted = {}
+    for msg in messages:
+        if key(msg) not in accepted and judge(msg) is Verdict.ACCEPTED:
+            accepted[key(msg)] = msg
+    return accepted
+
+
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot per voter that
     `judge_ballot` accepts; a later ballot from an accepted voter is not
-    judged, and the rest are dropped.
+    judged, and the rest are dropped.  The first ballot of each voter on the
+    roll is checked in one batch first (`_first_accepted`).
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
     """
-    c1, c2 = group.identity(), group.identity()
-    accepted = []
-    for ballot in ballots:
-        if (ballot.voter not in accepted
-                and judge_ballot(group, encoding, global_pk, ballot) is Verdict.ACCEPTED):
-            c1 = group.mul(c1, ballot.a)
-            c2 = group.mul(c2, ballot.b)
-            accepted.append(ballot.voter)
+    allowed = encoding.allowed_exponents()
+    accepted = _first_accepted(
+        ballots, lambda b: b.voter, lambda b: 1 <= b.voter <= encoding.n_bound,
+        lambda firsts: nizk.verify_ballots(
+            group, global_pk, allowed,
+            [((b.a, b.b), b.proof, _ballot_context(b.voter)) for b in firsts], BALLOT_CONTEXT),
+        lambda b: judge_ballot(group, encoding, global_pk, b))
     if not accepted:
         return None, ()
+    c1, c2 = group.identity(), group.identity()
+    for ballot in accepted.values():
+        c1 = group.mul(c1, ballot.a)
+        c2 = group.mul(c2, ballot.b)
     return AggregatedCiphertext(c1, c2), tuple(accepted)
 
 
@@ -173,21 +197,25 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     """Per-dealer C1^{d_i}: its first partial decryption that
     `judge_partial_decryption` accepts (later ones are not judged), else
     Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first).  A share judged
-    INCONSISTENT removes no dealer here, since the election key already
-    holds its partial pk; the share just does not count.  Raises
-    TallyFailure listing dealers with no recovery path."""
-    direct = {}
-    for pd in partial_decryptions:
-        if pd.dealer not in direct and judge_partial_decryption(
-                group, public_state, c1, pd) is Verdict.ACCEPTED:
-            direct[pd.dealer] = pd.value
+    `judge_reveals` accepts (lowest guardian indices first).  The first
+    partial decryption of each dealer with an accepted deal is checked in
+    one batch first (`_first_accepted`).  A share judged INCONSISTENT
+    removes no dealer here, since the election key already holds its
+    partial pk; the share just does not count.  Raises TallyFailure listing
+    dealers with no recovery path."""
+    deals, g = public_state.deals, group.generator()
+    direct = _first_accepted(
+        partial_decryptions, lambda pd: pd.dealer, lambda pd: pd.dealer in deals,
+        lambda firsts: nizk.verify_dleqs(
+            group, [(g, deals[pd.dealer].partial_pk, c1, pd.value, pd.proof) for pd in firsts],
+            TALLY_CONTEXT),
+        lambda pd: judge_partial_decryption(group, public_state, c1, pd))
     _, shares, _ = accepted_reveals(public_state, share_reveals, group, context)
     values, missing = {}, []
     for dealer in public_state.participants:
         bucket = shares.get(dealer, {})
         if dealer in direct:
-            values[dealer] = direct[dealer]
+            values[dealer] = direct[dealer].value
         elif len(bucket) >= t:
             values[dealer] = shamir.reconstruct_in_exponent(
                 {j: group.exp(c1, bucket[j]) for j in sorted(bucket)[:t]}, group)

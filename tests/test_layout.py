@@ -1,8 +1,9 @@
 """Module-layout rules for `src/fdkg`: no module reaches into a sibling's
-private names, no module imports a name it never uses, every import sits
-at module level, never inside a function body, and no module but
-`groups.py` calls a `multi_exp` method: `groups.multi_exp(group, pairs)`
-also serves a group stand-in that offers only the other Group methods."""
+private names, by import or by attribute, no module imports a name it
+never uses, every import sits at module level, never inside a function
+body, and no module but `groups.py` calls a `multi_exp` method:
+`groups.multi_exp(group, pairs)` also serves a group stand-in that offers
+only the other Group methods."""
 
 import ast
 from pathlib import Path
@@ -43,11 +44,19 @@ def layout_violations(source: str, kernel: bool = False) -> list:
     tree = ast.parse(source)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     out = []
+    siblings = set()
     for bound, name, sibling in _imports(tree):
         if sibling and name.startswith("_"):
             out.append(f"private import {name}")
         if bound not in used:
             out.append(f"unused import {bound}")
+        if sibling:
+            siblings.add(bound)
+    out += [f"private attribute {node.value.id}.{node.attr} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and node.attr.startswith("_")
+            and not node.attr.startswith("__")]
     for line, fn in _function_imports(tree):
         out.append(f"import inside function {fn} (line {line})")
     if not kernel:
@@ -66,7 +75,7 @@ def test_rules_catch_violations():
     source = ("from . import pke, nizk\n"
               "from .board import _malform, run_ceremony\n"
               "import hashlib\n"
-              "run_ceremony(pke.x)\n"
+              "run_ceremony(pke.x, pke._y)\n"
               "def audit(board):\n"
               "    def replay():\n"
               "        from . import transcripts\n"
@@ -75,6 +84,7 @@ def test_rules_catch_violations():
               "pke.group.multi_exp([])\n")
     assert layout_violations(source) == [
         "unused import nizk", "private import _malform", "unused import _malform",
-        "unused import hashlib", "import inside function audit (line 7)",
+        "unused import hashlib", "private attribute pke._y (line 4)",
+        "import inside function audit (line 7)",
         "multi_exp method call (line 10)"]
     assert layout_violations("group.multi_exp([])\n", kernel=True) == []

@@ -291,6 +291,64 @@ def test_share_decryption_batch(group):
     assert not nizk.verify_share_decryptions(group, batch, CTX)
 
 
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_ballot_and_dleq_batches(group):
+    """A batch of ballot proofs, each under its own context, or of DLEQ
+    proofs holds iff every claim in it does; an empty batch holds."""
+    rng = random.Random(14)
+    q, allowed = group.order, [1, 32, 1024]
+    global_pk = group.base_exp(rng.randrange(1, q))
+    claims = []
+    for voter, exponent in enumerate(allowed + [32]):
+        blinding = rng.randrange(q)
+        ballot = (group.base_exp(blinding),
+                  group.mul(group.exp(global_pk, blinding), group.base_exp(exponent)))
+        context = CTX + bytes([voter])
+        proof = nizk.prove_ballot(group, global_pk, ballot, blinding, exponent, allowed,
+                                  context, rng)
+        claims.append((ballot, proof, context))
+    assert nizk.verify_ballots(group, global_pk, allowed, claims, CTX)
+    assert nizk.verify_ballots(group, global_pk, allowed, [], CTX)
+    ballot, proof, context = claims[2]
+    br = proof[1]
+    bad_branch = nizk.BallotBranch(br.commitment_1, br.commitment_2, br.challenge,
+                                   (br.response + 1) % q)
+    bad_response = proof[:1] + (bad_branch,) + proof[2:]
+    for bad in [(ballot, bad_response, context), (ballot, proof[:-1], context),
+                (ballot, proof, CTX + bytes([3]))]:
+        assert not nizk.verify_ballot(group, global_pk, bad[0], allowed, bad[1], bad[2])
+        batch = claims[:2] + [bad] + claims[3:]
+        assert not nizk.verify_ballots(group, global_pk, allowed, batch, CTX)
+
+    g, base2 = group.generator(), group.base_exp(rng.randrange(1, q))
+    dleqs = []
+    for _ in range(3):
+        w = rng.randrange(q)
+        out1, out2 = group.base_exp(w), group.exp(base2, w)
+        dleqs.append((g, out1, base2, out2, nizk.prove_dleq(group, w, g, out1, base2, out2,
+                                                            CTX, rng)))
+    assert nizk.verify_dleqs(group, dleqs, CTX)
+    assert nizk.verify_dleqs(group, [], CTX)
+    assert not nizk.verify_dleqs(group, dleqs, b"other")
+    b1, o1, b2, o2, proof = dleqs[1]
+    for bad in [(b1, o1, b2, bump(group, o2), proof),
+                (b1, o1, b2, o2, nizk.DleqProof(proof.commitment_1, proof.commitment_2,
+                                                proof.response + q))]:
+        assert not nizk.verify_dleq(group, *bad, CTX)
+        assert not nizk.verify_dleqs(group, dleqs[:1] + [bad] + dleqs[2:], CTX)
+
+
+def test_challenge_binds_each_element():
+    """modp-2027's subgroup holds elements x and x + q, such as 3 and 1016;
+    a challenge hashes an element's encoding, not its residue mod q, so
+    they give different challenges.  A bytes part is hashed as given."""
+    group = TEST_GROUP
+    assert all(pow(x, group.order, group.p) == 1 for x in (3, 1016))
+    assert nizk._challenge(group, "dleq", b"c", 3) != nizk._challenge(group, "dleq", b"c", 1016)
+    assert nizk._challenge(group, "dleq", b"c", 3) == \
+        nizk._challenge(group, "dleq", b"c", group.encode(3))
+
+
 def test_combined_checks_reject_single_tampers_on_secp256k1():
     """On secp256k1 a DLEQ's two equations and a ballot's branches are
     checked as one weighted combination; changing any one part of the proof
