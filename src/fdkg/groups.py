@@ -10,10 +10,13 @@ Two interchangeable backends:
   arithmetic, points are Jacobian, (X, Y, Z) standing for (X/Z^2, Y/Z^3),
   so an operation makes one field inversion at its end instead of one per
   step.  All scalar multiplication is one kernel, `multi_exp`: a Straus
-  loop that computes prod P_i^e_i with shared doublings, signed-window
-  (wNAF) digits over affine odd multiples of every base, and Lim-Lee combs
-  (8 teeth 32 bits apart over 255 affine points) for G, cached on first use,
-  and for a base fixed by `fixed_base` while its block is open.  `exp` and
+  loop (`_straus`) that computes prod P_i^e_i with shared doublings,
+  signed-window (wNAF) digits over affine odd multiples of every base, and
+  Lim-Lee combs (8 teeth 32 bits apart over 255 affine points) for G, cached
+  on first use, and for a base fixed by `fixed_base` while its block is
+  open.  The odd multiples of all fresh bases of one call are built affine
+  together, in rounds of affine doublings and additions whose slopes share
+  one inversion a round (Montgomery's trick, `_odd_multiples`).  `exp` and
   `base_exp` are its one-term cases.  On a curve with a GLV endomorphism
   (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits is split as
   k1 + k2·λ with both halves below 2^128, halving the doubling chain.
@@ -161,11 +164,22 @@ def _wnaf(e: int, width: int) -> list:
     return digits
 
 
+def _comb_columns(e: int, spacing: int) -> bytes:
+    """Byte i is the comb index of column i of e: its bit j is bit
+    spacing*j + i of e.  e is written out one bit a byte (ASCII '0' or '1',
+    least significant first), so each of the COMB_TEETH rows is a run of
+    bytes whose low bits, stacked at bit j, transpose the rows."""
+    bits = format(e, f"0{COMB_TEETH * spacing}b")[::-1].encode()
+    ones = int.from_bytes(b"\x01" * spacing, "little")
+    cols = 0
+    for j in range(COMB_TEETH):
+        cols |= (int.from_bytes(bits[spacing * j:spacing * (j + 1)], "little") & ones) << j
+    return cols.to_bytes(spacing, "little")
+
+
 def _jac_double(P, a: int, p: int):
     """EFD dbl-2009-l, keeping the a*Z^4 term of a general short curve.
     D = 2*((X1+B)^2-A-C) is computed as the equal, cheaper 4*X1*B."""
-    if P is None:
-        return None
     X1, Y1, Z1 = P
     if not Y1:
         return None
@@ -203,43 +217,102 @@ def _jac_add(P, Q, a: int, p: int):
     return X3, (r * (V - X3) - 2 * S1 * J) % p, 2 * Z1 * Z2 * H % p
 
 
-def _jac_add_affine(P, x2: int, y2: int, a: int, p: int):
-    """EFD madd-2007-bl: Jacobian P plus the affine point (x2, y2)."""
-    if P is None:
-        return x2, y2, 1
-    X1, Y1, Z1 = P
-    Z1Z1 = Z1 * Z1 % p
-    H = (x2 * Z1Z1 - X1) % p
-    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % p
-    if not H:
-        return _jac_double(P, a, p) if not r else None
-    I = 4 * H * H % p
-    J = H * I % p
-    V = X1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    return X3, (r * (V - X3) - 2 * Y1 * J) % p, 2 * Z1 * H % p
+def _inverses(values, p: int) -> list:
+    """1/v mod p of each nonzero v, with one inversion in all (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
 
 
 def _to_affine(points, p: int) -> list:
-    """Affine forms of Jacobian points (or None) with one inversion in all
-    (Montgomery's trick)."""
-    prefix = []
-    acc = 1
+    """Affine forms of Jacobian points (or None)."""
+    zs = iter(_inverses([P[2] for P in points if P is not None], p))
+    out = []
     for P in points:
-        prefix.append(acc)
-        if P is not None:
-            acc = acc * P[2] % p
-    inv = pow(acc, -1, p)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        if points[i] is None:
+        if P is None:
+            out.append(None)
             continue
-        X, Y, Z = points[i]
-        zi = inv * prefix[i] % p
-        inv = inv * Z % p
+        zi = next(zs)
         zi2 = zi * zi % p
-        out[i] = (X * zi2 % p, Y * zi2 * zi % p)
+        out.append((P[0] * zi2 % p, P[1] * zi2 * zi % p))
     return out
+
+
+def _odd_multiples(bases, sizes, a: int, p: int) -> list:
+    """[P, 3P, .., (2s-1)P] of each affine base P with its table size s, all
+    affine and built together in rounds.  Round 1 doubles each base; each
+    later round adds the base's current power 2^m·P to every odd multiple
+    below it, and doubles that power while the table still needs it.  The
+    slopes of a round share one inversion, so s = 8 takes 4 and s = 4 takes
+    3.  No denominator is 0 for a point of prime order q > 16: each sum is
+    o·P + 2^m·P with 0 < o < 2^m <= 8."""
+    tables = [[P] for P in bases]
+    powers = [[P] for P in bases]  # P, 2P, 4P, .. of each base
+    span = 1  # 2^m
+    while any(len(table) < s for table, s in zip(tables, sizes)):
+        # (list the result joins, P1, P2): P1 + P2, or a doubling when P1 is
+        # P2, the only job whose points share an x
+        jobs = []
+        for table, power, s in zip(tables, powers, sizes):
+            jobs += [(table, P, power[-1]) for P in table[:min(span >> 1, s - len(table))]]
+            if span < s:
+                jobs.append((power, power[-1], power[-1]))
+        dens = [2 * y1 if x1 == x2 else x2 - x1 for _, (x1, y1), (x2, _) in jobs]
+        for (out, (x1, y1), (x2, y2)), inv in zip(jobs, _inverses(dens, p)):
+            lam = (3 * x1 * x1 + a if x1 == x2 else y2 - y1) * inv % p
+            x3 = (lam * lam - x1 - x2) % p
+            out.append((x3, (lam * (x1 - x3) - y1) % p))
+        span <<= 1
+    return tables
+
+
+def _straus(rows, a: int, p: int):
+    """The affine sum of 2^i times the points of rows[i] over all i: one
+    doubling per row, highest first, and one mixed addition (EFD
+    madd-2007-bl) per point, written inline.  A doubling (EFD dbl-2009-l)
+    of a point of order 2 gives Z = 0, which stands for infinity."""
+    X = Y = Z = 0  # Z = 0: infinity
+    for row in reversed(rows):
+        if Z:
+            B = Y * Y % p
+            D = 4 * X * B % p
+            E = 3 * X * X
+            if a:
+                ZZ = Z * Z % p
+                E += a * ZZ * ZZ
+            E %= p
+            X3 = (E * E - 2 * D) % p
+            Y, Z = (E * (D - X3) - 8 * B * B) % p, 2 * Y * Z % p
+            X = X3
+        for x2, y2 in row:
+            if not Z:
+                X, Y, Z = x2, y2, 1
+                continue
+            ZZ = Z * Z % p
+            H = (x2 * ZZ - X) % p
+            r = 2 * (y2 * Z * ZZ - Y) % p
+            if not H:  # the point is acc (a doubling) or -acc (infinity)
+                X, Y, Z = (not r and _jac_double((X, Y, Z), a, p)) or (0, 0, 0)
+                continue
+            I = 4 * H * H % p
+            J = H * I % p
+            V = X * I % p
+            X3 = (r * r - J - 2 * V) % p
+            Y, Z = (r * (V - X3) - 2 * Y * J) % p, 2 * Z * H % p
+            X = X3
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 * zi % p
 
 
 @dataclass(frozen=True)
@@ -305,12 +378,13 @@ class CurveGroup(Group):
         exponent still over 128 bits is split into halves k1 + k2·λ below
         2^128 (a shorter one, such as a batch weight, stays whole).  Each is
         written in width-w NAF: odd signed digits below 2^(w-1) in absolute
-        value, at least w positions apart.  The odd multiples P, 3P, .. of
-        all terms are made affine with one inversion, so the loop adds them
-        with mixed additions; k2's digits index their β-images (β·x, y), λ
-        times them at no group operation.  Terms on ±G, and on ±a base
-        fixed by `fixed_base`, are summed into one comb scalar per base,
-        whose rows join the same loop at its lowest `_comb_spacing` bits.
+        value, at least w positions apart.  The affine odd multiples P, 3P,
+        .. of all terms are built together (`_odd_multiples`), so the loop
+        adds them with mixed additions; k2's digits index their β-images
+        (β·x, y), λ times them at no group operation.  Terms on ±G, and on
+        ±a base fixed by `fixed_base`, are summed into one comb scalar per
+        base, whose rows join the same loop at its lowest `_comb_spacing`
+        bits.
         """
         a, p, q = self.a, self.p, self.q
         fixed = self._fixed
@@ -326,7 +400,7 @@ class CurveGroup(Group):
             if 2 * y > p:
                 y, e = p - y, -e
             terms[x, y] = terms.get((x, y), 0) + e
-        jac, naf, lam = [], [], []  # odd multiples; (digits, first index); λ-halves
+        bases, sizes, chains = [], [], []  # chains: (digits, base, is the λ-half)
         for (x, y), e in terms.items():
             e %= q
             if not e:
@@ -336,43 +410,27 @@ class CurveGroup(Group):
             e, k2 = self._split(e) if self.glv and e.bit_length() > 128 else (e, 0)
             bits = abs(e).bit_length() + abs(k2).bit_length()  # digits the table serves
             width = 5 if bits > 128 else 4 if bits > 16 else 2
-            naf.append((_wnaf(e, width), len(jac)))
+            chains.append((_wnaf(e, width), len(bases), False))
             if k2:
-                lam.append((_wnaf(k2, width), len(jac), 1 << (width - 2)))
-            P = (x, y, 1)
-            jac.append(P)
-            if width > 2:
-                P2 = _jac_double(P, a, p)
-                for _ in range((1 << (width - 2)) - 1):
-                    P = _jac_add(P, P2, a, p)
-                    jac.append(P)
-        odd = _to_affine(jac, p)
-        for ds, start, size in lam:  # k2's digits index the β-images of its base's table
-            naf.append((ds, len(odd)))
-            odd += [(self.glv[0] * x % p, y) for x, y in odd[start:start + size]]
+                chains.append((_wnaf(k2, width), len(bases), True))
+            bases.append((x, y))
+            sizes.append(1 << (width - 2))
+        tables = _odd_multiples(bases, sizes, a, p)
 
         combs = [(fixed[x][1] or self._comb, e % q) for x, e in comb_e.items() if e % q]
         spacing = self._comb_spacing if combs else 0
-        adds = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _ in naf if ds]))]
-        low = (1 << spacing) - 1
+        rows = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _, _ in chains if ds]))]
         for comb, e in combs:
-            rows = [(e >> (spacing * j)) & low for j in range(COMB_TEETH)]
-            for i in range(spacing):
-                m = 0
-                for j, row in enumerate(rows):
-                    m |= ((row >> i) & 1) << j
+            for row, m in zip(rows, _comb_columns(e, spacing)):
                 if m:
-                    adds[i].append(comb[m])
-        for ds, start in naf:
-            for i, d in ds:
-                x, y = odd[start + (abs(d) >> 1)]
-                adds[i].append((x, y) if d > 0 else (x, p - y))
-        acc = None
-        for row in reversed(adds):
-            acc = _jac_double(acc, a, p)
-            for x, y in row:
-                acc = _jac_add_affine(acc, x, y, a, p)
-        return _to_affine([acc], p)[0]
+                    row.append(comb[m])
+        for ds, i, image in chains:
+            # k2's digits index the β-images (β·x, y) of its base's table
+            table = [(self.glv[0] * x % p, y) for x, y in tables[i]] if image else tables[i]
+            for pos, d in ds:
+                x, y = table[abs(d) >> 1]
+                rows[pos].append((x, y) if d > 0 else (x, p - y))
+        return _straus(rows, a, p)
 
     def _split(self, e: int) -> tuple:
         """(k1, k2) with k1 + k2·λ ≡ e (mod q) and |k1|, |k2| < 2^128: e

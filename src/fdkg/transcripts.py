@@ -3,8 +3,9 @@
 One JSON object per board entry, group elements hex-encoded in their
 canonical form, keys sorted, laid out by the `LAYOUT` and `MESSAGES` tables
 alone.  Import is strict: a line is accepted only if re-exporting its entry
-gives that exact line back, and only if its sender is its message's author;
-anything else raises `TranscriptError`.  Replaying an imported transcript
+gives that exact line back, only if its sender is its message's author, and
+only if its round is one its kind may sit in (`ROUNDS`); anything else
+raises `TranscriptError`.  Replaying an imported transcript
 reproduces the original result byte for byte.
 """
 
@@ -55,6 +56,16 @@ MESSAGES = {
     protocol.ShareReveal: ("share", "sender"),
     voting.Ballot: ("ballot", "voter"),
     voting.PartialDecryption: ("pdecrypt", "dealer"),
+}
+
+# board message type -> the rounds it may sit in; a share sits in the reveal
+# round of a ceremony (2) or of an election (3)
+ROUNDS = {
+    protocol.DealMessage: (1,),
+    protocol.SecretReveal: (2,),
+    protocol.ShareReveal: (2, 3),
+    voting.Ballot: (2,),
+    voting.PartialDecryption: (3,),
 }
 
 
@@ -131,6 +142,8 @@ def import_lines(lines, group) -> BroadcastBoard:
             kind, author = MESSAGES[type(message)]
             if getattr(message, author) != sender:
                 raise TranscriptError(f"sender {sender} is not the author of its {kind}")
+            if round_no not in ROUNDS[type(message)]:
+                raise TranscriptError(f"a {kind} cannot sit in round {round_no}")
         except (TranscriptError, ValueError, KeyError, GroupError, RecursionError) as exc:
             raise TranscriptError(f"line {number}: {exc!r}") from exc
         board.append(sender, round_no, message)

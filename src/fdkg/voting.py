@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import PublicState, Verdict, accepted_reveals
+from .protocol import PublicState, ShareReveal, Verdict, accepted_reveals
 
 
 class VotingError(Exception):
@@ -199,10 +199,12 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     Lagrange interpolation in the exponent over t share reveals that
     `judge_reveals` accepts (lowest guardian indices first).  The first
     partial decryption of each dealer with an accepted deal is checked in
-    one batch first (`_first_accepted`).  A share judged INCONSISTENT
-    removes no dealer here, since the election key already holds its
-    partial pk; the share just does not count.  Raises TallyFailure listing
-    dealers with no recovery path."""
+    one batch first (`_first_accepted`).  A share reveal for a dealer with
+    an accepted partial decryption is not judged, since the tally would not
+    use it; any other message in `share_reveals` is.  A share judged
+    INCONSISTENT removes no dealer here, since the election key already
+    holds its partial pk; the share just does not count.  Raises
+    TallyFailure listing dealers with no recovery path."""
     deals, g = public_state.deals, group.generator()
     direct = _first_accepted(
         partial_decryptions, lambda pd: pd.dealer, lambda pd: pd.dealer in deals,
@@ -210,7 +212,8 @@ def collect_decryption_values(group, public_state: PublicState, c1,
             group, [(g, deals[pd.dealer].partial_pk, c1, pd.value, pd.proof) for pd in firsts],
             TALLY_CONTEXT),
         lambda pd: judge_partial_decryption(group, public_state, c1, pd))
-    _, shares, _ = accepted_reveals(public_state, share_reveals, group, context)
+    needed = [m for m in share_reveals if not (isinstance(m, ShareReveal) and m.dealer in direct)]
+    _, shares, _ = accepted_reveals(public_state, needed, group, context)
     values, missing = {}, []
     for dealer in public_state.participants:
         bucket = shares.get(dealer, {})

@@ -18,16 +18,29 @@ def rng():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the curve kernel's point operations while the test runs, by
-    kind: doublings, mixed additions (Jacobian plus affine) and Jacobian
-    additions.  They do not depend on the host."""
-    counts = {"double": 0, "add": 0, "jac_add": 0}
-    for name, key in (("_jac_double", "double"), ("_jac_add_affine", "add"),
-                      ("_jac_add", "jac_add")):
-        def counted(*args, inner=getattr(groups, name), key=key):
-            counts[key] += 1
+    """The curve kernel's point operations while the test runs, by kind:
+    doublings and mixed additions (Jacobian plus affine) of the Straus loop,
+    one doubling per row and one addition per point of a `_straus` call,
+    plus each `_jac_double` call; Jacobian additions (`_jac_add`, comb
+    tables); and table operations, one per value `_inverses` inverts (an
+    affine addition or doubling of an odd-multiple table, or a comb table
+    point made affine).  They do not depend on the host."""
+    counts = {"double": 0, "add": 0, "jac_add": 0, "table": 0}
+
+    def wrap(name, count):
+        def counted(*args, inner=getattr(groups, name)):
+            count(*args)
             return inner(*args)
         monkeypatch.setattr(groups, name, counted)
+
+    def straus(rows, *_):
+        counts["double"] += len(rows)
+        counts["add"] += sum(map(len, rows))
+
+    wrap("_straus", straus)
+    wrap("_inverses", lambda values, p: counts.update(table=counts["table"] + len(values)))
+    for name, key in (("_jac_double", "double"), ("_jac_add", "jac_add")):
+        wrap(name, lambda *_, key=key: counts.update({key: counts[key] + 1}))
     return counts
 
 

@@ -348,9 +348,18 @@ class TestOperationCounts:
 
     @staticmethod
     def measure(counts, fn, *args):
-        counts.update(double=0, add=0)
+        counts.update(dict.fromkeys(counts, 0))
         fn(*args)
         return counts["double"], counts["add"]
+
+    def test_fixture_sees_a_fresh_base_exp(self, counts):
+        """The fixture counts the kernel's work: an exp on a fresh base makes
+        doublings and additions in the Straus loop, and its table."""
+        SECP256K1.base_exp(1)
+        P = SECP256K1.base_exp(0xC0FFEE)
+        counts.update(dict.fromkeys(counts, 0))
+        SECP256K1.exp(P, Q // 3)
+        assert counts["double"] > 0 and counts["add"] > 0 and counts["table"] > 0
 
     def test_exp_doublings(self, counts):
         rng = random.Random(9)
@@ -395,13 +404,16 @@ class TestOperationCounts:
         SECP256K1.base_exp(1)
         equations = self.dl_equations(6)
         doublings, additions = self.measure(counts, nizk._all_hold, SECP256K1, b"ctx", equations)
-        assert doublings <= 132 + 12  # 267 before; one more per base for its table
+        assert doublings <= 132 + 12  # 267 before the split; 12 were table doublings
         assert additions <= 421
         # the batch's short terms alone, each a commitment to its weight:
-        # whole, exactly as before
+        # whole, exactly as before.  The 6 table doublings of the pin
+        # (135, 158) taken before the tables were affine are now among the
+        # 5 table operations (2 doublings, 3 additions) of each width-4 table.
         rng = random.Random(9)
         short = [(eq[1][0], -(1 + rng.randrange(2**128 - 1))) for eq in equations]
-        assert self.measure(counts, multi_exp, SECP256K1, short) == (135, 158)
+        assert self.measure(counts, multi_exp, SECP256K1, short) == (129, 158)
+        assert counts["table"] == 6 * 5
 
 
 FIXED = SECP256K1.base_exp(0xFEEDFACE)
@@ -458,10 +470,10 @@ class TestFixedBase:
         with groups.fixed_base(SECP256K1, FIXED):  # the table is built here
             counts.update(dict.fromkeys(counts, 0))
             multi_exp(SECP256K1, [(FIXED, e), (SECP256K1.generator(), e)])
-            assert counts["double"] <= 32 and counts["jac_add"] == 0
+            assert counts["double"] <= 32 and counts["table"] == 0
         counts.update(dict.fromkeys(counts, 0))
         multi_exp(SECP256K1, [(FIXED, e)])
-        assert counts["double"] > 100 and counts["jac_add"] > 0  # the table is gone
+        assert counts["double"] > 100 and counts["table"] > 0  # the table is gone
 
     def test_state_after_normal_exit_and_exception(self):
         group = fresh_curve()
@@ -492,8 +504,9 @@ class TestFixedBase:
                 assert group._fixed == fixed
             assert group._fixed == fixed  # the inner exit dropped nothing
             counts.update(dict.fromkeys(counts, 0))
-            assert group.exp(FIXED, 7) == ref_exp(group, FIXED, 7)
-            assert counts["jac_add"] == 0
+            # an exponent long enough that a fresh base would need a table
+            assert group.exp(FIXED, Q // 3) == ref_exp(group, FIXED, Q // 3)
+            assert counts["table"] == 0
         assert group._fixed == {group.gx: (group.gy, None)} and group._comb is comb
         assert group.base_exp(Q - 3) == ref_exp(group, group.generator(), -3)
 
@@ -507,3 +520,40 @@ class TestFixedBase:
             assert vars(group) == before and SECP256K1._fixed == inner
             assert multi_exp(group, pairs) == group.base_exp(19)
         assert vars(group) == before and SECP256K1._fixed == inner
+
+
+class TestOddMultiples:
+    """`groups._odd_multiples` builds the affine tables of several bases in
+    shared rounds; multi_exp over many fresh bases, which all go through it
+    at once, still equals the fold."""
+
+    @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE], ids=lambda g: g.name)
+    def test_matches_reference(self, curve):
+        g = curve.generator()
+        bases = [ref_exp(curve, g, k) for k in (1, 2, 3, 500, curve.q - 1, 0xC0FFEE)]
+        for sizes in ([1] * 6, [4] * 6, [8] * 6, [1, 4, 8, 8, 4, 1], [8]):
+            tables = groups._odd_multiples(bases[:len(sizes)], sizes, curve.a, curve.p)
+            assert tables == [[ref_exp(curve, P, 2 * j + 1) for j in range(s)]
+                              for P, s in zip(bases, sizes)], sizes
+        assert groups._odd_multiples([], [], curve.a, curve.p) == []
+
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE], ids=lambda g: g.name)
+    def test_many_fresh_bases_match_fold(self, curve, data):
+        q = curve.q
+        exponents = st.one_of(st.integers(-2 * q, 2 * q), st.integers(-(2**20), 2**20),
+                              st.integers(-(2**128), 2**128),
+                              st.sampled_from([0, 1, -1, q - 1, q + 1]))
+        point = st.integers(1, q - 1).map(lambda k: ref_exp(curve, curve.generator(), k))
+        pairs = data.draw(st.lists(st.tuples(point, exponents), min_size=1, max_size=20))
+        g_e, fixed_e = data.draw(st.tuples(st.none() | exponents, st.none() | exponents))
+        if g_e is not None:
+            pairs.append((curve.generator(), g_e))
+        if fixed_e is None:
+            assert multi_exp(curve, pairs) == fold(curve, pairs)
+            return
+        P = ref_exp(curve, curve.generator(), 0xFEEDFACE)
+        pairs.append((P, fixed_e))
+        with groups.fixed_base(curve, P):
+            assert multi_exp(curve, pairs) == fold(curve, pairs)

@@ -169,6 +169,21 @@ class TestEveryKind:
         with pytest.raises(transcripts.TranscriptError, match="author"):
             transcripts.import_lines([_edited(lines[kind], edit)], TEST_GROUP)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_must_match_kind(self, lines, kind):
+        """A deal sits in round 1, a secret or a ballot in round 2, a partial
+        decryption in round 3 and a share in round 2 or 3; a line moved to
+        any other round, such as a deal relabelled round 7, is rejected."""
+        allowed = {"deal": {1}, "secret": {2}, "ballot": {2}, "pdecrypt": {3},
+                   "share": {2, 3}}[kind]
+        for round_no in range(0, 8):
+            line = _edited(lines[kind], lambda record: record.update(round=round_no))
+            if round_no in allowed:
+                assert len(transcripts.import_lines([line], TEST_GROUP)) == 1
+            else:
+                with pytest.raises(transcripts.TranscriptError, match="round"):
+                    transcripts.import_lines([line], TEST_GROUP)
+
 
 class TestStrictImport:
     """Malformed lines raise TranscriptError and nothing else, and every
