@@ -276,22 +276,13 @@ def _odd_multiples(bases, sizes, a: int, p: int) -> list:
 
 def _straus(rows, a: int, p: int):
     """The affine sum of 2^i times the points of rows[i] over all i: one
-    doubling per row, highest first, and one mixed addition (EFD
-    madd-2007-bl) per point, written inline.  A doubling (EFD dbl-2009-l)
-    of a point of order 2 gives Z = 0, which stands for infinity."""
+    doubling (`_jac_double`) per row, highest first, and one mixed addition
+    (EFD madd-2007-bl) per point, written inline.  Z = 0 stands for
+    infinity, which a doubling of infinity (Y = 0) or of a point of order 2
+    gives."""
     X = Y = Z = 0  # Z = 0: infinity
     for row in reversed(rows):
-        if Z:
-            B = Y * Y % p
-            D = 4 * X * B % p
-            E = 3 * X * X
-            if a:
-                ZZ = Z * Z % p
-                E += a * ZZ * ZZ
-            E %= p
-            X3 = (E * E - 2 * D) % p
-            Y, Z = (E * (D - X3) - 8 * B * B) % p, 2 * Y * Z % p
-            X = X3
+        X, Y, Z = _jac_double((X, Y, Z), a, p) or (0, 0, 0)
         for x2, y2 in row:
             if not Z:
                 X, Y, Z = x2, y2, 1

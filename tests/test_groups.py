@@ -366,7 +366,9 @@ class TestOperationCounts:
         P = SECP256K1.base_exp(rng.randrange(1, Q))
         for _ in range(8):
             e = rng.randrange(2**254, Q)
-            assert self.measure(counts, SECP256K1.exp, P, e)[0] <= 132  # about 256 before
+            # 132 when the count took in the one doubling of P's Jacobian table
+            assert self.measure(counts, SECP256K1.exp, P, e)[0] <= 131  # about 256 before
+            assert counts["table"] == 10  # P's width-5 table: 3 doublings, 7 additions
             assert self.measure(counts, GENERIC.exp, P, e)[0] >= 240
 
     def test_base_exp_doublings(self, counts):
@@ -392,9 +394,13 @@ class TestOperationCounts:
 
     def test_verify_dl_equation(self, counts):
         SECP256K1.base_exp(1)
-        doublings, additions = zip(*(self.measure(counts, multi_exp, SECP256K1, eq)
-                                     for eq in self.dl_equations(3)))
-        assert max(doublings) <= 132  # 257, 257 and 255 before
+        doublings, additions, tables = zip(*(
+            self.measure(counts, multi_exp, SECP256K1, eq) + (counts["table"],)
+            for eq in self.dl_equations(3)))
+        assert tables == (10, 10, 10)  # X's width-5 table alone
+        # 132 when the count took in the one doubling of X's Jacobian table
+        # (R's exponent, -1, needs no table)
+        assert max(doublings) <= 131  # 257, 257 and 255 before
         # Two wNAF chains for the split exponent are on average 0.3 digits
         # longer than one (spread -8 .. +9 over 20,000 random exponents), so
         # the bound is the kernel's before the split on these inputs.
@@ -404,7 +410,10 @@ class TestOperationCounts:
         SECP256K1.base_exp(1)
         equations = self.dl_equations(6)
         doublings, additions = self.measure(counts, nizk._all_hold, SECP256K1, b"ctx", equations)
-        assert doublings <= 132 + 12  # 267 before the split; 12 were table doublings
+        # 132 + 12 when the count took in the doublings of the Jacobian
+        # tables, 11 on these inputs
+        assert doublings <= 132  # 267 before the split
+        assert counts["table"] == 6 * 10 + 5 * 5  # 6 width-5 and 5 width-4 tables
         assert additions <= 421
         # the batch's short terms alone, each a commitment to its weight:
         # whole, exactly as before.  The 6 table doublings of the pin
