@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import pke, protocol
+from .groups import fixed_base
 from .protocol import (DealMessage, GuardianSet, InvalidGuardianSetError, Params,
                        PublicState, ReconstructionOutcome)
 from .shamir import Polynomial
@@ -156,7 +157,11 @@ def _malform(msg: DealMessage, group) -> DealMessage:
 def deal_round(params: Params, behaviors: dict, group, seed: int,
                guardian_sets=None) -> tuple:
     """Round 1 of a ceremony or an election: every dealing party shares to
-    its guardian set.  Returns (board, pki, dealer_states, public_state)."""
+    its guardian set, and the round's deals are judged.  Each guardian key
+    is the base of two exponentiations per ciphertext to it, and of terms
+    of the deal checks, so it is a comb base (`fixed_base`) for the round,
+    and its table is dropped when the round ends.  Returns (board, pki,
+    dealer_states, public_state)."""
     if guardian_sets is None:
         guardian_sets = _default_guardians(params, seed)
     gsets = dealer_guardian_sets(params, behaviors, guardian_sets)
@@ -165,15 +170,15 @@ def deal_round(params: Params, behaviors: dict, group, seed: int,
 
     board = BroadcastBoard()
     dealer_states = {}
-    for i, gset in gsets.items():
-        msg, dealer_states[i] = protocol.round1_deal(
-            i, params, gset, pub_keys, group, child_rng(seed, i, _STREAM_ROUND1))
-        if behaviors[i].kind == MALFORM_DEAL:
-            msg = _malform(msg, group)
-        board.append(i, 1, msg)
-
-    public_state = protocol.process_round1(
-        [e.message for e in board.entries(1)], params, pub_keys, group)
+    with fixed_base(group, *{pub_keys[j] for gset in gsets.values() for j in gset.members}):
+        for i, gset in gsets.items():
+            msg, dealer_states[i] = protocol.round1_deal(
+                i, params, gset, pub_keys, group, child_rng(seed, i, _STREAM_ROUND1))
+            if behaviors[i].kind == MALFORM_DEAL:
+                msg = _malform(msg, group)
+            board.append(i, 1, msg)
+        public_state = protocol.process_round1(
+            [e.message for e in board.entries(1)], params, pub_keys, group)
     return board, pki, dealer_states, public_state
 
 

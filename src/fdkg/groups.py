@@ -14,12 +14,15 @@ Two interchangeable backends:
   signed-window (wNAF) digits over affine odd multiples of every base, and
   Lim-Lee combs (8 teeth 32 bits apart over 255 affine points) for G, cached
   on first use, and for a base fixed by `fixed_base` while its block is
-  open.  The odd multiples of all fresh bases of one call are built affine
-  together, in rounds of affine doublings and additions whose slopes share
-  one inversion a round (Montgomery's trick, `_odd_multiples`).  `exp` and
-  `base_exp` are its one-term cases.  On a curve with a GLV endomorphism
-  (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits is split as
-  k1 + k2·λ with both halves below 2^128, halving the doubling chain.
+  open.  `exp` and `base_exp` are its one-term cases.  On a curve with a GLV
+  endomorphism (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits
+  is split as k1 + k2·λ with both halves below 2^128, halving the doubling
+  chain.  Affine additions are batched: `_affine_sums` adds many pairs of
+  points with one inversion for all their slopes (Montgomery's trick).  It
+  builds the odd multiples of all fresh bases of a call in rounds
+  (`_odd_multiples`), a comb table's subset sums in 8 rounds, and sums the
+  points of each Straus row in pairs before the loop adds what is left;
+  `mul` is its one-pair case.
 
 `multi_exp(group, pairs)` is the entry point that verification equations
 use: it runs a group's own kernel (native `pow` on MultiplicativeGroup) or,
@@ -143,6 +146,12 @@ class MultiplicativeGroup(Group):
 # take and return finite points or None.
 
 COMB_TEETH = 8
+# `multi_exp` sums a level of its rows' points only if the level has at least
+# ROW_PAIRS pairs: on secp256k1 the level's inversion costs about what 11
+# pairs save.  A longer level goes through `_affine_sums` in runs of rows of
+# at least ROW_RUN pairs, so that its temporaries stay small.
+ROW_PAIRS = 12
+ROW_RUN = 256
 
 
 def _wnaf(e: int, width: int) -> list:
@@ -194,82 +203,68 @@ def _jac_double(P, a: int, p: int):
     return X3, (E * (D - X3) - 8 * B * B) % p, 2 * Y1 * Z1 % p
 
 
-def _jac_add(P, Q, a: int, p: int):
-    """EFD add-2007-bl; Z3 = 2*Z1*Z2*H is that formula's Z3 before expansion."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    X1, Y1, Z1 = P
-    X2, Y2, Z2 = Q
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    H = (X2 * Z1Z1 - U1) % p
-    r = 2 * (Y2 * Z1 * Z1Z1 - S1) % p
-    if not H:
-        return _jac_double(P, a, p) if not r else None
-    I = 4 * H * H % p
-    J = H * I % p
-    V = U1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    return X3, (r * (V - X3) - 2 * S1 * J) % p, 2 * Z1 * Z2 * H % p
-
-
 def _inverses(values, p: int) -> list:
-    """1/v mod p of each nonzero v, with one inversion in all (Montgomery's trick)."""
-    prefix = []
+    """1/v mod p of each v, and 0 for v = 0, with one inversion in all
+    (Montgomery's trick)."""
+    out = []
     acc = 1
     for v in values:
-        prefix.append(acc)
-        acc = acc * v % p
+        out.append(acc)  # the product of the nonzero values before v
+        if v:
+            acc = acc * v % p
     inv = pow(acc, -1, p)
-    out = [0] * len(values)
     for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % p
-        inv = inv * values[i] % p
+        if values[i]:
+            out[i], inv = inv * out[i] % p, inv * values[i] % p
+        else:
+            out[i] = 0
+    return out
+
+
+def _affine_sums(pairs, a: int, p: int) -> list:
+    """P + Q of each pair of affine points or None (infinity), with one
+    inversion for all the slopes: P == Q is a doubling, and P == -Q gives
+    None.  No point of the prime-order curves here has y = 0."""
+    dens = [0 if P is None or Q is None else 2 * P[1] if P == Q else Q[0] - P[0]
+            for P, Q in pairs]
+    out = []
+    for (P, Q), inv in zip(pairs, _inverses(dens, p)):
+        if not inv:  # a summand is infinity, or P == -Q
+            out.append(None if P and Q else P or Q)
+            continue
+        (x1, y1), (x2, y2) = P, Q
+        lam = (3 * x1 * x1 + a if P == Q else y2 - y1) * inv % p
+        x3 = (lam * lam - x1 - x2) % p
+        out.append((x3, (lam * (x1 - x3) - y1) % p))
     return out
 
 
 def _to_affine(points, p: int) -> list:
-    """Affine forms of Jacobian points (or None)."""
-    zs = iter(_inverses([P[2] for P in points if P is not None], p))
+    """Affine forms of finite Jacobian points."""
     out = []
-    for P in points:
-        if P is None:
-            out.append(None)
-            continue
-        zi = next(zs)
+    for (X, Y, Z), zi in zip(points, _inverses([P[2] for P in points], p)):
         zi2 = zi * zi % p
-        out.append((P[0] * zi2 % p, P[1] * zi2 * zi % p))
+        out.append((X * zi2 % p, Y * zi2 * zi % p))
     return out
 
 
 def _odd_multiples(bases, sizes, a: int, p: int) -> list:
     """[P, 3P, .., (2s-1)P] of each affine base P with its table size s, all
-    affine and built together in rounds.  Round 1 doubles each base; each
-    later round adds the base's current power 2^m·P to every odd multiple
-    below it, and doubles that power while the table still needs it.  The
-    slopes of a round share one inversion, so s = 8 takes 4 and s = 4 takes
-    3.  No denominator is 0 for a point of prime order q > 16: each sum is
-    o·P + 2^m·P with 0 < o < 2^m <= 8."""
+    affine and built together in rounds of `_affine_sums`.  Round 1 doubles
+    each base; each later round adds the base's current power 2^m·P to every
+    odd multiple below it, and doubles that power while the table still needs
+    it.  So s = 8 takes 4 rounds and s = 4 takes 3."""
     tables = [[P] for P in bases]
     powers = [[P] for P in bases]  # P, 2P, 4P, .. of each base
     span = 1  # 2^m
     while any(len(table) < s for table, s in zip(tables, sizes)):
-        # (list the result joins, P1, P2): P1 + P2, or a doubling when P1 is
-        # P2, the only job whose points share an x
-        jobs = []
+        jobs = []  # (list the sum joins, P1, P2)
         for table, power, s in zip(tables, powers, sizes):
             jobs += [(table, P, power[-1]) for P in table[:min(span >> 1, s - len(table))]]
             if span < s:
                 jobs.append((power, power[-1], power[-1]))
-        dens = [2 * y1 if x1 == x2 else x2 - x1 for _, (x1, y1), (x2, _) in jobs]
-        for (out, (x1, y1), (x2, y2)), inv in zip(jobs, _inverses(dens, p)):
-            lam = (3 * x1 * x1 + a if x1 == x2 else y2 - y1) * inv % p
-            x3 = (lam * lam - x1 - x2) % p
-            out.append((x3, (lam * (x1 - x3) - y1) % p))
+        for (out, _, _), S in zip(jobs, _affine_sums([job[1:] for job in jobs], a, p)):
+            out.append(S)
         span <<= 1
     return tables
 
@@ -332,22 +327,7 @@ class CurveGroup(Group):
         return None
 
     def mul(self, P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        p = self.p
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        y3 = (lam * (x1 - x3) - y1) % p
-        return (x3, y3)
+        return _affine_sums([(P, Q)], self.a, self.p)[0]
 
     def inv(self, P):
         if P is None:
@@ -370,12 +350,14 @@ class CurveGroup(Group):
         2^128 (a shorter one, such as a batch weight, stays whole).  Each is
         written in width-w NAF: odd signed digits below 2^(w-1) in absolute
         value, at least w positions apart.  The affine odd multiples P, 3P,
-        .. of all terms are built together (`_odd_multiples`), so the loop
-        adds them with mixed additions; k2's digits index their β-images
-        (β·x, y), λ times them at no group operation.  Terms on ±G, and on
-        ±a base fixed by `fixed_base`, are summed into one comb scalar per
-        base, whose rows join the same loop at its lowest `_comb_spacing`
-        bits.
+        .. of all terms are built together (`_odd_multiples`); k2's digits
+        index their β-images (β·x, y), λ times them at no group operation.
+        Terms on ±G, and on ±a base fixed by `fixed_base`, are summed into
+        one comb scalar per base, whose rows join the same loop at its
+        lowest `_comb_spacing` bits.  Before the loop, the points of each
+        row are summed in pairs, a level at a time while a level has at
+        least ROW_PAIRS pairs; the loop adds what is left with mixed
+        additions.
         """
         a, p, q = self.a, self.p, self.q
         fixed = self._fixed
@@ -421,7 +403,19 @@ class CurveGroup(Group):
             for pos, d in ds:
                 x, y = table[abs(d) >> 1]
                 rows[pos].append((x, y) if d > 0 else (x, p - y))
-        return _straus(rows, a, p)
+        while True:  # a level of row sums
+            full = [row for row in rows if len(row) > 1]
+            if sum(len(row) >> 1 for row in full) < ROW_PAIRS:
+                return _straus(rows, a, p)
+            pairs, run = [], []  # rows whose pairs share one `_affine_sums`
+            for row in full:
+                pairs += zip(row[::2], row[1::2])
+                run.append(row)
+                if len(pairs) >= ROW_RUN or row is full[-1]:
+                    sums = iter(_affine_sums(pairs, a, p))
+                    for r in run:  # its sums, and its odd point if it has one
+                        r[:] = [S for _, S in zip(r[1::2], sums) if S] + r[len(r) & ~1:]
+                    pairs, run = [], []
 
     def _split(self, e: int) -> tuple:
         """(k1, k2) with k1 + k2·λ ≡ e (mod q) and |k1|, |k2| < 2^128: e
@@ -446,7 +440,9 @@ class CurveGroup(Group):
 
     def _comb_table(self, x: int, y: int) -> list:
         """[m] = sum of 2^(spacing*j) * (x, y) over the set bits j of m,
-        affine, for m in 1 .. 2^COMB_TEETH - 1."""
+        affine, for m in 1 .. 2^COMB_TEETH - 1 ([0] is None).  The teeth are
+        doubled in Jacobian form and made affine together; then
+        COMB_TEETH rounds of `_affine_sums` build the subset sums."""
         a, p = self.a, self.p
         teeth = [(x, y, 1)]
         while len(teeth) < COMB_TEETH:
@@ -454,11 +450,10 @@ class CurveGroup(Group):
             for _ in range(self._comb_spacing):
                 T = _jac_double(T, a, p)
             teeth.append(T)
-        jac = [None]
-        for m in range(1, 1 << COMB_TEETH):
-            high = m.bit_length() - 1
-            jac.append(_jac_add(jac[m ^ (1 << high)], teeth[high], a, p))
-        return _to_affine(jac, p)
+        table = [None]
+        for T in _to_affine(teeth, p):  # round j adds tooth j to every entry below 2^j
+            table += _affine_sums([(S, T) for S in table], a, p)
+        return table
 
     def encode(self, P) -> bytes:
         width = (self.p.bit_length() + 7) // 8
@@ -506,18 +501,21 @@ def multi_exp(group, pairs):
 
 
 @contextmanager
-def fixed_base(group, P):
-    """While the block is open, `CurveGroup.multi_exp` makes terms on ±P comb
-    terms, as G's are; a no-op on any other group, the identity or a base
-    already fixed.  Single-threaded, as G's cached table is."""
-    if not isinstance(group, CurveGroup) or P is None or P[0] in group._fixed:
-        yield
-        return
-    group._fixed[P[0]] = (P[1], group._comb_table(*P))
+def fixed_base(group, *points):
+    """While the block is open, `CurveGroup.multi_exp` makes terms on ±P, for
+    each P of `points`, comb terms, as G's are; a no-op on any other group,
+    the identity or a base already fixed.  Single-threaded, as G's cached
+    table is."""
+    added = []
     try:
+        for P in points if isinstance(group, CurveGroup) else ():
+            if P is not None and P[0] not in group._fixed:
+                group._fixed[P[0]] = (P[1], group._comb_table(*P))
+                added.append(P[0])
         yield
     finally:
-        del group._fixed[P[0]]
+        for x in added:
+            del group._fixed[x]
 
 
 # Small safe-prime subgroup: p = 2q + 1, generator 4 = 2^2 has order q.

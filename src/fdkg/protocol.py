@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from . import nizk, pke, shamir
+from .groups import multi_exp
 
 
 class ProtocolError(Exception):
@@ -206,10 +207,7 @@ def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
     state.deals = deals
     state.participants = tuple(sorted(deals))
     if state.participants:
-        acc = group.identity()
-        for i in state.participants:
-            acc = group.mul(acc, deals[i].partial_pk)
-        state.global_pk = acc
+        state.global_pk = multi_exp(group, [(deals[i].partial_pk, 1) for i in state.participants])
     return state
 
 

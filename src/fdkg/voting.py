@@ -164,11 +164,10 @@ def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
         lambda b: judge_ballot(group, encoding, global_pk, b))
     if not accepted:
         return None, ()
-    c1, c2 = group.identity(), group.identity()
-    for ballot in accepted.values():
-        c1 = group.mul(c1, ballot.a)
-        c2 = group.mul(c2, ballot.b)
-    return AggregatedCiphertext(c1, c2), tuple(accepted)
+    ballots = accepted.values()
+    return (AggregatedCiphertext(multi_exp(group, [(b.a, 1) for b in ballots]),
+                                 multi_exp(group, [(b.b, 1) for b in ballots])),
+            tuple(accepted))
 
 
 TALLY_CONTEXT = b"fdkg/tally"
@@ -260,9 +259,7 @@ def tally_finalize(group, aggregate: Optional[AggregatedCiphertext],
     the per-candidate counts."""
     if aggregate is None or n_valid == 0:
         return TallyResult((0,) * encoding.candidates, 0)
-    z = group.identity()
-    for value in decryption_values.values():
-        z = group.mul(z, value)
+    z = multi_exp(group, [(value, 1) for value in decryption_values.values()])
     m_elem = group.div(aggregate.c2, z)
     bound = n_valid * (1 << ((encoding.candidates - 1) * encoding.slot_bits))
     exponent = bsgs_dlog(group, m_elem, group.generator(), bound)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,27 +17,36 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+# the `counts` key of the affine additions that each caller of
+# `groups._affine_sums` asks for
+AFFINE_SUM_KEYS = {"_odd_multiples": "table", "multi_exp": "row", "_comb_table": "comb",
+                   "mul": "mul"}
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """The curve kernel's point operations while the test runs, by kind:
     doublings (`_jac_double` calls: one per row of the Straus loop, plus
-    comb tables); mixed additions, one per point of a `_straus` call;
-    Jacobian additions (`_jac_add`, comb tables); and table operations, one
-    per value `_inverses` inverts (an affine addition or doubling of an
-    odd-multiple table, or a comb table point made affine).  They do not
+    comb tables' teeth); mixed additions, one per point of a `_straus`
+    call; and affine additions or doublings, one per pair passed to
+    `_affine_sums`, under the key of the function that asks for them:
+    `table` for odd-multiple tables, `row` for the row sums of
+    `multi_exp`, `comb` for comb tables and `mul` for `mul`.  They do not
     depend on the host."""
-    counts = {"double": 0, "add": 0, "jac_add": 0, "table": 0}
+    counts = dict.fromkeys(("double", "add", *AFFINE_SUM_KEYS.values()), 0)
 
     def wrap(name, count):
         def counted(*args, inner=getattr(groups, name)):
-            count(*args)
+            count(sys._getframe(1).f_code.co_name, *args)
             return inner(*args)
         monkeypatch.setattr(groups, name, counted)
 
-    wrap("_straus", lambda rows, *_: counts.update(add=counts["add"] + sum(map(len, rows))))
-    wrap("_inverses", lambda values, p: counts.update(table=counts["table"] + len(values)))
-    for name, key in (("_jac_double", "double"), ("_jac_add", "jac_add")):
-        wrap(name, lambda *_, key=key: counts.update({key: counts[key] + 1}))
+    def add(key, n):
+        counts[key] += n
+
+    wrap("_straus", lambda _, rows, *__: add("add", sum(map(len, rows))))
+    wrap("_affine_sums", lambda caller, pairs, *_: add(AFFINE_SUM_KEYS[caller], len(pairs)))
+    wrap("_jac_double", lambda *_: add("double", 1))
     return counts
 
 

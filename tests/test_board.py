@@ -1,13 +1,16 @@
+import dataclasses
+import random
+
 import pytest
 
 from fdkg import board as fboard
-from fdkg import shamir
+from fdkg import protocol, shamir
 from fdkg.board import (ABSENT_ROUND1, ABSENT_ROUND2, BYZANTINE_SILENT,
                         HONEST, MALFORM_DEAL, WITHHOLD_SHARES, ActivationError,
                         Behavior, BroadcastBoard, CorruptActivation,
                         HonestActivation, child_rng, generate_pki,
                         ideal_functionality_run, run_ceremony)
-from fdkg.groups import TEST_GROUP
+from fdkg.groups import SECP256K1, TEST_GROUP
 from fdkg.protocol import Params
 
 EXAMPLE_SETS = {1: frozenset({2, 3, 5}), 3: frozenset({4, 5, 7}),
@@ -230,3 +233,69 @@ def test_generate_pki_deterministic(group):
     a = generate_pki(params, group, seed=6)
     b = generate_pki(params, group, seed=6)
     assert {i: kp.pk for i, kp in a.items()} == {i: kp.pk for i, kp in b.items()}
+
+
+def benchmark_shaped_ceremony(seed: int) -> tuple:
+    """(master seed, behaviors, guardian sets) of the benchmark's secp256k1
+    ceremony step: n=8, circulant guardian sets of k=4 over a shuffled
+    labelling, two parties absent in round 2, one withholding its share of
+    the first and one malforming its deal."""
+    rng = random.Random(seed)
+    labels = list(range(1, 9))
+    rng.shuffle(labels)
+    behaviors = {i: Behavior() for i in labels}
+    behaviors[labels[0]] = Behavior(ABSENT_ROUND2)
+    behaviors[labels[4]] = Behavior(ABSENT_ROUND2)
+    behaviors[labels[1]] = Behavior(WITHHOLD_SHARES, frozenset({labels[0]}))
+    behaviors[labels[2]] = Behavior(MALFORM_DEAL)
+    gsets = {labels[i]: frozenset(labels[(i + j) % 8] for j in range(1, 5)) for i in range(8)}
+    return rng.randrange(2 ** 32), behaviors, gsets
+
+
+class TestGuardianKeyCombs:
+    """`deal_round` holds a comb table for every guardian key through the
+    round, dealing and judging, and drops them all when the round ends."""
+
+    def test_tables_only_during_the_round(self, monkeypatch):
+        group = dataclasses.replace(SECP256K1, name="fresh")
+        params = Params(4, 2, 2)
+        sets = {1: {2, 3}, 2: {3, 4}, 3: {1, 4}, 4: {1, 2}}
+        seen, real = [], protocol.round1_deal
+
+        def recording(i, *args):
+            seen.append(set(group._fixed))
+            return real(i, *args)
+
+        monkeypatch.setattr(protocol, "round1_deal", recording)
+        _, pki, _, public = fboard.deal_round(params, all_honest(4), group, 3, sets)
+        keys = {kp.pk[0] for kp in pki.values()}
+        assert seen == [keys | {group.gx}] * 4
+        assert group._fixed == {group.gx: (group.gy, None)}
+        assert public.participants == (1, 2, 3, 4)
+
+    def test_tables_dropped_when_a_dealer_raises(self, monkeypatch):
+        group = dataclasses.replace(SECP256K1, name="fresh")
+        real = protocol.round1_deal
+
+        def failing(i, *args):
+            if i == 3:
+                raise RuntimeError("dealer 3")
+            return real(i, *args)
+
+        monkeypatch.setattr(protocol, "round1_deal", failing)
+        with pytest.raises(RuntimeError):
+            fboard.deal_round(Params(4, 2, 2), all_honest(4), group, 3,
+                              {1: {2, 3}, 2: {3, 4}, 3: {1, 4}, 4: {1, 2}})
+        assert group._fixed == {group.gx: (group.gy, None)}
+
+    def test_benchmark_shaped_ceremony_doublings(self, counts):
+        """Seed 7 of the benchmark's ceremony shape: each guardian key is a
+        comb base for its 8 uses, so the run takes at most 15,000 doublings
+        (19,243 with a fresh-base exponentiation for each use)."""
+        seed, behaviors, gsets = benchmark_shaped_ceremony(7)
+        SECP256K1.base_exp(1)  # G's comb is built outside the count
+        counts.update(dict.fromkeys(counts, 0))
+        result = run_ceremony(Params(8, 2, 4), behaviors, SECP256K1, seed, gsets)
+        assert result.outcome.success
+        assert counts["double"] <= 15_000
+        assert counts["comb"] == 8 * 255  # one table per key

@@ -4,6 +4,7 @@ contract of both decoders."""
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,33 @@ from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError, _wnaf, mu
 # points), small enough to check every scalar and to hit the coincident-point
 # branches of the Jacobian formulas while the comb table is built.
 TOY_CURVE = CurveGroup(p=1019, a=2, b=18, q=1013, gx=3, gy=207, name="toy")
+# Another (y^2 = x^3 + 2x + 2 over F_467, 463 points), whose comb teeth
+# 4^j·P have subset sums that collide: building a comb table there doubles
+# one point and reaches infinity once.  TOY_CURVE's comb sums never collide.
+COMB_TOY = CurveGroup(p=467, a=2, b=2, q=463, gx=4, gy=169, name="comb-toy")
 
 Q = SECP256K1.q
 EDGE_SCALARS = [0, 1, 2, 15, 16, 17, Q - 1, Q, Q + 1, 2 * Q, -1, -2, -Q, -Q - 1,
                 2**255, 2**256 - 1]
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def ref_add(group, P, Q):
+    """Textbook affine chord-and-tangent addition, one inversion a call,
+    written apart from the kernel's `_affine_sums`."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    p = group.p
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        lam = (3 * x1 * x1 + group.a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def ref_exp(group, P, e):
@@ -31,8 +53,8 @@ def ref_exp(group, P, e):
     addend = P
     while e:
         if e & 1:
-            result = group.mul(result, addend)
-        addend = group.mul(addend, addend)
+            result = ref_add(group, result, addend)
+        addend = ref_add(group, addend, addend)
         e >>= 1
     return result
 
@@ -114,11 +136,13 @@ class TestSecp256k1Arithmetic:
 
 
 def fold(group, pairs):
-    """prod base^e by `mul` of single powers, the curve's from ref_exp."""
-    power = ref_exp if isinstance(group, CurveGroup) else type(group).exp
+    """prod base^e by `mul` of single powers, the curve's from ref_exp and
+    ref_add."""
+    curve = isinstance(group, CurveGroup)
+    power, mul = (ref_exp, ref_add) if curve else (type(group).exp, type(group).mul)
     acc = group.identity()
     for base, e in pairs:
-        acc = group.mul(acc, power(group, base, e))
+        acc = mul(group, acc, power(group, base, e))
     return acc
 
 
@@ -168,7 +192,7 @@ class TestMultiExp:
         g = TOY_CURVE.generator()
         P = ref_exp(TOY_CURVE, g, 500)
         for e in range(TOY_CURVE.q):
-            expected = TOY_CURVE.mul(ref_exp(TOY_CURVE, P, e), ref_exp(TOY_CURVE, g, 3 * e))
+            expected = ref_add(TOY_CURVE, ref_exp(TOY_CURVE, P, e), ref_exp(TOY_CURVE, g, 3 * e))
             assert multi_exp(TOY_CURVE, [(P, e), (g, 3 * e)]) == expected, e
             assert multi_exp(TOY_CURVE, [(P, e), (TOY_CURVE.inv(P), 2 * e)]) == \
                 ref_exp(TOY_CURVE, P, -e), e
@@ -344,13 +368,15 @@ class TestOperationCounts:
     split halves the doubling chain of every long exponent, the generator's
     comb is untouched, and an exponent of 128 bits or fewer (a batch weight
     of `nizk._all_hold`) stays whole, so a batch pays no extra additions.
-    The parent figures are those of the kernel before the split."""
+    The parent figures are those of the kernel before the split.  A point
+    is added once, in the row sums before the Straus loop or by the loop,
+    so `measure`'s additions are the two together."""
 
     @staticmethod
     def measure(counts, fn, *args):
         counts.update(dict.fromkeys(counts, 0))
         fn(*args)
-        return counts["double"], counts["add"]
+        return counts["double"], counts["add"] + counts["row"]
 
     def test_fixture_sees_a_fresh_base_exp(self, counts):
         """The fixture counts the kernel's work: an exp on a fresh base makes
@@ -415,6 +441,7 @@ class TestOperationCounts:
         assert doublings <= 132  # 267 before the split
         assert counts["table"] == 6 * 10 + 5 * 5  # 6 width-5 and 5 width-4 tables
         assert additions <= 421
+        assert counts["row"] == 295 and counts["add"] == 126  # 421 split
         # the batch's short terms alone, each a commitment to its weight:
         # whole, exactly as before.  The 6 table doublings of the pin
         # (135, 158) taken before the tables were affine are now among the
@@ -423,6 +450,7 @@ class TestOperationCounts:
         short = [(eq[1][0], -(1 + rng.randrange(2**128 - 1))) for eq in equations]
         assert self.measure(counts, multi_exp, SECP256K1, short) == (129, 158)
         assert counts["table"] == 6 * 5
+        assert counts["row"] == 66 and counts["add"] == 92  # 158 split
 
 
 FIXED = SECP256K1.base_exp(0xFEEDFACE)
@@ -468,7 +496,8 @@ class TestFixedBase:
         P = ref_exp(TOY_CURVE, g, 500)
         with groups.fixed_base(TOY_CURVE, P):
             for e in range(TOY_CURVE.q):
-                expected = TOY_CURVE.mul(ref_exp(TOY_CURVE, P, e), ref_exp(TOY_CURVE, g, 3 * e))
+                expected = ref_add(TOY_CURVE, ref_exp(TOY_CURVE, P, e),
+                                   ref_exp(TOY_CURVE, g, 3 * e))
                 assert multi_exp(TOY_CURVE, [(P, e), (g, 3 * e)]) == expected, e
                 assert multi_exp(TOY_CURVE, [(TOY_CURVE.inv(P), e)]) == \
                     ref_exp(TOY_CURVE, P, -e), e
@@ -566,3 +595,122 @@ class TestOddMultiples:
         pairs.append((P, fixed_e))
         with groups.fixed_base(curve, P):
             assert multi_exp(curve, pairs) == fold(curve, pairs)
+
+
+class TestAffineSums:
+    """`groups._affine_sums`, the one affine-addition formula: many pairs
+    with one shared inversion, doublings, inverses and infinity included."""
+
+    @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE], ids=lambda g: g.name)
+    def test_special_cases(self, curve):
+        g = curve.generator()
+        P, R = ref_exp(curve, g, 5), ref_exp(curve, g, 500)
+        minus = curve.inv(P)
+        pairs = [(P, R), (P, P), (P, minus), (minus, P), (None, P), (P, None),
+                 (None, None), (R, R), (R, P)]
+        expected = [ref_add(curve, *pair) for pair in pairs]
+        assert expected[1] == ref_exp(curve, g, 10) and expected[2] is None
+        assert groups._affine_sums(pairs, curve.a, curve.p) == expected
+        for pair, total in zip(pairs, expected):  # alone, and as `mul`
+            assert groups._affine_sums([pair], curve.a, curve.p) == [total]
+            assert curve.mul(*pair) == total
+        assert groups._affine_sums([], curve.a, curve.p) == []
+
+    def test_whole_group_on_toy_curve(self):
+        """k·G + l·G for every l and a few k, in one call."""
+        q = TOY_CURVE.q
+        points = [ref_exp(TOY_CURVE, TOY_CURVE.generator(), k) for k in range(q)]
+        ks = (0, 1, 2, 500, q - 2, q - 1)
+        pairs = [(points[k], points[l]) for k in ks for l in range(q)]
+        sums = groups._affine_sums(pairs, TOY_CURVE.a, TOY_CURVE.p)
+        assert sums == [points[(k + l) % q] for k in ks for l in range(q)]
+
+
+class TestRowSums:
+    """`multi_exp` sums the points of each Straus row in pairs before the
+    loop, a level at a time, in runs of rows of at least ROW_RUN pairs.
+    Rows that hold a point twice, or a point beside its inverse, take the
+    doubling and the infinity case of `_affine_sums`."""
+
+    @staticmethod
+    def twins(units):
+        """For each (k, shift, opposite): P = k·G with exponent 3·2^shift,
+        whose one wNAF digit 3 puts 3P in row `shift`, and ±3P with exponent
+        2^shift, which puts ±3P in that row too."""
+        pairs = []
+        for k, shift, opposite in units:
+            P = ref_exp(SECP256K1, SECP256K1.generator(), k)
+            pairs += [(P, 3 << shift), (ref_exp(SECP256K1, P, -3 if opposite else 3), 1 << shift)]
+        return pairs
+
+    @PROPERTY
+    @given(units=st.lists(st.tuples(st.integers(2, Q - 1), st.integers(17, 120), st.booleans()),
+                          min_size=1, max_size=24),
+           one_row=st.booleans(), cutoff=st.sampled_from([1, groups.ROW_PAIRS]),
+           run=st.sampled_from([1, 3, groups.ROW_RUN]))
+    def test_equal_and_opposite_points_match_fold(self, units, one_row, cutoff, run):
+        """Also with every level summed, and with a level's pairs split over
+        several `_affine_sums` calls."""
+        if one_row:
+            units = [(k, units[0][1], opposite) for k, _, opposite in units]
+        pairs = self.twins(units)
+        with mock.patch.object(groups, "ROW_PAIRS", cutoff), \
+                mock.patch.object(groups, "ROW_RUN", run):
+            assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+
+    def test_twins_in_one_row_are_summed(self, counts):
+        rng = random.Random(4)
+        units = [(rng.randrange(2, Q), 40, i % 2 == 1) for i in range(16)]
+        pairs = self.twins(units)
+        counts.update(dict.fromkeys(counts, 0))
+        assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+        # row 40 holds 32 points: 16 pairs make 8 doublings and 8 infinities,
+        # then the 4 pairs of the next level are too few, so 8 points are left
+        assert counts["row"] == 16 and counts["add"] == 8
+        assert counts["table"] == 32 * 5  # 32 width-4 tables of 2 doublings, 3 additions
+
+    def test_comb_twins_on_toy_curve(self):
+        """A base equal to ±comb[m], where m is column i of G's exponent e,
+        with exponent 2^i puts its twin in row i beside comb[m]; every level
+        is summed."""
+        g, spacing = TOY_CURVE.generator(), TOY_CURVE._comb_spacing
+        with mock.patch.object(groups, "ROW_PAIRS", 1):
+            for e in range(1, TOY_CURVE.q):
+                pairs = [(g, e)]
+                for i, m in enumerate(groups._comb_columns(e, spacing)):
+                    c = sum(1 << (spacing * j) for j in range(groups.COMB_TEETH) if m >> j & 1)
+                    pairs.append((ref_exp(TOY_CURVE, g, c if (e >> i) & 2 else -c), 1 << i))
+                assert multi_exp(TOY_CURVE, pairs) == fold(TOY_CURVE, pairs), e
+
+
+class TestCombTable:
+    """`CurveGroup._comb_table` builds its 255 subset sums in COMB_TEETH
+    rounds of `_affine_sums`."""
+
+    @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE, COMB_TOY], ids=lambda g: g.name)
+    def test_matches_reference(self, curve):
+        P = ref_exp(curve, curve.generator(), 0xFEEDFACE)
+        teeth = [ref_exp(curve, P, 1 << (curve._comb_spacing * j))
+                 for j in range(groups.COMB_TEETH)]
+        expected = [None]
+        for T in teeth:
+            expected += [ref_add(curve, S, T) for S in expected]
+        assert curve._comb_table(*P) == expected
+
+    def test_colliding_sums_on_comb_toy(self):
+        """COMB_TOY's build doubles a point and reaches infinity (at a column
+        that no exponent below q selects); its exponentiations still match
+        the reference for every scalar."""
+        g = COMB_TOY.generator()
+        assert ref_exp(COMB_TOY, g, COMB_TOY.q) is None
+        teeth = [ref_exp(COMB_TOY, g, 1 << (COMB_TOY._comb_spacing * j))
+                 for j in range(groups.COMB_TEETH)]
+        table = COMB_TOY._comb_table(*g)
+        lower = [(table[m ^ 1 << (m.bit_length() - 1)], teeth[m.bit_length() - 1])
+                 for m in range(1, 256)]
+        assert any(S == T for S, T in lower) and any(S == COMB_TOY.inv(T) for S, T in lower)
+        assert table.count(None) == 2  # [0], and the sum that is infinity
+        P = ref_exp(COMB_TOY, g, 77)
+        for e in range(COMB_TOY.q):
+            assert COMB_TOY.base_exp(e) == ref_exp(COMB_TOY, g, e), e
+            assert multi_exp(COMB_TOY, [(g, e), (P, e)]) == ref_exp(COMB_TOY, g, 78 * e), e

@@ -581,7 +581,8 @@ class TestBatchedReveals:
         of them inconsistent, re-checks the failed batch one share at a
         time.  In curve operations, which do not depend on the host, that
         costs at most 3.5 times one batch of the 14 consistent shares
-        (9,502 against 3,201 operations when this was pinned)."""
+        (9,502 against 3,201 operations when this was pinned; 9,756 against
+        3,328 once `mul` and the row sums are counted too)."""
         group = SECP256K1
         rng = random.Random(12)
         params, pki, states, public = bad_dealer_round1(group, rng)
