@@ -79,6 +79,8 @@ def check_run(settings: dict, config: dict) -> dict:
     name = settings["group"]
     if name not in GROUPS:
         raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
+    if params.n >= GROUPS[name].order:  # party indices are Shamir points in [1, q)
+        raise ValueError(f"n = {params.n} is not below the order {GROUPS[name].order} of {name}")
     behaviors = {i: Behavior(HONEST) for i in range(1, params.n + 1)}  # unlisted: honest
     behaviors.update(_party_section(config, "behaviors", params.n, _behavior))
     guardians = _party_section(config, "guardians", params.n,

@@ -96,8 +96,9 @@ class PublicState:
     """Verified post-round-1 world: participant set and global key.
 
     Reconstruction from subsets of the same reveals checks nothing twice:
-    `verdicts` memoizes `judge_reveals`, and `candidates` caches the value
-    interpolated from each chosen tuple of (guardian, share) pairs.
+    `verdicts` memoizes `accepted_reveals`, so reveals judged before cost
+    it one pass, and `candidates` caches the value interpolated from each
+    chosen tuple of (guardian, share) pairs.
     """
 
     params: Params
@@ -252,61 +253,67 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
     alone.  A share is ACCEPTED when its decryption proof holds and it
     passes the Feldman check against its dealer's commitments, and
     INCONSISTENT when only the proof holds: the dealer encrypted a wrong
-    share.  Which accepted reveal counts, and what an INCONSISTENT share
-    does to its dealer, depend on the list and are left to its combination.
-
-    Verdicts are memoized in `public_state.verdicts` as id(message) ->
-    (message, context, verdict); holding the message keeps its id from
-    being reused, and an equal but distinct copy is judged again.  The
-    share reveals not yet judged are checked in one batch, decryption
-    proofs and Feldman equations together, and one by one only when the
-    batch fails."""
-    memo, deals = public_state.verdicts, public_state.deals
-    fresh = {id(msg): msg for msg in reveals if memo.get(id(msg), (None, None))[1] != context}
-    claimed = []
-    for msg in fresh.values():
-        if isinstance(msg, SecretReveal):
-            verdict = _secret_verdict(deals.get(msg.sender), msg, group)
-        elif not isinstance(msg, ShareReveal):
-            verdict = Verdict.NOT_A_REVEAL
-        elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].ciphertexts:
-            verdict = Verdict.NOT_A_GUARDIAN
-        elif not 0 <= msg.value < group.order:
-            verdict = Verdict.OUT_OF_RANGE
-        else:
-            claimed.append(msg)
-            continue
-        memo[id(msg)] = (msg, context, verdict)
-    claims = [(public_state.pki[m.sender], deals[m.dealer].ciphertexts[m.sender], m.value,
-               m.proof, m.sender, deals[m.dealer].commitments) for m in claimed]
-    batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
-    for msg, (pk, ct, value, proof, index, commitments) in zip(claimed, claims):
-        if batch_ok:
-            verdict = Verdict.ACCEPTED
-        elif not nizk.verify_share_decryption(group, pk, ct, value, proof, context):
-            verdict = Verdict.BAD_DLEQ
-        elif not nizk.guardian_check_share(group, value, index, commitments):
-            verdict = Verdict.INCONSISTENT
-        else:
-            verdict = Verdict.ACCEPTED
-        memo[id(msg)] = (msg, context, verdict)
-    return [memo[id(msg)][2] for msg in reveals]
+    share.  `accepted_reveals` judges and memoizes them in its one pass,
+    and decides what they count for."""
+    accepted_reveals(public_state, reveals, group, context)
+    return [public_state.verdicts[id(msg)][2] for msg in reveals]
 
 
 def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
-    """(secrets, shares, excluded) over the verdicts of `judge_reveals`:
-    {dealer: value} with the first accepted secret per dealer, {dealer:
-    {guardian: value}} with the first accepted share per (dealer, guardian),
-    and the set of dealers named by a share judged INCONSISTENT."""
-    secrets, shares, excluded = {}, {}, set()
-    for msg, verdict in zip(reveals, judge_reveals(public_state, reveals, group, context)):
-        if verdict is Verdict.INCONSISTENT:
-            excluded.add(msg.dealer)
-        elif verdict is Verdict.ACCEPTED and isinstance(msg, ShareReveal):
-            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
-        elif verdict is Verdict.ACCEPTED:
-            secrets.setdefault(msg.sender, msg.value)
-    return secrets, shares, excluded
+    """(secrets, shares, excluded) over the verdicts of `reveals`: {dealer:
+    value} with the first accepted secret per dealer, {dealer: {guardian:
+    value}} with the first accepted share per (dealer, guardian), and the
+    set of dealers named by a share judged INCONSISTENT.
+
+    One pass over `reveals` fills all three from `public_state.verdicts`,
+    id(message) -> (message, context, verdict): holding the message keeps
+    its id from being reused, and an equal but distinct copy is judged
+    again.  Messages with no verdict under `context` are judged, shares in
+    one batch (decryption proofs and Feldman equations together) and one
+    by one only if it fails, and the pass is made again."""
+    memo, deals = public_state.verdicts, public_state.deals
+    accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
+    while True:
+        secrets, shares, excluded, fresh = {}, {}, set(), {}
+        for msg in reveals:
+            entry = memo.get(id(msg))
+            if entry is None or entry[1] != context:
+                fresh[id(msg)] = msg
+            elif entry[2] is accepted and isinstance(msg, ShareReveal):
+                shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+            elif entry[2] is accepted:
+                secrets.setdefault(msg.sender, msg.value)
+            elif entry[2] is inconsistent:
+                excluded.add(msg.dealer)
+        if not fresh:
+            return secrets, shares, excluded
+        claimed = []
+        for msg in fresh.values():
+            if isinstance(msg, SecretReveal):
+                verdict = _secret_verdict(deals.get(msg.sender), msg, group)
+            elif not isinstance(msg, ShareReveal):
+                verdict = Verdict.NOT_A_REVEAL
+            elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].ciphertexts:
+                verdict = Verdict.NOT_A_GUARDIAN
+            elif not 0 <= msg.value < group.order:
+                verdict = Verdict.OUT_OF_RANGE
+            else:
+                claimed.append(msg)
+                continue
+            memo[id(msg)] = (msg, context, verdict)
+        claims = [(public_state.pki[m.sender], deals[m.dealer].ciphertexts[m.sender], m.value,
+                   m.proof, m.sender, deals[m.dealer].commitments) for m in claimed]
+        batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
+        for msg, (pk, ct, value, proof, index, commitments) in zip(claimed, claims):
+            if batch_ok:
+                verdict = accepted
+            elif not nizk.verify_share_decryption(group, pk, ct, value, proof, context):
+                verdict = Verdict.BAD_DLEQ
+            elif not nizk.guardian_check_share(group, value, index, commitments):
+                verdict = inconsistent
+            else:
+                verdict = accepted
+            memo[id(msg)] = (msg, context, verdict)
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
@@ -325,28 +332,28 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     pk, so any t of them interpolate to the partial secret.
     """
     secrets, shares, excluded = accepted_reveals(public_state, reveals, group, context)
-    active = [i for i in public_state.participants if i not in excluded]
-    recovered, values, failed = {}, {}, []
-    for dealer in active:
-        bucket = shares.get(dealer, {})
+    t, candidates = params.t, public_state.candidates
+    recovered, failed, d = {}, [], 0
+    for dealer in public_state.participants:
+        if dealer in excluded:
+            continue
+        bucket = shares.get(dealer, ())
         if dealer in secrets:
-            values[dealer] = secrets[dealer]
+            d += secrets[dealer]
             recovered[dealer] = ("direct",)
-        elif len(bucket) >= params.t:
-            chosen = tuple((j, bucket[j]) for j in sorted(bucket)[: params.t])
-            if chosen not in public_state.candidates:
-                public_state.candidates[chosen] = shamir.reconstruct(
-                    [shamir.Share(j, value) for j, value in chosen], params.t, group.order)
-            values[dealer] = public_state.candidates[chosen]
-            recovered[dealer] = ("shares", tuple(j for j, _ in chosen))
+        elif len(bucket) >= t:
+            chosen = tuple(sorted(bucket.items())[:t])
+            if chosen not in candidates:
+                candidates[chosen] = shamir.reconstruct(
+                    [shamir.Share(j, value) for j, value in chosen], t, group.order)
+            d += candidates[chosen]
+            recovered[dealer] = ("shares", tuple(sorted(bucket)[:t]))
         else:
             failed.append(dealer)
-
-    if failed or not active:
-        return ReconstructionOutcome(False, None, recovered, tuple(failed),
-                                     tuple(sorted(excluded)))
-    d = sum(values[i] for i in active) % group.order
-    return ReconstructionOutcome(True, d, recovered, (), tuple(sorted(excluded)))
+    excluded = tuple(sorted(excluded))
+    if failed or not recovered:  # no recovered dealer and none failed: none active
+        return ReconstructionOutcome(False, None, recovered, tuple(failed), excluded)
+    return ReconstructionOutcome(True, d % group.order, recovered, (), excluded)
 
 
 def reconstruction_capable(s, participants, guardian_sets, t: int) -> bool:

@@ -52,6 +52,17 @@ class Share:
     value: int
 
 
+def _checked_indices(indices, q) -> list:
+    """`indices` listed; InvalidIndexError unless distinct and in [1, q): i >= q is i mod q."""
+    indices = list(indices)
+    if len(set(indices)) != len(indices):
+        raise InvalidIndexError("duplicate share indices")
+    for i in indices:
+        if not 1 <= i < q:
+            raise InvalidIndexError(f"index {i} outside [1, {q}); index 0 is the secret")
+    return indices
+
+
 def share_secret(secret, t, indices, rng, q):
     """Split `secret` with a fresh random degree-(t-1) polynomial.
 
@@ -60,11 +71,7 @@ def share_secret(secret, t, indices, rng, q):
     """
     if t < 1:
         raise InvalidThresholdError(f"threshold must be >= 1, got {t}")
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise InvalidIndexError("duplicate share indices")
-    if any(i < 1 for i in indices):
-        raise InvalidIndexError("share indices must be >= 1")
+    indices = _checked_indices(indices, q)
     if len(indices) < t:
         raise InvalidThresholdError("need at least t share indices")
     coeffs = (secret % q,) + tuple(rng.randrange(q) for _ in range(t - 1))
@@ -74,11 +81,7 @@ def share_secret(secret, t, indices, rng, q):
 
 def lagrange_coefficients(indices: Iterable[int], q: int) -> dict:
     """lambda_j = prod_{m != j} m / (m - j) mod q, which interpolate f(0)."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise InvalidIndexError("duplicate indices")
-    if any(i == 0 for i in indices):
-        raise InvalidIndexError("index 0 is reserved for the secret")
+    indices = _checked_indices(indices, q)
     coeffs = {}
     for j in indices:
         num, den = 1, 1
@@ -93,8 +96,6 @@ def lagrange_coefficients(indices: Iterable[int], q: int) -> dict:
 
 def reconstruct(shares, t, q) -> int:
     """Interpolate f(0) from at least t shares with distinct indices."""
-    if len({s.index for s in shares}) != len(shares):
-        raise InvalidIndexError("duplicate share indices")
     if len(shares) < t:
         raise InsufficientSharesError(f"need {t} shares, got {len(shares)}")
     lam = lagrange_coefficients([s.index for s in shares], q)

@@ -57,6 +57,9 @@ class VoteEncoding:
         return [self.exponent_for(c) for c in range(1, self.candidates + 1)]
 
 
+MAX_BABY_STEPS = 1 << 16  # of a tally's bsgs_dlog: about 9 MB, a 5-s search on secp256k1
+
+
 def derive_encoding(n_bound: int, candidates: int, q: int) -> VoteEncoding:
     if candidates < 2:
         raise VotingError("need at least 2 candidates")
@@ -66,6 +69,9 @@ def derive_encoding(n_bound: int, candidates: int, q: int) -> VoteEncoding:
     if candidates * m >= q.bit_length():
         raise UnsupportedConfigurationError(
             f"{candidates} slots of {m} bits exceed the exponent space")
+    if math.isqrt(n_bound << ((candidates - 1) * m)) + 1 > MAX_BABY_STEPS:
+        raise UnsupportedConfigurationError(
+            f"{n_bound} votes in {candidates} slots need over {MAX_BABY_STEPS} baby steps")
     return VoteEncoding(candidates, m, n_bound)
 
 

@@ -120,6 +120,17 @@ class TestRunConfigErrors:
         assert code == 2
         assert "cannot guard itself" in err
 
+    def test_parties_not_below_group_order(self, capsys, command):
+        """Party indices are Shamir evaluation points, which must lie in
+        [1, q): modp-2027 has order 1013, so index 1013 is the point 0."""
+        votes = ["--votes", "1,2"] if command == "election" else []
+        for n in ("1013", "1100"):
+            code, out, err = run_cli(capsys, [command, "--n", n, "--t", "1", "--k", "1",
+                                              *votes, *TEST_GROUP_FLAGS])
+            assert code == 2
+            assert f"n = {n} is not below the order 1013" in err
+            assert "resolved config" not in out
+
     def test_behavior_party_outside_range(self, capsys, tmp_path, command):
         code, _, err = run_config(capsys, tmp_path, command,
                                   "[behaviors]\n9 = absent-round2\n")
@@ -289,6 +300,15 @@ class TestElectionInputErrors:
             "--votes", "1,3", *TEST_GROUP_FLAGS])
         assert code == 2
         assert "candidate 3 out of range 1..2" in err
+        assert "resolved config" not in out
+
+    @pytest.mark.parametrize("candidates", ["20", "60"])
+    def test_unbounded_tally_search_rejected(self, capsys, candidates):
+        code, out, err = run_cli(capsys, [
+            "election", "--n", "3", "--t", "1", "--k", "1", "--candidates", candidates,
+            "--votes", "1,2"])
+        assert code == 2
+        assert "baby steps" in err
         assert "resolved config" not in out
 
     def test_single_candidate(self, capsys):

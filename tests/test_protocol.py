@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -635,6 +636,48 @@ class TestBatchedReveals:
         assert len(share_proofs) == 15 and len(secrets) == 5
         assert dleq_checks == Counter(share_proofs)
         assert secret_checks == Counter(secrets)
+
+    def test_new_reveals_after_memoized_pass(self, group, monkeypatch):
+        """After the reveals of every corruption set have verdicts, a subset
+        plus two new reveals judges the two new ones only, and reconstructs
+        what a fresh state with no memo does: a forged share (BAD_DLEQ)
+        counts for nothing, and guardian 2's share of `bad_deal`'s dealer 1
+        (INCONSISTENT) excludes that dealer."""
+        rng = random.Random(20)
+        params, pki, states, public = bad_dealer_round1(group, rng)
+        parties = (1, 2, 3, 4, 5)
+        reveals = scenario_reveals(group, rng, params, pki, states, public, set(parties))
+        (inconsistent,) = [m for m in reveals
+                           if isinstance(m, ShareReveal) and (m.sender, m.dealer) == (2, 1)]
+        reveals.remove(inconsistent)
+        for size in range(len(parties) + 1):
+            for corrupted in itertools.combinations(parties, size):
+                live = [m for m in reveals if m.sender not in corrupted]
+                protocol.offline_reconstruct(public, live, params, group, CTX)
+        genuine = next(m for m in reveals if isinstance(m, ShareReveal) and m.dealer == 1)
+        dleq = genuine.proof.dleq
+        bad = nizk.DleqProof(dleq.commitment_1, dleq.commitment_2,
+                             (dleq.response + 1) % group.order)
+        forged = ShareReveal(genuine.sender, genuine.dealer, genuine.value,
+                             nizk.ShareDecryptionProof(genuine.proof.mask, bad))
+        live = [m for m in reveals if m.sender != 1]
+        mixed = [inconsistent] + live[:3] + [forged] + live[3:]
+        judged, real = Counter(), nizk._dleq_equations
+
+        def counting(group, base1, out1, base2, out2, proof, context):
+            judged[proof] += 1
+            return real(group, base1, out1, base2, out2, proof, context)
+
+        monkeypatch.setattr(nizk, "_dleq_equations", counting)
+        outcome = protocol.offline_reconstruct(public, mixed, params, group, CTX)
+        assert set(judged) == {bad, inconsistent.proof.dleq}
+        assert protocol.judge_reveals(public, [forged, inconsistent], group, CTX) == [
+            Verdict.BAD_DLEQ, Verdict.INCONSISTENT]
+        fresh = dataclasses.replace(public, verdicts={}, candidates={})
+        assert outcome == protocol.offline_reconstruct(fresh, mixed, params, group, CTX)
+        assert outcome.success and outcome.excluded == (1,)
+        assert outcome.global_secret == sum(
+            states[i].partial_secret for i in range(2, 6)) % group.order
 
 
 def outcome_digest(public, reveals, params, group, parties):

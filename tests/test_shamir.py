@@ -39,6 +39,14 @@ class TestShareSecret:
         with pytest.raises(shamir.InvalidIndexError):
             shamir.share_secret(1, 2, [0, 1], rng, Q97)
 
+    def test_index_at_or_above_q_rejected(self, rng):
+        # index 1013 is the point 0 mod q: its share would be the secret itself
+        q = TEST_GROUP.order
+        with pytest.raises(shamir.InvalidIndexError, match="1013"):
+            shamir.share_secret(77, 2, [1, q, q + 1], rng, q)
+        with pytest.raises(shamir.InvalidIndexError):
+            shamir.share_secret(77, 2, [1, -2], rng, q)
+
     def test_zero_threshold_rejected(self, rng):
         with pytest.raises(shamir.InvalidThresholdError):
             shamir.share_secret(1, 0, [1, 2], rng, Q97)
@@ -67,6 +75,14 @@ class TestLagrange:
     def test_index_zero_rejected(self):
         with pytest.raises(shamir.InvalidIndexError, match="index 0"):
             shamir.lagrange_coefficients([0, 1], Q97)
+
+    def test_index_at_or_above_q_rejected(self):
+        # index q + 1 is the point 1 mod q, so indices 1 and q + 1 coincide
+        q = TEST_GROUP.order
+        with pytest.raises(shamir.InvalidIndexError, match="1014"):
+            shamir.lagrange_coefficients([1, q + 1], q)
+        with pytest.raises(shamir.InvalidIndexError):
+            shamir.reconstruct([shamir.Share(1, 5), shamir.Share(q + 1, 5)], 2, q)
 
 
 class TestReconstruct:

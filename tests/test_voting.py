@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -56,6 +57,23 @@ class TestEncoding:
     def test_too_few_candidates(self):
         with pytest.raises(VotingError):
             derive_encoding(10, 1, 1 << 256)
+
+    def test_search_beyond_max_baby_steps_rejected(self):
+        """Rejected from the parameters alone, before any table is built:
+        20 candidates for a roll of 3 would need about 908k baby steps, 60
+        about 2^59.8; both fit the exponent space."""
+        q = SECP256K1.order
+        for candidates in (20, 60):
+            with pytest.raises(UnsupportedConfigurationError, match="baby steps"):
+                derive_encoding(3, candidates, q)
+        # 4 candidates: a roll of 255 needs 65,408 baby steps, one of 256 needs 185,364
+        enc = derive_encoding(255, 4, q)
+        bound = enc.n_bound << ((enc.candidates - 1) * enc.slot_bits)
+        assert math.isqrt(bound) + 1 <= voting.MAX_BABY_STEPS
+        with pytest.raises(UnsupportedConfigurationError):
+            derive_encoding(256, 4, q)
+        derive_encoding(20, 3, q)  # the benchmark's election
+        derive_encoding(50, 2, q)  # c7's largest
 
 
 @pytest.fixture
