@@ -77,6 +77,8 @@ class Behavior:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown behavior {self.kind!r}")
+        if self.targets and self.kind != WITHHOLD_SHARES:
+            raise ValueError(f"behavior {self.kind!r} takes no targets")
 
     @property
     def corrupted(self) -> bool:

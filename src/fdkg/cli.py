@@ -83,6 +83,10 @@ def check_run(settings: dict, config: dict) -> dict:
         raise ValueError(f"n = {params.n} is not below the order {GROUPS[name].order} of {name}")
     behaviors = {i: Behavior(HONEST) for i in range(1, params.n + 1)}  # unlisted: honest
     behaviors.update(_party_section(config, "behaviors", params.n, _behavior))
+    for party, behavior in sorted(behaviors.items()):
+        outside = sorted(j for j in behavior.targets if not 1 <= j <= params.n)
+        if outside:
+            raise ValueError(f"[behaviors] party {party} targets {outside} outside 1..{params.n}")
     guardians = _party_section(config, "guardians", params.n,
                                lambda text: frozenset(_int_list(text))) or None
     if guardians:

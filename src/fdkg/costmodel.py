@@ -58,6 +58,10 @@ class ScenarioSpec:
             raise ValueError("scenario values must be non-negative")
         if self.dealers > self.n:
             raise ValueError("|D| cannot exceed n")
+        if self.direct_revealers > self.dealers:
+            raise ValueError("direct revealers cannot exceed |D|")
+        if self.dealers and self.k > self.n - 1:
+            raise ValueError("k cannot exceed n - 1 when there are dealers")
 
 
 @dataclass(frozen=True)

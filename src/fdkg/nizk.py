@@ -5,13 +5,15 @@ ciphertext well-formedness (per-share representation proofs inside a
 deal), Feldman coefficient commitments with the check of a revealed share
 against them, and the disjunctive ballot proof.  A revealed partial
 secret needs no proof: it is checked against its partial pk in the clear.
-`verify_share_decryptions` checks a revealed share's decryption proof and
-its Feldman equation in the same batch; the commitments are fixed by the
-dealer's accepted deal before any share is revealed.  `verify_ballots` and
-`verify_dleqs` likewise check many ballots, or many partial decryptions,
-in one batch.  A failed batch names no culprit; the caller then checks
-each proof on its own (`voting` does so for ballots and partial
-decryptions).
+
+Each relation has one verifier-side builder, `*_equations`, that writes
+its verification equations as prod base^exponent = identity, each a list
+of (base, exponent) pairs, or returns None for a claim rejected before any
+group operation: a non-canonical scalar (responses, challenges, ciphertext
+deltas and claimed shares must lie in [0, q)), a wrong branch count or a
+master-challenge mismatch.  `holds` is the one check of such equations,
+and `protocol.judge_claims` the one judge built on it; `verify_deal`
+checks a whole deal.
 
 Challenges are sha256, reduced mod q, over a domain tag, the
 caller-supplied context bytes and the length-prefixed parts of the
@@ -21,22 +23,20 @@ given.  An element is never reduced mod q, which on the toy modp group
 would let x and x + q share a challenge.  Identical inputs (including
 nonces) therefore yield byte-identical proofs.
 
-Verifiers accept only canonical scalars (responses, challenges, ciphertext
-deltas and claimed shares in [0, q)) and write every verification
-equation as prod base^exponent = identity.  `_all_hold` checks a list of
-such equations with `groups.multi_exp`.  When q > 2^128 (secp256k1) it
-makes one multi_exp of their small-exponent random linear combination
-(Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is raised to a
-weight w_i, w_1 = 1 and the others drawn from [1, 2^128 - 1] by shake_256
-over a domain tag, the context and every exponent of the batch.  The
-exponents hold each proof's challenge and response, and each challenge
-binds its statement and commitments, so the weights are fixed only once
-the whole batch is, and a replay reaches the same verdict.  A batch with a
-false equation then passes with probability at most 1/(2^128 - 1) per
-weight draw.  On a smaller group such weights would leave only about 1/q
-(about 2^-10 on the toy modp-2027 group), so there every equation is
-checked on its own, exactly; its multi_exp is a fold of `exp` and `mul`
-there anyway, which a combination would not shorten.
+`holds` checks its equations with `groups.multi_exp`.  When q > 2^128
+(secp256k1) it makes one multi_exp of their small-exponent random linear
+combination (Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is
+raised to a weight w_i, w_1 = 1 and the others drawn from [1, 2^128 - 1]
+by shake_256 over a domain tag, the context and every exponent of the
+batch.  The exponents hold each proof's challenge and response, and each
+challenge binds its statement and commitments, so the weights are fixed
+only once the whole batch is, and a replay reaches the same verdict.  A
+batch with a false equation then passes with probability at most
+1/(2^128 - 1) per weight draw.  A failed batch names no culprit.  On a
+smaller group such weights would leave only about 1/q (about 2^-10 on the
+toy modp-2027 group), so there every equation is checked on its own,
+exactly; its multi_exp is a fold of `exp` and `mul` there anyway, which a
+combination would not shorten.
 """
 
 from __future__ import annotations
@@ -63,11 +63,17 @@ def _challenge(group, relation: str, context: bytes, *parts) -> int:
 _WEIGHT_BITS = 128
 
 
-def _all_hold(group, context: bytes, equations) -> bool:
-    """True iff prod base^exponent = identity for every equation, each a
-    list of (base, exponent) pairs: one multi_exp over the weighted
+def holds(group, context: bytes, claims) -> bool:
+    """True iff every equation of every claim holds, where `claims` is an
+    iterable of equation lists as the `*_equations` builders return them;
+    False at the first None among them.  One multi_exp over the weighted
     combination when q > 2^128, else one per equation (see the module
     docstring)."""
+    equations = []
+    for claim in claims:
+        if claim is None:
+            return False
+        equations += claim
     q = group.order
     if len(equations) > 1 and q.bit_length() > _WEIGHT_BITS:
         h = hashlib.shake_256()
@@ -85,18 +91,6 @@ def _all_hold(group, context: bytes, equations) -> bool:
                       for base, e in equation]]
     identity = group.identity()
     return all(multi_exp(group, equation) == identity for equation in equations)
-
-
-def _claims_hold(group, context: bytes, found) -> bool:
-    """`_all_hold` over the equations of every claim in `found`, an iterable
-    of equation lists, or False at the first None: a claim rejected before
-    any group operation."""
-    equations = []
-    for claim in found:
-        if claim is None:
-            return False
-        equations += claim
-    return _all_hold(group, context, equations)
 
 
 def _canonical(group, *scalars) -> bool:
@@ -119,7 +113,7 @@ def prove_dleq(group, witness: int, base1, out1, base2, out2, context: bytes, rn
     return DleqProof(t1, t2, (w + e * witness) % group.order)
 
 
-def _dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: bytes):
+def dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: bytes):
     """The two equations of a DLEQ proof, or None for a non-canonical one."""
     if not _canonical(group, proof.response):
         return None
@@ -127,19 +121,6 @@ def _dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: 
                    proof.commitment_1, proof.commitment_2)
     return [[(base1, proof.response), (proof.commitment_1, -1), (out1, -e)],
             [(base2, proof.response), (proof.commitment_2, -1), (out2, -e)]]
-
-
-def verify_dleq(group, base1, out1, base2, out2, proof: DleqProof, context: bytes) -> bool:
-    equations = _dleq_equations(group, base1, out1, base2, out2, proof, context)
-    return equations is not None and _all_hold(group, context, equations)
-
-
-def verify_dleqs(group, claims, context: bytes) -> bool:
-    """True iff every (base1, out1, base2, out2, proof) claim verifies under
-    `context`, all in one batch.  A False names no culprit: check each claim
-    with `verify_dleq` for that."""
-    return _claims_hold(group, context,
-                        (_dleq_equations(group, *claim, context) for claim in claims))
 
 
 @dataclass(frozen=True)
@@ -162,32 +143,16 @@ def prove_share_decryption(group, sk: int, pk, ct: PkeCiphertext, context: bytes
     return share, ShareDecryptionProof(mask, dleq)
 
 
-def _share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
-                                proof: ShareDecryptionProof, context: bytes):
+def share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
+                               proof: ShareDecryptionProof, context: bytes):
+    """The DLEQ equations of a share's decryption proof, or None for a
+    non-canonical share or delta or a mask that does not give the share."""
     if not _canonical(group, share, ct.delta):
         return None
     if (group.chi(proof.mask) - ct.delta) % group.order != share:
         return None
     out2 = group.div(ct.c2, proof.mask)
-    return _dleq_equations(group, group.generator(), pk, ct.c1, out2, proof.dleq, context)
-
-
-def verify_share_decryption(group, pk, ct: PkeCiphertext, share: int,
-                            proof: ShareDecryptionProof, context: bytes) -> bool:
-    equations = _share_decryption_equations(group, pk, ct, share, proof, context)
-    return equations is not None and _all_hold(group, context, equations)
-
-
-def verify_share_decryptions(group, claims, context: bytes) -> bool:
-    """True iff for every (pk, ct, share, proof, index, commitments) claim
-    the decryption proof verifies and the share passes guardian `index`'s
-    Feldman check, all in one batch.  A False names no culprit: check each
-    claim with `verify_share_decryption` and `guardian_check_share` for
-    that."""
-    return _claims_hold(group, context, (
-        equations for pk, ct, share, proof, index, commitments in claims
-        for equations in (_share_decryption_equations(group, pk, ct, share, proof, context),
-                          [_feldman_equation(group, share, index, commitments)])))
+    return dleq_equations(group, group.generator(), pk, ct.c1, out2, proof.dleq, context)
 
 
 @dataclass(frozen=True)
@@ -196,7 +161,7 @@ class RepresentationProof:
 
     Binds a share ciphertext to the recipient key; it does not tie the
     plaintext to the dealer's polynomial: that is the Feldman check of the
-    revealed share (`verify_share_decryptions`, `guardian_check_share`).
+    revealed share (`feldman_equations`).
     """
 
     commitment_1: object  # for the C1 equation
@@ -216,8 +181,8 @@ def prove_representation(group, k: int, r: int, pk, ct: PkeCiphertext,
     return RepresentationProof(t1, t2, (a + e * k) % group.order, (b + e * r) % group.order)
 
 
-def _representation_equations(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
-                              context: bytes):
+def representation_equations(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
+                             context: bytes):
     if not _canonical(group, proof.response_k, proof.response_r, ct.delta):
         return None
     e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, group.scalar_bytes(ct.delta),
@@ -228,30 +193,20 @@ def _representation_equations(group, pk, ct: PkeCiphertext, proof: Representatio
              (ct.c2, -e)]]
 
 
-def verify_representation(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
-                          context: bytes) -> bool:
-    equations = _representation_equations(group, pk, ct, proof, context)
-    return equations is not None and _all_hold(group, context, equations)
-
-
 def commit_polynomial(group, poly: Polynomial) -> tuple:
     """A_l = G^{a_l} for every polynomial coefficient; A_0 is the partial pk."""
     return tuple(group.base_exp(c) for c in poly.coefficients)
 
 
-def _feldman_equation(group, share: int, index: int, commitments):
+def feldman_equations(group, share: int, index: int, commitments):
+    """The one equation G^share = prod_l A_l^{index^l} of a revealed share."""
     equation = []
     power = 1
     for a_l in commitments:
         equation.append((a_l, power))
         power = power * index % group.order
     equation.append((group.generator(), -share))
-    return equation
-
-
-def guardian_check_share(group, share: int, index: int, commitments) -> bool:
-    """True iff G^share = prod_l A_l^{index^l}."""
-    return _all_hold(group, b"", [_feldman_equation(group, share, index, commitments)])
+    return [equation]
 
 
 def _deal_context(group, context, commitments, guardians, ciphertexts) -> bytes:
@@ -287,8 +242,8 @@ def verify_deal(group, t: int, guardians, ciphertexts, commitments, proofs,
     if len(proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
         return False
     ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
-    return _claims_hold(group, ctx, (
-        _representation_equations(group, pk, ct, proof, ctx)
+    return holds(group, ctx, (
+        representation_equations(group, pk, ct, proof, ctx)
         for (_, pk), ct, proof in zip(guardians, ciphertexts, proofs)))
 
 
@@ -344,7 +299,7 @@ def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
     return tuple(BallotBranch(t1, t2, e, z) for (t1, t2), (e, z) in zip(commitments, scalars))
 
 
-def _ballot_equations(group, global_pk, ballot, allowed, branches, context: bytes):
+def ballot_equations(group, global_pk, ballot, allowed, branches, context: bytes):
     """The two equations of each ballot branch, or None for a wrong branch
     count, a non-canonical scalar or a master-challenge mismatch."""
     allowed = list(allowed)
@@ -362,18 +317,3 @@ def _ballot_equations(group, global_pk, ballot, allowed, branches, context: byte
                                          br.challenge, br.response)
         equations += [terms_1 + [(br.commitment_1, -1)], terms_2 + [(br.commitment_2, -1)]]
     return equations
-
-
-def verify_ballot(group, global_pk, ballot, allowed, branches, context: bytes) -> bool:
-    equations = _ballot_equations(group, global_pk, ballot, allowed, branches, context)
-    return equations is not None and _all_hold(group, context, equations)
-
-
-def verify_ballots(group, global_pk, allowed, claims, context: bytes) -> bool:
-    """True iff for every (ballot, branches, ballot context) claim the
-    ballot proof verifies, all in one batch weighted under `context`.  A
-    False names no culprit: check each claim with `verify_ballot` for that."""
-    allowed = list(allowed)
-    return _claims_hold(group, context, (
-        _ballot_equations(group, global_pk, ballot, allowed, branches, ballot_context)
-        for ballot, branches, ballot_context in claims))

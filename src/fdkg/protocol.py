@@ -238,6 +238,32 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     return out
 
 
+def judge_claims(group, context: bytes, claims) -> list:
+    """The Verdict of each claim, an ordered list of (verdict, equations)
+    parts as `nizk`'s `*_equations` builders give them; a pre-check is
+    written (verdict, None).  A claim's verdict is that of its first part
+    whose equations are None or do not hold under `context`, else ACCEPTED.
+    When two or more claims have all their equations, those are checked in
+    one batch (`nizk.holds`), and part by part only if it fails."""
+    batch = [equations for claim in claims for _, equations in claim]
+    whole = [True] * len(claims)
+    if None in batch:  # leave out every claim with a part that has no equations
+        whole = [all(equations is not None for _, equations in claim) for claim in claims]
+        batch = [equations for claim, complete in zip(claims, whole) if complete
+                 for _, equations in claim]
+    batch_ok = whole.count(True) > 1 and nizk.holds(group, context, batch)
+    accepted = Verdict.ACCEPTED  # enum lookups are slow
+    return [accepted if complete and batch_ok else _first_failing(group, context, claim)
+            for claim, complete in zip(claims, whole)]
+
+
+def _first_failing(group, context: bytes, claim) -> Verdict:
+    for verdict, equations in claim:
+        if equations is None or not nizk.holds(group, context, [equations]):
+            return verdict
+    return Verdict.ACCEPTED
+
+
 def _secret_verdict(record, msg: SecretReveal, group) -> Verdict:
     if record is None:
         return Verdict.NOT_A_PARTICIPANT
@@ -248,13 +274,31 @@ def _secret_verdict(record, msg: SecretReveal, group) -> Verdict:
     return Verdict.ACCEPTED
 
 
+def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list:
+    """The claim of a round-2 message other than a SecretReveal: a share
+    fails as BAD_DLEQ without a valid decryption proof, and as INCONSISTENT
+    when only the proof holds, since then the dealer encrypted a wrong
+    share."""
+    if not isinstance(msg, ShareReveal):
+        return [(Verdict.NOT_A_REVEAL, None)]
+    deal = public_state.deals.get(msg.dealer)
+    if deal is None or msg.sender not in deal.ciphertexts:
+        return [(Verdict.NOT_A_GUARDIAN, None)]
+    if not 0 <= msg.value < group.order:
+        return [(Verdict.OUT_OF_RANGE, None)]
+    return [(Verdict.BAD_DLEQ, nizk.share_decryption_equations(
+                group, public_state.pki[msg.sender], deal.ciphertexts[msg.sender], msg.value,
+                msg.proof, context)),
+            (Verdict.INCONSISTENT, nizk.feldman_equations(
+                group, msg.value, msg.sender, deal.commitments))]
+
+
 def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> list:
     """The Verdict of each message in `reveals`: a fact about that message
     alone.  A share is ACCEPTED when its decryption proof holds and it
     passes the Feldman check against its dealer's commitments, and
-    INCONSISTENT when only the proof holds: the dealer encrypted a wrong
-    share.  `accepted_reveals` judges and memoizes them in its one pass,
-    and decides what they count for."""
+    INCONSISTENT when only the proof holds.  `accepted_reveals` judges and
+    memoizes them in its one pass, and decides what they count for."""
     accepted_reveals(public_state, reveals, group, context)
     return [public_state.verdicts[id(msg)][2] for msg in reveals]
 
@@ -268,9 +312,9 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
     One pass over `reveals` fills all three from `public_state.verdicts`,
     id(message) -> (message, context, verdict): holding the message keeps
     its id from being reused, and an equal but distinct copy is judged
-    again.  Messages with no verdict under `context` are judged, shares in
-    one batch (decryption proofs and Feldman equations together) and one
-    by one only if it fails, and the pass is made again."""
+    again.  Messages with no verdict under `context` are judged, secrets
+    in the clear and the rest by `judge_claims`, and the pass is made
+    again."""
     memo, deals = public_state.verdicts, public_state.deals
     accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
     while True:
@@ -287,32 +331,14 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
                 excluded.add(msg.dealer)
         if not fresh:
             return secrets, shares, excluded
-        claimed = []
+        claimed, claims = [], []
         for msg in fresh.values():
             if isinstance(msg, SecretReveal):
-                verdict = _secret_verdict(deals.get(msg.sender), msg, group)
-            elif not isinstance(msg, ShareReveal):
-                verdict = Verdict.NOT_A_REVEAL
-            elif msg.dealer not in deals or msg.sender not in deals[msg.dealer].ciphertexts:
-                verdict = Verdict.NOT_A_GUARDIAN
-            elif not 0 <= msg.value < group.order:
-                verdict = Verdict.OUT_OF_RANGE
+                memo[id(msg)] = (msg, context, _secret_verdict(deals.get(msg.sender), msg, group))
             else:
                 claimed.append(msg)
-                continue
-            memo[id(msg)] = (msg, context, verdict)
-        claims = [(public_state.pki[m.sender], deals[m.dealer].ciphertexts[m.sender], m.value,
-                   m.proof, m.sender, deals[m.dealer].commitments) for m in claimed]
-        batch_ok = len(claims) > 1 and nizk.verify_share_decryptions(group, claims, context)
-        for msg, (pk, ct, value, proof, index, commitments) in zip(claimed, claims):
-            if batch_ok:
-                verdict = accepted
-            elif not nizk.verify_share_decryption(group, pk, ct, value, proof, context):
-                verdict = Verdict.BAD_DLEQ
-            elif not nizk.guardian_check_share(group, value, index, commitments):
-                verdict = inconsistent
-            else:
-                verdict = accepted
+                claims.append(_reveal_claim(public_state, msg, group, context))
+        for msg, verdict in zip(claimed, judge_claims(group, context, claims)):
             memo[id(msg)] = (msg, context, verdict)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import PublicState, ShareReveal, Verdict, accepted_reveals
+from .protocol import PublicState, ShareReveal, Verdict, accepted_reveals, judge_claims
 
 
 class VotingError(Exception):
@@ -122,52 +122,50 @@ def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
     return Ballot(voter, a, b, proof)
 
 
+def _ballot_claim(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> list:
+    if not 1 <= ballot.voter <= encoding.n_bound:
+        return [(Verdict.OFF_ROLL, None)]
+    return [(Verdict.BAD_PROOF, nizk.ballot_equations(
+        group, global_pk, (ballot.a, ballot.b), encoding.allowed_exponents(), ballot.proof,
+        _ballot_context(ballot.voter)))]
+
+
 def judge_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> Verdict:
     """OFF_ROLL off the roll 1..n_bound, else BAD_PROOF unless the voter-bound proof holds."""
-    if not 1 <= ballot.voter <= encoding.n_bound:
-        return Verdict.OFF_ROLL
-    ok = nizk.verify_ballot(group, global_pk, (ballot.a, ballot.b),
-                            encoding.allowed_exponents(), ballot.proof,
-                            _ballot_context(ballot.voter))
-    return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
+    return judge_claims(group, BALLOT_CONTEXT, [_ballot_claim(group, encoding, global_pk,
+                                                              ballot)])[0]
 
 
-def _first_accepted(messages, key, eligible, batch_holds, judge) -> dict:
-    """{key: message} of the first message per key that `judge` accepts, in
-    message order; a later message whose key is filled is not judged.  The
-    first `eligible` message per key is the only one the judge could accept
-    first, so when two or more keys have one, those are checked in one batch
-    by `batch_holds` and all accepted if it holds; otherwise, or when it
-    fails, `judge` decides one message at a time."""
-    firsts = {}
-    for msg in messages:
-        if eligible(msg):
-            firsts.setdefault(key(msg), msg)
-    if len(firsts) > 1 and batch_holds(list(firsts.values())):
-        return firsts
-    accepted = {}
-    for msg in messages:
-        if key(msg) not in accepted and judge(msg) is Verdict.ACCEPTED:
-            accepted[key(msg)] = msg
-    return accepted
+def _first_accepted(group, context: bytes, messages, key, claim) -> dict:
+    """{key: message} of the first message per key whose claim
+    `judge_claims` accepts, in message order; a later message whose key is
+    filled is not judged.  Judging goes in rounds, each over the first
+    message not yet judged of every key still open, so all the first
+    messages share one batch."""
+    accepted, pending = {}, list(enumerate(messages))
+    while pending:
+        firsts = {}
+        for position, msg in pending:
+            firsts.setdefault(key(msg), (position, msg))
+        verdicts = judge_claims(group, context, [claim(msg) for _, msg in firsts.values()])
+        accepted.update(first for first, verdict in zip(firsts.items(), verdicts)
+                        if verdict is Verdict.ACCEPTED)
+        pending = [(position, msg) for position, msg in pending
+                   if key(msg) not in accepted and firsts[key(msg)][0] != position]
+    return {k: msg for k, (_, msg) in sorted(accepted.items(), key=lambda item: item[1][0])}
 
 
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot per voter that
     `judge_ballot` accepts; a later ballot from an accepted voter is not
-    judged, and the rest are dropped.  The first ballot of each voter on the
-    roll is checked in one batch first (`_first_accepted`).
+    judged, and the rest are dropped.  The first ballot of each voter is
+    judged in one batch (`_first_accepted`).
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
     """
-    allowed = encoding.allowed_exponents()
-    accepted = _first_accepted(
-        ballots, lambda b: b.voter, lambda b: 1 <= b.voter <= encoding.n_bound,
-        lambda firsts: nizk.verify_ballots(
-            group, global_pk, allowed,
-            [((b.a, b.b), b.proof, _ballot_context(b.voter)) for b in firsts], BALLOT_CONTEXT),
-        lambda b: judge_ballot(group, encoding, global_pk, b))
+    accepted = _first_accepted(group, BALLOT_CONTEXT, ballots, lambda b: b.voter,
+                               lambda b: _ballot_claim(group, encoding, global_pk, b))
     if not accepted:
         return None, ()
     ballots = accepted.values()
@@ -187,13 +185,18 @@ def tally_partial_decrypt(group, dealer: int, partial_secret: int, partial_pk,
     return PartialDecryption(dealer, value, proof)
 
 
+def _partial_decryption_claim(group, public_state: PublicState, c1, pd) -> list:
+    deal = public_state.deals.get(pd.dealer)
+    if deal is None:
+        return [(Verdict.NOT_A_PARTICIPANT, None)]
+    return [(Verdict.BAD_DLEQ, nizk.dleq_equations(
+        group, group.generator(), deal.partial_pk, c1, pd.value, pd.proof, TALLY_CONTEXT))]
+
+
 def judge_partial_decryption(group, public_state: PublicState, c1, pd) -> Verdict:
     """NOT_A_PARTICIPANT for a non-dealer, else BAD_DLEQ unless the DLEQ proof holds."""
-    if pd.dealer not in public_state.deals:
-        return Verdict.NOT_A_PARTICIPANT
-    ok = nizk.verify_dleq(group, group.generator(), public_state.deals[pd.dealer].partial_pk,
-                          c1, pd.value, pd.proof, TALLY_CONTEXT)
-    return Verdict.ACCEPTED if ok else Verdict.BAD_DLEQ
+    return judge_claims(group, TALLY_CONTEXT,
+                        [_partial_decryption_claim(group, public_state, c1, pd)])[0]
 
 
 def collect_decryption_values(group, public_state: PublicState, c1,
@@ -203,20 +206,15 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     `judge_partial_decryption` accepts (later ones are not judged), else
     Lagrange interpolation in the exponent over t share reveals that
     `judge_reveals` accepts (lowest guardian indices first).  The first
-    partial decryption of each dealer with an accepted deal is checked in
-    one batch first (`_first_accepted`).  A share reveal for a dealer with
-    an accepted partial decryption is not judged, since the tally would not
-    use it; any other message in `share_reveals` is.  A share judged
+    partial decryption of each dealer is judged in one batch
+    (`_first_accepted`).  A share reveal for a dealer with an accepted
+    partial decryption is not judged, since the tally would not use it;
+    any other message in `share_reveals` is.  A share judged
     INCONSISTENT removes no dealer here, since the election key already
     holds its partial pk; the share just does not count.  Raises
     TallyFailure listing dealers with no recovery path."""
-    deals, g = public_state.deals, group.generator()
-    direct = _first_accepted(
-        partial_decryptions, lambda pd: pd.dealer, lambda pd: pd.dealer in deals,
-        lambda firsts: nizk.verify_dleqs(
-            group, [(g, deals[pd.dealer].partial_pk, c1, pd.value, pd.proof) for pd in firsts],
-            TALLY_CONTEXT),
-        lambda pd: judge_partial_decryption(group, public_state, c1, pd))
+    direct = _first_accepted(group, TALLY_CONTEXT, partial_decryptions, lambda pd: pd.dealer,
+                             lambda pd: _partial_decryption_claim(group, public_state, c1, pd))
     needed = [m for m in share_reveals if not (isinstance(m, ShareReveal) and m.dealer in direct)]
     _, shares, _ = accepted_reveals(public_state, needed, group, context)
     values, missing = {}, []

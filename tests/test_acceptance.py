@@ -449,8 +449,8 @@ def _dleq_case(rng):
               ("scalar", proof.response)]
 
     def verify(values):
-        return nizk.verify_dleq(GROUP, b1, o1, b2, o2,
-                                nizk.DleqProof(*values), CTX)
+        return nizk.holds(GROUP, CTX, [nizk.dleq_equations(GROUP, b1, o1, b2, o2,
+                                                       nizk.DleqProof(*values), CTX)])
     return fields, verify
 
 
@@ -466,7 +466,8 @@ def _share_decryption_case(rng):
     def verify(values):
         rebuilt = nizk.ShareDecryptionProof(
             values[0], nizk.DleqProof(values[1], values[2], values[3]))
-        return nizk.verify_share_decryption(GROUP, kp.pk, ct, values[4], rebuilt, CTX)
+        return nizk.holds(GROUP, CTX, [nizk.share_decryption_equations(
+            GROUP, kp.pk, ct, values[4], rebuilt, CTX)])
     return fields, verify
 
 
@@ -480,8 +481,8 @@ def _representation_case(rng):
               ("scalar", proof.response_k), ("scalar", proof.response_r)]
 
     def verify(values):
-        return nizk.verify_representation(
-            GROUP, kp.pk, ct, nizk.RepresentationProof(*values), CTX)
+        return nizk.holds(GROUP, CTX, [nizk.representation_equations(
+            GROUP, kp.pk, ct, nizk.RepresentationProof(*values), CTX)])
     return fields, verify
 
 
@@ -503,7 +504,8 @@ def _ballot_case(rng):
     def verify(values):
         branches = tuple(
             nizk.BallotBranch(*values[i:i + 4]) for i in range(0, len(values), 4))
-        return nizk.verify_ballot(GROUP, global_pk, (a, b), allowed, branches, CTX)
+        return nizk.holds(GROUP, CTX, [nizk.ballot_equations(
+            GROUP, global_pk, (a, b), allowed, branches, CTX)])
     return fields, verify
 
 

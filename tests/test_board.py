@@ -53,6 +53,12 @@ class TestBehavior:
         assert Behavior(MALFORM_DEAL).corrupted
         assert Behavior(BYZANTINE_SILENT).corrupted
 
+    @pytest.mark.parametrize("kind", [HONEST, ABSENT_ROUND1, ABSENT_ROUND2, MALFORM_DEAL,
+                                      BYZANTINE_SILENT])
+    def test_targets_only_for_withhold_shares(self, kind):
+        with pytest.raises(ValueError, match="takes no targets"):
+            Behavior(kind, frozenset({1}))
+
 
 class TestChildRng:
     def test_streams_are_independent(self):

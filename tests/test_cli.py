@@ -137,6 +137,20 @@ class TestRunConfigErrors:
         assert code == 2
         assert "party 9 outside 1..5" in err
 
+    def test_targets_on_a_kind_without_targets(self, capsys, tmp_path, command):
+        code, out, err = run_config(capsys, tmp_path, command,
+                                    "[behaviors]\n2 = honest:1,3\n")
+        assert code == 2
+        assert "behavior 'honest' takes no targets" in err
+        assert "resolved config" not in out
+
+    def test_target_outside_range(self, capsys, tmp_path, command):
+        code, out, err = run_config(capsys, tmp_path, command,
+                                    "[behaviors]\n3 = withhold-shares:1,99\n")
+        assert code == 2
+        assert "party 3 targets [99] outside 1..5" in err
+        assert "resolved config" not in out
+
 
 class TestSimulate:
     def test_full_retention_rate_one(self, capsys):
@@ -385,6 +399,21 @@ class TestCost:
         code, _, err = run_cli(capsys, ["cost", "--n", "5", "--dealers", "9"])
         assert code == 2
         assert "cost: |D| cannot exceed n" in err
+
+    def test_more_direct_revealers_than_dealers(self, capsys):
+        code, out, err = run_cli(capsys, ["cost", "--n", "3", "--dealers", "2",
+                                          "--direct-revealers", "5"])
+        assert code == 2
+        assert "cost: direct revealers cannot exceed |D|" in err
+        assert "total" not in out
+
+    def test_more_guardians_than_other_parties(self, capsys):
+        code, out, err = run_cli(capsys, ["cost", "--n", "3", "--dealers", "2", "--k", "3"])
+        assert code == 2
+        assert "cost: k cannot exceed n - 1 when there are dealers" in err
+        assert "total" not in out
+        assert run_cli(capsys, ["cost", "--n", "3", "--dealers", "2", "--k", "2"])[0] == 0
+        assert run_cli(capsys, ["cost", "--n", "3", "--k", "10"])[0] == 0  # no dealers
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cost.ini"

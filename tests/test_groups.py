@@ -367,7 +367,7 @@ class TestOperationCounts:
     """Group operations of the kernel, which do not depend on the host: the
     split halves the doubling chain of every long exponent, the generator's
     comb is untouched, and an exponent of 128 bits or fewer (a batch weight
-    of `nizk._all_hold`) stays whole, so a batch pays no extra additions.
+    of `nizk.holds`) stays whole, so a batch pays no extra additions.
     The parent figures are those of the kernel before the split.  A point
     is added once, in the row sums before the Straus loop or by the loop,
     so `measure`'s additions are the two together."""
@@ -435,7 +435,7 @@ class TestOperationCounts:
     def test_batch_with_short_weights(self, counts):
         SECP256K1.base_exp(1)
         equations = self.dl_equations(6)
-        doublings, additions = self.measure(counts, nizk._all_hold, SECP256K1, b"ctx", equations)
+        doublings, additions = self.measure(counts, nizk.holds, SECP256K1, b"ctx", [equations])
         # 132 + 12 when the count took in the doublings of the Jacobian
         # tables, 11 on these inputs
         assert doublings <= 132  # 267 before the split

@@ -4,12 +4,20 @@ import pytest
 
 from fdkg import groups, nizk, pke, shamir
 from fdkg.groups import SECP256K1, TEST_GROUP, multi_exp
+from fdkg.nizk import (ballot_equations, dleq_equations, feldman_equations,
+                       share_decryption_equations)
 
 CTX = b"test-context"
 
 
 def bump(group, elem):
     return group.mul(elem, group.generator())
+
+
+def holds(group, equations) -> bool:
+    """One claim's equations checked on their own, as `protocol.judge_claims`
+    checks each part of a claim outside a batch."""
+    return nizk.holds(group, CTX, [equations])
 
 
 class TestDleqProof:
@@ -24,23 +32,23 @@ class TestDleqProof:
         w, b1, o1, b2, o2 = self._setup(group, rng, w=1)
         assert o1 == b1 and o2 == b2
         proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
-        assert nizk.verify_dleq(group, b1, o1, b2, o2, proof, CTX)
+        assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
 
     def test_honest_roundtrip(self, group, rng):
         for _ in range(50):
             w, b1, o1, b2, o2 = self._setup(group, rng)
             proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
-            assert nizk.verify_dleq(group, b1, o1, b2, o2, proof, CTX)
+            assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
 
     def test_perturbed_output_fails(self, group, rng):
         w, b1, o1, b2, o2 = self._setup(group, rng)
         proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
-        assert not nizk.verify_dleq(group, b1, o1, b2, bump(group, o2), proof, CTX)
+        assert not holds(group, dleq_equations(group, b1, o1, b2, bump(group, o2), proof, CTX))
 
     def test_unequal_logs_fail(self, group, rng):
         w, b1, o1, b2, o2 = self._setup(group, rng)
         bad = nizk.prove_dleq(group, w, b1, o1, b2, group.exp(b2, w + 1), CTX, rng)
-        assert not nizk.verify_dleq(group, b1, o1, b2, group.exp(b2, w + 1), bad, CTX)
+        assert not holds(group, dleq_equations(group, b1, o1, b2, group.exp(b2, w + 1), bad, CTX))
 
 
 class TestShareDecryption:
@@ -55,18 +63,19 @@ class TestShareDecryption:
             kp, m, ct = self._ciphertext(group, rng)
             share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
             assert share == m
-            assert nizk.verify_share_decryption(group, kp.pk, ct, share, proof, CTX)
+            assert holds(group, share_decryption_equations(group, kp.pk, ct, share, proof, CTX))
 
     def test_wrong_claimed_share_fails(self, group, rng):
         kp, m, ct = self._ciphertext(group, rng)
         share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
-        assert not nizk.verify_share_decryption(group, kp.pk, ct, share + 1, proof, CTX)
+        assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + 1, proof,
+                                                           CTX))
 
     def test_inverted_mask_fails(self, group, rng):
         kp, m, ct = self._ciphertext(group, rng)
         share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         forged = nizk.ShareDecryptionProof(group.inv(proof.mask), proof.dleq)
-        assert not nizk.verify_share_decryption(group, kp.pk, ct, share, forged, CTX)
+        assert not holds(group, share_decryption_equations(group, kp.pk, ct, share, forged, CTX))
 
 
 def make_deal(group, rng, t=2, k=3, secret=None):
@@ -92,7 +101,7 @@ class TestDealProofs:
             poly, guardians, _, shares, cts, (commitments, proofs) = make_deal(group, rng)
             assert nizk.verify_deal(group, 2, guardians, cts, commitments, proofs, CTX)
             for s in shares:
-                assert nizk.guardian_check_share(group, s.value, s.index, commitments)
+                assert holds(group, feldman_equations(group, s.value, s.index, commitments))
 
     def test_perturbed_ciphertext_fails(self, group, rng):
         poly, guardians, _, shares, cts, deal = make_deal(group, rng)
@@ -107,14 +116,14 @@ class TestDealProofs:
     def test_guardian_check_rejects_offset_share(self, group, rng):
         poly, guardians, _, shares, cts, (commitments, _) = make_deal(group, rng)
         s = shares[0]
-        assert not nizk.guardian_check_share(group, s.value + 1, s.index, commitments)
+        assert not holds(group, feldman_equations(group, s.value + 1, s.index, commitments))
 
     def test_constant_polynomial_check(self, group, rng):
         secret = rng.randrange(group.order)
         poly = shamir.Polynomial((secret,), group.order)
         commitments = nizk.commit_polynomial(group, poly)
-        assert nizk.guardian_check_share(group, secret, 5, commitments)
-        assert not nizk.guardian_check_share(group, secret + 1, 5, commitments)
+        assert holds(group, feldman_equations(group, secret, 5, commitments))
+        assert not holds(group, feldman_equations(group, secret + 1, 5, commitments))
 
     def test_check_share_exponents_stay_reduced(self, group, rng):
         q = group.order
@@ -131,8 +140,9 @@ class TestDealProofs:
                 return group.exp(a, e)
 
         index = q - 3
-        assert nizk.guardian_check_share(Recording(), poly.evaluate(index), index,
-                                         commitments)
+        recording = Recording()
+        assert nizk.holds(recording, b"", [feldman_equations(recording, poly.evaluate(index),
+                                                            index, commitments)])
         assert exponents == [pow(index, l, q) for l in range(6)]
 
 
@@ -152,7 +162,7 @@ class TestBallotProof:
             pk, ballot, blinding = self._ballot(group, rng, allowed, exponent)
             proof = nizk.prove_ballot(group, pk, ballot, blinding, exponent,
                                       allowed, CTX, rng)
-            assert nizk.verify_ballot(group, pk, ballot, allowed, proof, CTX)
+            assert holds(group, ballot_equations(group, pk, ballot, allowed, proof, CTX))
 
     def test_prover_refuses_disallowed_exponent(self, group, rng):
         allowed = [1, 32]
@@ -166,7 +176,7 @@ class TestBallotProof:
         pk, ballot, blinding = self._ballot(group, rng, allowed, 7)
         pk2, ballot2, blinding2 = self._ballot(group, rng, allowed, 1)
         proof = nizk.prove_ballot(group, pk2, ballot2, blinding2, 1, allowed, CTX, rng)
-        assert not nizk.verify_ballot(group, pk2, ballot, allowed, proof, CTX)
+        assert not holds(group, ballot_equations(group, pk2, ballot, allowed, proof, CTX))
 
     def test_challenge_sum_tampering_fails(self, group, rng):
         allowed = [1, 32, 64]
@@ -176,13 +186,13 @@ class TestBallotProof:
         tampered = (nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                       (br.challenge + 1) % group.order, br.response),
                     *proof[1:])
-        assert not nizk.verify_ballot(group, pk, ballot, allowed, tampered, CTX)
+        assert not holds(group, ballot_equations(group, pk, ballot, allowed, tampered, CTX))
 
     def test_context_binding(self, group, rng):
         allowed = [1, 32]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 1)
         proof = nizk.prove_ballot(group, pk, ballot, blinding, 1, allowed, CTX, rng)
-        assert not nizk.verify_ballot(group, pk, ballot, allowed, proof, b"other")
+        assert not holds(group, ballot_equations(group, pk, ballot, allowed, proof, b"other"))
 
 
 def reference_prove_ballot(group, global_pk, ballot, blinding, vote_exponent, allowed,
@@ -261,6 +271,24 @@ def test_deal_with_one_tampered_proof_rejected(group):
                                         CTX), position
 
 
+def share_batch_holds(group, claims) -> bool:
+    """The decryption proof and Feldman equations of every (pk, ct, share,
+    proof, index, commitments) claim in one batch."""
+    return nizk.holds(group, CTX, [
+        equations for pk, ct, share, proof, j, commitments in claims
+        for equations in (share_decryption_equations(group, pk, ct, share, proof, CTX),
+                          feldman_equations(group, share, j, commitments))])
+
+
+def ballot_claims(group, global_pk, allowed, claims) -> list:
+    return [ballot_equations(group, global_pk, ballot, allowed, branches, context)
+            for ballot, branches, context in claims]
+
+
+def dleq_claims(group, claims, context) -> list:
+    return [dleq_equations(group, *claim, context) for claim in claims]
+
+
 @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
 def test_share_decryption_batch(group):
     """A batch holds iff every claim in it does: its decryption proof and
@@ -271,24 +299,24 @@ def test_share_decryption_batch(group):
     for (j, pk), kp, ct in zip(guardians, keypairs, cts):
         share, proof = nizk.prove_share_decryption(group, kp.sk, pk, ct, CTX, rng)
         claims.append((pk, ct, share, proof, j, commitments))
-    assert nizk.verify_share_decryptions(group, claims, CTX)
-    assert nizk.verify_share_decryptions(group, [], CTX)
+    assert share_batch_holds(group, claims)
+    assert share_batch_holds(group, [])
     pk, ct, share, proof, j, commitments = claims[2]
     bad_dleq = nizk.DleqProof(proof.dleq.commitment_1, proof.dleq.commitment_2,
                               (proof.dleq.response + 1) % group.order)
     for bad in [(pk, ct, (share + 1) % group.order, proof),
                 (pk, ct, share, nizk.ShareDecryptionProof(proof.mask, bad_dleq))]:
         batch = claims[:2] + [bad + (j, commitments)] + claims[3:]
-        assert not nizk.verify_share_decryption(group, *bad, CTX)
-        assert not nizk.verify_share_decryptions(group, batch, CTX)
+        assert not holds(group, share_decryption_equations(group, *bad, CTX))
+        assert not share_batch_holds(group, batch)
     # a ciphertext of a wrong share: the decryption proof holds, Feldman does not
     wrong = pke.pke_encrypt(group, pk, (share + 1) % group.order,
                             pke.sample_enc_randomness(group, rng))
     share, proof = nizk.prove_share_decryption(group, keypairs[2].sk, pk, wrong, CTX, rng)
-    assert nizk.verify_share_decryption(group, pk, wrong, share, proof, CTX)
-    assert not nizk.guardian_check_share(group, share, j, commitments)
+    assert holds(group, share_decryption_equations(group, pk, wrong, share, proof, CTX))
+    assert not holds(group, feldman_equations(group, share, j, commitments))
     batch = claims[:2] + [(pk, wrong, share, proof, j, commitments)] + claims[3:]
-    assert not nizk.verify_share_decryptions(group, batch, CTX)
+    assert not share_batch_holds(group, batch)
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
@@ -307,8 +335,8 @@ def test_ballot_and_dleq_batches(group):
         proof = nizk.prove_ballot(group, global_pk, ballot, blinding, exponent, allowed,
                                   context, rng)
         claims.append((ballot, proof, context))
-    assert nizk.verify_ballots(group, global_pk, allowed, claims, CTX)
-    assert nizk.verify_ballots(group, global_pk, allowed, [], CTX)
+    assert nizk.holds(group, CTX, ballot_claims(group, global_pk, allowed, claims))
+    assert nizk.holds(group, CTX, [])
     ballot, proof, context = claims[2]
     br = proof[1]
     bad_branch = nizk.BallotBranch(br.commitment_1, br.commitment_2, br.challenge,
@@ -316,9 +344,9 @@ def test_ballot_and_dleq_batches(group):
     bad_response = proof[:1] + (bad_branch,) + proof[2:]
     for bad in [(ballot, bad_response, context), (ballot, proof[:-1], context),
                 (ballot, proof, CTX + bytes([3]))]:
-        assert not nizk.verify_ballot(group, global_pk, bad[0], allowed, bad[1], bad[2])
+        assert not holds(group, ballot_equations(group, global_pk, bad[0], allowed, *bad[1:]))
         batch = claims[:2] + [bad] + claims[3:]
-        assert not nizk.verify_ballots(group, global_pk, allowed, batch, CTX)
+        assert not nizk.holds(group, CTX, ballot_claims(group, global_pk, allowed, batch))
 
     g, base2 = group.generator(), group.base_exp(rng.randrange(1, q))
     dleqs = []
@@ -327,15 +355,14 @@ def test_ballot_and_dleq_batches(group):
         out1, out2 = group.base_exp(w), group.exp(base2, w)
         dleqs.append((g, out1, base2, out2, nizk.prove_dleq(group, w, g, out1, base2, out2,
                                                             CTX, rng)))
-    assert nizk.verify_dleqs(group, dleqs, CTX)
-    assert nizk.verify_dleqs(group, [], CTX)
-    assert not nizk.verify_dleqs(group, dleqs, b"other")
+    assert nizk.holds(group, CTX, dleq_claims(group, dleqs, CTX))
+    assert not nizk.holds(group, CTX, dleq_claims(group, dleqs, b"other"))
     b1, o1, b2, o2, proof = dleqs[1]
     for bad in [(b1, o1, b2, bump(group, o2), proof),
                 (b1, o1, b2, o2, nizk.DleqProof(proof.commitment_1, proof.commitment_2,
                                                 proof.response + q))]:
-        assert not nizk.verify_dleq(group, *bad, CTX)
-        assert not nizk.verify_dleqs(group, dleqs[:1] + [bad] + dleqs[2:], CTX)
+        assert not holds(group, dleq_equations(group, *bad, CTX))
+        assert not nizk.holds(group, CTX, dleq_claims(group, dleqs[:1] + [bad] + dleqs[2:], CTX))
 
 
 def test_challenge_binds_each_element():
@@ -359,14 +386,14 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
     b1, b2 = group.base_exp(rng.randrange(1, q)), group.base_exp(rng.randrange(1, q))
     o1, o2 = group.exp(b1, w), group.exp(b2, w)
     proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
-    assert nizk.verify_dleq(group, b1, o1, b2, o2, proof, CTX)
+    assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
     for bad in (nizk.DleqProof(bump(group, proof.commitment_1), proof.commitment_2,
                                proof.response),
                 nizk.DleqProof(proof.commitment_1, bump(group, proof.commitment_2),
                                proof.response),
                 nizk.DleqProof(proof.commitment_1, proof.commitment_2,
                                (proof.response + 1) % q)):
-        assert not nizk.verify_dleq(group, b1, o1, b2, o2, bad, CTX)
+        assert not holds(group, dleq_equations(group, b1, o1, b2, o2, bad, CTX))
 
     allowed = [1, 32, 1024]
     global_pk = group.base_exp(rng.randrange(1, q))
@@ -374,14 +401,15 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
     ballot = (group.base_exp(blinding),
               group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
     proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
-    assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
+    assert holds(group, ballot_equations(group, global_pk, ballot, allowed, proof, CTX))
     for position, br in enumerate(proof):
         for bad in (nizk.BallotBranch(bump(group, br.commitment_1), br.commitment_2,
                                       br.challenge, br.response),
                     nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                       br.challenge, (br.response + 1) % q)):
             branches = proof[:position] + (bad,) + proof[position + 1:]
-            assert not nizk.verify_ballot(group, global_pk, ballot, allowed, branches, CTX)
+            assert not holds(group, ballot_equations(group, global_pk, ballot, allowed, branches,
+                                                     CTX))
 
 
 class TestCanonicalScalars:
@@ -395,14 +423,14 @@ class TestCanonicalScalars:
         o1, o2 = group.exp(b1, w), group.exp(b2, w)
         proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
         shifted = nizk.DleqProof(proof.commitment_1, proof.commitment_2, proof.response + q)
-        assert not nizk.verify_dleq(group, b1, o1, b2, o2, shifted, CTX)
+        assert not holds(group, dleq_equations(group, b1, o1, b2, o2, shifted, CTX))
 
     def test_share_decryption_share_plus_q(self, group, rng):
         kp = pke.pke_keygen(group, rng)
         ct = pke.pke_encrypt(group, kp.pk, 5, pke.sample_enc_randomness(group, rng))
         share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
-        assert not nizk.verify_share_decryption(group, kp.pk, ct, share + group.order,
-                                                proof, CTX)
+        assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + group.order,
+                                                           proof, CTX))
 
     def test_representation_response_plus_q(self, group, rng):
         _, guardians, _, _, cts, (commitments, proofs) = make_deal(group, rng)
@@ -426,11 +454,11 @@ class TestCanonicalScalars:
         ballot = (group.base_exp(blinding),
                   group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
         proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
-        assert nizk.verify_ballot(group, global_pk, ballot, allowed, proof, CTX)
+        assert holds(group, ballot_equations(group, global_pk, ballot, allowed, proof, CTX))
         br = proof[0]
         for shifted in (nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                           br.challenge + q, br.response),
                         nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                           br.challenge, br.response + q)):
             bad = (shifted,) + proof[1:]
-            assert not nizk.verify_ballot(group, global_pk, ballot, allowed, bad, CTX)
+            assert not holds(group, ballot_equations(group, global_pk, ballot, allowed, bad, CTX))

@@ -552,6 +552,25 @@ def secp_round2(seed=5):
     return params, public, reveals
 
 
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+def test_judge_claims_gives_first_failing_part(group):
+    """A claim's verdict is that of its first part whose equations are None
+    or false, else ACCEPTED, whether or not it shares a batch."""
+    g = group.generator()
+    true, false = [[(g, 2), (g, -2)]], [[(g, 1)]]
+    claims = [[], [(Verdict.OFF_ROLL, None)],
+              [(Verdict.BAD_DLEQ, true), (Verdict.INCONSISTENT, true)],
+              [(Verdict.BAD_DLEQ, true), (Verdict.INCONSISTENT, false)],
+              [(Verdict.BAD_DLEQ, false), (Verdict.INCONSISTENT, false)],
+              [(Verdict.BAD_DLEQ, true), (Verdict.INCONSISTENT, None)]]
+    want = [Verdict.ACCEPTED, Verdict.OFF_ROLL, Verdict.ACCEPTED, Verdict.INCONSISTENT,
+            Verdict.BAD_DLEQ, Verdict.INCONSISTENT]
+    assert protocol.judge_claims(group, CTX, claims) == want
+    assert [protocol.judge_claims(group, CTX, [claim])[0] for claim in claims] == want
+    assert protocol.judge_claims(group, CTX, claims[:3]) == want[:3]
+    assert protocol.judge_claims(group, CTX, []) == []
+
+
 class TestBatchedReveals:
     def test_bad_reveal_in_batch_gives_per_message_verdicts(self):
         group = SECP256K1
@@ -568,8 +587,8 @@ class TestBatchedReveals:
         expected = {}
         for m in shares:
             ct = public.deals[m.dealer].ciphertexts[m.sender]
-            if nizk.verify_share_decryption(group, public.pki[m.sender], ct, m.value,
-                                            m.proof, CTX):
+            if nizk.holds(group, CTX, [nizk.share_decryption_equations(
+                    group, public.pki[m.sender], ct, m.value, m.proof, CTX)]):
                 expected.setdefault(m.dealer, {}).setdefault(m.sender, m.value)
         assert sum(map(len, expected.values())) == len(shares) - 2
         assert protocol.accepted_reveals(public, shares, group, CTX)[1] == expected
@@ -603,13 +622,75 @@ class TestBatchedReveals:
         assert verdicts == [Verdict.ACCEPTED] * 14
         assert faulty <= 3.5 * consistent
 
+    @staticmethod
+    def shifted_share_case():
+        """`bad_dealer_round1`'s 14 consistent secp256k1 share reveals, and
+        the same with one DLEQ response shifted by q: BAD_DLEQ for it alone."""
+        group = SECP256K1
+        rng = random.Random(12)
+        _, pki, _, public = bad_dealer_round1(group, rng)
+        shares = [m for i in range(1, 6)
+                  for m in protocol.round2_reveal_shares(i, pki[i].sk, public, CTX, group, rng)
+                  if (m.sender, m.dealer) != (2, 1)]  # bad_deal's inconsistent share
+        m = shares[6]
+        dleq = m.proof.dleq
+        shifted = nizk.DleqProof(dleq.commitment_1, dleq.commitment_2,
+                                 dleq.response + group.order)
+        faulty = list(shares)
+        faulty[6] = ShareReveal(m.sender, m.dealer, m.value,
+                                nizk.ShareDecryptionProof(m.proof.mask, shifted))
+
+        def judge(reveals):
+            public.verdicts.clear()
+            return protocol.judge_reveals(public, reveals, group, CTX)
+
+        expected = [Verdict.ACCEPTED] * 14
+        expected[6] = Verdict.BAD_DLEQ
+        return judge, shares, faulty, [Verdict.ACCEPTED] * 14, expected
+
+    @staticmethod
+    def short_ballot_case():
+        """20 valid 3-candidate secp256k1 ballots, and the same with voter
+        8's proof one branch short: voter 8 alone is not accepted."""
+        curve = SECP256K1
+        pk = curve.base_exp(0xC0FFEE)
+        enc = voting.derive_encoding(20, 3, curve.order)
+        rng = random.Random(43)
+        ballots = [voting.cast_ballot(curve, enc, pk, v, v % 3 + 1, rng) for v in range(1, 21)]
+        faulty = list(ballots)
+        faulty[7] = dataclasses.replace(ballots[7], proof=ballots[7].proof[:-1])
+
+        def judge(found):
+            return voting.aggregate_ballots(curve, enc, pk, found)[1]
+
+        voters = tuple(range(1, 21))
+        return judge, ballots, faulty, voters, tuple(v for v in voters if v != 8)
+
+    @pytest.mark.parametrize("case", ["shifted_share_case", "short_ballot_case"])
+    def test_pre_checked_claim_does_not_sink_the_batch(self, counts, case):
+        """A claim rejected before any group operation is left out of the
+        batch of the others, which then holds: judging all of them costs no
+        more curve operations than the batch with that claim valid."""
+        judge, consistent, faulty, consistent_found, faulty_found = getattr(self, case)()
+
+        def cost(messages):
+            counts.update(dict.fromkeys(counts, 0))
+            found = judge(messages)
+            return sum(counts.values()), found
+
+        valid, found = cost(consistent)
+        assert found == consistent_found
+        with_rejected, found = cost(faulty)
+        assert found == faulty_found
+        assert with_rejected <= valid
+
     def test_each_reveal_checked_once_across_corruption_sets(self, group, rng, monkeypatch):
         params = Params(5, 2, 3)
         sets = {1: {2, 3, 4}, 2: {3, 4, 5}, 3: {1, 4, 5}, 4: {1, 2, 5}, 5: {1, 2, 3}}
         pki, _, _, states, public = run_round1(group, rng, params, sets)
         reveals = scenario_reveals(group, rng, params, pki, states, public, set(sets))
         dleq_checks, secret_checks = Counter(), Counter()
-        real_dleq, real_secret = nizk._dleq_equations, protocol._secret_verdict
+        real_dleq, real_secret = nizk.dleq_equations, protocol._secret_verdict
 
         def counting_dleq(group, base1, out1, base2, out2, proof, context):
             dleq_checks[proof] += 1
@@ -619,7 +700,7 @@ class TestBatchedReveals:
             secret_checks[msg] += 1
             return real_secret(record, msg, group)
 
-        monkeypatch.setattr(nizk, "_dleq_equations", counting_dleq)
+        monkeypatch.setattr(nizk, "dleq_equations", counting_dleq)
         monkeypatch.setattr(protocol, "_secret_verdict", counting_secret)
         parties = sorted(sets)
         for size in range(len(parties) + 1):
@@ -662,13 +743,13 @@ class TestBatchedReveals:
                              nizk.ShareDecryptionProof(genuine.proof.mask, bad))
         live = [m for m in reveals if m.sender != 1]
         mixed = [inconsistent] + live[:3] + [forged] + live[3:]
-        judged, real = Counter(), nizk._dleq_equations
+        judged, real = Counter(), nizk.dleq_equations
 
         def counting(group, base1, out1, base2, out2, proof, context):
             judged[proof] += 1
             return real(group, base1, out1, base2, out2, proof, context)
 
-        monkeypatch.setattr(nizk, "_dleq_equations", counting)
+        monkeypatch.setattr(nizk, "dleq_equations", counting)
         outcome = protocol.offline_reconstruct(public, mixed, params, group, CTX)
         assert set(judged) == {bad, inconsistent.proof.dleq}
         assert protocol.judge_reveals(public, [forged, inconsistent], group, CTX) == [

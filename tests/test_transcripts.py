@@ -276,19 +276,60 @@ def _leaves(obj, path=()):
             yield path + (key,)
 
 
+def election_with_absent_dealer(group):
+    """n=6, t=2, k=3 election of three voters in which dealer 2 is absent
+    from the tally, so its guardians' share reveals stand in for it."""
+    params = Params(6, 2, 3)
+    behaviors = {i: Behavior() for i in range(1, 7)}
+    behaviors[2] = Behavior(ABSENT_ROUND2)
+    return params, run_election(params, behaviors, {1: 1, 2: 2, 4: 1}, 2, group, seed=56)
+
+
+def replay_ceremony(board, params, result, group):
+    public = protocol.process_round1(
+        [e.message for e in board.entries(1)], params, result.public_state.pki, group)
+    protocol.offline_reconstruct(public, [e.message for e in board.entries(2)],
+                                 params, group, REVEAL_CONTEXT)
+
+
+def replay_election(board, params, result, group):
+    """The audit of an election transcript: round 1, the ballots, and the
+    tally unless no ballot is accepted."""
+    public = protocol.process_round1(
+        [e.message for e in board.entries(1)], params, result.public_state.pki, group)
+    aggregate, accepted = voting.aggregate_ballots(
+        group, result.encoding, public.global_pk, [e.message for e in board.entries(2)])
+    if aggregate is None:
+        return
+    round3 = [e.message for e in board.entries(3)]
+    values = voting.collect_decryption_values(
+        group, public, aggregate.c1,
+        [m for m in round3 if isinstance(m, voting.PartialDecryption)],
+        [m for m in round3 if not isinstance(m, voting.PartialDecryption)],
+        voting.TALLY_CONTEXT, params.t)
+    voting.tally_finalize(group, aggregate, values, len(accepted), result.encoding)
+
+
+MUTATED_TRANSCRIPTS = {
+    name: (params, result, transcripts.export_lines(result.board, TEST_GROUP), replay)
+    for name, make, replay in (("ceremony", ceremony_with_faults, replay_ceremony),
+                               ("election", election_with_absent_dealer, replay_election))
+    for params, result in [make(TEST_GROUP)]}
+
+
 class TestMutationProperty:
-    """One JSON leaf of one line of a modp ceremony transcript replaced by a
-    value of another type, another int or a hex string: either the import
-    raises TranscriptError, or it re-exports exactly the mutated lines and
-    the replay raises nothing."""
+    """One JSON leaf of one line of a modp transcript, of a ceremony or of an
+    election, replaced by a value of another type, another int or a hex
+    string: either the import raises TranscriptError, or it re-exports
+    exactly the mutated lines and the replay raises nothing but a
+    VotingError (a tally that cannot be completed)."""
 
-    PARAMS, RESULT = ceremony_with_faults(TEST_GROUP)
-    LINES = transcripts.export_lines(RESULT.board, TEST_GROUP)
-
+    @pytest.mark.parametrize("name", sorted(MUTATED_TRANSCRIPTS))
     @PROPERTY
     @given(data=st.data())
-    def test_mutated_leaf(self, data):
-        lines = list(self.LINES)
+    def test_mutated_leaf(self, name, data):
+        params, result, lines, replay = MUTATED_TRANSCRIPTS[name]
+        lines = list(lines)
         index = data.draw(st.integers(0, len(lines) - 1))
         record = json.loads(lines[index])
         *parents, leaf = data.draw(st.sampled_from(list(_leaves(record))))
@@ -302,11 +343,10 @@ class TestMutationProperty:
         except transcripts.TranscriptError:
             return
         assert transcripts.export_lines(board, TEST_GROUP) == lines
-        public = protocol.process_round1(
-            [e.message for e in board.entries(1)], self.PARAMS,
-            self.RESULT.public_state.pki, TEST_GROUP)
-        protocol.offline_reconstruct(public, [e.message for e in board.entries(2)],
-                                     self.PARAMS, TEST_GROUP, REVEAL_CONTEXT)
+        try:
+            replay(board, params, result, TEST_GROUP)
+        except voting.VotingError:
+            pass
 
 
 def test_lines_are_stable_across_runs(group):

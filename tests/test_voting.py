@@ -20,8 +20,9 @@ from fdkg.voting import (Ballot, DlogNotFoundError, TallyFailure,
 
 def proof_holds(group, enc, pk, ballot) -> bool:
     """Whether the ballot's proof verifies for its voter id, on the roll or off."""
-    return nizk.verify_ballot(group, pk, (ballot.a, ballot.b), enc.allowed_exponents(),
-                              ballot.proof, voting._ballot_context(ballot.voter))
+    return nizk.holds(group, voting.BALLOT_CONTEXT, [nizk.ballot_equations(
+        group, pk, (ballot.a, ballot.b), enc.allowed_exponents(), ballot.proof,
+        voting._ballot_context(ballot.voter))])
 
 
 class TestEncoding:
@@ -463,7 +464,7 @@ class TestTallyJudgesOnlyNeededShares:
                              (dleq.response + 1) % curve.order)
         broken = protocol.ShareReveal(m.sender, m.dealer, m.value,
                                       nizk.ShareDecryptionProof(m.proof.mask, bad))
-        judged, real = [], nizk._share_decryption_equations
+        judged, real = [], nizk.share_decryption_equations
 
         def counting(group, pk, ct, share, proof, context):
             judged.append(proof)
@@ -473,7 +474,7 @@ class TestTallyJudgesOnlyNeededShares:
         honest = collect_decryption_values(curve, public, aggregate.c1, pds, shares,
                                            voting.TALLY_CONTEXT, t)
         public.verdicts.clear()
-        monkeypatch.setattr(nizk, "_share_decryption_equations", counting)
+        monkeypatch.setattr(nizk, "share_decryption_equations", counting)
         values = collect_decryption_values(curve, public, aggregate.c1, pds,
                                            shares[:i] + [broken] + shares[i + 1:],
                                            voting.TALLY_CONTEXT, t)
