@@ -60,6 +60,8 @@ class ScenarioSpec:
             raise ValueError("|D| cannot exceed n")
         if self.direct_revealers > self.dealers:
             raise ValueError("direct revealers cannot exceed |D|")
+        if self.shares_revealed > self.dealers * self.k:
+            raise ValueError("share reveals cannot exceed |D| * k, the shares dealt")
         if self.dealers and self.k > self.n - 1:
             raise ValueError("k cannot exceed n - 1 when there are dealers")
 

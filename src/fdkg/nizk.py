@@ -4,7 +4,9 @@ Relations covered: DLEQ (partial decryptions, share-decryption link),
 ciphertext well-formedness (per-share representation proofs inside a
 deal), Feldman coefficient commitments with the check of a revealed share
 against them, and the disjunctive ballot proof.  A revealed partial
-secret needs no proof: it is checked against its partial pk in the clear.
+secret needs no proof: it is the dealer's share at index 0, so its check
+is the Feldman equation there, G^d = A_0, judged in a batch with the
+shares.
 
 Each relation has one verifier-side builder, `*_equations`, that writes
 its verification equations as prod base^exponent = identity, each a list
@@ -199,7 +201,8 @@ def commit_polynomial(group, poly: Polynomial) -> tuple:
 
 
 def feldman_equations(group, share: int, index: int, commitments):
-    """The one equation G^share = prod_l A_l^{index^l} of a revealed share."""
+    """The one equation G^share = prod_l A_l^{index^l} of a revealed share;
+    at index 0 it is G^share = A_0, that of a revealed partial secret."""
     equation = []
     power = 1
     for a_l in commitments:

@@ -215,9 +215,10 @@ def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
 def round2_reveal_secret(me: int, dealer_state: DealerState,
                          public_state: PublicState, context: bytes,
                          group, rng) -> SecretReveal:
-    """The dealer's partial secret in the clear; the judge checks it
-    against the partial pk.  `context`, `group` and `rng` are unused and
-    kept because `perfbench/workloads.py` calls this positionally."""
+    """The dealer's partial secret in the clear, its share at index 0,
+    which the judge checks against A_0, the partial pk.  `context`,
+    `group` and `rng` are unused and kept because `perfbench/workloads.py`
+    calls this positionally."""
     if me not in public_state.participants:
         raise NotAParticipantError(f"party {me} is not in the participant set")
     return SecretReveal(me, dealer_state.partial_secret)
@@ -264,21 +265,20 @@ def _first_failing(group, context: bytes, claim) -> Verdict:
     return Verdict.ACCEPTED
 
 
-def _secret_verdict(record, msg: SecretReveal, group) -> Verdict:
-    if record is None:
-        return Verdict.NOT_A_PARTICIPANT
-    if not 0 <= msg.value < group.order:
-        return Verdict.OUT_OF_RANGE
-    if group.encode(group.base_exp(msg.value)) != group.encode(record.partial_pk):
-        return Verdict.PK_MISMATCH
-    return Verdict.ACCEPTED
-
-
 def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list:
-    """The claim of a round-2 message other than a SecretReveal: a share
-    fails as BAD_DLEQ without a valid decryption proof, and as INCONSISTENT
-    when only the proof holds, since then the dealer encrypted a wrong
-    share."""
+    """The claim of a round-2 message.  A revealed secret is its dealer's
+    share at index 0, so its one equation is the Feldman check there,
+    G^value = A_0.  A share fails as BAD_DLEQ without a valid decryption
+    proof, and as INCONSISTENT when only the proof holds, since then the
+    dealer encrypted a wrong share."""
+    if isinstance(msg, SecretReveal):
+        deal = public_state.deals.get(msg.sender)
+        if deal is None:
+            return [(Verdict.NOT_A_PARTICIPANT, None)]
+        if not 0 <= msg.value < group.order:
+            return [(Verdict.OUT_OF_RANGE, None)]
+        return [(Verdict.PK_MISMATCH, nizk.feldman_equations(
+                    group, msg.value, 0, deal.commitments))]
     if not isinstance(msg, ShareReveal):
         return [(Verdict.NOT_A_REVEAL, None)]
     deal = public_state.deals.get(msg.dealer)
@@ -312,10 +312,9 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
     One pass over `reveals` fills all three from `public_state.verdicts`,
     id(message) -> (message, context, verdict): holding the message keeps
     its id from being reused, and an equal but distinct copy is judged
-    again.  Messages with no verdict under `context` are judged, secrets
-    in the clear and the rest by `judge_claims`, and the pass is made
-    again."""
-    memo, deals = public_state.verdicts, public_state.deals
+    again.  Messages with no verdict under `context` are judged by one
+    `judge_claims` call, and the pass is made again."""
+    memo = public_state.verdicts
     accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
     while True:
         secrets, shares, excluded, fresh = {}, {}, set(), {}
@@ -331,14 +330,8 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
                 excluded.add(msg.dealer)
         if not fresh:
             return secrets, shares, excluded
-        claimed, claims = [], []
-        for msg in fresh.values():
-            if isinstance(msg, SecretReveal):
-                memo[id(msg)] = (msg, context, _secret_verdict(deals.get(msg.sender), msg, group))
-            else:
-                claimed.append(msg)
-                claims.append(_reveal_claim(public_state, msg, group, context))
-        for msg, verdict in zip(claimed, judge_claims(group, context, claims)):
+        claims = [_reveal_claim(public_state, msg, group, context) for msg in fresh.values()]
+        for msg, verdict in zip(fresh.values(), judge_claims(group, context, claims)):
             memo[id(msg)] = (msg, context, verdict)
 
 

@@ -4,9 +4,9 @@ One JSON object per board entry, group elements hex-encoded in their
 canonical form, keys sorted, laid out by the `LAYOUT` and `MESSAGES` tables
 alone.  Import is strict: a line is accepted only if re-exporting its entry
 gives that exact line back, only if its sender is its message's author, and
-only if its round is one its kind may sit in (`ROUNDS`); anything else
-raises `TranscriptError`.  Replaying an imported transcript
-reproduces the original result byte for byte.
+only if its round is one its kind may sit in (`MESSAGES`); anything else
+raises `TranscriptError`.  Replaying an imported transcript reproduces the
+original result byte for byte.
 """
 
 from __future__ import annotations
@@ -49,23 +49,15 @@ LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fiel
     voting.PartialDecryption: (("dealer", INT), ("value", ELEM), ("proof", nizk.DleqProof)),
 }.items()}
 
-# board message type -> (wire kind, the attribute naming its author)
+# board message type -> (wire kind, the attribute naming its author, the
+# rounds it may sit in); a share sits in the reveal round of a ceremony (2)
+# or of an election (3)
 MESSAGES = {
-    protocol.DealMessage: ("deal", "dealer"),
-    protocol.SecretReveal: ("secret", "sender"),
-    protocol.ShareReveal: ("share", "sender"),
-    voting.Ballot: ("ballot", "voter"),
-    voting.PartialDecryption: ("pdecrypt", "dealer"),
-}
-
-# board message type -> the rounds it may sit in; a share sits in the reveal
-# round of a ceremony (2) or of an election (3)
-ROUNDS = {
-    protocol.DealMessage: (1,),
-    protocol.SecretReveal: (2,),
-    protocol.ShareReveal: (2, 3),
-    voting.Ballot: (2,),
-    voting.PartialDecryption: (3,),
+    protocol.DealMessage: ("deal", "dealer", (1,)),
+    protocol.SecretReveal: ("secret", "sender", (2,)),
+    protocol.ShareReveal: ("share", "sender", (2, 3)),
+    voting.Ballot: ("ballot", "voter", (2,)),
+    voting.PartialDecryption: ("pdecrypt", "dealer", (3,)),
 }
 
 
@@ -110,7 +102,7 @@ def message_to_dict(group, message) -> dict:
 
 def message_from_dict(group, obj):
     kind = _typed(obj, dict).get("kind")
-    cls = next((c for c, (name, _) in MESSAGES.items() if name == kind), None)
+    cls = next((c for c, (name, *_) in MESSAGES.items() if name == kind), None)
     if cls is None:
         raise TranscriptError(f"unsupported message kind {kind!r}")
     return _decode(group, cls, obj)
@@ -139,10 +131,10 @@ def import_lines(lines, group) -> BroadcastBoard:
             message = message_from_dict(group, record["message"])
             if _line(group, sender, round_no, message) != line:
                 raise TranscriptError("not the canonical encoding of its entry")
-            kind, author = MESSAGES[type(message)]
+            kind, author, rounds = MESSAGES[type(message)]
             if getattr(message, author) != sender:
                 raise TranscriptError(f"sender {sender} is not the author of its {kind}")
-            if round_no not in ROUNDS[type(message)]:
+            if round_no not in rounds:
                 raise TranscriptError(f"a {kind} cannot sit in round {round_no}")
         except (TranscriptError, ValueError, KeyError, GroupError, RecursionError) as exc:
             raise TranscriptError(f"line {number}: {exc!r}") from exc

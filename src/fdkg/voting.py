@@ -158,12 +158,14 @@ def _first_accepted(group, context: bytes, messages, key, claim) -> dict:
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot per voter that
     `judge_ballot` accepts; a later ballot from an accepted voter is not
-    judged, and the rest are dropped.  The first ballot of each voter is
-    judged in one batch (`_first_accepted`).
+    judged, and the rest are dropped, as is any message that is not a
+    Ballot.  The first ballot of each voter is judged in one batch
+    (`_first_accepted`).
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
     """
+    ballots = [b for b in ballots if isinstance(b, Ballot)]
     accepted = _first_accepted(group, BALLOT_CONTEXT, ballots, lambda b: b.voter,
                                lambda b: _ballot_claim(group, encoding, global_pk, b))
     if not accepted:
@@ -236,18 +238,18 @@ def bsgs_dlog(group, target, base, bound: int) -> int:
     """Smallest e in [0, bound] with base^e = target; raises when absent."""
     if bound < 0:
         raise VotingError("bound must be >= 0")
-    if group.encode(target) == group.encode(group.identity()):
+    if target == group.identity():
         return 0
     m = max(1, math.isqrt(bound) + 1)
     table = {}
     cur = group.identity()
     for j in range(m):
-        table.setdefault(group.encode(cur), j)
+        table.setdefault(cur, j)
         cur = group.mul(cur, base)
     stride = group.inv(group.exp(base, m))
     gamma = target
     for i in range(m + 1):
-        j = table.get(group.encode(gamma))
+        j = table.get(gamma)
         if j is not None:
             e = i * m + j
             if e <= bound:

@@ -52,9 +52,10 @@ def test_c1_worked_example_replay():
 
 # --- 2. predicate-execution equivalence ---------------------------------------
 
-def _adversary_recovers_all(corrupted, public, states, pki, t):
+def _adversary_recovers_all(corrupted, public, states, decrypted, t):
     """Reconstruct every partial secret from the coalition's view only:
-    its own dealer states plus shares decrypted with its members' keys."""
+    its own dealer states plus the shares its members' keys decrypt, read
+    from `decrypted`, (dealer, guardian) -> share."""
     for dealer in public.participants:
         if dealer in corrupted:
             continue
@@ -62,9 +63,7 @@ def _adversary_recovers_all(corrupted, public, states, pki, t):
         known = sorted(record.guardians.members & corrupted)
         if len(known) < t:
             return False
-        shares = [shamir.Share(j, pke.pke_decrypt(GROUP, pki[j].sk,
-                                                  record.ciphertexts[j]))
-                  for j in known[:t]]
+        shares = [shamir.Share(j, decrypted[dealer, j]) for j in known[:t]]
         candidate = shamir.reconstruct(shares, t, GROUP.order)
         assert candidate == states[dealer].partial_secret
     return True
@@ -106,6 +105,9 @@ def test_c2_predicate_execution_equivalence():
                             i, states[i], public, CTX, GROUP, rng))
                         reveals.extend(protocol.round2_reveal_shares(
                             i, pki[i].sk, public, CTX, GROUP, rng))
+                    decrypted = {(i, j): pke.pke_decrypt(GROUP, pki[j].sk, ct)
+                                 for i in parties
+                                 for j, ct in public.deals[i].ciphertexts.items()}
                     for corrupted in corruption_sets:
                         live = [m for m in reveals if m.sender not in corrupted]
                         outcome = protocol.offline_reconstruct(
@@ -113,7 +115,7 @@ def test_c2_predicate_execution_equivalence():
                         assert outcome.success == protocol.liveness_holds(
                             corrupted, parties, gsets, params), (n, k, t, gsets, corrupted)
                         assert _adversary_recovers_all(
-                            corrupted, public, states, pki, t) == \
+                            corrupted, public, states, decrypted, t) == \
                             protocol.privacy_breached(corrupted, parties, gsets, t), \
                             (n, k, t, gsets, corrupted)
                         checked += 1

@@ -415,6 +415,14 @@ class TestCost:
         assert run_cli(capsys, ["cost", "--n", "3", "--dealers", "2", "--k", "2"])[0] == 0
         assert run_cli(capsys, ["cost", "--n", "3", "--k", "10"])[0] == 0  # no dealers
 
+    def test_more_share_reveals_than_shares_dealt(self, capsys):
+        base = ["cost", "--n", "3", "--dealers", "2", "--k", "2", "--direct-revealers", "2"]
+        code, out, err = run_cli(capsys, [*base, "--shares-revealed", "1000"])
+        assert code == 2
+        assert "cost: share reveals cannot exceed |D| * k, the shares dealt" in err
+        assert "total" not in out
+        assert run_cli(capsys, [*base, "--shares-revealed", "4"])[0] == 0
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cost.ini"
         cfg.write_text("[cost]\nn = 100\ndealers = 50\nk = 40\nvoters = 50\n"

@@ -365,8 +365,14 @@ class TestVerdicts:
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         protocol.judge_reveals(public, reveals, group, CTX)
         calls = []
-        real = protocol._secret_verdict
-        monkeypatch.setattr(protocol, "_secret_verdict", lambda *a: calls.append(a) or real(*a))
+        real = protocol._reveal_claim
+
+        def counting(public_state, msg, group, context):
+            if isinstance(msg, SecretReveal):
+                calls.append(msg)
+            return real(public_state, msg, group, context)
+
+        monkeypatch.setattr(protocol, "_reveal_claim", counting)
         secret = next(m for m in reveals if isinstance(m, SecretReveal))
         copy = SecretReveal(secret.sender, secret.value)
         assert protocol.judge_reveals(public, [secret, copy], group, CTX) == [Verdict.ACCEPTED] * 2
@@ -622,6 +628,28 @@ class TestBatchedReveals:
         assert verdicts == [Verdict.ACCEPTED] * 14
         assert faulty <= 3.5 * consistent
 
+    def test_secrets_join_the_shares_batch(self, counts):
+        """Judging all 20 reveals of `secp_round2`'s ceremony costs fewer
+        curve operations than judging its 15 shares and its 5 secrets
+        apart: each secret's Feldman equation at index 0 joins the shares'
+        batch.  When this was pinned the 20 cost 3,479 operations, the 15
+        shares 3,455 and the 5 secrets 287; with a clear-text check of each
+        secret the 20 cost 3,775, exactly 3,455 + 320."""
+        group = SECP256K1
+        _, public, reveals = secp_round2()
+
+        def cost(messages):
+            public.verdicts.clear()
+            counts.update(dict.fromkeys(counts, 0))
+            assert protocol.judge_reveals(public, messages, group, CTX) == \
+                [Verdict.ACCEPTED] * len(messages)
+            return sum(counts.values())
+
+        shares = [m for m in reveals if isinstance(m, ShareReveal)]
+        secrets = [m for m in reveals if isinstance(m, SecretReveal)]
+        assert len(shares) == 15 and len(secrets) == 5
+        assert cost(reveals) < cost(shares) + cost(secrets)
+
     @staticmethod
     def shifted_share_case():
         """`bad_dealer_round1`'s 14 consistent secp256k1 share reveals, and
@@ -690,18 +718,19 @@ class TestBatchedReveals:
         pki, _, _, states, public = run_round1(group, rng, params, sets)
         reveals = scenario_reveals(group, rng, params, pki, states, public, set(sets))
         dleq_checks, secret_checks = Counter(), Counter()
-        real_dleq, real_secret = nizk.dleq_equations, protocol._secret_verdict
+        real_dleq, real_claim = nizk.dleq_equations, protocol._reveal_claim
 
         def counting_dleq(group, base1, out1, base2, out2, proof, context):
             dleq_checks[proof] += 1
             return real_dleq(group, base1, out1, base2, out2, proof, context)
 
-        def counting_secret(record, msg, group):
-            secret_checks[msg] += 1
-            return real_secret(record, msg, group)
+        def counting_claim(public_state, msg, group, context):
+            if isinstance(msg, SecretReveal):
+                secret_checks[msg] += 1
+            return real_claim(public_state, msg, group, context)
 
         monkeypatch.setattr(nizk, "dleq_equations", counting_dleq)
-        monkeypatch.setattr(protocol, "_secret_verdict", counting_secret)
+        monkeypatch.setattr(protocol, "_reveal_claim", counting_claim)
         parties = sorted(sets)
         for size in range(len(parties) + 1):
             for corrupted in itertools.combinations(parties, size):

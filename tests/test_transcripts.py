@@ -108,7 +108,7 @@ def lines(every_kind):
     return {kind: line for kind, (line, _) in every_kind.items()}
 
 
-KINDS = [kind for kind, _ in transcripts.MESSAGES.values()]
+KINDS = [kind for kind, *_ in transcripts.MESSAGES.values()]
 
 
 def _canonical(record) -> str:
@@ -317,36 +317,84 @@ MUTATED_TRANSCRIPTS = {
     for params, result in [make(TEST_GROUP)]}
 
 
+# a well-typed replacement: an int leaf's is an int in [0, q), an element
+# leaf's (a hex string) the encoding of another element
+WELL_TYPED_VALUES = {
+    int: st.integers(0, TEST_GROUP.order - 1),
+    str: st.integers(0, TEST_GROUP.order - 1).map(
+        lambda x: TEST_GROUP.encode(TEST_GROUP.base_exp(x)).hex())}
+
+
 class TestMutationProperty:
     """One JSON leaf of one line of a modp transcript, of a ceremony or of an
     election, replaced by a value of another type, another int or a hex
     string: either the import raises TranscriptError, or it re-exports
     exactly the mutated lines and the replay raises nothing but a
-    VotingError (a tally that cannot be completed)."""
+    VotingError (a tally that cannot be completed).  Replaced by a
+    well-typed value, any leaf but the line's sender and round and the
+    message's kind and author imports, so the mutation reaches the judges."""
 
     @pytest.mark.parametrize("name", sorted(MUTATED_TRANSCRIPTS))
     @PROPERTY
     @given(data=st.data())
     def test_mutated_leaf(self, name, data):
+        self.check(name, data, well_typed=False)
+
+    @pytest.mark.parametrize("name", sorted(MUTATED_TRANSCRIPTS))
+    @PROPERTY
+    @given(data=st.data())
+    def test_well_typed_leaf(self, name, data):
+        self.check(name, data, well_typed=True)
+
+    @staticmethod
+    def check(name, data, well_typed):
         params, result, lines, replay = MUTATED_TRANSCRIPTS[name]
         lines = list(lines)
         index = data.draw(st.integers(0, len(lines) - 1))
         record = json.loads(lines[index])
-        *parents, leaf = data.draw(st.sampled_from(list(_leaves(record))))
+        leaves = list(_leaves(record))
+        if well_typed:
+            kind = record["message"]["kind"]
+            author = next(a for k, a, _ in transcripts.MESSAGES.values() if k == kind)
+            fixed = {("sender",), ("round",), ("message", "kind"), ("message", author)}
+            leaves = [path for path in leaves if path not in fixed]
+        *parents, leaf = data.draw(st.sampled_from(leaves))
         target = record
         for key in parents:
             target = target[key]
-        target[leaf] = data.draw(OTHER_VALUES)
+        values = WELL_TYPED_VALUES[type(target[leaf])] if well_typed else OTHER_VALUES
+        target[leaf] = data.draw(values)
         lines[index] = _canonical(record)
         try:
             board = transcripts.import_lines(lines, TEST_GROUP)
         except transcripts.TranscriptError:
+            assert not well_typed
             return
         assert transcripts.export_lines(board, TEST_GROUP) == lines
         try:
             replay(board, params, result, TEST_GROUP)
         except voting.VotingError:
             pass
+
+
+def test_share_in_election_round_2_is_no_ballot():
+    """A share may sit in round 2, the reveal round of a ceremony; in an
+    election's round 2 the ballot judge drops it unjudged."""
+    params, result, lines, replay = MUTATED_TRANSCRIPTS["election"]
+    moved = []
+    for line in lines:
+        record = json.loads(line)
+        if record["message"]["kind"] == "share":
+            record["round"] = 2
+        moved.append(_canonical(record))
+    board = transcripts.import_lines(moved, TEST_GROUP)
+    assert any(isinstance(e.message, protocol.ShareReveal) for e in board.entries(2))
+    _, accepted = voting.aggregate_ballots(TEST_GROUP, result.encoding,
+                                           result.public_state.global_pk,
+                                           [e.message for e in board.entries(2)])
+    assert accepted == result.accepted_voters
+    with pytest.raises(voting.TallyFailure):  # dealer 2's shares left round 3
+        replay(board, params, result, TEST_GROUP)
 
 
 def test_lines_are_stable_across_runs(group):

@@ -489,13 +489,14 @@ class TestTallyJudgesOnlyNeededShares:
         result, aggregate, pds, shares = benchmark_shaped_election(TEST_GROUP)
         public = result.public_state
         secret = protocol.SecretReveal(2, 5)
-        judged, real = [], protocol._secret_verdict
+        judged, real = [], protocol._reveal_claim
 
-        def counting(record, msg, group):
-            judged.append(msg)
-            return real(record, msg, group)
+        def counting(public_state, msg, group, context):
+            if isinstance(msg, protocol.SecretReveal):
+                judged.append(msg)
+            return real(public_state, msg, group, context)
 
-        monkeypatch.setattr(protocol, "_secret_verdict", counting)
+        monkeypatch.setattr(protocol, "_reveal_claim", counting)
         public.verdicts.clear()
         values = collect_decryption_values(TEST_GROUP, public, aggregate.c1, pds,
                                            [secret] + shares, voting.TALLY_CONTEXT, 2)
