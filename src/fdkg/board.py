@@ -18,6 +18,7 @@ from .groups import fixed_base
 from .protocol import (DealMessage, GuardianSet, InvalidGuardianSetError, Params,
                        PublicState, ReconstructionOutcome)
 from .shamir import Polynomial
+from .simulate import select_guardians_er
 
 
 class ActivationError(Exception):
@@ -125,12 +126,8 @@ def generate_pki(params: Params, group, seed: int) -> dict:
 
 
 def _default_guardians(params: Params, seed: int) -> dict:
-    sets = {}
-    for i in range(1, params.n + 1):
-        rng = child_rng(seed, i, _STREAM_GUARDIANS)
-        candidates = [j for j in range(1, params.n + 1) if j != i]
-        sets[i] = frozenset(rng.sample(candidates, params.k))
-    return sets
+    return {i: select_guardians_er(params.n, params.k, i, child_rng(seed, i, _STREAM_GUARDIANS))
+            for i in range(1, params.n + 1)}
 
 
 def dealer_guardian_sets(params: Params, behaviors: dict, guardian_sets: dict) -> dict:

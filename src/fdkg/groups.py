@@ -45,14 +45,6 @@ class GroupError(Exception):
     """Invalid group element or parameter."""
 
 
-def scalar_byte_width(q: int) -> int:
-    return (q.bit_length() + 7) // 8
-
-
-def scalar_to_bytes(value: int, q: int) -> bytes:
-    return (value % q).to_bytes(scalar_byte_width(q), "big")
-
-
 class Group:
     """Interface shared by all group backends: each defines `generator()`,
     `identity()`, `mul(a, b)`, `inv(a)`, `exp(a, e)`, `encode(a) -> bytes`,
@@ -68,7 +60,7 @@ class Group:
     order: int  # prime q
 
     def scalar_bytes(self, value: int) -> bytes:
-        return scalar_to_bytes(value, self.order)
+        return (value % self.order).to_bytes((self.order.bit_length() + 7) // 8, "big")
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

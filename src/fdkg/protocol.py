@@ -199,13 +199,13 @@ def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
 
 
 def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
-    """Keep each dealer's first accepted deal, judging none after it; aggregate the global key."""
+    """Judge every deal on its own, keep each dealer's first accepted one
+    (`first_accepted`) and aggregate the global key."""
     state = PublicState(params=params, pki=dict(pki))
-    deals = {}
-    for msg in messages:
-        if msg.dealer not in deals and judge_deal(msg, params, pki, group) is Verdict.ACCEPTED:
-            deals[msg.dealer] = msg
-    state.deals = deals
+    messages = list(messages)
+    state.deals = deals = first_accepted(
+        messages, [judge_deal(msg, params, pki, group) for msg in messages],
+        lambda msg: msg.dealer)
     state.participants = tuple(sorted(deals))
     if state.participants:
         state.global_pk = multi_exp(group, [(deals[i].partial_pk, 1) for i in state.participants])
@@ -256,6 +256,19 @@ def judge_claims(group, context: bytes, claims) -> list:
     accepted = Verdict.ACCEPTED  # enum lookups are slow
     return [accepted if complete and batch_ok else _first_failing(group, context, claim)
             for claim, complete in zip(claims, whole)]
+
+
+def first_accepted(messages, verdicts, key) -> dict:
+    """{key(m): m} of the first message m per key whose verdict is ACCEPTED,
+    in message order: the one rule by which a round keeps a deal per
+    dealer, a ballot per voter and a partial decryption per dealer.
+    (`accepted_reveals` keeps the first accepted reveal per dealer and per
+    (dealer, guardian) by the same rule, in its own memoized pass.)"""
+    accepted = {}
+    for msg, verdict in zip(messages, verdicts):
+        if verdict is Verdict.ACCEPTED:
+            accepted.setdefault(key(msg), msg)
+    return accepted
 
 
 def _first_failing(group, context: bytes, claim) -> Verdict:

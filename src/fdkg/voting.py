@@ -15,7 +15,8 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import PublicState, ShareReveal, Verdict, accepted_reveals, judge_claims
+from .protocol import (PublicState, ShareReveal, Verdict, accepted_reveals, first_accepted,
+                       judge_claims)
 
 
 class VotingError(Exception):
@@ -136,38 +137,19 @@ def judge_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> Ve
                                                               ballot)])[0]
 
 
-def _first_accepted(group, context: bytes, messages, key, claim) -> dict:
-    """{key: message} of the first message per key whose claim
-    `judge_claims` accepts, in message order; a later message whose key is
-    filled is not judged.  Judging goes in rounds, each over the first
-    message not yet judged of every key still open, so all the first
-    messages share one batch."""
-    accepted, pending = {}, list(enumerate(messages))
-    while pending:
-        firsts = {}
-        for position, msg in pending:
-            firsts.setdefault(key(msg), (position, msg))
-        verdicts = judge_claims(group, context, [claim(msg) for _, msg in firsts.values()])
-        accepted.update(first for first, verdict in zip(firsts.items(), verdicts)
-                        if verdict is Verdict.ACCEPTED)
-        pending = [(position, msg) for position, msg in pending
-                   if key(msg) not in accepted and firsts[key(msg)][0] != position]
-    return {k: msg for k, (_, msg) in sorted(accepted.items(), key=lambda item: item[1][0])}
-
-
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
     """Componentwise product of the first ballot per voter that
-    `judge_ballot` accepts; a later ballot from an accepted voter is not
-    judged, and the rest are dropped, as is any message that is not a
-    Ballot.  The first ballot of each voter is judged in one batch
-    (`_first_accepted`).
+    `judge_ballot` accepts (`protocol.first_accepted`); the rest are
+    dropped, as is any message that is not a Ballot.  Every ballot is
+    judged, all of them in one `judge_claims` call.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
     an empty election.
     """
     ballots = [b for b in ballots if isinstance(b, Ballot)]
-    accepted = _first_accepted(group, BALLOT_CONTEXT, ballots, lambda b: b.voter,
-                               lambda b: _ballot_claim(group, encoding, global_pk, b))
+    verdicts = judge_claims(group, BALLOT_CONTEXT,
+                            [_ballot_claim(group, encoding, global_pk, b) for b in ballots])
+    accepted = first_accepted(ballots, verdicts, lambda b: b.voter)
     if not accepted:
         return None, ()
     ballots = accepted.values()
@@ -205,18 +187,20 @@ def collect_decryption_values(group, public_state: PublicState, c1,
                               partial_decryptions, share_reveals,
                               context: bytes, t: int) -> dict:
     """Per-dealer C1^{d_i}: its first partial decryption that
-    `judge_partial_decryption` accepts (later ones are not judged), else
+    `judge_partial_decryption` accepts (`protocol.first_accepted`), else
     Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first).  The first
-    partial decryption of each dealer is judged in one batch
-    (`_first_accepted`).  A share reveal for a dealer with an accepted
-    partial decryption is not judged, since the tally would not use it;
-    any other message in `share_reveals` is.  A share judged
-    INCONSISTENT removes no dealer here, since the election key already
-    holds its partial pk; the share just does not count.  Raises
-    TallyFailure listing dealers with no recovery path."""
-    direct = _first_accepted(group, TALLY_CONTEXT, partial_decryptions, lambda pd: pd.dealer,
-                             lambda pd: _partial_decryption_claim(group, public_state, c1, pd))
+    `judge_reveals` accepts (lowest guardian indices first).  Every
+    partial decryption is judged, all of them in one `judge_claims` call.
+    A share reveal for a dealer with an accepted partial decryption is not
+    judged, since the tally would not use it; any other message in
+    `share_reveals` is.  A share judged INCONSISTENT removes no dealer
+    here, since the election key already holds its partial pk; the share
+    just does not count.  Raises TallyFailure listing dealers with no
+    recovery path."""
+    partial_decryptions = list(partial_decryptions)
+    verdicts = judge_claims(group, TALLY_CONTEXT, [
+        _partial_decryption_claim(group, public_state, c1, pd) for pd in partial_decryptions])
+    direct = first_accepted(partial_decryptions, verdicts, lambda pd: pd.dealer)
     needed = [m for m in share_reveals if not (isinstance(m, ShareReveal) and m.dealer in direct)]
     _, shares, _ = accepted_reveals(public_state, needed, group, context)
     values, missing = {}, []

@@ -3,15 +3,18 @@ private names, by import or by attribute, no module imports a name it
 never uses, every import sits at module level, never inside a function
 body, and no module but `groups.py` calls a `multi_exp` method:
 `groups.multi_exp(group, pairs)` also serves a group stand-in that offers
-only the other Group methods."""
+only the other Group methods.  README names only attributes that exist."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fdkg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parent.parent / "README.md"
 
 
 def _imports(tree):
@@ -88,3 +91,15 @@ def test_rules_catch_violations():
         "import inside function audit (line 7)",
         "multi_exp method call (line 10)"]
     assert layout_violations("group.multi_exp([])\n", kernel=True) == []
+
+
+def test_readme_names_exist():
+    """Every backticked `module.name` in README whose module is an fdkg
+    module names an attribute of that module, so a deleted name does not
+    linger in the docs."""
+    modules = {p.stem for p in MODULES}
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", README.read_text())
+             if module in modules}
+    assert named
+    assert sorted(f"{module}.{name}" for module, name in named
+                  if not hasattr(importlib.import_module(f"fdkg.{module}"), name)) == []

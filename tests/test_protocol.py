@@ -125,13 +125,25 @@ class TestProcessRound1:
             acc = group.mul(acc, group.base_exp(states[i].partial_secret))
         assert public.global_pk == acc
 
-    def test_first_valid_deal_wins(self, group, rng):
+    def test_first_valid_deal_wins(self, group, rng, monkeypatch):
         params = Params(6, 2, 3)
         pki, pub, messages, states, _ = run_round1(group, rng, params, {1: {2, 3, 4}})
         gset = GuardianSet.create(1, {4, 5, 6}, params)
         second, _ = protocol.round1_deal(1, params, gset, pub, group, rng)
+        judged, real = [], protocol.judge_deal
+        monkeypatch.setattr(protocol, "judge_deal",
+                            lambda msg, *args: judged.append(msg) or real(msg, *args))
         public = protocol.process_round1([messages[0], second], params, pub, group)
         assert public.deals[1].guardians.members == frozenset({2, 3, 4})
+        assert judged == [messages[0], second] and public.deals[1] is messages[0]
+
+    def test_one_shot_iterator(self, group, rng):
+        """A generator of deals gives the same state as the list of them."""
+        params = Params(6, 2, 3)
+        _, pub, messages, _, public = run_round1(group, rng, params, {1: {2, 3, 4}, 2: {3, 4, 5}})
+        from_gen = protocol.process_round1((m for m in messages), params, pub, group)
+        assert (from_gen.participants, from_gen.deals, from_gen.global_pk) == \
+            (public.participants, public.deals, public.global_pk) and public.participants == (1, 2)
 
     def test_invalid_deal_dropped(self, group, rng):
         params = Params(6, 2, 3)

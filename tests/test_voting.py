@@ -250,10 +250,11 @@ def bad_response(group, ballot) -> Ballot:
     return Ballot(ballot.voter, ballot.a, ballot.b, (branch,) + ballot.proof[1:])
 
 
-def test_bad_then_good_ballot_counted_once(roll_keys):
-    """Voter 2's first ballot fails its proof, so the batch of first ballots
-    fails and each ballot is judged on its own: voter 2's later valid ballot
-    counts once, at its own position, and the tally is exact."""
+def test_bad_then_good_ballot_counted_once(roll_keys, monkeypatch):
+    """Every ballot is judged in one `judge_claims` call.  Voter 2's first
+    ballot fails its proof, so the batch fails and each ballot is judged on
+    its own: voter 2's later valid ballot counts once, at its own position,
+    and the tally is exact."""
     curve, pk, d = roll_keys
     enc = derive_encoding(4, 2, curve.order)
     rng = random.Random(42)
@@ -262,7 +263,11 @@ def test_bad_then_good_ballot_counted_once(roll_keys):
     ballots = [first[0], bad_response(curve, first[1]), first[2], resent,
                cast_ballot(curve, enc, pk, 4, 2, rng), first[1]]
     assert judge_ballot(curve, enc, pk, ballots[1]) is Verdict.BAD_PROOF
-    agg, accepted = aggregate_ballots(curve, enc, pk, ballots)
+    calls, real = [], voting.judge_claims
+    with monkeypatch.context() as m:
+        m.setattr(voting, "judge_claims", lambda *args: calls.append(args) or real(*args))
+        agg, accepted = aggregate_ballots(curve, enc, pk, ballots)
+    assert len(calls) == 1
     assert accepted == one_by_one(curve, enc, pk, ballots) == (1, 3, 2, 4)
     assert (agg, accepted) == \
         aggregate_ballots(curve, enc, pk, [ballots[0], ballots[2], resent, ballots[4]])
@@ -372,10 +377,10 @@ class TestPartialDecryption:
 
 
 @pytest.mark.parametrize("curve", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
-def test_forged_then_genuine_partial_decryption(curve):
-    """The first partial decryptions of dealers 1 and 2 are checked in one
-    batch.  Dealer 1's forged one fails it, so each is judged on its own
-    and dealer 1's later genuine one gives its value."""
+def test_forged_then_genuine_partial_decryption(curve, monkeypatch):
+    """Every partial decryption is judged in one `judge_claims` call.
+    Dealer 1's forged one fails the batch, so each is judged on its own and
+    dealer 1's later genuine one gives its value."""
     rng = random.Random(44)
     secrets = {i: rng.randrange(curve.order) for i in (1, 2)}
     pks = {i: curve.base_exp(d) for i, d in secrets.items()}
@@ -391,6 +396,13 @@ def test_forged_then_genuine_partial_decryption(curve):
     for posted in ([pds[1], pds[2]], [forged, pds[2], pds[1]], [pds[2], forged, pds[1]]):
         assert collect_decryption_values(
             curve, public, c1, posted, [], voting.TALLY_CONTEXT, 1) == genuine
+    assert collect_decryption_values(curve, public, c1, iter([forged, pds[2], pds[1]]), iter([]),
+                                     voting.TALLY_CONTEXT, 1) == genuine
+    calls, real = [], voting.judge_claims
+    monkeypatch.setattr(voting, "judge_claims", lambda *args: calls.append(args) or real(*args))
+    collect_decryption_values(curve, public, c1, [forged, pds[2], pds[1]], [],
+                              voting.TALLY_CONTEXT, 1)
+    assert len(calls) == 1
 
 
 class TestShareRevealTally:
