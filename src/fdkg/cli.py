@@ -17,10 +17,10 @@ import sys
 
 from . import costmodel, simulate, transcripts
 from .board import Behavior, HONEST, dealer_guardian_sets, run_ceremony
-from .election import run_election
+from .election import run_election, vote_encoding
 from .groups import GROUPS
 from .protocol import Params, ProtocolError
-from .voting import VotingError, derive_encoding
+from .voting import VotingError
 
 
 class ConfigFileError(Exception):
@@ -157,9 +157,7 @@ def check_election(settings: dict, config: dict) -> dict:
     run = check_run(settings, config)
     votes = {i + 1: c for i, c in enumerate(settings["votes"])}
     candidates = settings["candidates"]
-    encoding = derive_encoding(max(run["params"].n, len(votes)), candidates, run["group"].order)
-    for candidate in votes.values():
-        encoding.exponent_for(candidate)
+    vote_encoding(run["params"], votes, candidates, run["group"])
     return {**run, "votes": votes, "candidates": candidates}
 
 

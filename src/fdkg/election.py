@@ -29,12 +29,12 @@ class ElectionResult:
     encoding: voting.VoteEncoding
 
 
-def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
-                 group, seed: int, n_bound=None, guardian_sets=None) -> ElectionResult:
-    """votes: voter on the roll 1..n_bound -> candidate (1-based).  Returns
-    failure data instead of raising when the tally cannot be completed.
-    Slots hold counts up to `n_bound`, by default n or the number of votes,
-    whichever is larger; ValueError for fewer slots or a voter off the roll."""
+def vote_encoding(params: Params, votes: dict, candidates: int, group,
+                  n_bound=None) -> voting.VoteEncoding:
+    """The encoding of an election's votes, after checking them.  Slots
+    hold counts up to `n_bound`, by default n or the number of votes,
+    whichever is larger; ValueError for fewer slots or a voter off the
+    roll 1..n_bound, VotingError for a candidate outside 1..candidates."""
     if n_bound is None:
         n_bound = max(params.n, len(votes))
     if n_bound < len(votes):
@@ -42,6 +42,17 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
     if not all(1 <= voter <= n_bound for voter in votes):
         raise ValueError(f"voter ids must be in 1..{n_bound}")
     encoding = voting.derive_encoding(n_bound, candidates, group.order)
+    for candidate in votes.values():
+        encoding.exponent_for(candidate)
+    return encoding
+
+
+def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
+                 group, seed: int, n_bound=None, guardian_sets=None) -> ElectionResult:
+    """votes: voter on the roll 1..n_bound -> candidate (1-based), checked
+    by `vote_encoding` before round 1.  Returns failure data instead of
+    raising when the tally cannot be completed."""
+    encoding = vote_encoding(params, votes, candidates, group, n_bound)
     board, pki, dealer_states, public_state = deal_round(
         params, behaviors, group, seed, guardian_sets)
     if not public_state.participants:

@@ -330,9 +330,6 @@ class CurveGroup(Group):
     def exp(self, P, e: int):
         return self.multi_exp([(P, e)])
 
-    def base_exp(self, e: int):
-        return self.multi_exp([((self.gx, self.gy), e)])
-
     def multi_exp(self, pairs):
         """prod P^e over the (P, e) pairs in one Straus loop.
 

@@ -13,9 +13,9 @@ its verification equations as prod base^exponent = identity, each a list
 of (base, exponent) pairs, or returns None for a claim rejected before any
 group operation: a non-canonical scalar (responses, challenges, ciphertext
 deltas and claimed shares must lie in [0, q)), a wrong branch count or a
-master-challenge mismatch.  `holds` is the one check of such equations,
-and `protocol.judge_claims` the one judge built on it; `verify_deal`
-checks a whole deal.
+master-challenge mismatch.  `holds` is the one check of such equations;
+`protocol.judge_claims` and `protocol.judge_deal` judge messages with it.
+`nizk` has no verifier of its own.
 
 Challenges are sha256, reduced mod q, over a domain tag, the
 caller-supplied context bytes and the length-prefixed parts of the
@@ -210,44 +210,6 @@ def feldman_equations(group, share: int, index: int, commitments):
         power = power * index % group.order
     equation.append((group.generator(), -share))
     return [equation]
-
-
-def _deal_context(group, context, commitments, guardians, ciphertexts) -> bytes:
-    # bind every sub-proof to the full deal statement
-    h = hashlib.sha256()
-    h.update(context)
-    for a_l in commitments:
-        h.update(group.encode(a_l))
-    for (idx, pk), ct in zip(guardians, ciphertexts):
-        h.update(idx.to_bytes(4, "big"))
-        h.update(group.encode(pk))
-        h.update(ct.to_bytes(group))
-    return h.digest()
-
-
-def prove_deal(group, polynomial: Polynomial, guardians, enc_randomness,
-               ciphertexts, context: bytes, rng) -> tuple:
-    """(Feldman commitments, one RepresentationProof per ciphertext);
-    guardians: list of (party index, pke pk), aligned with the other lists."""
-    commitments = commit_polynomial(group, polynomial)
-    ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
-    proofs = tuple(
-        prove_representation(group, rand.k, rand.r, pk, ct, ctx, rng)
-        for (idx, pk), rand, ct in zip(guardians, enc_randomness, ciphertexts)
-    )
-    return commitments, proofs
-
-
-def verify_deal(group, t: int, guardians, ciphertexts, commitments, proofs,
-                context: bytes) -> bool:
-    if len(commitments) != t:
-        return False
-    if len(proofs) != len(ciphertexts) or len(guardians) != len(ciphertexts):
-        return False
-    ctx = _deal_context(group, context, commitments, guardians, ciphertexts)
-    return holds(group, ctx, (
-        representation_equations(group, pk, ct, proof, ctx)
-        for (_, pk), ct, proof in zip(guardians, ciphertexts, proofs)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ the simulator and by the security test harness.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -65,7 +66,7 @@ class DealMessage:
     """A PVSS deal: one share ciphertext per guardian, keyed by its party
     index, the Feldman commitments A_l, and one RepresentationProof per
     ciphertext in guardian order.  The guardian set is the key set of
-    `ciphertexts`, and the partial pk is A_0, which `verify_deal` requires
+    `ciphertexts`, and the partial pk is A_0, which `judge_deal` requires
     to exist."""
 
     dealer: int
@@ -171,30 +172,45 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
         pke.pke_encrypt(group, pki[s.index], s.value, rand)
         for s, rand in zip(shares, randomness)
     ]
-    context = _deal_binding(group, me)
-    commitments, proofs = nizk.prove_deal(group, poly, guardian_keys, randomness,
-                                          ciphertexts, context, rng)
+    commitments = nizk.commit_polynomial(group, poly)
+    context = _deal_context(group, me, commitments, guardian_keys, ciphertexts)
+    proofs = tuple(nizk.prove_representation(group, rand.k, rand.r, pk, ct, context, rng)
+                   for (_, pk), rand, ct in zip(guardian_keys, randomness, ciphertexts))
     return (DealMessage(me, dict(zip(indices, ciphertexts)), commitments, proofs),
             DealerState(me, d, poly))
 
 
-def _deal_binding(group, dealer: int) -> bytes:
-    return b"deal:" + dealer.to_bytes(4, "big")
+def _deal_context(group, dealer: int, commitments, guardian_keys, ciphertexts) -> bytes:
+    """The context of every representation proof of a deal: sha256 over
+    the dealer, its commitments and each (guardian index, key, ciphertext),
+    so each proof binds the whole deal."""
+    h = hashlib.sha256(b"deal:" + dealer.to_bytes(4, "big"))
+    for a_l in commitments:
+        h.update(group.encode(a_l))
+    for (j, pk), ct in zip(guardian_keys, ciphertexts):
+        h.update(j.to_bytes(4, "big") + group.encode(pk) + ct.to_bytes(group))
+    return h.digest()
 
 
 def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
-    """OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF, checked in that order, else ACCEPTED."""
+    """OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF, checked in that order, else
+    ACCEPTED: BAD_PROOF for a deal without t commitments or one proof per
+    ciphertext, or whose proofs fail their one `nizk.holds` together."""
     if not 1 <= msg.dealer <= params.n:
         return Verdict.OFF_ROLL
     try:
         GuardianSet.create(msg.dealer, msg.ciphertexts, params)
     except InvalidGuardianSetError:
         return Verdict.BAD_GUARDIAN_SET
+    if len(msg.commitments) != params.t or len(msg.enc_proofs) != len(msg.ciphertexts):
+        return Verdict.BAD_PROOF
     indices = sorted(msg.ciphertexts)
     guardian_keys = [(j, pki[j]) for j in indices]
     ciphertexts = [msg.ciphertexts[j] for j in indices]
-    ok = nizk.verify_deal(group, params.t, guardian_keys, ciphertexts, msg.commitments,
-                          msg.enc_proofs, _deal_binding(group, msg.dealer))
+    context = _deal_context(group, msg.dealer, msg.commitments, guardian_keys, ciphertexts)
+    ok = nizk.holds(group, context, (
+        nizk.representation_equations(group, pk, ct, proof, context)
+        for (_, pk), ct, proof in zip(guardian_keys, ciphertexts, msg.enc_proofs)))
     return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
 
 

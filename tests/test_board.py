@@ -159,6 +159,13 @@ class TestIdealFunctionality:
             assert out.partial_secret == result.partial_secrets[i]
             assert out.global_pk == result.global_pk
 
+    @pytest.mark.parametrize("party", [0, 7], ids=["party 0", "party n+1"])
+    def test_party_outside_party_set_rejected(self, group, party):
+        with pytest.raises(ActivationError, match=r"outside 1\.\.n"):
+            ideal_functionality_run(
+                Params(6, 2, 3), [HonestActivation(party, frozenset({2, 3, 4}))],
+                group, seed=0)
+
     def test_wrong_guardian_count_rejected(self, group):
         with pytest.raises(ActivationError):
             ideal_functionality_run(

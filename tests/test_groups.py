@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdkg import groups, nizk
-from fdkg.groups import SECP256K1, TEST_GROUP, CurveGroup, GroupError, _wnaf, multi_exp
+from fdkg.groups import (SECP256K1, TEST_GROUP, CurveGroup, GroupError, MultiplicativeGroup,
+                         _wnaf, multi_exp)
 
 # Prime-order curve with a != 0 (y^2 = x^3 + 2x + 18 over F_1019, 1013
 # points), small enough to check every scalar and to hit the coincident-point
@@ -225,6 +226,27 @@ class TestEncoding:
         assert len(TEST_GROUP.encode(4)) == 2
         with pytest.raises(GroupError):
             TEST_GROUP.decode(b"\x00\x00\x00\x04")
+
+    @pytest.mark.parametrize("prefix", [1, 4, 0xFF])
+    def test_curve_rejects_bad_prefix(self, prefix):
+        data = SECP256K1.encode(SECP256K1.generator())
+        with pytest.raises(GroupError, match="prefix"):
+            SECP256K1.decode(bytes([prefix]) + data[1:])
+
+    @pytest.mark.parametrize("prefix", [2, 3])
+    def test_curve_rejects_x_off_the_curve(self, prefix):
+        # 5^3 + 7 is not a square mod p
+        with pytest.raises(GroupError, match="not on curve"):
+            SECP256K1.decode(bytes([prefix]) + (5).to_bytes(32, "big"))
+
+    def test_curve_chi_of_identity(self):
+        """A hostile mask can be the identity; chi maps it to 0."""
+        assert SECP256K1.chi(SECP256K1.identity()) == 0
+
+    @pytest.mark.parametrize("g", [1, 2], ids=["identity", "non-residue"])
+    def test_modp_generator_must_have_order_q(self, g):
+        with pytest.raises(GroupError, match="order q"):
+            MultiplicativeGroup(TEST_GROUP.p, TEST_GROUP.q, g)
 
     @PROPERTY
     @given(tail=st.binary(min_size=32, max_size=32).filter(any))

@@ -1,11 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
-from fdkg import groups, nizk, pke, shamir
+from fdkg import groups, nizk, pke, protocol, shamir
 from fdkg.groups import SECP256K1, TEST_GROUP, multi_exp
 from fdkg.nizk import (ballot_equations, dleq_equations, feldman_equations,
                        share_decryption_equations)
+from fdkg.protocol import Verdict
 
 CTX = b"test-context"
 
@@ -78,45 +80,59 @@ class TestShareDecryption:
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share, forged, CTX))
 
 
-def make_deal(group, rng, t=2, k=3, secret=None):
-    q = group.order
-    secret = rng.randrange(q) if secret is None else secret
-    guardians = []
-    keypairs = []
-    for j in range(2, 2 + k):
-        kp = pke.pke_keygen(group, rng)
-        keypairs.append(kp)
-        guardians.append((j, kp.pk))
-    shares, poly = shamir.share_secret(secret, t, [j for j, _ in guardians], rng, q)
-    randomness = [pke.sample_enc_randomness(group, rng) for _ in shares]
-    cts = [pke.pke_encrypt(group, pk, s.value, rand)
-           for (j, pk), s, rand in zip(guardians, shares, randomness)]
-    commitments, proofs = nizk.prove_deal(group, poly, guardians, randomness, cts, CTX, rng)
-    return poly, guardians, keypairs, shares, cts, (commitments, proofs)
+def make_deal(group, rng, t=2, k=3):
+    """Dealer 1's `protocol.round1_deal` to guardians 2..k+1: (params,
+    {guardian: keypair}, deal, dealer state)."""
+    params = protocol.Params(k + 1, t, k)
+    keypairs = {j: pke.pke_keygen(group, rng) for j in range(2, 2 + k)}
+    msg, state = protocol.round1_deal(1, params, protocol.GuardianSet.create(1, keypairs, params),
+                                      pki(keypairs), group, rng)
+    return params, keypairs, msg, state
+
+
+def pki(keypairs) -> dict:
+    return {j: kp.pk for j, kp in keypairs.items()}
+
+
+def deal_verdict(group, params, keypairs, msg, **changes):
+    """`protocol.judge_deal`'s verdict on `msg` with `changes` made to it."""
+    return protocol.judge_deal(dataclasses.replace(msg, **changes), params, pki(keypairs),
+                               group)
+
+
+def with_ciphertext(msg, position, change) -> dict:
+    """The deal's ciphertexts with the one at `position`, in guardian
+    order, replaced by change(it)."""
+    ciphertexts = dict(msg.ciphertexts)
+    j = sorted(ciphertexts)[position]
+    ciphertexts[j] = change(ciphertexts[j])
+    return ciphertexts
 
 
 class TestDealProofs:
     def test_honest_deal_verifies(self, group, rng):
         for _ in range(20):
-            poly, guardians, _, shares, cts, (commitments, proofs) = make_deal(group, rng)
-            assert nizk.verify_deal(group, 2, guardians, cts, commitments, proofs, CTX)
-            for s in shares:
-                assert holds(group, feldman_equations(group, s.value, s.index, commitments))
+            params, keypairs, msg, state = make_deal(group, rng)
+            assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
+            for j in msg.ciphertexts:
+                share = state.polynomial.evaluate(j)
+                assert holds(group, feldman_equations(group, share, j, msg.commitments))
 
     def test_perturbed_ciphertext_fails(self, group, rng):
-        poly, guardians, _, shares, cts, deal = make_deal(group, rng)
-        cts = list(cts)
-        cts[1] = pke.PkeCiphertext(cts[1].c1, bump(group, cts[1].c2), cts[1].delta)
-        assert not nizk.verify_deal(group, 2, guardians, cts, *deal, CTX)
+        params, keypairs, msg, _ = make_deal(group, rng)
+        cts = with_ciphertext(msg, 1, lambda ct: dataclasses.replace(ct, c2=bump(group, ct.c2)))
+        assert deal_verdict(group, params, keypairs, msg, ciphertexts=cts) is Verdict.BAD_PROOF
 
     def test_truncated_commitments_fail(self, group, rng):
-        poly, guardians, _, shares, cts, (commitments, proofs) = make_deal(group, rng)
-        assert not nizk.verify_deal(group, 2, guardians, cts, commitments[:1], proofs, CTX)
+        params, keypairs, msg, _ = make_deal(group, rng)
+        assert deal_verdict(group, params, keypairs, msg,
+                            commitments=msg.commitments[:1]) is Verdict.BAD_PROOF
 
     def test_guardian_check_rejects_offset_share(self, group, rng):
-        poly, guardians, _, shares, cts, (commitments, _) = make_deal(group, rng)
-        s = shares[0]
-        assert not holds(group, feldman_equations(group, s.value + 1, s.index, commitments))
+        _, _, msg, state = make_deal(group, rng)
+        j = min(msg.ciphertexts)
+        share = state.polynomial.evaluate(j)
+        assert not holds(group, feldman_equations(group, share + 1, j, msg.commitments))
 
     def test_constant_polynomial_check(self, group, rng):
         secret = rng.randrange(group.order)
@@ -262,13 +278,14 @@ def test_deal_with_one_tampered_proof_rejected(group):
     """All proofs of a deal are checked together; a single bad one, at any
     position and in any part, rejects the deal."""
     rng = random.Random(11)
-    _, guardians, _, _, cts, (commitments, proofs) = make_deal(group, rng, t=2, k=3)
-    assert nizk.verify_deal(group, 2, guardians, cts, commitments, proofs, CTX)
+    params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
+    proofs = msg.enc_proofs
+    assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
     for position, proof in enumerate(proofs):
         for bad in tampered_proofs(group, proof):
             tampered = proofs[:position] + (bad,) + proofs[position + 1:]
-            assert not nizk.verify_deal(group, 2, guardians, cts, commitments, tampered,
-                                        CTX), position
+            assert deal_verdict(group, params, keypairs, msg,
+                                enc_proofs=tampered) is Verdict.BAD_PROOF, position
 
 
 def share_batch_holds(group, claims) -> bool:
@@ -294,11 +311,12 @@ def test_share_decryption_batch(group):
     """A batch holds iff every claim in it does: its decryption proof and
     the Feldman check of its share."""
     rng = random.Random(12)
-    _, guardians, keypairs, _, cts, (commitments, _) = make_deal(group, rng, k=4)
+    _, keypairs, msg, _ = make_deal(group, rng, k=4)
     claims = []
-    for (j, pk), kp, ct in zip(guardians, keypairs, cts):
-        share, proof = nizk.prove_share_decryption(group, kp.sk, pk, ct, CTX, rng)
-        claims.append((pk, ct, share, proof, j, commitments))
+    for j, kp in sorted(keypairs.items()):
+        ct = msg.ciphertexts[j]
+        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        claims.append((kp.pk, ct, share, proof, j, msg.commitments))
     assert share_batch_holds(group, claims)
     assert share_batch_holds(group, [])
     pk, ct, share, proof, j, commitments = claims[2]
@@ -312,7 +330,7 @@ def test_share_decryption_batch(group):
     # a ciphertext of a wrong share: the decryption proof holds, Feldman does not
     wrong = pke.pke_encrypt(group, pk, (share + 1) % group.order,
                             pke.sample_enc_randomness(group, rng))
-    share, proof = nizk.prove_share_decryption(group, keypairs[2].sk, pk, wrong, CTX, rng)
+    share, proof = nizk.prove_share_decryption(group, keypairs[j].sk, pk, wrong, CTX, rng)
     assert holds(group, share_decryption_equations(group, pk, wrong, share, proof, CTX))
     assert not holds(group, feldman_equations(group, share, j, commitments))
     batch = claims[:2] + [(pk, wrong, share, proof, j, commitments)] + claims[3:]
@@ -433,18 +451,18 @@ class TestCanonicalScalars:
                                                            proof, CTX))
 
     def test_representation_response_plus_q(self, group, rng):
-        _, guardians, _, _, cts, (commitments, proofs) = make_deal(group, rng)
-        proof = proofs[0]
+        params, keypairs, msg, _ = make_deal(group, rng)
+        proof = msg.enc_proofs[0]
         shifted = nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
                                            proof.response_k + group.order, proof.response_r)
-        assert not nizk.verify_deal(group, 2, guardians, cts, commitments,
-                                    (shifted,) + proofs[1:], CTX)
+        assert deal_verdict(group, params, keypairs, msg,
+                            enc_proofs=(shifted,) + msg.enc_proofs[1:]) is Verdict.BAD_PROOF
 
     def test_deal_delta_plus_q(self, group, rng):
-        _, guardians, _, _, cts, deal = make_deal(group, rng)
-        cts = list(cts)
-        cts[0] = pke.PkeCiphertext(cts[0].c1, cts[0].c2, cts[0].delta + group.order)
-        assert not nizk.verify_deal(group, 2, guardians, cts, *deal, CTX)
+        params, keypairs, msg, _ = make_deal(group, rng)
+        cts = with_ciphertext(msg, 0,
+                              lambda ct: dataclasses.replace(ct, delta=ct.delta + group.order))
+        assert deal_verdict(group, params, keypairs, msg, ciphertexts=cts) is Verdict.BAD_PROOF
 
     def test_ballot_challenge_and_response_plus_q(self, group, rng):
         q = group.order

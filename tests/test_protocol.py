@@ -392,21 +392,21 @@ class TestVerdicts:
 
 
 def bad_deal(group, rng, params, pub):
-    """Dealer 1 commits to one polynomial but encrypts a wrong share to
-    guardian 2, with a representation proof matching the ciphertext."""
-    q = group.order
-    indices = [2, 3, 5]
-    d = rng.randrange(q)
-    shares, poly = shamir.share_secret(d, params.t, indices, rng, q)
-    values = {s.index: s.value for s in shares}
-    values[2] = (values[2] + 1) % q  # inconsistent with the commitments
-    randomness = [pke.sample_enc_randomness(group, rng) for _ in indices]
-    cts = [pke.pke_encrypt(group, pub[j], values[j], rand)
-           for j, rand in zip(indices, randomness)]
-    guardian_keys = [(j, pub[j]) for j in indices]
-    commitments, proofs = nizk.prove_deal(group, poly, guardian_keys, randomness, cts,
-                                          protocol._deal_binding(group, 1), rng)
-    return DealMessage(1, dict(zip(indices, cts)), commitments, proofs), d
+    """Dealer 1's `round1_deal` to guardians {2, 3, 5}, but with a wrong
+    share encrypted to guardian 2: its commitments and representation
+    proofs are honest for what the deal holds."""
+    share_secret = shamir.share_secret
+
+    def offset_share(*args):
+        shares, poly = share_secret(*args)
+        return [shamir.Share(s.index, (s.value + 1) % group.order) if s.index == 2 else s
+                for s in shares], poly
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shamir, "share_secret", offset_share)
+        msg, state = protocol.round1_deal(1, params, GuardianSet.create(1, {2, 3, 5}, params),
+                                          pub, group, rng)
+    return msg, state.partial_secret
 
 
 def inconsistent_share(group, rng):

@@ -51,6 +51,10 @@ class TestShareSecret:
         with pytest.raises(shamir.InvalidThresholdError):
             shamir.share_secret(1, 0, [1, 2], rng, Q97)
 
+    def test_fewer_indices_than_threshold_rejected(self, rng):
+        with pytest.raises(shamir.InvalidThresholdError, match="at least t"):
+            shamir.share_secret(1, 3, [1, 2], rng, Q97)
+
 
 class TestLagrange:
     def test_two_point_interpolation_at_zero(self):

@@ -158,6 +158,10 @@ class TestGuardianSelectionEr:
 
 
 class TestGuardianSelectionBa:
+    def test_oversized_k_rejected(self):
+        with pytest.raises(SweepConfigError, match="exceeds"):
+            select_guardians_ba(3, 3, random.Random(0))
+
     def test_forced_small_case(self):
         sets = select_guardians_ba(3, 2, random.Random(0))
         assert sets == {1: frozenset({2, 3}), 2: frozenset({1, 3}),

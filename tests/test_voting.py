@@ -59,6 +59,10 @@ class TestEncoding:
         with pytest.raises(VotingError):
             derive_encoding(10, 1, 1 << 256)
 
+    def test_empty_roll_rejected(self):
+        with pytest.raises(VotingError, match="voter bound"):
+            derive_encoding(0, 2, 1 << 256)
+
     def test_search_beyond_max_baby_steps_rejected(self):
         """Rejected from the parameters alone, before any table is built:
         20 candidates for a roll of 3 would need about 908k baby steps, 60
@@ -615,8 +619,27 @@ class TestTallyFinalize:
         with pytest.raises((TallyIntegrityError, DlogNotFoundError)):
             tally_finalize(group, agg, bogus, len(accepted), enc)
 
+    def test_integrity_failure_on_wrong_ballot_count(self, group, rng, election_keys):
+        _, ceremony = election_keys
+        enc = derive_encoding(4, 2, group.order)
+        pk = ceremony.public_state.global_pk
+        ballots = [cast_ballot(group, enc, pk, v, 1, rng) for v in (1, 2, 3)]
+        agg, accepted = aggregate_ballots(group, enc, pk, ballots)
+        values = {0: group.exp(agg.c1, ceremony.outcome.global_secret)}
+        with pytest.raises(TallyIntegrityError, match="expected 4"):
+            tally_finalize(group, agg, values, len(accepted) + 1, enc)
+
 
 class TestRunElection:
+    def test_bad_candidate_rejected_before_round_1(self, group, monkeypatch):
+        def deal_round(*args, **kwargs):
+            raise AssertionError("round 1 ran")
+
+        monkeypatch.setattr("fdkg.election.deal_round", deal_round)
+        behaviors = {i: Behavior() for i in range(1, 7)}
+        with pytest.raises(VotingError, match="candidate 7"):
+            run_election(Params(6, 2, 3), behaviors, {1: 1, 2: 7}, 3, group, seed=1)
+
     def test_all_honest_exact_counts(self, group):
         params = Params(6, 2, 3)
         behaviors = {i: Behavior() for i in range(1, 7)}
