@@ -99,7 +99,9 @@ class PublicState:
     Reconstruction from subsets of the same reveals checks nothing twice:
     `verdicts` memoizes `accepted_reveals`, so reveals judged before cost
     it one pass, and `candidates` caches the value interpolated from each
-    chosen tuple of (guardian, share) pairs.
+    chosen tuple of (guardian, share) pairs, with its `recovered` entry.
+    A share's entry in `verdicts` is a mark in place of its verdict while
+    its decryption proof is unchecked; `judge_reveals` checks it.
     """
 
     params: Params
@@ -144,7 +146,7 @@ class Verdict(Enum):
     INCONSISTENT = "share inconsistent with commitments"  # the dealer's fault
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs about 4x, per reconstruction
 class ReconstructionOutcome:
     success: bool
     global_secret: Optional[int]
@@ -294,12 +296,14 @@ def _first_failing(group, context: bytes, claim) -> Verdict:
     return Verdict.ACCEPTED
 
 
-def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list:
+def _reveal_claim(public_state: PublicState, msg, group, context: bytes,
+                  proof: bool = True, feldman: bool = True) -> list:
     """The claim of a round-2 message.  A revealed secret is its dealer's
     share at index 0, so its one equation is the Feldman check there,
     G^value = A_0.  A share fails as BAD_DLEQ without a valid decryption
     proof, and as INCONSISTENT when only the proof holds, since then the
-    dealer encrypted a wrong share."""
+    dealer encrypted a wrong share; `proof` or `feldman` false leaves that
+    part out of a share's claim."""
     if isinstance(msg, SecretReveal):
         deal = public_state.deals.get(msg.sender)
         if deal is None:
@@ -315,11 +319,35 @@ def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list
         return [(Verdict.NOT_A_GUARDIAN, None)]
     if not 0 <= msg.value < group.order:
         return [(Verdict.OUT_OF_RANGE, None)]
-    return [(Verdict.BAD_DLEQ, nizk.share_decryption_equations(
-                group, public_state.pki[msg.sender], deal.ciphertexts[msg.sender], msg.value,
-                msg.proof, context)),
-            (Verdict.INCONSISTENT, nizk.feldman_equations(
-                group, msg.value, msg.sender, deal.commitments))]
+    claim = []
+    if proof:
+        claim.append((Verdict.BAD_DLEQ, nizk.share_decryption_equations(
+            group, public_state.pki[msg.sender], deal.ciphertexts[msg.sender], msg.value,
+            msg.proof, context)))
+    if feldman:
+        claim.append((Verdict.INCONSISTENT, nizk.feldman_equations(
+            group, msg.value, msg.sender, deal.commitments)))
+    return claim
+
+
+# The memo's marks for a share judged without its decryption proof
+# (`accepted_reveals`), and the verdict its Feldman check gave.
+_CONSISTENT_UNPROVED = "consistent, proof unchecked"
+_INCONSISTENT_UNPROVED = "inconsistent, proof unchecked"
+_PROVED = {_CONSISTENT_UNPROVED: Verdict.ACCEPTED, _INCONSISTENT_UNPROVED: Verdict.INCONSISTENT}
+
+
+def _check_left_out_proofs(public_state: PublicState, group, context: bytes) -> None:
+    """Check the decryption proof of every share memoized under `context`
+    without it, all in one `judge_claims` batch, and memoize its verdict:
+    BAD_DLEQ if the proof fails, else what its Feldman check gave."""
+    memo = public_state.verdicts
+    left_out = [(msg, _PROVED[verdict]) for msg, judged_under, verdict in memo.values()
+                if isinstance(verdict, str) and judged_under == context]  # a mark
+    claims = [_reveal_claim(public_state, msg, group, context, feldman=False)
+              for msg, _ in left_out]
+    for (msg, feldman), verdict in zip(left_out, judge_claims(group, context, claims)):
+        memo[id(msg)] = (msg, context, feldman if verdict is Verdict.ACCEPTED else verdict)
 
 
 def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> list:
@@ -327,26 +355,39 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
     alone.  A share is ACCEPTED when its decryption proof holds and it
     passes the Feldman check against its dealer's commitments, and
     INCONSISTENT when only the proof holds.  `accepted_reveals` judges and
-    memoizes them in its one pass, and decides what they count for."""
+    memoizes them in its one pass, and decides what they count for; the
+    decryption proofs it left out are checked here."""
     accepted_reveals(public_state, reveals, group, context)
-    return [public_state.verdicts[id(msg)][2] for msg in reveals]
+    memo = public_state.verdicts
+    if any(memo[id(msg)][2] is _CONSISTENT_UNPROVED for msg in reveals):
+        _check_left_out_proofs(public_state, group, context)
+    return [memo[id(msg)][2] for msg in reveals]
 
 
 def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
     """(secrets, shares, excluded) over the verdicts of `reveals`: {dealer:
     value} with the first accepted secret per dealer, {dealer: {guardian:
     value}} with the first accepted share per (dealer, guardian), and the
-    set of dealers named by a share judged INCONSISTENT.
+    set of dealers named by a share judged INCONSISTENT.  For a dealer
+    with an accepted secret, `shares` may lack shares whose decryption
+    proof was not checked.
 
     One pass over `reveals` fills all three from `public_state.verdicts`,
     id(message) -> (message, context, verdict): holding the message keeps
     its id from being reused, and an equal but distinct copy is judged
     again.  Messages with no verdict under `context` are judged by one
-    `judge_claims` call, and the pass is made again."""
+    `judge_claims` call, and the pass is made again.  A share whose dealer
+    has a secret among `reveals` is judged without its decryption proof,
+    which then cannot change the outcome, and memoized with a mark
+    (`_CONSISTENT_UNPROVED` or `_INCONSISTENT_UNPROVED`) in place of its
+    verdict.  The left-out proofs are checked, all at once, when one can
+    change the outcome: when such a share fails its Feldman check, or its
+    dealer has no accepted secret in a pass."""
     memo = public_state.verdicts
     accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
     while True:
-        secrets, shares, excluded, fresh = {}, {}, set(), {}
+        secrets, shares, fresh = {}, {}, {}
+        excluded, left_out = set(), set()
         for msg in reveals:
             entry = memo.get(id(msg))
             if entry is None or entry[1] != context:
@@ -355,19 +396,39 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
                 shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
             elif entry[2] is accepted:
                 secrets.setdefault(msg.sender, msg.value)
+            elif entry[2] is _CONSISTENT_UNPROVED:
+                left_out.add(msg.dealer)
             elif entry[2] is inconsistent:
                 excluded.add(msg.dealer)
         if not fresh:
-            return secrets, shares, excluded
-        claims = [_reveal_claim(public_state, msg, group, context) for msg in fresh.values()]
-        for msg, verdict in zip(fresh.values(), judge_claims(group, context, claims)):
+            if left_out.issubset(secrets):
+                return secrets, shares, excluded
+            _check_left_out_proofs(public_state, group, context)
+            continue
+        direct = set(secrets).union(
+            msg.sender for msg in fresh.values() if isinstance(msg, SecretReveal))
+        proved = [not isinstance(msg, ShareReveal) or msg.dealer not in direct
+                  for msg in fresh.values()]
+        claims = [_reveal_claim(public_state, msg, group, context, proof)
+                  for msg, proof in zip(fresh.values(), proved)]
+        verdicts, check = judge_claims(group, context, claims), False
+        for msg, proof, verdict in zip(fresh.values(), proved, verdicts):
+            if not proof and verdict is accepted:
+                verdict = _CONSISTENT_UNPROVED
+            elif not proof and verdict is inconsistent:
+                verdict, check = _INCONSISTENT_UNPROVED, True
             memo[id(msg)] = (msg, context, verdict)
+        if check:
+            _check_left_out_proofs(public_state, group, context)
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
                         group, context: bytes) -> ReconstructionOutcome:
     """Recover every dealer's partial secret from the round-2 broadcasts by
-    combining the reveals that `judge_reveals` accepts.
+    combining the reveals that `judge_reveals` accepts.  A dealer with an
+    accepted secret is recovered from it, so `accepted_reveals` checks its
+    shares' decryption proofs only if one fails its Feldman check; the
+    outcome is the one `judge_reveals`' verdicts give.
 
     A dealer named by a share judged INCONSISTENT is excluded: its partial
     secret is left out, so on success `global_secret` is the secret key of
@@ -385,20 +446,20 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     for dealer in public_state.participants:
         if dealer in excluded:
             continue
-        bucket = shares.get(dealer, ())
         if dealer in secrets:
             d += secrets[dealer]
             recovered[dealer] = ("direct",)
-        elif len(bucket) >= t:
+        elif len(bucket := shares.get(dealer, ())) >= t:
             chosen = tuple(sorted(bucket.items())[:t])
             if chosen not in candidates:
-                candidates[chosen] = shamir.reconstruct(
-                    [shamir.Share(j, value) for j, value in chosen], t, group.order)
-            d += candidates[chosen]
-            recovered[dealer] = ("shares", tuple(sorted(bucket)[:t]))
+                candidates[chosen] = (shamir.reconstruct(
+                    [shamir.Share(j, value) for j, value in chosen], t, group.order),
+                    ("shares", tuple(j for j, _ in chosen)))
+            value, recovered[dealer] = candidates[chosen]
+            d += value
         else:
             failed.append(dealer)
-    excluded = tuple(sorted(excluded))
+    excluded = tuple(sorted(excluded)) if excluded else ()  # sorted(set()) is not free
     if failed or not recovered:  # no recovered dealer and none failed: none active
         return ReconstructionOutcome(False, None, recovered, tuple(failed), excluded)
     return ReconstructionOutcome(True, d % group.order, recovered, (), excluded)

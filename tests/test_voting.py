@@ -502,21 +502,27 @@ class TestTallyJudgesOnlyNeededShares:
             [Verdict.BAD_DLEQ]
 
     def test_secret_reveal_among_shares_still_judged(self, monkeypatch):
+        """Secrets among the tally's messages are judged, and even absent
+        dealer 1's correct secret leaves its shares counted: the tally
+        ignores secrets, so their decryption proofs are still checked."""
         result, aggregate, pds, shares = benchmark_shaped_election(TEST_GROUP)
         public = result.public_state
-        secret = protocol.SecretReveal(2, 5)
+        absent = shamir.reconstruct([shamir.Share(m.sender, m.value)
+                                     for m in shares if m.dealer == 1][:2], 2, TEST_GROUP.order)
+        assert TEST_GROUP.base_exp(absent) == public.deals[1].partial_pk
+        secrets = [protocol.SecretReveal(2, 5), protocol.SecretReveal(1, absent)]
         judged, real = [], protocol._reveal_claim
 
-        def counting(public_state, msg, group, context):
+        def counting(public_state, msg, *args, **kwargs):
             if isinstance(msg, protocol.SecretReveal):
                 judged.append(msg)
-            return real(public_state, msg, group, context)
+            return real(public_state, msg, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "_reveal_claim", counting)
         public.verdicts.clear()
         values = collect_decryption_values(TEST_GROUP, public, aggregate.c1, pds,
-                                           [secret] + shares, voting.TALLY_CONTEXT, 2)
-        assert judged == [secret]
+                                           secrets + shares, voting.TALLY_CONTEXT, 2)
+        assert judged == secrets
         assert tally_finalize(TEST_GROUP, aggregate, values, len(result.accepted_voters),
                               result.encoding) == result.tally
 
