@@ -97,11 +97,10 @@ class PublicState:
     """Verified post-round-1 world: participant set and global key.
 
     Reconstruction from subsets of the same reveals checks nothing twice:
-    `verdicts` memoizes `accepted_reveals`, so reveals judged before cost
-    it one pass, and `candidates` caches the value interpolated from each
-    chosen tuple of (guardian, share) pairs, with its `recovered` entry.
-    A share's entry in `verdicts` is a mark in place of its verdict while
-    its decryption proof is unchecked; `judge_reveals` checks it.
+    `verdicts` memoizes the verdict of each judged reveal, so reveals
+    judged before cost `accepted_reveals` one pass, and `candidates`
+    caches the value interpolated from each chosen tuple of (guardian,
+    share) pairs, with its `recovered` entry.
     """
 
     params: Params
@@ -152,7 +151,7 @@ class ReconstructionOutcome:
     global_secret: Optional[int]
     recovered: dict  # dealer -> ("direct",) | ("shares", (j1..jt))
     failed: tuple  # dealers that could not be recovered
-    excluded: tuple = ()  # dealers named by a share judged INCONSISTENT
+    excluded: tuple = ()  # dealers without an accepted secret named by an INCONSISTENT share
 
 
 def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
@@ -280,8 +279,9 @@ def first_accepted(messages, verdicts, key) -> dict:
     """{key(m): m} of the first message m per key whose verdict is ACCEPTED,
     in message order: the one rule by which a round keeps a deal per
     dealer, a ballot per voter and a partial decryption per dealer.
-    (`accepted_reveals` keeps the first accepted reveal per dealer and per
-    (dealer, guardian) by the same rule, in its own memoized pass.)"""
+    (`accepted_reveals` and the tally keep the first accepted reveal per
+    dealer and per (dealer, guardian) by the same rule, in their own pass
+    over the verdicts.)"""
     accepted = {}
     for msg, verdict in zip(messages, verdicts):
         if verdict is Verdict.ACCEPTED:
@@ -296,14 +296,12 @@ def _first_failing(group, context: bytes, claim) -> Verdict:
     return Verdict.ACCEPTED
 
 
-def _reveal_claim(public_state: PublicState, msg, group, context: bytes,
-                  proof: bool = True, feldman: bool = True) -> list:
+def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list:
     """The claim of a round-2 message.  A revealed secret is its dealer's
     share at index 0, so its one equation is the Feldman check there,
     G^value = A_0.  A share fails as BAD_DLEQ without a valid decryption
     proof, and as INCONSISTENT when only the proof holds, since then the
-    dealer encrypted a wrong share; `proof` or `feldman` false leaves that
-    part out of a share's claim."""
+    dealer encrypted a wrong share."""
     if isinstance(msg, SecretReveal):
         deal = public_state.deals.get(msg.sender)
         if deal is None:
@@ -319,121 +317,97 @@ def _reveal_claim(public_state: PublicState, msg, group, context: bytes,
         return [(Verdict.NOT_A_GUARDIAN, None)]
     if not 0 <= msg.value < group.order:
         return [(Verdict.OUT_OF_RANGE, None)]
-    claim = []
-    if proof:
-        claim.append((Verdict.BAD_DLEQ, nizk.share_decryption_equations(
-            group, public_state.pki[msg.sender], deal.ciphertexts[msg.sender], msg.value,
-            msg.proof, context)))
-    if feldman:
-        claim.append((Verdict.INCONSISTENT, nizk.feldman_equations(
-            group, msg.value, msg.sender, deal.commitments)))
-    return claim
+    return [(Verdict.BAD_DLEQ, nizk.share_decryption_equations(
+                group, public_state.pki[msg.sender], deal.ciphertexts[msg.sender], msg.value,
+                msg.proof, context)),
+            (Verdict.INCONSISTENT, nizk.feldman_equations(
+                group, msg.value, msg.sender, deal.commitments))]
 
 
-# The memo's marks for a share judged without its decryption proof
-# (`accepted_reveals`), and the verdict its Feldman check gave.
-_CONSISTENT_UNPROVED = "consistent, proof unchecked"
-_INCONSISTENT_UNPROVED = "inconsistent, proof unchecked"
-_PROVED = {_CONSISTENT_UNPROVED: Verdict.ACCEPTED, _INCONSISTENT_UNPROVED: Verdict.INCONSISTENT}
-
-
-def _check_left_out_proofs(public_state: PublicState, group, context: bytes) -> None:
-    """Check the decryption proof of every share memoized under `context`
-    without it, all in one `judge_claims` batch, and memoize its verdict:
-    BAD_DLEQ if the proof fails, else what its Feldman check gave."""
+def _judge(public_state: PublicState, messages, group, context: bytes) -> None:
+    """Judge `messages` in one `judge_claims` call and memoize each verdict."""
     memo = public_state.verdicts
-    left_out = [(msg, _PROVED[verdict]) for msg, judged_under, verdict in memo.values()
-                if isinstance(verdict, str) and judged_under == context]  # a mark
-    claims = [_reveal_claim(public_state, msg, group, context, feldman=False)
-              for msg, _ in left_out]
-    for (msg, feldman), verdict in zip(left_out, judge_claims(group, context, claims)):
-        memo[id(msg)] = (msg, context, feldman if verdict is Verdict.ACCEPTED else verdict)
+    claims = [_reveal_claim(public_state, msg, group, context) for msg in messages]
+    for msg, verdict in zip(messages, judge_claims(group, context, claims)):
+        memo[id(msg)] = (msg, context, verdict)
 
 
 def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> list:
     """The Verdict of each message in `reveals`: a fact about that message
     alone.  A share is ACCEPTED when its decryption proof holds and it
     passes the Feldman check against its dealer's commitments, and
-    INCONSISTENT when only the proof holds.  `accepted_reveals` judges and
-    memoizes them in its one pass, and decides what they count for; the
-    decryption proofs it left out are checked here."""
-    accepted_reveals(public_state, reveals, group, context)
+    INCONSISTENT when only the proof holds.  The messages with no verdict
+    under `context` in `public_state.verdicts` are judged, all in one
+    `judge_claims` call, and memoized."""
     memo = public_state.verdicts
-    if any(memo[id(msg)][2] is _CONSISTENT_UNPROVED for msg in reveals):
-        _check_left_out_proofs(public_state, group, context)
+    *_, unjudged = _read_verdicts(memo, reveals, context)
+    _judge(public_state, list(unjudged.values()), group, context)
     return [memo[id(msg)][2] for msg in reveals]
+
+
+def _read_verdicts(memo: dict, reveals, context: bytes) -> tuple:
+    """One pass over `reveals`: (secrets, shares, excluded, unjudged), the
+    first three as `accepted_reveals` gives them but with `excluded`
+    naming every dealer of an INCONSISTENT share, and `unjudged`
+    {id(message): message} of those with no verdict under `context`."""
+    accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
+    secrets, shares, unjudged, excluded = {}, {}, {}, set()
+    for msg in reveals:
+        entry = memo.get(id(msg))
+        if entry is None or entry[1] != context:
+            unjudged[id(msg)] = msg
+        elif entry[2] is accepted and isinstance(msg, ShareReveal):
+            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+        elif entry[2] is accepted:
+            secrets.setdefault(msg.sender, msg.value)
+        elif entry[2] is inconsistent:
+            excluded.add(msg.dealer)
+    return secrets, shares, excluded, unjudged
 
 
 def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
     """(secrets, shares, excluded) over the verdicts of `reveals`: {dealer:
     value} with the first accepted secret per dealer, {dealer: {guardian:
     value}} with the first accepted share per (dealer, guardian), and the
-    set of dealers named by a share judged INCONSISTENT.  For a dealer
-    with an accepted secret, `shares` may lack shares whose decryption
-    proof was not checked.
+    set of dealers with no accepted secret named by a share judged
+    INCONSISTENT.  A dealer with an accepted secret is recovered from it,
+    so `shares` may lack its shares.
 
-    One pass over `reveals` fills all three from `public_state.verdicts`,
+    One pass over `reveals` reads all three from `public_state.verdicts`,
     id(message) -> (message, context, verdict): holding the message keeps
     its id from being reused, and an equal but distinct copy is judged
-    again.  Messages with no verdict under `context` are judged by one
-    `judge_claims` call, and the pass is made again.  A share whose dealer
-    has a secret among `reveals` is judged without its decryption proof,
-    which then cannot change the outcome, and memoized with a mark
-    (`_CONSISTENT_UNPROVED` or `_INCONSISTENT_UNPROVED`) in place of its
-    verdict.  The left-out proofs are checked, all at once, when one can
-    change the outcome: when such a share fails its Feldman check, or its
-    dealer has no accepted secret in a pass."""
+    again.  Of the messages it finds unjudged, the shares of a dealer
+    whose secret is among them wait; the rest are judged by one
+    `judge_claims` call, and the pass is made again.  A waiting share is
+    judged only if its dealer's secret is rejected, so every verdict the
+    outcome depends on is judged."""
     memo = public_state.verdicts
-    accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
-    while True:
-        secrets, shares, fresh = {}, {}, {}
-        excluded, left_out = set(), set()
-        for msg in reveals:
-            entry = memo.get(id(msg))
-            if entry is None or entry[1] != context:
-                fresh[id(msg)] = msg
-            elif entry[2] is accepted and isinstance(msg, ShareReveal):
-                shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
-            elif entry[2] is accepted:
-                secrets.setdefault(msg.sender, msg.value)
-            elif entry[2] is _CONSISTENT_UNPROVED:
-                left_out.add(msg.dealer)
-            elif entry[2] is inconsistent:
-                excluded.add(msg.dealer)
-        if not fresh:
-            if left_out.issubset(secrets):
-                return secrets, shares, excluded
-            _check_left_out_proofs(public_state, group, context)
-            continue
-        direct = set(secrets).union(
-            msg.sender for msg in fresh.values() if isinstance(msg, SecretReveal))
-        proved = [not isinstance(msg, ShareReveal) or msg.dealer not in direct
-                  for msg in fresh.values()]
-        claims = [_reveal_claim(public_state, msg, group, context, proof)
-                  for msg, proof in zip(fresh.values(), proved)]
-        verdicts, check = judge_claims(group, context, claims), False
-        for msg, proof, verdict in zip(fresh.values(), proved, verdicts):
-            if not proof and verdict is accepted:
-                verdict = _CONSISTENT_UNPROVED
-            elif not proof and verdict is inconsistent:
-                verdict, check = _INCONSISTENT_UNPROVED, True
-            memo[id(msg)] = (msg, context, verdict)
-        if check:
-            _check_left_out_proofs(public_state, group, context)
+    secrets, shares, excluded, unjudged = _read_verdicts(memo, reveals, context)
+    if unjudged:
+        held = {msg.sender for msg in unjudged.values() if isinstance(msg, SecretReveal)}
+        _judge(public_state, [msg for msg in unjudged.values()
+                              if not isinstance(msg, ShareReveal) or msg.dealer not in held],
+               group, context)
+        secrets, shares, excluded, waiting = _read_verdicts(memo, reveals, context)
+        if rejected := [msg for msg in waiting.values() if msg.dealer not in secrets]:
+            _judge(public_state, rejected, group, context)
+            secrets, shares, excluded, _ = _read_verdicts(memo, reveals, context)
+    return secrets, shares, excluded.difference(secrets)
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
                         group, context: bytes) -> ReconstructionOutcome:
     """Recover every dealer's partial secret from the round-2 broadcasts by
     combining the reveals that `judge_reveals` accepts.  A dealer with an
-    accepted secret is recovered from it, so `accepted_reveals` checks its
-    shares' decryption proofs only if one fails its Feldman check; the
-    outcome is the one `judge_reveals`' verdicts give.
+    accepted secret is recovered from it, and its shares are not judged
+    while that secret is judged with them; the outcome is the one
+    `judge_reveals`' verdicts give.
 
-    A dealer named by a share judged INCONSISTENT is excluded: its partial
-    secret is left out, so on success `global_secret` is the secret key of
-    the product of the partial pks of the participants not excluded, which
-    is `public_state.global_pk` only when none is.  The first accepted
+    A dealer with no accepted secret that is named by a share judged
+    INCONSISTENT is excluded: its partial secret is left out, so on
+    success `global_secret` is the secret key of the product of the
+    partial pks of the participants not excluded, which is
+    `public_state.global_pk` only when none is.  The first accepted
     secret per dealer and share per (dealer, guardian) count; of more than
     t shares for a dealer, the t lowest guardian indices are interpolated,
     so identical reveal multisets give identical outcomes.  Accepted shares

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import (PublicState, ShareReveal, Verdict, accepted_reveals, first_accepted,
-                       judge_claims, judge_reveals)
+from .protocol import (PublicState, ShareReveal, Verdict, first_accepted, judge_claims,
+                       judge_reveals)
 
 
 class VotingError(Exception):
@@ -192,18 +192,21 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     `judge_reveals` accepts (lowest guardian indices first).  Every
     partial decryption is judged, all of them in one `judge_claims` call.
     A share reveal for a dealer with an accepted partial decryption is not
-    judged, since the tally would not use it; any other message in
-    `share_reveals` is, in full (`judge_reveals`), since the tally ignores
-    secrets.  A share judged INCONSISTENT removes no dealer here, since
-    the election key already holds its partial pk; the share just does not
-    count.  Raises TallyFailure listing dealers with no recovery path."""
+    judged, since the tally would not use it; the other messages in
+    `share_reveals` are, in one `judge_reveals` call, and the first
+    accepted share per (dealer, guardian) counts.  A share judged
+    INCONSISTENT removes no dealer here, since the election key already
+    holds its partial pk; the share just does not count.  Raises
+    TallyFailure listing dealers with no recovery path."""
     partial_decryptions = list(partial_decryptions)
     verdicts = judge_claims(group, TALLY_CONTEXT, [
         _partial_decryption_claim(group, public_state, c1, pd) for pd in partial_decryptions])
     direct = first_accepted(partial_decryptions, verdicts, lambda pd: pd.dealer)
     needed = [m for m in share_reveals if not (isinstance(m, ShareReveal) and m.dealer in direct)]
-    judge_reveals(public_state, needed, group, context)  # no proof left out for a secret
-    _, shares, _ = accepted_reveals(public_state, needed, group, context)
+    shares = {}
+    for msg, verdict in zip(needed, judge_reveals(public_state, needed, group, context)):
+        if verdict is Verdict.ACCEPTED and isinstance(msg, ShareReveal):
+            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
     values, missing = {}, []
     for dealer in public_state.participants:
         bucket = shares.get(dealer, {})

@@ -95,11 +95,16 @@ def test_rules_catch_violations():
 
 def test_readme_names_exist():
     """Every backticked `module.name` in README whose module is an fdkg
-    module names an attribute of that module, so a deleted name does not
-    linger in the docs."""
-    modules = {p.stem for p in MODULES}
-    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", README.read_text())
+    module names an attribute of that module, and every backticked bare
+    private name (`_name`) an attribute of some fdkg module, so a deleted
+    name does not linger in the docs."""
+    readme = README.read_text()
+    modules = {p.stem: importlib.import_module(f"fdkg.{p.stem}") for p in MODULES}
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme)
              if module in modules}
-    assert named
+    private = set(re.findall(r"`(_\w+)`", readme))
+    assert named and private
     assert sorted(f"{module}.{name}" for module, name in named
-                  if not hasattr(importlib.import_module(f"fdkg.{module}"), name)) == []
+                  if not hasattr(modules[module], name)) == []
+    assert sorted(name for name in private
+                  if not any(hasattr(module, name) for module in modules.values())) == []
