@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import pke, protocol
 from .groups import fixed_base
@@ -144,23 +144,21 @@ def dealer_guardian_sets(params: Params, behaviors: dict, guardian_sets: dict) -
 
 
 def _malform(msg: DealMessage, group) -> DealMessage:
-    # perturb one ciphertext so the deal fails verification
-    victim = min(msg.ciphertexts)
-    ct = msg.ciphertexts[victim]
-    bad = pke.PkeCiphertext(ct.c1, group.mul(ct.c2, group.generator()), ct.delta)
-    cts = dict(msg.ciphertexts)
-    cts[victim] = bad
-    return DealMessage(msg.dealer, cts, msg.commitments, msg.enc_proofs)
+    # perturb one guardian's C2 so the deal fails verification
+    victim = min(msg.parts)
+    part = msg.parts[victim]
+    return replace(msg, parts={**msg.parts, victim: pke.CiphertextPart(
+        group.mul(part.c2, group.generator()), part.delta)})
 
 
 def deal_round(params: Params, behaviors: dict, group, seed: int,
                guardian_sets=None) -> tuple:
     """Round 1 of a ceremony or an election: every dealing party shares to
-    its guardian set, and the round's deals are judged.  Each guardian key
-    is the base of two exponentiations per ciphertext to it, and of terms
-    of the deal checks, so it is a comb base (`fixed_base`) for the round,
-    and its table is dropped when the round ends.  Returns (board, pki,
-    dealer_states, public_state)."""
+    its guardian set, and the round's deals are judged.  A guardian key is
+    the base of pk^kappa and pk^a in each deal to it and of a term of each
+    check of those, so it is a comb base (`fixed_base`) for the round, its
+    table dropped when the round ends.  Returns (board, pki, dealer_states,
+    public_state)."""
     if guardian_sets is None:
         guardian_sets = _default_guardians(params, seed)
     gsets = dealer_guardian_sets(params, behaviors, guardian_sets)

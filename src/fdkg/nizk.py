@@ -1,12 +1,11 @@
 """Fiat-Shamir sigma-protocol proofs.
 
 Relations covered: DLEQ (partial decryptions, share-decryption link),
-ciphertext well-formedness (per-share representation proofs inside a
-deal), Feldman coefficient commitments with the check of a revealed share
-against them, and the disjunctive ballot proof.  A revealed partial
-secret needs no proof: it is the dealer's share at index 0, so its check
-is the Feldman equation there, G^d = A_0, judged in a batch with the
-shares.
+a deal's one encryption of its shares to all its guardians, Feldman
+coefficient commitments with the check of a revealed share against them,
+and the disjunctive ballot proof.  A revealed partial secret needs no
+proof: it is the dealer's share at index 0, so its check is the Feldman
+equation there, G^d = A_0, judged in a batch with the shares.
 
 Each relation has one verifier-side builder, `*_equations`, that writes
 its verification equations as prod base^exponent = identity, each a list
@@ -158,41 +157,46 @@ def share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
 
 
 @dataclass(frozen=True)
-class RepresentationProof:
-    """Knowledge of (k, r) with C1 = G^k and C2 = pk^k * G^r.
+class DealProof:
+    """Knowledge of (kappa, r_1..r_k) with C1 = G^kappa and C2_j =
+    pk_j^kappa * G^r_j for each guardian j: T1 = G^a, T2_j = pk_j^a * G^b_j
+    and, for the one challenge e, z = a + e kappa and z_j = b_j + e r_j.  It
+    binds each share ciphertext to its recipient's key, not its plaintext to
+    the dealer's polynomial: that is the Feldman check of the revealed share."""
 
-    Binds a share ciphertext to the recipient key; it does not tie the
-    plaintext to the dealer's polynomial: that is the Feldman check of the
-    revealed share (`feldman_equations`).
-    """
-
-    commitment_1: object  # for the C1 equation
-    commitment_2: object  # for the C2 equation
-    response_k: int
-    response_r: int
+    commitment_1: object  # T1
+    commitments_2: tuple  # T2_j, in guardian order
+    response: int  # z
+    responses: tuple  # z_j, in guardian order
 
 
-def prove_representation(group, k: int, r: int, pk, ct: PkeCiphertext,
-                         context: bytes, rng) -> RepresentationProof:
-    a = rng.randrange(group.order)
-    b = rng.randrange(group.order)
+def _deal_challenge(group, context: bytes, keys, c1, parts, t1, t2) -> int:
+    return _challenge(group, "deal", context, c1, *(x for pk, p in zip(keys, parts) for x in (
+        pk, p.c2, group.scalar_bytes(p.delta))), t1, *t2)
+
+
+def prove_deal(group, kappa: int, masks, keys, c1, parts, context: bytes, rng) -> DealProof:
+    """The proof of (C1, parts) = `pke.pke_encrypt(group, keys, _, kappa, masks)`."""
+    q, g = group.order, group.generator()
+    a, *b = (rng.randrange(q) for _ in range(len(keys) + 1))
     t1 = group.base_exp(a)
-    t2 = multi_exp(group, [(pk, a), (group.generator(), b)])
-    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, group.scalar_bytes(ct.delta),
-                   t1, t2)
-    return RepresentationProof(t1, t2, (a + e * k) % group.order, (b + e * r) % group.order)
+    t2 = tuple(multi_exp(group, [(pk, a), (g, b_j)]) for pk, b_j in zip(keys, b))
+    e = _deal_challenge(group, context, keys, c1, parts, t1, t2)
+    return DealProof(t1, t2, (a + e * kappa) % q,
+                     tuple((b_j + e * r) % q for b_j, r in zip(b, masks)))
 
 
-def representation_equations(group, pk, ct: PkeCiphertext, proof: RepresentationProof,
-                             context: bytes):
-    if not _canonical(group, proof.response_k, proof.response_r, ct.delta):
+def deal_equations(group, keys, c1, parts, proof: DealProof, context: bytes):
+    """The 1 + k equations of a deal's proof, or None for one without a T2_j
+    and a z_j per guardian or with a non-canonical response or delta."""
+    if not (len(keys) == len(parts) == len(proof.commitments_2) == len(proof.responses)
+            and _canonical(group, proof.response, *proof.responses, *(p.delta for p in parts))):
         return None
-    e = _challenge(group, "enc-rep", context, pk, ct.c1, ct.c2, group.scalar_bytes(ct.delta),
-                   proof.commitment_1, proof.commitment_2)
-    g = group.generator()
-    return [[(g, proof.response_k), (proof.commitment_1, -1), (ct.c1, -e)],
-            [(pk, proof.response_k), (g, proof.response_r), (proof.commitment_2, -1),
-             (ct.c2, -e)]]
+    e = _deal_challenge(group, context, keys, c1, parts, proof.commitment_1, proof.commitments_2)
+    g, z = group.generator(), proof.response
+    return [[(g, z), (proof.commitment_1, -1), (c1, -e)]] + [
+        [(pk, z), (g, z_j), (t2, -1), (p.c2, -e)]
+        for pk, p, t2, z_j in zip(keys, parts, proof.commitments_2, proof.responses)]
 
 
 def commit_polynomial(group, poly: Polynomial) -> tuple:

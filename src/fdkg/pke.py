@@ -1,10 +1,16 @@
 """ElGamal-variant encryption used to deliver shares to guardians.
 
-The plaintext is a scalar, masked by the coordinate of a random point M:
-    C1 = G^k,  M = G^r,  C2 = pk^k * M,  delta = chi(M) - m  (mod q)
-Decryption recomputes M = C2 * (C1^sk)^-1 exactly, so the two-to-one
-behaviour of chi on curves never causes ambiguity.  Integrity is enforced
-by proofs, not by the ciphertext itself.
+One encryption carries a scalar m_j to each recipient key pk_j, with one
+random exponent kappa for all and a fresh random point M_j each:
+    C1 = G^kappa,  M_j = G^r_j,  C2_j = pk_j^kappa * M_j,  delta_j = chi(M_j) - m_j
+Recipient j recomputes M_j = C2_j * (C1^sk_j)^-1 exactly, so the two-to-one
+behaviour of chi on curves never causes ambiguity; a single recipient is
+the one-key case.  Sharing kappa is sound (Kurosawa, PKC 2002; Bellare,
+Boldyreva and Staddon, PKC 2003): ElGamal passes the latter's
+reproducibility test, as any key pair (pk', sk') gives pk'^kappa = C1^sk',
+so it is as secure as independent encryptions.  M_j stays fresh: a shared
+M would publish m_j - m_i = delta_i - delta_j.  Integrity is enforced by
+proofs, not by the ciphertext itself.
 """
 
 from __future__ import annotations
@@ -19,19 +25,16 @@ class PkeKeyPair:
 
 
 @dataclass(frozen=True)
-class PkeCiphertext:
-    c1: object
+class CiphertextPart:  # one recipient's (C2_j, delta_j)
     c2: object
     delta: int
 
-    def to_bytes(self, group) -> bytes:
-        return group.encode(self.c1) + group.encode(self.c2) + group.scalar_bytes(self.delta)
-
 
 @dataclass(frozen=True)
-class EncRandomness:
-    k: int
-    r: int
+class PkeCiphertext:  # what one recipient decrypts
+    c1: object  # shared by all recipients of one encryption
+    c2: object
+    delta: int
 
 
 def pke_keygen(group, rng) -> PkeKeyPair:
@@ -39,17 +42,15 @@ def pke_keygen(group, rng) -> PkeKeyPair:
     return PkeKeyPair(sk, group.base_exp(sk))
 
 
-def sample_enc_randomness(group, rng) -> EncRandomness:
-    # zero randomness is mathematically valid but insecure; never sample it
-    return EncRandomness(rng.randrange(1, group.order), rng.randrange(1, group.order))
-
-
-def pke_encrypt(group, pk, m: int, rand: EncRandomness) -> PkeCiphertext:
-    c1 = group.base_exp(rand.k)
-    mask = group.base_exp(rand.r)
-    c2 = group.mul(group.exp(pk, rand.k), mask)
-    delta = (group.chi(mask) - m) % group.order
-    return PkeCiphertext(c1, c2, delta)
+def pke_encrypt(group, keys, messages, kappa: int, masks) -> tuple:
+    """(C1, the CiphertextPart of messages[j] to keys[j] for each j); zero
+    randomness is mathematically valid but insecure, so never draw it."""
+    c1, parts = group.base_exp(kappa), []
+    for pk, m, r in zip(keys, messages, masks):
+        mask = group.base_exp(r)
+        parts.append(CiphertextPart(group.mul(group.exp(pk, kappa), mask),
+                                    (group.chi(mask) - m) % group.order))
+    return c1, tuple(parts)
 
 
 def pke_decrypt(group, sk: int, ct: PkeCiphertext) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from . import nizk, pke, shamir
@@ -63,16 +64,16 @@ class GuardianSet:
 
 @dataclass(frozen=True)
 class DealMessage:
-    """A PVSS deal: one share ciphertext per guardian, keyed by its party
-    index, the Feldman commitments A_l, and one RepresentationProof per
-    ciphertext in guardian order.  The guardian set is the key set of
-    `ciphertexts`, and the partial pk is A_0, which `judge_deal` requires
-    to exist."""
+    """A PVSS deal: one `pke` encryption of the shares, its C1 and a part
+    (C2_j, delta_j) per guardian keyed by party index; the Feldman
+    commitments A_l; and one DealProof.  The guardian set is the key set of
+    `parts`, and the partial pk is A_0, which `judge_deal` requires."""
 
     dealer: int
-    ciphertexts: dict  # guardian index -> PkeCiphertext
+    c1: object
+    parts: dict  # guardian index -> pke.CiphertextPart
     commitments: tuple
-    enc_proofs: tuple
+    proof: nizk.DealProof
 
     @property
     def partial_pk(self):
@@ -80,7 +81,11 @@ class DealMessage:
 
     @property
     def guardians(self) -> GuardianSet:
-        return GuardianSet(self.dealer, frozenset(self.ciphertexts))
+        return GuardianSet(self.dealer, frozenset(self.parts))
+
+    @cached_property
+    def ciphertexts(self) -> dict:  # guardian index -> the PkeCiphertext it decrypts
+        return {j: pke.PkeCiphertext(self.c1, p.c2, p.delta) for j, p in self.parts.items()}
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class PublicState:
     candidates: dict = field(default_factory=dict, compare=False, repr=False)
 
     def guardian_sets(self) -> dict:
-        return {i: frozenset(self.deals[i].ciphertexts) for i in self.participants}
+        return {i: frozenset(self.deals[i].parts) for i in self.participants}
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,8 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
     """Produce this dealer's broadcast plus its private state.
 
     Shares are evaluations of a fresh polynomial at the guardians' global
-    party indices, encrypted under each guardian's long-term key.
+    party indices, encrypted in one `pke_encrypt` to the guardians' keys.
+    `rng` draws the polynomial first, as the ideal oracle does.
     """
     if guardians.owner != me:
         raise InvalidGuardianSetError("guardian set owned by another party")
@@ -167,52 +173,43 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
     d = rng.randrange(q)
     indices = sorted(guardians.members)
     shares, poly = shamir.share_secret(d, params.t, indices, rng, q)
-    guardian_keys = [(j, pki[j]) for j in indices]
-    randomness = [pke.sample_enc_randomness(group, rng) for _ in indices]
-    ciphertexts = [
-        pke.pke_encrypt(group, pki[s.index], s.value, rand)
-        for s, rand in zip(shares, randomness)
-    ]
+    keys = [pki[j] for j in indices]
+    kappa, *masks = (rng.randrange(1, q) for _ in range(len(keys) + 1))  # never 0
+    c1, parts = pke.pke_encrypt(group, keys, [s.value for s in shares], kappa, masks)
     commitments = nizk.commit_polynomial(group, poly)
-    context = _deal_context(group, me, commitments, guardian_keys, ciphertexts)
-    proofs = tuple(nizk.prove_representation(group, rand.k, rand.r, pk, ct, context, rng)
-                   for (_, pk), rand, ct in zip(guardian_keys, randomness, ciphertexts))
-    return (DealMessage(me, dict(zip(indices, ciphertexts)), commitments, proofs),
+    context = _deal_context(group, me, commitments, indices)
+    proof = nizk.prove_deal(group, kappa, masks, keys, c1, parts, context, rng)
+    return (DealMessage(me, c1, dict(zip(indices, parts)), commitments, proof),
             DealerState(me, d, poly))
 
 
-def _deal_context(group, dealer: int, commitments, guardian_keys, ciphertexts) -> bytes:
-    """The context of every representation proof of a deal: sha256 over
-    the dealer, its commitments and each (guardian index, key, ciphertext),
-    so each proof binds the whole deal."""
+def _deal_context(group, dealer: int, commitments, indices) -> bytes:
+    """sha256 over the dealer, its commitments and its guardians' indices:
+    the context under which the deal proof's challenge binds the rest."""
     h = hashlib.sha256(b"deal:" + dealer.to_bytes(4, "big"))
     for a_l in commitments:
         h.update(group.encode(a_l))
-    for (j, pk), ct in zip(guardian_keys, ciphertexts):
-        h.update(j.to_bytes(4, "big") + group.encode(pk) + ct.to_bytes(group))
+    h.update(b"".join(j.to_bytes(4, "big") for j in indices))
     return h.digest()
 
 
 def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
     """OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF, checked in that order, else
-    ACCEPTED: BAD_PROOF for a deal without t commitments or one proof per
-    ciphertext, or whose proofs fail their one `nizk.holds` together."""
+    ACCEPTED: BAD_PROOF for a deal without t commitments, or whose proof's
+    equations (`nizk.deal_equations`) are None or fail their `nizk.holds`."""
     if not 1 <= msg.dealer <= params.n:
         return Verdict.OFF_ROLL
     try:
-        GuardianSet.create(msg.dealer, msg.ciphertexts, params)
+        GuardianSet.create(msg.dealer, msg.parts, params)
     except InvalidGuardianSetError:
         return Verdict.BAD_GUARDIAN_SET
-    if len(msg.commitments) != params.t or len(msg.enc_proofs) != len(msg.ciphertexts):
+    if len(msg.commitments) != params.t:
         return Verdict.BAD_PROOF
-    indices = sorted(msg.ciphertexts)
-    guardian_keys = [(j, pki[j]) for j in indices]
-    ciphertexts = [msg.ciphertexts[j] for j in indices]
-    context = _deal_context(group, msg.dealer, msg.commitments, guardian_keys, ciphertexts)
-    ok = nizk.holds(group, context, (
-        nizk.representation_equations(group, pk, ct, proof, context)
-        for (_, pk), ct, proof in zip(guardian_keys, ciphertexts, msg.enc_proofs)))
-    return Verdict.ACCEPTED if ok else Verdict.BAD_PROOF
+    indices = sorted(msg.parts)
+    context = _deal_context(group, msg.dealer, msg.commitments, indices)
+    equations = nizk.deal_equations(group, [pki[j] for j in indices], msg.c1,
+                                    [msg.parts[j] for j in indices], msg.proof, context)
+    return Verdict.ACCEPTED if nizk.holds(group, context, [equations]) else Verdict.BAD_PROOF
 
 
 def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
@@ -249,7 +246,7 @@ def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
     out = []
     for dealer in public_state.participants:
         record = public_state.deals[dealer]
-        if me in record.ciphertexts:
+        if me in record.parts:
             share, proof = nizk.prove_share_decryption(
                 group, sk_me, public_state.pki[me], record.ciphertexts[me], context, rng)
             out.append(ShareReveal(me, dealer, share, proof))
@@ -313,7 +310,7 @@ def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list
     if not isinstance(msg, ShareReveal):
         return [(Verdict.NOT_A_REVEAL, None)]
     deal = public_state.deals.get(msg.dealer)
-    if deal is None or msg.sender not in deal.ciphertexts:
+    if deal is None or msg.sender not in deal.parts:
         return [(Verdict.NOT_A_GUARDIAN, None)]
     if not 0 <= msg.value < group.order:
         return [(Verdict.OUT_OF_RANGE, None)]

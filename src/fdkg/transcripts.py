@@ -30,17 +30,17 @@ ELEM, INT, LIST, DICT = "elem", "int", "list", "dict"
 # the key defaults to the attribute's name
 LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fields)
           for cls, fields in {
-    pke.PkeCiphertext: (("c1", ELEM), ("c2", ELEM), ("delta", INT)),
+    pke.CiphertextPart: (("c2", ELEM), ("delta", INT)),
     nizk.DleqProof: (("commitment_1", ELEM, "c1"), ("commitment_2", ELEM, "c2"),
                      ("response", INT)),
     nizk.ShareDecryptionProof: (("mask", ELEM), ("dleq", nizk.DleqProof)),
-    nizk.RepresentationProof: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
-                               ("response_k", INT, "zk"), ("response_r", INT, "zr")),
+    nizk.DealProof: (("commitment_1", ELEM, "t1"), ("commitments_2", (LIST, ELEM), "t2"),
+                     ("response", INT, "z"), ("responses", (LIST, INT), "zs")),
     nizk.BallotBranch: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
                         ("challenge", INT), ("response", INT)),
-    protocol.DealMessage: (("dealer", INT), ("ciphertexts", (DICT, pke.PkeCiphertext)),
-                           ("commitments", (LIST, ELEM)),
-                           ("enc_proofs", (LIST, nizk.RepresentationProof))),
+    protocol.DealMessage: (("dealer", INT), ("c1", ELEM),
+                           ("parts", (DICT, pke.CiphertextPart), "ciphertexts"),
+                           ("commitments", (LIST, ELEM)), ("proof", nizk.DealProof)),
     protocol.SecretReveal: (("sender", INT), ("value", INT)),
     protocol.ShareReveal: (("sender", INT), ("dealer", INT), ("value", INT),
                            ("proof", nizk.ShareDecryptionProof)),

@@ -456,10 +456,17 @@ def _dleq_case(rng):
     return fields, verify
 
 
-def _share_decryption_case(rng):
+def _encrypt_one(rng):
+    """(key pair, plaintext, ciphertext) of a one-key `pke_encrypt`."""
     kp = pke.pke_keygen(GROUP, rng)
     m = rng.randrange(GROUP.order)
-    ct = pke.pke_encrypt(GROUP, kp.pk, m, pke.sample_enc_randomness(GROUP, rng))
+    kappa, r = rng.randrange(1, GROUP.order), rng.randrange(1, GROUP.order)
+    c1, (part,) = pke.pke_encrypt(GROUP, [kp.pk], [m], kappa, [r])
+    return kp, m, pke.PkeCiphertext(c1, part.c2, part.delta)
+
+
+def _share_decryption_case(rng):
+    kp, _, ct = _encrypt_one(rng)
     share, proof = nizk.prove_share_decryption(GROUP, kp.sk, kp.pk, ct, CTX, rng)
     fields = [("elem", proof.mask), ("elem", proof.dleq.commitment_1),
               ("elem", proof.dleq.commitment_2), ("scalar", proof.dleq.response),
@@ -473,18 +480,24 @@ def _share_decryption_case(rng):
     return fields, verify
 
 
-def _representation_case(rng):
-    kp = pke.pke_keygen(GROUP, rng)
-    m = rng.randrange(GROUP.order)
-    rand = pke.sample_enc_randomness(GROUP, rng)
-    ct = pke.pke_encrypt(GROUP, kp.pk, m, rand)
-    proof = nizk.prove_representation(GROUP, rand.k, rand.r, kp.pk, ct, CTX, rng)
-    fields = [("elem", proof.commitment_1), ("elem", proof.commitment_2),
-              ("scalar", proof.response_k), ("scalar", proof.response_r)]
+def _deal_case(rng, k=3):
+    """A deal's encryption to k keys and its proof: C1, each guardian's
+    (C2_j, delta_j), T1, each T2_j, z and each z_j."""
+    keys = [pke.pke_keygen(GROUP, rng).pk for _ in range(k)]
+    kappa, *masks = (rng.randrange(1, GROUP.order) for _ in range(k + 1))
+    c1, parts = pke.pke_encrypt(GROUP, keys, [rng.randrange(GROUP.order) for _ in keys],
+                                kappa, masks)
+    proof = nizk.prove_deal(GROUP, kappa, masks, keys, c1, parts, CTX, rng)
+    fields = [("elem", c1), *(f for p in parts for f in (("elem", p.c2), ("scalar", p.delta))),
+              ("elem", proof.commitment_1), *(("elem", t2) for t2 in proof.commitments_2),
+              ("scalar", proof.response), *(("scalar", z) for z in proof.responses)]
 
     def verify(values):
-        return nizk.holds(GROUP, CTX, [nizk.representation_equations(
-            GROUP, kp.pk, ct, nizk.RepresentationProof(*values), CTX)])
+        c1, rest = values[0], values[1:]
+        parts = [pke.CiphertextPart(*rest[2 * j:2 * j + 2]) for j in range(k)]
+        t1, t2, z, zs = rest[2 * k], rest[2 * k + 1:3 * k + 1], rest[3 * k + 1], rest[3 * k + 2:]
+        return nizk.holds(GROUP, CTX, [nizk.deal_equations(
+            GROUP, keys, c1, parts, nizk.DealProof(t1, tuple(t2), z, tuple(zs)), CTX)])
     return fields, verify
 
 
@@ -520,9 +533,7 @@ def test_c9_crypto_property_suites():
     rng = random.Random(90)
 
     for _ in range(1000):
-        kp = pke.pke_keygen(GROUP, rng)
-        m = rng.randrange(GROUP.order)
-        ct = pke.pke_encrypt(GROUP, kp.pk, m, pke.sample_enc_randomness(GROUP, rng))
+        kp, m, ct = _encrypt_one(rng)
         assert pke.pke_decrypt(GROUP, kp.sk, ct) == m
 
     q = 97
@@ -533,6 +544,6 @@ def test_c9_crypto_property_suites():
             for subset in itertools.combinations(shares, t):
                 assert shamir.reconstruct(list(subset), t, q) == secret
 
-    for case in (_dleq_case, _share_decryption_case, _representation_case, _ballot_case):
+    for case in (_dleq_case, _share_decryption_case, _deal_case, _ballot_case):
         _fuzz_relation(lambda: case(rng), rng)
     assert time.perf_counter() - start < budget_s

@@ -303,12 +303,15 @@ class TestGuardianKeyCombs:
 
     def test_benchmark_shaped_ceremony_doublings(self, counts):
         """Seed 7 of the benchmark's ceremony shape: each guardian key is a
-        comb base for its 8 uses, so the run takes at most 15,000 doublings
-        (19,243 with a fresh-base exponentiation for each use)."""
+        comb base for pk^kappa and pk^a in each of the 4 deals to it, so the
+        run takes at most 13,400 doublings: 13,291, against 17,555 with a
+        fresh-base exponentiation for each use.  With one C1 and one
+        representation proof per ciphertext it took 14,829 and 19,084,
+        under a bound of 15,000."""
         seed, behaviors, gsets = benchmark_shaped_ceremony(7)
         SECP256K1.base_exp(1)  # G's comb is built outside the count
         counts.update(dict.fromkeys(counts, 0))
         result = run_ceremony(Params(8, 2, 4), behaviors, SECP256K1, seed, gsets)
         assert result.outcome.success
-        assert counts["double"] <= 15_000
+        assert counts["double"] <= 13_400
         assert counts["comb"] == 8 * 255  # one table per key

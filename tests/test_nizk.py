@@ -53,12 +53,18 @@ class TestDleqProof:
         assert not holds(group, dleq_equations(group, b1, o1, b2, group.exp(b2, w + 1), bad, CTX))
 
 
+def encrypt_one(group, rng, pk, m) -> pke.PkeCiphertext:
+    """A one-key `pke_encrypt` of m to pk, as its recipient decrypts it."""
+    kappa, r = rng.randrange(1, group.order), rng.randrange(1, group.order)
+    c1, (part,) = pke.pke_encrypt(group, [pk], [m], kappa, [r])
+    return pke.PkeCiphertext(c1, part.c2, part.delta)
+
+
 class TestShareDecryption:
     def _ciphertext(self, group, rng, m=None):
         kp = pke.pke_keygen(group, rng)
         m = rng.randrange(group.order) if m is None else m
-        ct = pke.pke_encrypt(group, kp.pk, m, pke.sample_enc_randomness(group, rng))
-        return kp, m, ct
+        return kp, m, encrypt_one(group, rng, kp.pk, m)
 
     def test_honest_roundtrip(self, group, rng):
         for _ in range(25):
@@ -100,13 +106,21 @@ def deal_verdict(group, params, keypairs, msg, **changes):
                                group)
 
 
-def with_ciphertext(msg, position, change) -> dict:
-    """The deal's ciphertexts with the one at `position`, in guardian
-    order, replaced by change(it)."""
-    ciphertexts = dict(msg.ciphertexts)
-    j = sorted(ciphertexts)[position]
-    ciphertexts[j] = change(ciphertexts[j])
-    return ciphertexts
+def with_part(msg, position, **changes):
+    """The deal with `changes` made to the part at `position`, in guardian
+    order."""
+    j = sorted(msg.parts)[position]
+    return dataclasses.replace(msg, parts={**msg.parts, j: dataclasses.replace(msg.parts[j],
+                                                                               **changes)})
+
+
+def with_proof(msg, **changes):
+    """The deal with `changes` made to its proof."""
+    return dataclasses.replace(msg, proof=dataclasses.replace(msg.proof, **changes))
+
+
+def replaced(items: tuple, position, value) -> tuple:
+    return items[:position] + (value,) + items[position + 1:]
 
 
 class TestDealProofs:
@@ -114,14 +128,14 @@ class TestDealProofs:
         for _ in range(20):
             params, keypairs, msg, state = make_deal(group, rng)
             assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
-            for j in msg.ciphertexts:
+            for j in msg.parts:
                 share = state.polynomial.evaluate(j)
                 assert holds(group, feldman_equations(group, share, j, msg.commitments))
 
     def test_perturbed_ciphertext_fails(self, group, rng):
         params, keypairs, msg, _ = make_deal(group, rng)
-        cts = with_ciphertext(msg, 1, lambda ct: dataclasses.replace(ct, c2=bump(group, ct.c2)))
-        assert deal_verdict(group, params, keypairs, msg, ciphertexts=cts) is Verdict.BAD_PROOF
+        bad = with_part(msg, 1, c2=bump(group, msg.parts[sorted(msg.parts)[1]].c2))
+        assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
     def test_truncated_commitments_fail(self, group, rng):
         params, keypairs, msg, _ = make_deal(group, rng)
@@ -130,7 +144,7 @@ class TestDealProofs:
 
     def test_guardian_check_rejects_offset_share(self, group, rng):
         _, _, msg, state = make_deal(group, rng)
-        j = min(msg.ciphertexts)
+        j = min(msg.parts)
         share = state.polynomial.evaluate(j)
         assert not holds(group, feldman_equations(group, share + 1, j, msg.commitments))
 
@@ -258,34 +272,141 @@ def test_witness_commitments_match_reference(curve):
                                      random.Random(seed)) == want
 
 
-def tampered_proofs(group, proof):
-    """Copies of a representation proof with one part changed."""
-    q = group.order
-    return [
-        nizk.RepresentationProof(bump(group, proof.commitment_1), proof.commitment_2,
-                                 proof.response_k, proof.response_r),
-        nizk.RepresentationProof(proof.commitment_1, bump(group, proof.commitment_2),
-                                 proof.response_k, proof.response_r),
-        nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
-                                 (proof.response_k + 1) % q, proof.response_r),
-        nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
-                                 proof.response_k, (proof.response_r + 1) % q),
-    ]
+def tampered_deals(group, msg) -> list:
+    """(field, copy of `msg` with that one field changed) for C1, T1, z and
+    each guardian's C2_j, delta_j, T2_j and z_j."""
+    q, proof = group.order, msg.proof
+    out = [("C1", dataclasses.replace(msg, c1=bump(group, msg.c1))),
+           ("T1", with_proof(msg, commitment_1=bump(group, proof.commitment_1))),
+           ("z", with_proof(msg, response=(proof.response + 1) % q))]
+    for position, j in enumerate(sorted(msg.parts)):
+        part, t2, z_j = msg.parts[j], proof.commitments_2[position], proof.responses[position]
+        out += [(f"C2_{j}", with_part(msg, position, c2=bump(group, part.c2))),
+                (f"delta_{j}", with_part(msg, position, delta=(part.delta + 1) % q)),
+                (f"T2_{j}", with_proof(msg, commitments_2=replaced(
+                    proof.commitments_2, position, bump(group, t2)))),
+                (f"z_{j}", with_proof(msg, responses=replaced(
+                    proof.responses, position, (z_j + 1) % q)))]
+    return out
 
 
-@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+BOTH_GROUPS = pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+
+
+@BOTH_GROUPS
+def test_honest_deals_decrypt_to_dealt_shares(group):
+    """Every guardian of an accepted honest deal decrypts, with the deal's
+    one C1, the share the dealer's polynomial gives it."""
+    rng = random.Random(10)
+    for k in (1, 3, 4):
+        params, keypairs, msg, state = make_deal(group, rng, t=min(2, k), k=k)
+        assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
+        assert {ct.c1 for ct in msg.ciphertexts.values()} == {msg.c1}
+        for j, kp in keypairs.items():
+            assert pke.pke_decrypt(group, kp.sk, msg.ciphertexts[j]) == \
+                state.polynomial.evaluate(j)
+
+
+@BOTH_GROUPS
 def test_deal_with_one_tampered_proof_rejected(group):
-    """All proofs of a deal are checked together; a single bad one, at any
-    position and in any part, rejects the deal."""
+    """A deal is checked by its one proof: changing any one field of the
+    encryption or of the proof, for any guardian, rejects the deal."""
     rng = random.Random(11)
     params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
-    proofs = msg.enc_proofs
     assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
-    for position, proof in enumerate(proofs):
-        for bad in tampered_proofs(group, proof):
-            tampered = proofs[:position] + (bad,) + proofs[position + 1:]
-            assert deal_verdict(group, params, keypairs, msg,
-                                enc_proofs=tampered) is Verdict.BAD_PROOF, position
+    tampered = tampered_deals(group, msg)
+    assert len(tampered) == 3 + 4 * 3
+    for field, bad in tampered:
+        assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF, field
+
+
+@BOTH_GROUPS
+def test_deal_with_swapped_guardian_entries_rejected(group):
+    """Guardians 2 and 4 trade their parts, alone or with their T2_j and
+    z_j: each part is then checked against the other's key."""
+    rng = random.Random(15)
+    params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
+    proof, parts = msg.proof, msg.parts
+    swapped = dataclasses.replace(msg, parts={**parts, 2: parts[4], 4: parts[2]})
+    assert deal_verdict(group, params, keypairs, swapped) is Verdict.BAD_PROOF
+    both = with_proof(swapped, commitments_2=proof.commitments_2[::-1],
+                      responses=proof.responses[::-1])
+    assert deal_verdict(group, params, keypairs, both) is Verdict.BAD_PROOF
+
+
+@BOTH_GROUPS
+def test_deal_proof_replayed_rejected(group):
+    """A deal's proof binds its dealer and commitments: it fails on the
+    same guardian set's deal by another dealer, on its own deal posted by
+    another dealer, and after one commitment changes."""
+    rng = random.Random(16)
+    params = protocol.Params(5, 2, 3)
+    keypairs = {j: pke.pke_keygen(group, rng) for j in range(1, 6)}
+    deals = [protocol.round1_deal(dealer, params, protocol.GuardianSet.create(
+                 dealer, {2, 3, 4}, params), pki(keypairs), group, rng)[0] for dealer in (1, 5)]
+    assert all(deal_verdict(group, params, keypairs, d) is Verdict.ACCEPTED for d in deals)
+    for bad in (dataclasses.replace(deals[1], proof=deals[0].proof),
+                dataclasses.replace(deals[0], dealer=5),
+                dataclasses.replace(deals[0], commitments=replaced(
+                    deals[0].commitments, 1, bump(group, deals[0].commitments[1])))):
+        assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
+
+
+@BOTH_GROUPS
+def test_deal_challenge_binds_the_whole_statement(group):
+    """Strong Fiat-Shamir: the one challenge moves with C1, each key, C2_j
+    and delta_j, T1 and each T2_j, not only with what the equations hold."""
+    rng = random.Random(20)
+    _, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
+    keys = [kp.pk for _, kp in sorted(keypairs.items())]
+    parts = [msg.parts[j] for j in sorted(msg.parts)]
+    statement = (keys, msg.c1, parts, msg.proof.commitment_1, msg.proof.commitments_2)
+    e = nizk._deal_challenge(group, CTX, *statement)
+    changed = [(replaced(tuple(keys), 1, bump(group, keys[1])),) + statement[1:],
+               (keys, bump(group, msg.c1)) + statement[2:]]
+    for position, part in enumerate(parts):
+        for change in (dict(c2=bump(group, part.c2)), dict(delta=(part.delta + 1) % group.order)):
+            changed.append((keys, msg.c1, replaced(tuple(parts), position,
+                                                   dataclasses.replace(part, **change)))
+                           + statement[3:])
+    changed += [statement[:3] + (bump(group, msg.proof.commitment_1), statement[4]),
+                statement[:4] + (replaced(statement[4], 2, bump(group, statement[4][2])),)]
+    for other in changed:
+        assert nizk._deal_challenge(group, CTX, *other) != e
+    assert nizk._deal_challenge(group, b"other", *statement) != e
+
+
+@BOTH_GROUPS
+def test_deal_proof_binds_guardian_indices(group):
+    """Parties 3 and 4 share a key: the deal to {2, 3, 5}, re-keyed to
+    {2, 4, 5}, has the same keys in the same order, and only the indices in
+    its context reject it."""
+    rng = random.Random(21)
+    params = protocol.Params(6, 2, 3)
+    keys = {j: pke.pke_keygen(group, rng).pk for j in range(1, 7)}
+    keys[4] = keys[3]
+    msg, _ = protocol.round1_deal(1, params, protocol.GuardianSet.create(1, {2, 3, 5}, params),
+                                  keys, group, rng)
+    assert protocol.judge_deal(msg, params, keys, group) is Verdict.ACCEPTED
+    moved = dataclasses.replace(msg, parts={2: msg.parts[2], 4: msg.parts[3], 5: msg.parts[5]})
+    assert protocol.judge_deal(moved, params, keys, group) is Verdict.BAD_PROOF
+
+
+@BOTH_GROUPS
+def test_deal_proof_one_guardian_short_or_long_rejected(group):
+    """A proof without exactly one T2_j and one z_j per guardian is
+    rejected before any group operation."""
+    rng = random.Random(17)
+    params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
+    t2, zs = msg.proof.commitments_2, msg.proof.responses
+    for changes in (dict(commitments_2=t2[:-1], responses=zs[:-1]),
+                    dict(commitments_2=t2 + t2[:1], responses=zs + zs[:1]),
+                    dict(commitments_2=t2[:-1]), dict(responses=zs + zs[:1])):
+        bad = with_proof(msg, **changes)
+        assert nizk.deal_equations(group, [kp.pk for _, kp in sorted(keypairs.items())], bad.c1,
+                                   [bad.parts[j] for j in sorted(bad.parts)], bad.proof,
+                                   b"") is None
+        assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF, changes
 
 
 def share_batch_holds(group, claims) -> bool:
@@ -328,8 +449,7 @@ def test_share_decryption_batch(group):
         assert not holds(group, share_decryption_equations(group, *bad, CTX))
         assert not share_batch_holds(group, batch)
     # a ciphertext of a wrong share: the decryption proof holds, Feldman does not
-    wrong = pke.pke_encrypt(group, pk, (share + 1) % group.order,
-                            pke.sample_enc_randomness(group, rng))
+    wrong = encrypt_one(group, rng, pk, (share + 1) % group.order)
     share, proof = nizk.prove_share_decryption(group, keypairs[j].sk, pk, wrong, CTX, rng)
     assert holds(group, share_decryption_equations(group, pk, wrong, share, proof, CTX))
     assert not holds(group, feldman_equations(group, share, j, commitments))
@@ -445,24 +565,26 @@ class TestCanonicalScalars:
 
     def test_share_decryption_share_plus_q(self, group, rng):
         kp = pke.pke_keygen(group, rng)
-        ct = pke.pke_encrypt(group, kp.pk, 5, pke.sample_enc_randomness(group, rng))
+        ct = encrypt_one(group, rng, kp.pk, 5)
         share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + group.order,
                                                            proof, CTX))
 
-    def test_representation_response_plus_q(self, group, rng):
-        params, keypairs, msg, _ = make_deal(group, rng)
-        proof = msg.enc_proofs[0]
-        shifted = nizk.RepresentationProof(proof.commitment_1, proof.commitment_2,
-                                           proof.response_k + group.order, proof.response_r)
-        assert deal_verdict(group, params, keypairs, msg,
-                            enc_proofs=(shifted,) + msg.enc_proofs[1:]) is Verdict.BAD_PROOF
+    def test_deal_response_plus_q(self):
+        for group in (TEST_GROUP, SECP256K1):
+            params, keypairs, msg, _ = make_deal(group, random.Random(18))
+            q, proof = group.order, msg.proof
+            for bad in [with_proof(msg, response=proof.response + q)] + [
+                    with_proof(msg, responses=replaced(proof.responses, position, z_j + q))
+                    for position, z_j in enumerate(proof.responses)]:
+                assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
-    def test_deal_delta_plus_q(self, group, rng):
-        params, keypairs, msg, _ = make_deal(group, rng)
-        cts = with_ciphertext(msg, 0,
-                              lambda ct: dataclasses.replace(ct, delta=ct.delta + group.order))
-        assert deal_verdict(group, params, keypairs, msg, ciphertexts=cts) is Verdict.BAD_PROOF
+    def test_deal_delta_plus_q(self):
+        for group in (TEST_GROUP, SECP256K1):
+            params, keypairs, msg, _ = make_deal(group, random.Random(19))
+            for position, j in enumerate(sorted(msg.parts)):
+                bad = with_part(msg, position, delta=msg.parts[j].delta + group.order)
+                assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
     def test_ballot_challenge_and_response_plus_q(self, group, rng):
         q = group.order

@@ -412,7 +412,10 @@ def _lines_digest(lines):
 
 class TestSecp256k1Pins:
     """Fixed-seed transcript bytes on the production curve: the behaviour
-    contract that any change to the curve arithmetic must keep."""
+    contract that any change to the curve arithmetic must keep.  Re-taken
+    when a deal came to carry one C1 and one proof for all its guardians:
+    its line shrank, and each share reveal's decryption proof is over the
+    new C1."""
 
     def test_ceremony_transcript_bytes(self):
         params = Params(5, 2, 3)
@@ -421,9 +424,9 @@ class TestSecp256k1Pins:
         result = run_ceremony(params, behaviors, SECP256K1, seed=2025)
         assert result.outcome.success
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 16020)
+        assert (len(lines), sum(map(len, lines))) == (21, 13568)
         assert _lines_digest(lines) == \
-            "db5e233848f8310b1552b8235a004e2f976a2192d0de73bd04d5d7a4618d39e5"
+            "61df7a1d20b33dddf2cafe7163b96694eb7fd027431092e12dfca61bfea6a80d"
 
     def test_election_transcript_bytes(self):
         params = Params(4, 2, 2)
@@ -433,7 +436,7 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (1, 2)
         lines = transcripts.export_lines(result.board, SECP256K1)
         assert _lines_digest(lines) == \
-            "364ecef0c8592cb74ae2ec1f5f0a8a2dfc48be84eeb8a89b557000cdaee4d5c6"
+            "d3e852682cefb864146a8940babde837e16bedf9e6e6be356fd6f05fc1242312"
 
     # n=6, t=2, k=3: party 1 absent in round 2, party 2 withholding its
     # share of dealer 1, party 4 dealing a malformed ciphertext
@@ -451,9 +454,9 @@ class TestSecp256k1Pins:
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         assert result.outcome.recovered[1] == ("shares", (3, 5))
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 17445)
+        assert (len(lines), sum(map(len, lines))) == (21, 14504)
         assert _lines_digest(lines) == \
-            "df3c0618c4e57c55719b3020ed81e7dd6a9e1038da1809517548aaa669db3140"
+            "6ecdc1b7f04e93e5ce200bf04d3f4993e6e6cbcb8413a4d9a84e70f6db3a69c2"
 
     def test_election_fault_paths_bytes(self):
         votes = {1: 1, 2: 3, 3: 2, 4: 1, 5: 3, 6: 1, 7: 2}
@@ -463,6 +466,40 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (3, 2, 2)
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (28, 26856)
+        assert (len(lines), sum(map(len, lines))) == (28, 23913)
         assert _lines_digest(lines) == \
-            "4f34efb69048b241f2b702c769d51dc0ffbac604944c480f34d4054dcf3e2ada"
+            "9e75f5117e21c1fdf3f3a72e5c03afebecd13be97a8a47bc47f93e218ecbfd16"
+
+
+def wire_size(group, codec, value) -> int:
+    """The bytes of `value` as laid out by `transcripts.LAYOUT`: an element
+    at its `group.encode` width and an int at the group's scalar width;
+    a dict's keys are not counted."""
+    if codec is transcripts.ELEM:
+        return len(group.encode(value))
+    if codec is transcripts.INT:
+        return len(group.scalar_bytes(value))
+    if isinstance(codec, tuple):
+        shape, item = codec
+        items = value if shape is transcripts.LIST else value.values()
+        return sum(wire_size(group, item, v) for v in items)
+    return sum(wire_size(group, sub, getattr(value, attr))
+               for attr, sub, _ in transcripts.LAYOUT[codec])
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+@pytest.mark.parametrize("k,t", [(3, 2), (4, 2)])
+def test_deal_wire_size(group, k, t):
+    """An honest deal's elements and scalars, its author's index left out:
+    C1, T1 and z; t commitments; and per guardian C2_j, delta_j, T2_j and
+    z_j.  On secp256k1 that is 98 + 33t + 130k bytes."""
+    params = Params(k + 1, t, k)
+    result = run_ceremony(params, {i: Behavior() for i in range(1, k + 2)}, group, seed=k)
+    deal = result.board.entries(1)[0].message
+    author = transcripts.MESSAGES[protocol.DealMessage][1]
+    size = sum(wire_size(group, codec, getattr(deal, attr))
+               for attr, codec, _ in transcripts.LAYOUT[protocol.DealMessage] if attr != author)
+    elem, scalar = len(group.encode(group.generator())), len(group.scalar_bytes(0))
+    assert size == (2 * elem + scalar) + elem * t + 2 * (elem + scalar) * k
+    if group is SECP256K1:
+        assert size == 98 + 33 * t + 130 * k

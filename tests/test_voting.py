@@ -350,7 +350,7 @@ def test_ballot_cost_in_group_operations(counts):
 
 def dealer_1_state(partial_pk):
     """A public state whose one accepted deal, dealer 1's, has `partial_pk`."""
-    deal = protocol.DealMessage(1, {}, (partial_pk,), ())
+    deal = protocol.DealMessage(1, None, {}, (partial_pk,), None)
     return protocol.PublicState(Params(3, 1, 1), {}, participants=(1,),
                                 global_pk=partial_pk, deals={1: deal})
 
@@ -388,7 +388,7 @@ def test_forged_then_genuine_partial_decryption(curve, monkeypatch):
     rng = random.Random(44)
     secrets = {i: rng.randrange(curve.order) for i in (1, 2)}
     pks = {i: curve.base_exp(d) for i, d in secrets.items()}
-    deals = {i: protocol.DealMessage(i, {}, (pk,), ()) for i, pk in pks.items()}
+    deals = {i: protocol.DealMessage(i, None, {}, (pk,), None) for i, pk in pks.items()}
     public = protocol.PublicState(Params(3, 1, 1), {}, participants=(1, 2),
                                   global_pk=curve.mul(pks[1], pks[2]), deals=deals)
     c1 = curve.base_exp(rng.randrange(1, curve.order))
