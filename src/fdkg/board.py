@@ -185,20 +185,24 @@ def reveal_round(board: BroadcastBoard, round_no: int, behaviors: dict, pki: dic
     """The reveal round of a ceremony (round 2) or an election (round 3):
     each present party posts `own(party, rng)` if it dealt, then its
     guardian messages (`protocol.round2_reveal_shares`) bar those it
-    withholds.  Returns every message posted, in board order."""
+    withholds.  An accepted deal's C1 is the base of C1^sk and of the
+    DLEQ's C1^w in each share reveal of it, so it is a comb base
+    (`fixed_base`) for the round, its table dropped when the round ends.
+    Returns every message posted, in board order."""
     posted = []
-    for i in range(1, public_state.params.n + 1):
-        b = behaviors[i]
-        if not b.present_round2:
-            continue
-        rng = child_rng(seed, i, stream)
-        messages = [own(i, rng)] if i in public_state.participants else []
-        messages += [m for m in protocol.round2_reveal_shares(
-                         i, pki[i].sk, public_state, context, group, rng)
-                     if b.kind != WITHHOLD_SHARES or m.dealer not in b.targets]
-        for msg in messages:
-            board.append(i, round_no, msg)
-        posted += messages
+    with fixed_base(group, *(deal.c1 for deal in public_state.deals.values())):
+        for i in range(1, public_state.params.n + 1):
+            b = behaviors[i]
+            if not b.present_round2:
+                continue
+            rng = child_rng(seed, i, stream)
+            messages = [own(i, rng)] if i in public_state.participants else []
+            messages += [m for m in protocol.round2_reveal_shares(
+                             i, pki[i].sk, public_state, context, group, rng)
+                         if b.kind != WITHHOLD_SHARES or m.dealer not in b.targets]
+            for msg in messages:
+                board.append(i, round_no, msg)
+            posted += messages
     return posted
 
 

@@ -12,12 +12,16 @@ Two interchangeable backends:
   step.  All scalar multiplication is one kernel, `multi_exp`: a Straus
   loop (`_straus`) that computes prod P_i^e_i with shared doublings,
   signed-window (wNAF) digits over affine odd multiples of every base, and
-  Lim-Lee combs (8 teeth 32 bits apart over 255 affine points) for G, cached
-  on first use, and for a base fixed by `fixed_base` while its block is
-  open.  `exp` and `base_exp` are its one-term cases.  On a curve with a GLV
+  Lim-Lee combs (8 teeth over 255 affine points) for G, cached on first
+  use, and for a base fixed by `fixed_base` while its block is open.  `exp`
+  and `base_exp` are its one-term cases.  On a curve with a GLV
   endomorphism (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits
   is split as k1 + k2·λ with both halves below 2^128, halving the doubling
-  chain.  Affine additions are batched: `_affine_sums` adds many pairs of
+  chain, and every comb scalar is split so: its teeth are 16 bits apart
+  over each half, k2's columns read from the β-image of the one table, so
+  a comb term takes 16 doublings and a table's teeth 112.  On any other
+  curve a comb scalar stays whole, with teeth ⌈log2 q / 8⌉ bits apart.
+  Affine additions are batched: `_affine_sums` adds many pairs of
   points with one inversion for all their slopes (Montgomery's trick).  It
   builds the odd multiples of all fresh bases of a call in rounds
   (`_odd_multiples`), a comb table's subset sums in 8 rounds, and sums the
@@ -169,7 +173,11 @@ def _comb_columns(e: int, spacing: int) -> bytes:
     """Byte i is the comb index of column i of e: its bit j is bit
     spacing*j + i of e.  e is written out one bit a byte (ASCII '0' or '1',
     least significant first), so each of the COMB_TEETH rows is a run of
-    bytes whose low bits, stacked at bit j, transpose the rows."""
+    bytes whose low bits, stacked at bit j, transpose the rows.  ValueError
+    for an e the comb cannot hold, negative or of more than
+    COMB_TEETH * spacing bits."""
+    if e < 0 or e >> (COMB_TEETH * spacing):
+        raise ValueError(f"{e.bit_length()}-bit comb scalar over {COMB_TEETH}x{spacing} bits")
     bits = format(e, f"0{COMB_TEETH * spacing}b")[::-1].encode()
     ones = int.from_bytes(b"\x01" * spacing, "little")
     cols = 0
@@ -343,10 +351,12 @@ class CurveGroup(Group):
         index their β-images (β·x, y), λ times them at no group operation.
         Terms on ±G, and on ±a base fixed by `fixed_base`, are summed into
         one comb scalar per base, whose rows join the same loop at its
-        lowest `_comb_spacing` bits.  Before the loop, the points of each
-        row are summed in pairs, a level at a time while a level has at
-        least ROW_PAIRS pairs; the loop adds what is left with mixed
-        additions.
+        lowest `_comb_spacing` bits.  With `glv`, every comb scalar is split
+        too: k1's columns index the base's table and k2's the β-images of
+        its entries, and a negative half takes each entry's inverse (x, -y).
+        Before the loop, the points of each row are summed in pairs, a level
+        at a time while a level has at least ROW_PAIRS pairs; the loop adds
+        what is left with mixed additions.
         """
         a, p, q = self.a, self.p, self.q
         fixed = self._fixed
@@ -379,13 +389,18 @@ class CurveGroup(Group):
             sizes.append(1 << (width - 2))
         tables = _odd_multiples(bases, sizes, a, p)
 
-        combs = [(fixed[x][1] or self._comb, e % q) for x, e in comb_e.items() if e % q]
+        combs = []  # (table, k, is the λ-half)
+        for x, e in comb_e.items():
+            halves = zip(self._split(e % q), (False, True)) if self.glv else [(e % q, False)]
+            combs += [(fixed[x][1] or self._comb, k, image) for k, image in halves if k]
         spacing = self._comb_spacing if combs else 0
         rows = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _, _ in chains if ds]))]
-        for comb, e in combs:
-            for row, m in zip(rows, _comb_columns(e, spacing)):
+        for comb, k, image in combs:
+            beta = self.glv[0] if image else 1  # k2's columns index the β-images
+            for row, m in zip(rows, _comb_columns(abs(k), spacing)):
                 if m:
-                    row.append(comb[m])
+                    x, y = comb[m]
+                    row.append((beta * x % p, y if k > 0 else p - y))
         for ds, i, image in chains:
             # k2's digits index the β-images (β·x, y) of its base's table
             table = [(self.glv[0] * x % p, y) for x, y in tables[i]] if image else tables[i]
@@ -416,7 +431,9 @@ class CurveGroup(Group):
 
     @property
     def _comb_spacing(self) -> int:
-        return -(-self.q.bit_length() // COMB_TEETH)
+        """Bits between teeth: a comb scalar is a GLV half, below 2^128, on
+        a curve with `glv`, and below q on any other."""
+        return -(-(128 if self.glv else self.q.bit_length()) // COMB_TEETH)
 
     @cached_property
     def _comb(self) -> list:

@@ -10,6 +10,7 @@ from fdkg.board import (ABSENT_ROUND1, ABSENT_ROUND2, BYZANTINE_SILENT,
                         Behavior, BroadcastBoard, CorruptActivation,
                         HonestActivation, child_rng, generate_pki,
                         ideal_functionality_run, run_ceremony)
+from fdkg.election import run_election
 from fdkg.groups import SECP256K1, TEST_GROUP
 from fdkg.protocol import Params
 
@@ -303,15 +304,69 @@ class TestGuardianKeyCombs:
 
     def test_benchmark_shaped_ceremony_doublings(self, counts):
         """Seed 7 of the benchmark's ceremony shape: each guardian key is a
-        comb base for pk^kappa and pk^a in each of the 4 deals to it, so the
-        run takes at most 13,400 doublings: 13,291, against 17,555 with a
-        fresh-base exponentiation for each use.  With one C1 and one
-        representation proof per ciphertext it took 14,829 and 19,084,
-        under a bound of 15,000."""
+        comb base for pk^kappa and pk^a in each of the 4 deals to it, and
+        each of the 7 accepted deals' C1 for C1^sk and C1^w in each share
+        reveal of it, and a comb term takes 16 doublings over each GLV half.
+        So the run takes at most 6,132 doublings: 6,023, against 16,067 with
+        a fresh-base exponentiation for each use.  With 32-column combs and
+        key tables only it took 13,291 and 17,555 under a bound of 13,400
+        (the same margin), and 8 * 255 table additions."""
         seed, behaviors, gsets = benchmark_shaped_ceremony(7)
         SECP256K1.base_exp(1)  # G's comb is built outside the count
         counts.update(dict.fromkeys(counts, 0))
         result = run_ceremony(Params(8, 2, 4), behaviors, SECP256K1, seed, gsets)
         assert result.outcome.success
-        assert counts["double"] <= 13_400
-        assert counts["comb"] == 8 * 255  # one table per key
+        assert counts["double"] <= 6_132
+        assert counts["comb"] == (8 + 7) * 255  # one table per key and per accepted C1
+
+
+class TestRevealRoundCombs:
+    """`reveal_round` holds a comb table for the C1 of every accepted deal
+    through the round, in a ceremony's round 2 and an election's round 3,
+    and drops them all when the round ends, however it ends."""
+
+    SETS = {1: {2, 3}, 2: {3, 4}, 3: {1, 4}, 4: {1, 2}}
+
+    @pytest.mark.parametrize("driver", ["ceremony", "election"])
+    def test_tables_only_during_the_round(self, driver, monkeypatch):
+        """Dealer 2's deal is malformed, so only 3 C1s are fixed; dealer 4
+        is absent in the reveal round, so its guardians' shares, proved on
+        its C1's table, recover it."""
+        group = dataclasses.replace(SECP256K1, name="fresh")
+        params = Params(4, 2, 2)
+        behaviors = {**all_honest(4), 2: Behavior(MALFORM_DEAL), 4: Behavior(ABSENT_ROUND2)}
+        seen, states, real = [], [], protocol.round2_reveal_shares
+
+        def recording(i, sk, public_state, *args):
+            seen.append(set(group._fixed))
+            states.append(public_state)
+            return real(i, sk, public_state, *args)
+
+        monkeypatch.setattr(protocol, "round2_reveal_shares", recording)
+        if driver == "ceremony":
+            result = run_ceremony(params, behaviors, group, 3, self.SETS)
+            assert result.outcome.success and result.outcome.recovered[4][0] == "shares"
+            assert group.base_exp(result.outcome.global_secret) == result.public_state.global_pk
+        else:
+            result = run_election(params, behaviors, {1: 1, 2: 2, 3: 2}, 2, group, 3,
+                                  guardian_sets=self.SETS)
+            assert result.success and result.tally.counts == (1, 2)
+        public = states[0]
+        c1s = {deal.c1[0] for deal in public.deals.values()}
+        assert public.participants == (1, 3, 4) and len(c1s) == 3
+        assert seen == [c1s | {group.gx}] * 3  # parties 1, 2 and 3
+        assert group._fixed == {group.gx: (group.gy, None)}
+
+    def test_tables_dropped_when_a_party_raises(self, monkeypatch):
+        group = dataclasses.replace(SECP256K1, name="fresh")
+        real = protocol.round2_reveal_shares
+
+        def failing(i, *args):
+            if i == 3:
+                raise RuntimeError("guardian 3")
+            return real(i, *args)
+
+        monkeypatch.setattr(protocol, "round2_reveal_shares", failing)
+        with pytest.raises(RuntimeError):
+            run_ceremony(Params(4, 2, 2), all_honest(4), group, 3, self.SETS)
+        assert group._fixed == {group.gx: (group.gy, None)}

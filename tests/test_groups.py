@@ -387,9 +387,10 @@ class TestGlv:
 
 class TestOperationCounts:
     """Group operations of the kernel, which do not depend on the host: the
-    split halves the doubling chain of every long exponent, the generator's
-    comb is untouched, and an exponent of 128 bits or fewer (a batch weight
-    of `nizk.holds`) stays whole, so a batch pays no extra additions.
+    split halves the doubling chain of every long exponent and of every
+    comb term (`TestGlvCombs`), and an exponent of 128 bits or fewer (a
+    batch weight of `nizk.holds`) stays whole, so a batch pays no extra
+    additions.
     The parent figures are those of the kernel before the split.  A point
     is added once, in the row sums before the Straus loop or by the loop,
     so `measure`'s additions are the two together."""
@@ -423,7 +424,8 @@ class TestOperationCounts:
         SECP256K1.base_exp(1)  # the comb is built once, outside the count
         rng = random.Random(9)
         for _ in range(8):
-            assert self.measure(counts, SECP256K1.base_exp, rng.randrange(Q))[0] <= 34
+            # 32 columns of one 256-bit scalar before the GLV combs
+            assert self.measure(counts, SECP256K1.base_exp, rng.randrange(Q))[0] <= 16
 
     @staticmethod
     def dl_equations(count):
@@ -463,7 +465,10 @@ class TestOperationCounts:
         assert doublings <= 132  # 267 before the split
         assert counts["table"] == 6 * 10 + 5 * 5  # 6 width-5 and 5 width-4 tables
         assert additions <= 421
-        assert counts["row"] == 295 and counts["add"] == 126  # 421 split
+        # 421 split; 295 and 126 when G's comb took 32 columns of one
+        # 256-bit scalar, not 16 of each GLV half (the same points, in
+        # other rows)
+        assert counts["row"] == 296 and counts["add"] == 125
         # the batch's short terms alone, each a commitment to its weight:
         # whole, exactly as before.  The 6 table doublings of the pin
         # (135, 158) taken before the tables were affine are now among the
@@ -530,7 +535,8 @@ class TestFixedBase:
         with groups.fixed_base(SECP256K1, FIXED):  # the table is built here
             counts.update(dict.fromkeys(counts, 0))
             multi_exp(SECP256K1, [(FIXED, e), (SECP256K1.generator(), e)])
-            assert counts["double"] <= 32 and counts["table"] == 0
+            # 16 columns of each GLV half; 32 of the whole scalar before
+            assert counts["double"] <= 16 and counts["table"] == 0
         counts.update(dict.fromkeys(counts, 0))
         multi_exp(SECP256K1, [(FIXED, e)])
         assert counts["double"] > 100 and counts["table"] > 0  # the table is gone
@@ -580,6 +586,105 @@ class TestFixedBase:
             assert vars(group) == before and SECP256K1._fixed == inner
             assert multi_exp(group, pairs) == group.base_exp(19)
         assert vars(group) == before and SECP256K1._fixed == inner
+
+
+def split_scalar(k1, k2):
+    """The scalar e = k1 + k2·λ mod q, asserting that `_split` gives back
+    (k1, k2)."""
+    e = (k1 + k2 * LAMBDA) % Q
+    assert SECP256K1._split(e) == (k1, k2)
+    return e
+
+
+_HALF = random.Random(16)
+K1, K2 = _HALF.getrandbits(124) | 1 << 123, _HALF.getrandbits(124) | 1 << 123
+SPLIT_HALVES = {  # (k1, k2) by the signs of the halves
+    "0,+": (0, K2), "+,0": (K1, 0), "0,-": (0, -K2), "-,0": (-K1, 0), "1,0": (1, 0),
+    "0,1": (0, 1), "+,+": (K1, K2), "+,-": (K1, -K2), "-,+": (-K1, K2), "-,-": (-K1, -K2),
+    "wide": (2**127 - 1, 2**125 - 1),  # every column of k1 but its last is 255
+}
+
+
+class TestGlvCombs:
+    """On secp256k1 a comb scalar is split as k1 + k2·λ: k1's 16 columns
+    index the base's table, k2's the β-images of its entries, and a
+    negative half takes each entry's inverse.  Checked on G and on a base
+    fixed by `fixed_base`, at a zero half, at each sign pair, and at comb
+    scalars summed from several terms, as `nizk.holds` sums them."""
+
+    @pytest.mark.parametrize("k1, k2", SPLIT_HALVES.values(), ids=SPLIT_HALVES)
+    def test_split_halves_match_reference(self, k1, k2, counts):
+        e = split_scalar(k1, k2)
+        g = SECP256K1.generator()
+        SECP256K1.base_exp(1)
+        counts.update(dict.fromkeys(counts, 0))
+        assert SECP256K1.base_exp(e) == ref_exp(SECP256K1, g, e)
+        assert counts["double"] == 16 and counts["table"] == 0
+        assert SECP256K1.exp(SECP256K1.inv(g), e) == ref_exp(SECP256K1, g, -e)
+        with groups.fixed_base(SECP256K1, FIXED):
+            counts.update(dict.fromkeys(counts, 0))
+            assert SECP256K1.exp(FIXED, e) == ref_exp(SECP256K1, FIXED, e)
+            assert counts["double"] == 16 and counts["table"] == 0
+            assert SECP256K1.exp(SECP256K1.inv(FIXED), e) == ref_exp(SECP256K1, FIXED, -e)
+            pairs = [(FIXED, e), (g, split_scalar(-k1, k2)), (SECP256K1.inv(g), 3)]
+            assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+
+    def test_without_glv_a_comb_term_takes_32_doublings(self, counts):
+        GENERIC.base_exp(1)
+        counts.update(dict.fromkeys(counts, 0))
+        assert GENERIC.base_exp(Q // 3) == ref_exp(GENERIC, GENERIC.generator(), Q // 3)
+        assert counts["double"] == 32 and GENERIC._comb_spacing == 32
+
+    def test_comb_scalar_summed_from_terms(self):
+        """Six equations with terms on G, ±FIXED and a fresh base, each
+        times a 128-bit weight: one unreduced comb scalar per comb base."""
+        rng = random.Random(11)
+        g = SECP256K1.generator()
+        fresh = ref_exp(SECP256K1, g, 0xABCDEF)
+        pairs = []
+        for _ in range(6):
+            w = 1 + rng.getrandbits(128)
+            pairs += [(g, w * rng.randrange(Q)), (FIXED, -w * rng.randrange(Q)),
+                      (SECP256K1.inv(FIXED), w * rng.randrange(Q)), (fresh, w)]
+        with groups.fixed_base(SECP256K1, FIXED):
+            assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+            for k1, k2 in SPLIT_HALVES.values():  # sums that reduce to each split
+                e = split_scalar(k1, k2)
+                summed = [(FIXED, e + 5 * Q), (FIXED, -2 * Q), (SECP256K1.inv(FIXED), Q),
+                          (g, e), (g, e), (SECP256K1.inv(g), e)]
+                assert multi_exp(SECP256K1, summed) == ref_add(
+                    SECP256K1, ref_exp(SECP256K1, FIXED, e), ref_exp(SECP256K1, g, e))
+                assert multi_exp(SECP256K1, [(FIXED, e), (SECP256K1.inv(FIXED), e)]) is None
+
+    def test_dleq_over_a_fixed_base_holds(self):
+        """DLEQs between (G, G^x) and (FIXED, FIXED^x), proved inside the
+        block and checked in one `nizk.holds` batch, inside and outside it;
+        a wrong FIXED^x sinks the batch either way."""
+        rng = random.Random(12)
+        g = SECP256K1.generator()
+        claims = []
+        with groups.fixed_base(SECP256K1, FIXED):
+            for _ in range(2):
+                x = rng.randrange(1, Q)
+                out1, out2 = SECP256K1.base_exp(x), SECP256K1.exp(FIXED, x)
+                assert out2 == ref_exp(SECP256K1, FIXED, x)
+                proof = nizk.prove_dleq(SECP256K1, x, g, out1, FIXED, out2, b"ctx", rng)
+                claims.append(nizk.dleq_equations(SECP256K1, g, out1, FIXED, out2, proof, b"ctx"))
+            # the last proof against FIXED^(x+1)
+            wrong = nizk.dleq_equations(SECP256K1, g, out1, FIXED, SECP256K1.mul(out2, FIXED),
+                                        proof, b"ctx")
+            assert nizk.holds(SECP256K1, b"ctx", claims)
+            assert not nizk.holds(SECP256K1, b"ctx", [claims[0], wrong])
+        assert nizk.holds(SECP256K1, b"ctx", claims)
+        assert not nizk.holds(SECP256K1, b"ctx", [claims[0], wrong])
+
+    def test_comb_columns_refuse_an_over_wide_scalar(self):
+        assert groups._comb_columns(2**128 - 1, 16) == b"\xff" * 16
+        assert groups._comb_columns(0, 16) == bytes(16)
+        for e, spacing in [(2**128, 16), (2**256 - 1, 16), (-1, 16), (2**256, 32),
+                           (2**16, TOY_CURVE._comb_spacing)]:
+            with pytest.raises(ValueError):
+                groups._comb_columns(e, spacing)
 
 
 class TestOddMultiples:

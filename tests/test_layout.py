@@ -3,10 +3,13 @@ private names, by import or by attribute, no module imports a name it
 never uses, every import sits at module level, never inside a function
 body, and no module but `groups.py` calls a `multi_exp` method:
 `groups.multi_exp(group, pairs)` also serves a group stand-in that offers
-only the other Group methods.  README names only attributes that exist."""
+only the other Group methods.  README names only attributes that exist:
+of fdkg modules, or of classes defined in them."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -93,18 +96,48 @@ def test_rules_catch_violations():
     assert layout_violations("group.multi_exp([])\n", kernel=True) == []
 
 
-def test_readme_names_exist():
-    """Every backticked `module.name` in README whose module is an fdkg
-    module names an attribute of that module, and every backticked bare
-    private name (`_name`) an attribute of some fdkg module, so a deleted
-    name does not linger in the docs."""
-    readme = README.read_text()
+def readme_missing_names(readme: str) -> list:
+    """The backticked names of `readme` that name nothing in fdkg: a
+    `module.name` whose module is an fdkg module but has no such attribute;
+    a bare private name (`_name`) that is no attribute of any fdkg module;
+    and a bare snake_case name (`word_word`) that is no attribute of an
+    fdkg module nor of a class defined in one (a method, a class attribute
+    or a dataclass field)."""
     modules = {p.stem: importlib.import_module(f"fdkg.{p.stem}") for p in MODULES}
+    classes = [c for m in modules.values() for c in vars(m).values()
+               if inspect.isclass(c) and c.__module__ == m.__name__]
     named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme)
              if module in modules}
     private = set(re.findall(r"`(_\w+)`", readme))
-    assert named and private
-    assert sorted(f"{module}.{name}" for module, name in named
-                  if not hasattr(modules[module], name)) == []
-    assert sorted(name for name in private
-                  if not any(hasattr(module, name) for module in modules.values())) == []
+    snake = set(re.findall(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)`", readme))
+
+    def in_fdkg(name, owners=modules.values()):
+        return any(hasattr(owner, name) for owner in owners)
+
+    def in_a_class(name):
+        return in_fdkg(name, classes) or any(
+            name in {f.name for f in dataclasses.fields(c)}
+            for c in classes if dataclasses.is_dataclass(c))
+
+    return sorted([f"{module}.{name}" for module, name in named
+                   if not hasattr(modules[module], name)]
+                  + [name for name in private if not in_fdkg(name)]
+                  + [name for name in snake if not in_fdkg(name) and not in_a_class(name)])
+
+
+def test_readme_names_exist():
+    """Every fdkg name README backticks exists, so a deleted name does not
+    linger in the docs; README names each kind of name at least once."""
+    readme = README.read_text()
+    assert re.search(r"`(\w+)\.(\w+)", readme) and re.search(r"`_\w+`", readme)
+    assert re.search(r"`[a-z][a-z0-9]*(?:_[a-z0-9]+)+`", readme)
+    assert readme_missing_names(readme) == []
+
+
+def test_readme_check_catches_deleted_names():
+    """A README that names deleted functions, bare or by module, fails the
+    check; a method (`base_exp`) and a dataclass field (`global_pk`) pass."""
+    readme = ("`prove_representation` and `nizk.representation_equations`, "
+              "`_secret_verdict`, `base_exp`, `global_pk` and `deal_round`")
+    assert readme_missing_names(readme) == [
+        "_secret_verdict", "nizk.representation_equations", "prove_representation"]
