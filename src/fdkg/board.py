@@ -2,9 +2,9 @@
 injection, and the trusted-party oracle used to cross-check real runs.
 
 The board is append-only and totally ordered; the sender field is set by
-the scheduler, so authentication holds by construction.  All per-party
-randomness is derived from the master seed, making every ceremony
-reproducible byte for byte.
+the scheduler, so authentication holds by construction.  Its canonical
+form is `transcripts.export_lines`.  All per-party randomness is derived
+from the master seed, making every ceremony reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class BroadcastBoard:
     def __len__(self):
         return len(self._entries)
 
-    def digest(self) -> bytes:
-        h = hashlib.sha256()
-        for e in self._entries:
-            h.update(repr((e.sender, e.round, e.message)).encode())
-        return h.digest()
-
 
 HONEST = "honest"
 ABSENT_ROUND1 = "absent-round1"
@@ -65,9 +59,6 @@ BYZANTINE_SILENT = "byzantine-silent"
 
 _KINDS = {HONEST, ABSENT_ROUND1, ABSENT_ROUND2, WITHHOLD_SHARES,
           MALFORM_DEAL, BYZANTINE_SILENT}
-
-# absence models churn, not corruption
-_CORRUPT_KINDS = {WITHHOLD_SHARES, MALFORM_DEAL, BYZANTINE_SILENT}
 
 
 @dataclass(frozen=True)
@@ -80,10 +71,6 @@ class Behavior:
             raise ValueError(f"unknown behavior {self.kind!r}")
         if self.targets and self.kind != WITHHOLD_SHARES:
             raise ValueError(f"behavior {self.kind!r} takes no targets")
-
-    @property
-    def corrupted(self) -> bool:
-        return self.kind in _CORRUPT_KINDS
 
     @property
     def deals(self) -> bool:
@@ -199,7 +186,7 @@ def reveal_round(board: BroadcastBoard, round_no: int, behaviors: dict, pki: dic
             messages = [own(i, rng)] if i in public_state.participants else []
             messages += [m for m in protocol.round2_reveal_shares(
                              i, pki[i].sk, public_state, context, group, rng)
-                         if b.kind != WITHHOLD_SHARES or m.dealer not in b.targets]
+                         if m.dealer not in b.targets]
             for msg in messages:
                 board.append(i, round_no, msg)
             posted += messages
@@ -238,35 +225,24 @@ class CorruptActivation:
 
 
 @dataclass(frozen=True)
-class PartyOutput:
-    global_pk: object
-    partial_pks: dict
-    partial_secret: int
-    guardians: frozenset
-    incoming_shares: dict  # dealer -> share value
-
-
-@dataclass(frozen=True)
 class IdealResult:
     global_pk: object  # None when no party activated
     participants: tuple
     partial_secrets: dict
     shares: dict  # (dealer, guardian) -> value
-    outputs: dict  # honest participant -> PartyOutput
 
 
 def ideal_functionality_run(params: Params, activations, group, seed: int) -> IdealResult:
-    """Trusted-party execution: samples honest polynomials itself and hands
-    every participant its outputs directly, with no messages or proofs.
+    """Trusted-party execution: samples honest polynomials itself and
+    computes every participant's partial secret, every guardian's share and
+    the global key directly, with no messages or proofs.
 
     Honest polynomial sampling uses the same child-rng stream as the real
     round-1 dealer, so seed-matched runs are comparable value for value.
     """
     q = group.order
-    participants = []
     polynomials = {}
     guardian_sets = {}
-    honest = set()
     for act in activations:
         i = act.party
         if not 1 <= i <= params.n:
@@ -281,31 +257,22 @@ def ideal_functionality_run(params: Params, activations, group, seed: int) -> Id
             rng = child_rng(seed, i, _STREAM_ROUND1)
             coeffs = tuple(rng.randrange(q) for _ in range(params.t))
             poly = Polynomial(coeffs, q)
-            honest.add(i)
         else:
             poly = act.polynomial
             if poly.threshold != params.t or poly.modulus != q:
                 raise ActivationError("corrupt polynomial has wrong degree")
-        participants.append(i)
         polynomials[i] = poly
         guardian_sets[i] = guardians
 
-    participants = tuple(sorted(participants))
+    participants = tuple(sorted(polynomials))
     if not participants:
-        return IdealResult(None, (), {}, {}, {})
+        return IdealResult(None, (), {}, {})
 
     partial_secrets = {i: polynomials[i].evaluate(0) for i in participants}
-    partial_pks = {i: group.base_exp(partial_secrets[i]) for i in participants}
     d = sum(partial_secrets.values()) % q
     global_pk = group.base_exp(d)
     shares = {
         (i, j): polynomials[i].evaluate(j)
         for i in participants for j in sorted(guardian_sets[i])
     }
-    outputs = {
-        i: PartyOutput(
-            global_pk, dict(partial_pks), partial_secrets[i], guardian_sets[i],
-            {k: v for (k, j), v in shares.items() if j == i})
-        for i in participants if i in honest
-    }
-    return IdealResult(global_pk, participants, partial_secrets, shares, outputs)
+    return IdealResult(global_pk, participants, partial_secrets, shares)

@@ -5,8 +5,9 @@ rows: a row is the flag `--name` and the key `name` of the subcommand's
 section in an optional INI file.  A flag overrides the file, one cast reads
 both, and a None default marks a required setting.  `check(settings, config)`
 only validates, raising a usage error (exit 2), as does an `--out` path that
-cannot be opened for writing; then the resolved settings are echoed for
-auditability and `run(its result, out)` does the work.
+cannot be opened for writing; then the resolved settings are echoed to
+stderr for auditability, and `run(its result, out)` does the work, so
+stdout carries only a command's result.
 """
 
 from __future__ import annotations
@@ -245,9 +246,9 @@ def main(argv=None) -> int:
             simulate.SweepConfigError, OSError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
-    print(f"[{command}] resolved config:")
+    print(f"[{command}] resolved config:", file=sys.stderr)
     for name in sorted(resolved):
-        print(f"  {name} = {resolved[name]}")
+        print(f"  {name} = {resolved[name]}", file=sys.stderr)
     return run(checked, out)
 
 

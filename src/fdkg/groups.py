@@ -360,14 +360,14 @@ class CurveGroup(Group):
         """
         a, p, q = self.a, self.p, self.q
         fixed = self._fixed
-        comb_e = dict.fromkeys(fixed, 0)
+        comb_e = {}  # the comb bases these terms name
         terms = {}
         for P, e in pairs:
             if P is None:
                 continue
             x, y = P
-            if x in comb_e:  # P is a comb base or its inverse
-                comb_e[x] += e if y == fixed[x][0] else -e
+            if x in fixed:  # P is a comb base or its inverse
+                comb_e[x] = comb_e.get(x, 0) + (e if y == fixed[x][0] else -e)
                 continue
             if 2 * y > p:
                 y, e = p - y, -e

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fdkg import board as fboard
-from fdkg import protocol, shamir
+from fdkg import protocol, shamir, transcripts
 from fdkg.board import (ABSENT_ROUND1, ABSENT_ROUND2, BYZANTINE_SILENT,
                         HONEST, MALFORM_DEAL, WITHHOLD_SHARES, ActivationError,
                         Behavior, BroadcastBoard, CorruptActivation,
@@ -32,27 +32,11 @@ class TestBroadcastBoard:
         assert [e.message for e in b.entries()] == ["a", "b", "c"]
         assert [e.sender for e in b.entries(1)] == [1, 3]
 
-    def test_digest_changes_on_append_only(self):
-        b = BroadcastBoard()
-        before = b.digest()
-        b.append(1, 1, "a")
-        after = b.digest()
-        assert before != after
-        assert b.digest() == after  # digest is a pure function of contents
-
 
 class TestBehavior:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Behavior("sleepy")
-
-    def test_corruption_classification(self):
-        assert not Behavior(HONEST).corrupted
-        assert not Behavior(ABSENT_ROUND1).corrupted  # churn, not corruption
-        assert not Behavior(ABSENT_ROUND2).corrupted
-        assert Behavior(WITHHOLD_SHARES, frozenset({1})).corrupted
-        assert Behavior(MALFORM_DEAL).corrupted
-        assert Behavior(BYZANTINE_SILENT).corrupted
 
     @pytest.mark.parametrize("kind", [HONEST, ABSENT_ROUND1, ABSENT_ROUND2, MALFORM_DEAL,
                                       BYZANTINE_SILENT])
@@ -132,14 +116,16 @@ class TestRunCeremony:
         behaviors[2] = Behavior(ABSENT_ROUND2)
         a = run_ceremony(params, behaviors, group, seed=42)
         b = run_ceremony(params, behaviors, group, seed=42)
-        assert a.board.digest() == b.board.digest()
+        assert transcripts.export_lines(a.board, group) == \
+            transcripts.export_lines(b.board, group)
         assert a.outcome == b.outcome
 
     def test_seed_changes_transcript(self, group):
         params = Params(7, 2, 3)
         a = run_ceremony(params, all_honest(7), group, seed=1)
         b = run_ceremony(params, all_honest(7), group, seed=2)
-        assert a.board.digest() != b.board.digest()
+        assert transcripts.export_lines(a.board, group) != \
+            transcripts.export_lines(b.board, group)
 
 
 class TestIdealFunctionality:
@@ -155,10 +141,6 @@ class TestIdealFunctionality:
         q = group.order
         d = sum(result.partial_secrets.values()) % q
         assert result.global_pk == group.base_exp(d)
-        for i in result.participants:
-            out = result.outputs[i]
-            assert out.partial_secret == result.partial_secrets[i]
-            assert out.global_pk == result.global_pk
 
     @pytest.mark.parametrize("party", [0, 7], ids=["party 0", "party n+1"])
     def test_party_outside_party_set_rejected(self, group, party):
@@ -198,7 +180,7 @@ class TestIdealFunctionality:
         acts = [HonestActivation(1, frozenset({2, 3, 4})),
                 HonestActivation(1, frozenset({4, 5, 6}))]
         result = ideal_functionality_run(params, acts, group, seed=3)
-        assert result.outputs[1].guardians == frozenset({2, 3, 4})
+        assert {j for (i, j) in result.shares if i == 1} == {2, 3, 4}
 
     def test_corrupt_polynomial_used_verbatim(self, group):
         params = Params(6, 2, 3)
@@ -207,7 +189,6 @@ class TestIdealFunctionality:
         result = ideal_functionality_run(params, acts, group, seed=3)
         assert result.partial_secrets[2] == 11
         assert result.shares[(2, 3)] == poly.evaluate(3)
-        assert 2 not in result.outputs  # only honest parties get outputs
 
 
 class TestOracleEquivalence:

@@ -1,7 +1,11 @@
+import csv
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from fdkg import simulate
 from fdkg.cli import main
 
 TEST_GROUP_FLAGS = ["--group", "modp-2027"]
@@ -15,12 +19,12 @@ def run_cli(capsys, argv):
 
 class TestCeremony:
     def test_all_honest_defaults_succeed(self, capsys):
-        code, out, _ = run_cli(capsys, [
+        code, out, err = run_cli(capsys, [
             "ceremony", "--n", "8", "--t", "2", "--k", "3", "--seed", "5",
             *TEST_GROUP_FLAGS])
         assert code == 0
         assert "reconstruction: success" in out
-        assert "[ceremony] resolved config:" in out
+        assert "[ceremony] resolved config:" in err
 
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["ceremony", "--n", "8"])
@@ -57,10 +61,10 @@ class TestCeremony:
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "base.ini"
         cfg.write_text("[ceremony]\nn = 6\nt = 2\nk = 3\nseed = 1\ngroup = modp-2027\n")
-        code, out, _ = run_cli(capsys, ["ceremony", "--config", str(cfg),
+        code, _, err = run_cli(capsys, ["ceremony", "--config", str(cfg),
                                         "--seed", "99"])
         assert code == 0
-        assert "seed = 99" in out
+        assert "seed = 99" in err
 
     def test_transcript_written(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
@@ -125,11 +129,11 @@ class TestRunConfigErrors:
         [1, q): modp-2027 has order 1013, so index 1013 is the point 0."""
         votes = ["--votes", "1,2"] if command == "election" else []
         for n in ("1013", "1100"):
-            code, out, err = run_cli(capsys, [command, "--n", n, "--t", "1", "--k", "1",
+            code, _, err = run_cli(capsys, [command, "--n", n, "--t", "1", "--k", "1",
                                               *votes, *TEST_GROUP_FLAGS])
             assert code == 2
             assert f"n = {n} is not below the order 1013" in err
-            assert "resolved config" not in out
+            assert "resolved config" not in err
 
     def test_behavior_party_outside_range(self, capsys, tmp_path, command):
         code, _, err = run_config(capsys, tmp_path, command,
@@ -138,18 +142,18 @@ class TestRunConfigErrors:
         assert "party 9 outside 1..5" in err
 
     def test_targets_on_a_kind_without_targets(self, capsys, tmp_path, command):
-        code, out, err = run_config(capsys, tmp_path, command,
+        code, _, err = run_config(capsys, tmp_path, command,
                                     "[behaviors]\n2 = honest:1,3\n")
         assert code == 2
         assert "behavior 'honest' takes no targets" in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
     def test_target_outside_range(self, capsys, tmp_path, command):
-        code, out, err = run_config(capsys, tmp_path, command,
+        code, _, err = run_config(capsys, tmp_path, command,
                                     "[behaviors]\n3 = withhold-shares:1,99\n")
         assert code == 2
         assert "party 3 targets [99] outside 1..5" in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
 
 class TestSimulate:
@@ -177,6 +181,15 @@ class TestSimulate:
             assert code == 0
             files.append(path.read_bytes())
         assert files[0] == files[1]
+
+    def test_stdout_is_the_csv(self, capsys):
+        """Without --out the CSV goes to stdout and the config echo to
+        stderr, so `fdkg simulate ... > rates.csv` parses as a CSV."""
+        code, out, err = run_cli(capsys, [
+            "simulate", "--n", "10", "--k", "3", "--t", "2", "--trials", "5"])
+        assert code == 0 and "[simulate] resolved config:" in err
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == simulate.CSV_HEADER and len(rows) == 2
 
     def test_t_ratio_rule(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -240,10 +253,10 @@ class TestSeedRange:
     @pytest.mark.parametrize("command", sorted(ARGS))
     @pytest.mark.parametrize("seed", [str(10 ** 41), str(2 ** 127), str(-2 ** 127 - 1)])
     def test_out_of_range_seed(self, capsys, command, seed):
-        code, out, err = run_cli(capsys, [command, *self.ARGS[command], "--seed", seed])
+        code, _, err = run_cli(capsys, [command, *self.ARGS[command], "--seed", seed])
         assert code == 2
         assert err.startswith(f"{command}: seed {seed} outside")
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_range_ends_accepted(self, capsys, command):
@@ -309,21 +322,21 @@ class TestElectionInputErrors:
     """Election-only input exits 2 with a message, never a traceback."""
 
     def test_vote_for_unknown_candidate(self, capsys):
-        code, out, err = run_cli(capsys, [
+        code, _, err = run_cli(capsys, [
             "election", "--n", "5", "--t", "2", "--k", "2", "--candidates", "2",
             "--votes", "1,3", *TEST_GROUP_FLAGS])
         assert code == 2
         assert "candidate 3 out of range 1..2" in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
     @pytest.mark.parametrize("candidates", ["20", "60"])
     def test_unbounded_tally_search_rejected(self, capsys, candidates):
-        code, out, err = run_cli(capsys, [
+        code, _, err = run_cli(capsys, [
             "election", "--n", "3", "--t", "1", "--k", "1", "--candidates", candidates,
             "--votes", "1,2"])
         assert code == 2
         assert "baby steps" in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
     def test_single_candidate(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -358,10 +371,10 @@ class TestConfigFileErrors:
         # values are not interpolated: a `%` reaches the cast like any other text
         cfg = tmp_path / "percent.ini"
         cfg.write_text(f"[{command}]\nn = {value}\n")
-        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        code, _, err = run_cli(capsys, [command, "--config", str(cfg)])
         assert code == 2
         assert err.startswith(f"{command}: ") and repr(value) in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
 
 class TestCost:
@@ -432,6 +445,32 @@ class TestCost:
         assert "total             880000" in out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """The `fdkg ...` lines of the sh block under README's `## CLI`, and its
+    INI block."""
+    cli = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sh = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    ini = re.search(r"```ini\n(.*?)```", cli, re.S).group(1)
+    return [shlex.split(line)[1:] for line in sh.splitlines() if line.startswith("fdkg ")], ini
+
+
+class TestReadmeExamples:
+    """Every CLI example README gives runs and exits 0."""
+
+    @pytest.mark.parametrize("argv", readme_examples()[0], ids=lambda argv: argv[0])
+    def test_sh_example(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, argv)[0] == 0
+
+    def test_ini_example(self, capsys, tmp_path):
+        cfg = tmp_path / "example.ini"
+        cfg.write_text(readme_examples()[1])
+        assert run_cli(capsys, ["ceremony", "--config", str(cfg)])[0] == 0
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["decrypt-everything"])
@@ -472,10 +511,10 @@ class TestFlagConfigParity:
     def test_non_numeric_value(self, capsys, tmp_path, command, name):
         by_flag, by_config = flag_and_config_runs(capsys, tmp_path, command, name, "x")
         assert by_flag == by_config
-        code, out, err = by_flag
+        code, _, err = by_flag
         assert code == 2
         assert err.startswith(f"{command}: ") and "'x'" in err
-        assert "resolved config" not in out
+        assert "resolved config" not in err
 
     @pytest.mark.parametrize("command,name,value,message", [
         ("ceremony", "group", "nope", "unknown group 'nope'"),

@@ -555,6 +555,21 @@ class TestFixedBase:
         assert vars(group) == before and group._fixed == fixed_before
         assert group.exp(FIXED, 5) == ref_exp(group, FIXED, 5)
 
+    def test_unused_bases_cost_nothing(self):
+        """A multi_exp reads only the comb bases its terms name: inside a
+        block of 20 bases it does not use, a base_exp splits its one comb
+        scalar, as outside the block."""
+        group = fresh_curve()
+        unused = [group.base_exp(1000 + i) for i in range(20)]
+        with mock.patch.object(CurveGroup, "_split", autospec=True,
+                               side_effect=CurveGroup._split) as split:
+            expected = group.base_exp(Q // 3)
+            assert split.call_count == 1
+            with groups.fixed_base(group, *unused):
+                split.reset_mock()
+                assert group.base_exp(Q // 3) == expected
+                assert split.call_count == 1
+
     @pytest.mark.parametrize("base", ["inner", "G", "-G", "identity"])
     def test_no_op_bases(self, base, counts):
         """A nested block on the same P, and a block on G, -G or the
