@@ -71,19 +71,22 @@ def run_election(params: Params, behaviors: dict, votes: dict, candidates: int,
         tally = voting.TallyResult((0,) * candidates, 0)
         return ElectionResult(True, tally, (), public_state, accepted, board, encoding)
 
-    posted = reveal_round(
-        board, 3, behaviors, pki, public_state, seed, _STREAM_TALLY, voting.TALLY_CONTEXT,
-        group, lambda i, rng: voting.tally_partial_decrypt(
-            group, i, dealer_states[i].partial_secret, public_state.deals[i].partial_pk,
-            aggregate.c1, rng))
-    partial_decryptions = [m for m in posted if isinstance(m, voting.PartialDecryption)]
-    share_reveals = [m for m in posted if not isinstance(m, voting.PartialDecryption)]
-    try:
-        values = voting.collect_decryption_values(
-            group, public_state, aggregate.c1, partial_decryptions,
-            share_reveals, voting.TALLY_CONTEXT, params.t)
-        tally = voting.tally_finalize(group, aggregate, values, len(accepted), encoding)
-    except voting.TallyFailure as exc:
-        return ElectionResult(False, None, exc.dealers, public_state, accepted,
-                              board, encoding)
+    # C1 is the base of each present dealer's C1^{d_i} and its DLEQ's C1^w,
+    # and of C1^{s_j} for each share of an absent one: one comb table
+    with groups.fixed_base(group, aggregate.c1):
+        posted = reveal_round(
+            board, 3, behaviors, pki, public_state, seed, _STREAM_TALLY, voting.TALLY_CONTEXT,
+            group, lambda i, rng: voting.tally_partial_decrypt(
+                group, i, dealer_states[i].partial_secret, public_state.deals[i].partial_pk,
+                aggregate.c1, rng))
+        partial_decryptions = [m for m in posted if isinstance(m, voting.PartialDecryption)]
+        share_reveals = [m for m in posted if not isinstance(m, voting.PartialDecryption)]
+        try:
+            values = voting.collect_decryption_values(
+                group, public_state, aggregate.c1, partial_decryptions,
+                share_reveals, voting.TALLY_CONTEXT, params.t)
+            tally = voting.tally_finalize(group, aggregate, values, len(accepted), encoding)
+        except voting.TallyFailure as exc:
+            return ElectionResult(False, None, exc.dealers, public_state, accepted,
+                                  board, encoding)
     return ElectionResult(True, tally, (), public_state, accepted, board, encoding)

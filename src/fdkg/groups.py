@@ -9,12 +9,17 @@ Two interchangeable backends:
   (x, y), or None for infinity, at every method boundary.  Inside the
   arithmetic, points are Jacobian, (X, Y, Z) standing for (X/Z^2, Y/Z^3),
   so an operation makes one field inversion at its end instead of one per
-  step.  All scalar multiplication is one kernel, `multi_exp`: a Straus
-  loop (`_straus`) that computes prod P_i^e_i with shared doublings,
-  signed-window (wNAF) digits over affine odd multiples of every base, and
-  Lim-Lee combs (8 teeth over 255 affine points) for G, cached on first
-  use, and for a base fixed by `fixed_base` while its block is open.  `exp`
-  and `base_exp` are its one-term cases.  On a curve with a GLV
+  step.  All scalar multiplication is one kernel, `multi_exps`: one point
+  per product prod P_i^e_i, each a Straus loop (`_straus`) with shared
+  doublings, signed-window (wNAF) digits over affine odd multiples of
+  every base, and Lim-Lee combs (8 teeth over 255 affine points) for G,
+  cached on first use, and for a base fixed by `fixed_base` while its
+  block is open.  The products of one call share their tables, their comb
+  scalars' splits and transpositions, each level of row sums and one
+  final `_to_affine`, so a call makes one inversion per table round, one
+  per level and one at its end, however many products it holds; a prover
+  computes all its points in one call.  `multi_exp`, `exp` and `base_exp`
+  are its one-product cases.  On a curve with a GLV
   endomorphism (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits
   is split as k1 + k2·λ with both halves below 2^128, halving the doubling
   chain, and every comb scalar is split so: its teeth are 16 bits apart
@@ -24,14 +29,15 @@ Two interchangeable backends:
   Affine additions are batched: `_affine_sums` adds many pairs of
   points with one inversion for all their slopes (Montgomery's trick).  It
   builds the odd multiples of all fresh bases of a call in rounds
-  (`_odd_multiples`), a comb table's subset sums in 8 rounds, and sums the
-  points of each Straus row in pairs before the loop adds what is left;
-  `mul` is its one-pair case.
+  (`_odd_multiples`), the subset sums of all comb tables a `fixed_base`
+  block adds in 8 rounds (`_comb_tables`), and sums the points of each
+  Straus row in pairs before the loop adds what is left; `mul` is its
+  one-pair case.
 
-`multi_exp(group, pairs)` is the entry point that verification equations
-use: it runs a group's own kernel (native `pow` on MultiplicativeGroup) or,
-for any object offering only the Group methods, the generic fold of `exp`
-and `mul`.
+`multi_exp(group, pairs)` and `multi_exps(group, products)` are the entry
+points the provers and verification equations use: they run a group's own
+kernel (native `pow` on MultiplicativeGroup) or, for any object offering
+only the Group methods, the generic fold of `exp` and `mul` per product.
 
 Scalars are plain Python ints reduced mod the group order q.  Every group
 exposes a coordinate map chi(element) -> scalar used by the PKE layer; the
@@ -53,7 +59,8 @@ class Group:
     """Interface shared by all group backends: each defines `generator()`,
     `identity()`, `mul(a, b)`, `inv(a)`, `exp(a, e)`, `encode(a) -> bytes`,
     `decode(data)` and `chi(a) -> int`, a deterministic coordinate map to
-    Z_q; the methods below derive from those.
+    Z_q, and `multi_exps(products)`, one `multi_exp` per product; the
+    methods below derive from those.
 
     Elements are opaque values; use only these methods to combine them.
     Canonical encodings are injective and stable across versions: they feed
@@ -120,6 +127,19 @@ class MultiplicativeGroup(Group):
         for a, e in pairs:
             acc = acc * pow(a, e % q, p) % p
         return acc
+
+    def multi_exps(self, products) -> list:
+        """`multi_exp` of each product; a one-term product, as most of a
+        prover's are, is one `pow`."""
+        p, q = self.p, self.q
+        out = []
+        for pairs in products:
+            if len(pairs) == 1:
+                ((a, e),) = pairs
+                out.append(pow(a, e % q, p))
+            else:
+                out.append(self.multi_exp(pairs))
+        return out
 
     def encode(self, a: int) -> bytes:
         width = (self.p.bit_length() + 7) // 8
@@ -240,11 +260,12 @@ def _affine_sums(pairs, a: int, p: int) -> list:
 
 
 def _to_affine(points, p: int) -> list:
-    """Affine forms of finite Jacobian points."""
+    """Affine forms of Jacobian points, None for Z = 0 (infinity), with one
+    inversion for all."""
     out = []
     for (X, Y, Z), zi in zip(points, _inverses([P[2] for P in points], p)):
         zi2 = zi * zi % p
-        out.append((X * zi2 % p, Y * zi2 * zi % p))
+        out.append((X * zi2 % p, Y * zi2 * zi % p) if zi else None)
     return out
 
 
@@ -269,12 +290,12 @@ def _odd_multiples(bases, sizes, a: int, p: int) -> list:
     return tables
 
 
-def _straus(rows, a: int, p: int):
-    """The affine sum of 2^i times the points of rows[i] over all i: one
-    doubling (`_jac_double`) per row, highest first, and one mixed addition
-    (EFD madd-2007-bl) per point, written inline.  Z = 0 stands for
-    infinity, which a doubling of infinity (Y = 0) or of a point of order 2
-    gives."""
+def _straus(rows, a: int, p: int) -> tuple:
+    """The sum of 2^i times the affine points of rows[i] over all i, as a
+    Jacobian (X, Y, Z): one doubling (`_jac_double`) per row, highest
+    first, and one mixed addition (EFD madd-2007-bl) per point, written
+    inline.  Z = 0 stands for infinity, which a doubling of infinity (Y = 0)
+    or of a point of order 2 gives."""
     X = Y = Z = 0  # Z = 0: infinity
     for row in reversed(rows):
         X, Y, Z = _jac_double((X, Y, Z), a, p) or (0, 0, 0)
@@ -294,11 +315,7 @@ def _straus(rows, a: int, p: int):
             X3 = (r * r - J - 2 * V) % p
             Y, Z = (r * (V - X3) - 2 * Y * J) % p, 2 * Z * H % p
             X = X3
-    if not Z:
-        return None
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return X * zi2 % p, Y * zi2 * zi % p
+    return X, Y, Z
 
 
 @dataclass(frozen=True)
@@ -336,81 +353,106 @@ class CurveGroup(Group):
         return (x, (-y) % self.p)
 
     def exp(self, P, e: int):
-        return self.multi_exp([(P, e)])
+        return self.multi_exps([[(P, e)]])[0]
 
     def multi_exp(self, pairs):
-        """prod P^e over the (P, e) pairs in one Straus loop.
+        return self.multi_exps([pairs])[0]
 
-        Equal bases, and P with -P, are merged into one term.  A term whose
-        exponent exceeds q/2 is taken as (-P)^(q - e).  With `glv` set, an
-        exponent still over 128 bits is split into halves k1 + k2·λ below
-        2^128 (a shorter one, such as a batch weight, stays whole).  Each is
-        written in width-w NAF: odd signed digits below 2^(w-1) in absolute
-        value, at least w positions apart.  The affine odd multiples P, 3P,
-        .. of all terms are built together (`_odd_multiples`); k2's digits
-        index their β-images (β·x, y), λ times them at no group operation.
-        Terms on ±G, and on ±a base fixed by `fixed_base`, are summed into
-        one comb scalar per base, whose rows join the same loop at its
-        lowest `_comb_spacing` bits.  With `glv`, every comb scalar is split
-        too: k1's columns index the base's table and k2's the β-images of
-        its entries, and a negative half takes each entry's inverse (x, -y).
+    def multi_exps(self, products) -> list:
+        """prod P^e over the (P, e) pairs of each product: one point per
+        product, all from one pass.
+
+        In a product, equal bases, and P with -P, are merged into one term.
+        A term whose exponent exceeds q/2 is taken as P^-(q - e).  With
+        `glv` set, an exponent still over 128 bits is split into halves
+        k1 + k2·λ below 2^128 (a shorter one, such as a batch weight, stays
+        whole).  Each is written in width-w NAF: odd signed digits below
+        2^(w-1) in absolute value, at least w positions apart.  The affine
+        odd multiples P, 3P, .. of every fresh base of the call are built in
+        one `_odd_multiples` call, one table per base, as wide as its widest
+        term needs; k2's digits index their β-images (β·x, y), λ times them
+        at no group operation.  Terms on ±G, and on ±a base fixed by
+        `fixed_base`, are summed into one comb scalar per base and product,
+        whose rows join the same loop at its lowest `_comb_spacing` bits.
+        With `glv`, every comb scalar is split too: k1's columns index the
+        base's table and k2's the β-images of its entries, and a negative
+        half takes each entry's inverse (x, -y).  A comb scalar is split and
+        transposed once per call, however many bases and products use it.
         Before the loop, the points of each row are summed in pairs, a level
-        at a time while a level has at least ROW_PAIRS pairs; the loop adds
-        what is left with mixed additions.
+        at a time across every product's rows while a level has at least
+        ROW_PAIRS pairs; each product's Straus loop adds what is left with
+        mixed additions, and one `_to_affine` makes every result affine.  So
+        a call makes one inversion per table round, one per level and one
+        at its end, however many products it holds.
         """
         a, p, q = self.a, self.p, self.q
-        fixed = self._fixed
-        comb_e = {}  # the comb bases these terms name
-        terms = {}
-        for P, e in pairs:
-            if P is None:
-                continue
-            x, y = P
-            if x in fixed:  # P is a comb base or its inverse
-                comb_e[x] = comb_e.get(x, 0) + (e if y == fixed[x][0] else -e)
-                continue
-            if 2 * y > p:
-                y, e = p - y, -e
-            terms[x, y] = terms.get((x, y), 0) + e
-        bases, sizes, chains = [], [], []  # chains: (digits, base, is the λ-half)
-        for (x, y), e in terms.items():
-            e %= q
-            if not e:
-                continue
-            if 2 * e > q:
-                y, e = p - y, q - e
-            e, k2 = self._split(e) if self.glv and e.bit_length() > 128 else (e, 0)
-            bits = abs(e).bit_length() + abs(k2).bit_length()  # digits the table serves
-            width = 5 if bits > 128 else 4 if bits > 16 else 2
-            chains.append((_wnaf(e, width), len(bases), False))
-            if k2:
-                chains.append((_wnaf(k2, width), len(bases), True))
-            bases.append((x, y))
-            sizes.append(1 << (width - 2))
-        tables = _odd_multiples(bases, sizes, a, p)
+        fixed, glv, spacing = self._fixed, self.glv, self._comb_spacing
+        sizes = {}  # fresh base (x, y) with 2y < p -> the size of its table
+        columns = {}  # comb scalar -> (columns, is the λ-half, is negative) of its nonzero halves
+        parsed = []  # per product: (its comb terms, its chains)
+        for pairs in products:
+            comb_e = {}  # the comb bases these terms name
+            terms = {}
+            for P, e in pairs:
+                if P is None:
+                    continue
+                x, y = P
+                if x in fixed:  # P is a comb base or its inverse
+                    comb_e[x] = comb_e.get(x, 0) + (e if y == fixed[x][0] else -e)
+                    continue
+                if 2 * y > p:
+                    y, e = p - y, -e
+                terms[x, y] = terms.get((x, y), 0) + e
+            chains = []  # (digits, base, is the λ-half)
+            for base, e in terms.items():
+                e %= q
+                if not e:
+                    continue
+                sign = 1
+                if 2 * e > q:  # P^e = P^-(q - e): q - e's digits, negated
+                    sign, e = -1, q - e
+                e, k2 = self._split(e) if glv and e.bit_length() > 128 else (e, 0)
+                bits = abs(e).bit_length() + abs(k2).bit_length()  # digits the table serves
+                width = 5 if bits > 128 else 4 if bits > 16 else 2
+                sizes[base] = max(sizes.get(base, 0), 1 << (width - 2))
+                chains.append((_wnaf(sign * e, width), base, False))
+                if k2:
+                    chains.append((_wnaf(sign * k2, width), base, True))
+            combs = []  # (table, halves)
+            for x, e in comb_e.items():
+                e %= q
+                if e not in columns:
+                    halves = self._split(e) if glv else (e,)
+                    columns[e] = [(_comb_columns(abs(k), spacing), image, k < 0)
+                                  for image, k in enumerate(halves) if k]
+                combs.append((fixed[x][1] or self._comb, columns[e]))
+            parsed.append((combs, chains))
+        tables = dict(zip(sizes, _odd_multiples(list(sizes), list(sizes.values()), a, p)))
+        images = {}  # base -> the β-images (β·x, y) of its table
 
-        combs = []  # (table, k, is the λ-half)
-        for x, e in comb_e.items():
-            halves = zip(self._split(e % q), (False, True)) if self.glv else [(e % q, False)]
-            combs += [(fixed[x][1] or self._comb, k, image) for k, image in halves if k]
-        spacing = self._comb_spacing if combs else 0
-        rows = [[] for _ in range(max([spacing] + [ds[-1][0] + 1 for ds, _, _ in chains if ds]))]
-        for comb, k, image in combs:
-            beta = self.glv[0] if image else 1  # k2's columns index the β-images
-            for row, m in zip(rows, _comb_columns(abs(k), spacing)):
-                if m:
-                    x, y = comb[m]
-                    row.append((beta * x % p, y if k > 0 else p - y))
-        for ds, i, image in chains:
-            # k2's digits index the β-images (β·x, y) of its base's table
-            table = [(self.glv[0] * x % p, y) for x, y in tables[i]] if image else tables[i]
-            for pos, d in ds:
-                x, y = table[abs(d) >> 1]
-                rows[pos].append((x, y) if d > 0 else (x, p - y))
+        everyone = []  # the rows of every product
+        for combs, chains in parsed:
+            top = [ds[-1][0] + 1 for ds, _, _ in chains if ds]
+            rows = [[] for _ in range(max([spacing if combs else 0] + top))]
+            for comb, halves in combs:
+                for cols, image, negative in halves:
+                    beta = glv[0] if image else 1  # k2's columns index the β-images
+                    for row, m in zip(rows, cols):
+                        if m:
+                            x, y = comb[m]
+                            row.append((beta * x % p, p - y if negative else y))
+            for ds, base, image in chains:
+                if image and base not in images:
+                    images[base] = [(glv[0] * x % p, y) for x, y in tables[base]]
+                table = images[base] if image else tables[base]
+                for pos, d in ds:
+                    x, y = table[abs(d) >> 1]
+                    rows[pos].append((x, y) if d > 0 else (x, p - y))
+            everyone.append(rows)
         while True:  # a level of row sums
-            full = [row for row in rows if len(row) > 1]
+            full = [row for rows in everyone for row in rows if len(row) > 1]
             if sum(len(row) >> 1 for row in full) < ROW_PAIRS:
-                return _straus(rows, a, p)
+                return _to_affine([_straus(rows, a, p) for rows in everyone], p)
             pairs, run = [], []  # rows whose pairs share one `_affine_sums`
             for row in full:
                 pairs += zip(row[::2], row[1::2])
@@ -437,29 +479,37 @@ class CurveGroup(Group):
 
     @cached_property
     def _comb(self) -> list:
-        return self._comb_table(self.gx, self.gy)
+        return self._comb_tables([(self.gx, self.gy)])[0]
 
     @cached_property
     def _fixed(self) -> dict:
         """x -> (y, comb table) of each comb base; G's table is `_comb`."""
         return {self.gx: (self.gy, None)}
 
-    def _comb_table(self, x: int, y: int) -> list:
-        """[m] = sum of 2^(spacing*j) * (x, y) over the set bits j of m,
-        affine, for m in 1 .. 2^COMB_TEETH - 1 ([0] is None).  The teeth are
-        doubled in Jacobian form and made affine together; then
-        COMB_TEETH rounds of `_affine_sums` build the subset sums."""
+    def _comb_tables(self, points) -> list:
+        """The comb table of each affine point (x, y), built together: [m] =
+        sum of 2^(spacing*j) * (x, y) over the set bits j of m, affine, for m
+        in 1 .. 2^COMB_TEETH - 1 ([0] is None).  Every point's teeth are
+        doubled in Jacobian form and made affine in one `_to_affine`; then
+        COMB_TEETH rounds of `_affine_sums`, each over every table, build the
+        subset sums, so the tables take COMB_TEETH + 1 inversions in all."""
         a, p = self.a, self.p
-        teeth = [(x, y, 1)]
-        while len(teeth) < COMB_TEETH:
-            T = teeth[-1]
-            for _ in range(self._comb_spacing):
-                T = _jac_double(T, a, p)
+        teeth = []
+        for x, y in points:
+            T = (x, y, 1)
             teeth.append(T)
-        table = [None]
-        for T in _to_affine(teeth, p):  # round j adds tooth j to every entry below 2^j
-            table += _affine_sums([(S, T) for S in table], a, p)
-        return table
+            for _ in range(COMB_TEETH - 1):
+                for _ in range(self._comb_spacing):
+                    T = _jac_double(T, a, p)
+                teeth.append(T)
+        teeth = _to_affine(teeth, p)
+        tables = [[None] for _ in points]
+        for j in range(COMB_TEETH):  # round j adds tooth j to every entry below 2^j
+            sums = iter(_affine_sums([(S, teeth[COMB_TEETH * i + j])
+                                      for i, table in enumerate(tables) for S in table], a, p))
+            for table in tables:
+                table += [next(sums) for _ in table]
+        return tables
 
     def encode(self, P) -> bytes:
         width = (self.p.bit_length() + 7) // 8
@@ -506,18 +556,32 @@ def multi_exp(group, pairs):
     return Group.multi_exp(group, pairs)
 
 
+def multi_exps(group, products) -> list:
+    """`multi_exp` of each product, a list of (base, exponent) pairs: one
+    call of the group's own kernel, or the Group fold of each product for
+    an object that offers only the other Group methods."""
+    if isinstance(group, Group):
+        return group.multi_exps(products)
+    return [Group.multi_exp(group, pairs) for pairs in products]
+
+
 @contextmanager
 def fixed_base(group, *points):
-    """While the block is open, `CurveGroup.multi_exp` makes terms on ±P, for
-    each P of `points`, comb terms, as G's are; a no-op on any other group,
-    the identity or a base already fixed.  Single-threaded, as G's cached
-    table is."""
+    """While the block is open, `CurveGroup.multi_exps` makes terms on ±P,
+    for each P of `points`, comb terms, as G's are; a no-op on any other
+    group, the identity or a base already fixed.  The new bases' tables are
+    built together (`_comb_tables`).  Single-threaded, as G's cached table
+    is."""
     added = []
     try:
-        for P in points if isinstance(group, CurveGroup) else ():
-            if P is not None and P[0] not in group._fixed:
-                group._fixed[P[0]] = (P[1], group._comb_table(*P))
-                added.append(P[0])
+        if isinstance(group, CurveGroup):
+            new = {}  # x -> P, the first of ±P
+            for P in points:
+                if P is not None and P[0] not in group._fixed:
+                    new.setdefault(P[0], P)
+            for (x, y), table in zip(new.values(), group._comb_tables(list(new.values()))):
+                group._fixed[x] = (y, table)
+                added.append(x)
         yield
     finally:
         for x in added:

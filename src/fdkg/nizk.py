@@ -16,6 +16,12 @@ master-challenge mismatch.  `holds` is the one check of such equations;
 `protocol.judge_claims` and `protocol.judge_deal` judge messages with it.
 `nizk` has no verifier of its own.
 
+Each prover computes the points it outputs, its statement's and its
+commitments', in one `groups.multi_exps` call, and draws its nonces before
+that call, in the order it uses them; a guardian's share decryptions
+(`prove_share_decryption`) are one prover, and a deal's encryption,
+commitments and proof (`prove_deal`) are another.
+
 Challenges are sha256, reduced mod q, over a domain tag, the
 caller-supplied context bytes and the length-prefixed parts of the
 statement and commitments: a group element as its canonical
@@ -24,9 +30,9 @@ given.  An element is never reduced mod q, which on the toy modp group
 would let x and x + q share a challenge.  Identical inputs (including
 nonces) therefore yield byte-identical proofs.
 
-`holds` checks its equations with `groups.multi_exp`.  When q > 2^128
-(secp256k1) it makes one multi_exp of their small-exponent random linear
-combination (Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is
+`holds` checks its equations in one `groups.multi_exps` call.  When
+q > 2^128 (secp256k1) that call has one product, their small-exponent
+random linear combination (Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is
 raised to a weight w_i, w_1 = 1 and the others drawn from [1, 2^128 - 1]
 by shake_256 over a domain tag, the context and every exponent of the
 batch.  The exponents hold each proof's challenge and response, and each
@@ -35,8 +41,8 @@ only once the whole batch is, and a replay reaches the same verdict.  A
 batch with a false equation then passes with probability at most
 1/(2^128 - 1) per weight draw.  A failed batch names no culprit.  On a
 smaller group such weights would leave only about 1/q (about 2^-10 on the
-toy modp-2027 group), so there every equation is checked on its own,
-exactly; its multi_exp is a fold of `exp` and `mul` there anyway, which a
+toy modp-2027 group), so there every equation is a product of its own,
+checked exactly; on modp a product is a fold of `pow` anyway, which a
 combination would not shorten.
 """
 
@@ -45,9 +51,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .groups import multi_exp
-from .pke import PkeCiphertext
-from .shamir import Polynomial
+from .groups import multi_exps
+from .pke import PkeCiphertext, encryption_products, pke_encrypt
 
 
 def _challenge(group, relation: str, context: bytes, *parts) -> int:
@@ -67,9 +72,9 @@ _WEIGHT_BITS = 128
 def holds(group, context: bytes, claims) -> bool:
     """True iff every equation of every claim holds, where `claims` is an
     iterable of equation lists as the `*_equations` builders return them;
-    False at the first None among them.  One multi_exp over the weighted
-    combination when q > 2^128, else one per equation (see the module
-    docstring)."""
+    False at the first None among them.  One `multi_exps` call, whose
+    products are the weighted combination when q > 2^128, else every
+    equation (see the module docstring)."""
     equations = []
     for claim in claims:
         if claim is None:
@@ -91,7 +96,7 @@ def holds(group, context: bytes, claims) -> bool:
         equations = [[(base, w * e) for w, equation in zip(weights, equations)
                       for base, e in equation]]
     identity = group.identity()
-    return all(multi_exp(group, equation) == identity for equation in equations)
+    return all(point == identity for point in multi_exps(group, equations))
 
 
 def _canonical(group, *scalars) -> bool:
@@ -106,12 +111,20 @@ class DleqProof:
     response: int
 
 
-def prove_dleq(group, witness: int, base1, out1, base2, out2, context: bytes, rng) -> DleqProof:
-    w = rng.randrange(group.order)
-    t1 = group.exp(base1, w)
-    t2 = group.exp(base2, w)
-    e = _challenge(group, "dleq", context, base1, out1, base2, out2, t1, t2)
-    return DleqProof(t1, t2, (w + e * witness) % group.order)
+def prove_dleqs(group, witness: int, base1, out1, bases2, context: bytes, rng) -> list:
+    """(out2, proof) for each base2 of `bases2`: out2 = base2^witness and a
+    DleqProof that log_base1 out1 = log_base2 out2, one nonce w drawn per
+    base, in order, and T1 = base1^w, T2 = base2^w."""
+    q = group.order
+    nonces = [rng.randrange(q) for _ in bases2]
+    points = iter(multi_exps(group, [product for base2, w in zip(bases2, nonces) for product in
+                                     ([(base2, witness)], [(base1, w)], [(base2, w)])]))
+    first = group.encode(base1), group.encode(out1)  # hashed as the elements are
+    out = []
+    for base2, w, out2, t1, t2 in zip(bases2, nonces, points, points, points):
+        e = _challenge(group, "dleq", context, *first, base2, out2, t1, t2)
+        out.append((out2, DleqProof(t1, t2, (w + e * witness) % q)))
+    return out
 
 
 def dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: bytes):
@@ -136,12 +149,15 @@ class ShareDecryptionProof:
     dleq: DleqProof
 
 
-def prove_share_decryption(group, sk: int, pk, ct: PkeCiphertext, context: bytes, rng):
-    out2 = group.exp(ct.c1, sk)
-    mask = group.div(ct.c2, out2)  # the pke_decrypt mask, so C2/mask = C1^sk
-    share = (group.chi(mask) - ct.delta) % group.order
-    dleq = prove_dleq(group, sk, group.generator(), pk, ct.c1, out2, context, rng)
-    return share, ShareDecryptionProof(mask, dleq)
+def prove_share_decryption(group, sk: int, pk, cts, context: bytes, rng) -> list:
+    """(share, ShareDecryptionProof) of each PkeCiphertext in `cts` under the
+    key pair (sk, pk), all proved by one `prove_dleqs`."""
+    out = []
+    for ct, (out2, dleq) in zip(cts, prove_dleqs(group, sk, group.generator(), pk,
+                                                 [ct.c1 for ct in cts], context, rng)):
+        mask = group.div(ct.c2, out2)  # the pke_decrypt mask, so C2/mask = C1^sk
+        out.append(((group.chi(mask) - ct.delta) % group.order, ShareDecryptionProof(mask, dleq)))
+    return out
 
 
 def share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
@@ -175,15 +191,35 @@ def _deal_challenge(group, context: bytes, keys, c1, parts, t1, t2) -> int:
         pk, p.c2, group.scalar_bytes(p.delta))), t1, *t2)
 
 
-def prove_deal(group, kappa: int, masks, keys, c1, parts, context: bytes, rng) -> DealProof:
-    """The proof of (C1, parts) = `pke.pke_encrypt(group, keys, _, kappa, masks)`."""
-    q, g = group.order, group.generator()
-    a, *b = (rng.randrange(q) for _ in range(len(keys) + 1))
-    t1 = group.base_exp(a)
-    t2 = tuple(multi_exp(group, [(pk, a), (g, b_j)]) for pk, b_j in zip(keys, b))
+def deal_context(group, dealer: int, commitments, indices) -> bytes:
+    """sha256 over the dealer, its commitments and its guardians' indices:
+    the context under which the deal proof's challenge binds the rest."""
+    h = hashlib.sha256(b"deal:" + dealer.to_bytes(4, "big"))
+    for a_l in commitments:
+        h.update(group.encode(a_l))
+    h.update(b"".join(j.to_bytes(4, "big") for j in indices))
+    return h.digest()
+
+
+def prove_deal(group, dealer: int, indices, keys, messages, coefficients, rng) -> tuple:
+    """(C1, parts, commitments, DealProof) of a dealer's deal to the
+    guardians `indices` with keys `keys`: one `pke` encryption of
+    messages[j] to keys[j] under kappa and masks r_j drawn first (never
+    0), the Feldman commitments A_l = G^{a_l} to `coefficients` (A_0 is
+    the partial pk), and the proof under `deal_context`, whose nonces are
+    drawn next."""
+    q, g, k = group.order, group.generator(), len(keys)
+    kappa, *masks = (rng.randrange(1, q) for _ in range(k + 1))
+    a, *b = (rng.randrange(q) for _ in range(k + 1))
+    points = multi_exps(group, encryption_products(group, keys, kappa, masks)
+                        + [[(g, c)] for c in coefficients] + [[(g, a)]]
+                        + [[(pk, a), (g, b_j)] for pk, b_j in zip(keys, b)])
+    c1, parts = pke_encrypt(group, messages, points[:2 * k + 1])
+    commitments, t1, t2 = tuple(points[2 * k + 1:-k - 1]), points[-k - 1], tuple(points[-k:])
+    context = deal_context(group, dealer, commitments, indices)
     e = _deal_challenge(group, context, keys, c1, parts, t1, t2)
-    return DealProof(t1, t2, (a + e * kappa) % q,
-                     tuple((b_j + e * r) % q for b_j, r in zip(b, masks)))
+    return c1, parts, commitments, DealProof(
+        t1, t2, (a + e * kappa) % q, tuple((b_j + e * r) % q for b_j, r in zip(b, masks)))
 
 
 def deal_equations(group, keys, c1, parts, proof: DealProof, context: bytes):
@@ -197,11 +233,6 @@ def deal_equations(group, keys, c1, parts, proof: DealProof, context: bytes):
     return [[(g, z), (proof.commitment_1, -1), (c1, -e)]] + [
         [(pk, z), (g, z_j), (t2, -1), (p.c2, -e)]
         for pk, p, t2, z_j in zip(keys, parts, proof.commitments_2, proof.responses)]
-
-
-def commit_polynomial(group, poly: Polynomial) -> tuple:
-    """A_l = G^{a_l} for every polynomial coefficient; A_0 is the partial pk."""
-    return tuple(group.base_exp(c) for c in poly.coefficients)
 
 
 def feldman_equations(group, share: int, index: int, commitments):
@@ -238,13 +269,15 @@ def _ballot_terms(group, pk, ballot, exponent: int, challenge: int, response: in
             [(pk, response), (b_elem, -challenge), (g, exponent * challenge)])
 
 
-def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
+def prove_ballot(group, global_pk, blinding: int, vote_exponent: int,
                  allowed, context: bytes, rng) -> tuple:
-    """The BallotBranches of an OR-composition over the allowed vote
-    exponents: the real branch is hidden among simulated ones and the
-    branch challenges sum to the master challenge.  From the witness (r, m),
-    a simulated branch's T1 = G^z A^-e and T2 = pk^z (B / G^m_i)^-e are
-    G^(z - r e) and pk^(z - r e) G^((m_i - m) e): terms on G and pk only."""
+    """((A, B), branches): the ballot A = G^r, B = pk^r G^m of the vote
+    exponent m under blinding r, and the BallotBranches of an
+    OR-composition over the allowed vote exponents: the real branch is
+    hidden among simulated ones and the branch challenges sum to the master
+    challenge.  From the witness (r, m), a simulated branch's T1 = G^z A^-e
+    and T2 = pk^z (B / G^m_i)^-e are G^(z - r e) and pk^(z - r e)
+    G^((m_i - m) e): terms on G and pk only."""
     allowed = list(allowed)
     try:
         real = allowed.index(vote_exponent)
@@ -257,15 +290,15 @@ def prove_ballot(group, global_pk, ballot, blinding: int, vote_exponent: int,
     scalars = [(0, w) if i == real else (rng.randrange(q), rng.randrange(q))
                for i in range(len(allowed))]
     g = group.generator()
-    commitments = [(group.base_exp(d),
-                    multi_exp(group, [(global_pk, d), (g, (exponent - vote_exponent) * e)]))
-                   for exponent, (e, z) in zip(allowed, scalars)
-                   for d in [(z - blinding * e) % q]]
-    master = _challenge(group, "ballot", context, global_pk, *ballot,
-                        *(t for pair in commitments for t in pair))
+    a, b, *commitments = multi_exps(group, [
+        [(g, blinding)], [(global_pk, blinding), (g, vote_exponent)],
+        *(product for exponent, (e, z) in zip(allowed, scalars) for d in [(z - blinding * e) % q]
+          for product in ([(g, d)], [(global_pk, d), (g, (exponent - vote_exponent) * e)]))])
+    master = _challenge(group, "ballot", context, global_pk, a, b, *commitments)
     e_real = (master - sum(e for e, _ in scalars)) % q
     scalars[real] = (e_real, (w + e_real * blinding) % q)
-    return tuple(BallotBranch(t1, t2, e, z) for (t1, t2), (e, z) in zip(commitments, scalars))
+    return (a, b), tuple(BallotBranch(t1, t2, e, z) for t1, t2, (e, z) in
+                         zip(commitments[::2], commitments[1::2], scalars))
 
 
 def ballot_equations(group, global_pk, ballot, allowed, branches, context: bytes):

@@ -42,15 +42,22 @@ def pke_keygen(group, rng) -> PkeKeyPair:
     return PkeKeyPair(sk, group.base_exp(sk))
 
 
-def pke_encrypt(group, keys, messages, kappa: int, masks) -> tuple:
-    """(C1, the CiphertextPart of messages[j] to keys[j] for each j); zero
-    randomness is mathematically valid but insecure, so never draw it."""
-    c1, parts = group.base_exp(kappa), []
-    for pk, m, r in zip(keys, messages, masks):
-        mask = group.base_exp(r)
-        parts.append(CiphertextPart(group.mul(group.exp(pk, kappa), mask),
-                                    (group.chi(mask) - m) % group.order))
-    return c1, tuple(parts)
+def encryption_products(group, keys, kappa: int, masks) -> list:
+    """The products of one encryption's points, in the order `pke_encrypt`
+    reads them: C1 = G^kappa, pk_j^kappa for each key, then M_j = G^r_j for
+    each mask r_j.  A prover computes them in one `groups.multi_exps` call
+    with its own; zero randomness is mathematically valid but insecure, so
+    never draw it."""
+    g = group.generator()
+    return [[(g, kappa)]] + [[(pk, kappa)] for pk in keys] + [[(g, r)] for r in masks]
+
+
+def pke_encrypt(group, messages, points) -> tuple:
+    """(C1, the CiphertextPart of messages[j] to keys[j] for each j), from
+    the points of `encryption_products(group, keys, kappa, masks)`."""
+    q, k = group.order, len(messages)
+    return points[0], tuple([CiphertextPart(group.mul(shared, mask), (group.chi(mask) - m) % q)
+                             for m, shared, mask in zip(messages, points[1:], points[k + 1:])])
 
 
 def pke_decrypt(group, sk: int, ct: PkeCiphertext) -> int:

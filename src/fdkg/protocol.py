@@ -11,7 +11,6 @@ the simulator and by the security test harness.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -164,8 +163,9 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
     """Produce this dealer's broadcast plus its private state.
 
     Shares are evaluations of a fresh polynomial at the guardians' global
-    party indices, encrypted in one `pke_encrypt` to the guardians' keys.
-    `rng` draws the polynomial first, as the ideal oracle does.
+    party indices, encrypted, committed to and proved by one
+    `nizk.prove_deal`, one kernel call.  `rng` draws the polynomial first,
+    as the ideal oracle does.
     """
     if guardians.owner != me:
         raise InvalidGuardianSetError("guardian set owned by another party")
@@ -173,24 +173,11 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
     d = rng.randrange(q)
     indices = sorted(guardians.members)
     shares, poly = shamir.share_secret(d, params.t, indices, rng, q)
-    keys = [pki[j] for j in indices]
-    kappa, *masks = (rng.randrange(1, q) for _ in range(len(keys) + 1))  # never 0
-    c1, parts = pke.pke_encrypt(group, keys, [s.value for s in shares], kappa, masks)
-    commitments = nizk.commit_polynomial(group, poly)
-    context = _deal_context(group, me, commitments, indices)
-    proof = nizk.prove_deal(group, kappa, masks, keys, c1, parts, context, rng)
+    c1, parts, commitments, proof = nizk.prove_deal(
+        group, me, indices, [pki[j] for j in indices], [s.value for s in shares],
+        poly.coefficients, rng)
     return (DealMessage(me, c1, dict(zip(indices, parts)), commitments, proof),
             DealerState(me, d, poly))
-
-
-def _deal_context(group, dealer: int, commitments, indices) -> bytes:
-    """sha256 over the dealer, its commitments and its guardians' indices:
-    the context under which the deal proof's challenge binds the rest."""
-    h = hashlib.sha256(b"deal:" + dealer.to_bytes(4, "big"))
-    for a_l in commitments:
-        h.update(group.encode(a_l))
-    h.update(b"".join(j.to_bytes(4, "big") for j in indices))
-    return h.digest()
 
 
 def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
@@ -206,7 +193,7 @@ def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
     if len(msg.commitments) != params.t:
         return Verdict.BAD_PROOF
     indices = sorted(msg.parts)
-    context = _deal_context(group, msg.dealer, msg.commitments, indices)
+    context = nizk.deal_context(group, msg.dealer, msg.commitments, indices)
     equations = nizk.deal_equations(group, [pki[j] for j in indices], msg.c1,
                                     [msg.parts[j] for j in indices], msg.proof, context)
     return Verdict.ACCEPTED if nizk.holds(group, context, [equations]) else Verdict.BAD_PROOF
@@ -241,16 +228,15 @@ def round2_reveal_secret(me: int, dealer_state: DealerState,
 def round2_reveal_shares(me: int, sk_me: int, public_state: PublicState,
                          context: bytes, group, rng) -> list:
     """One ShareReveal per dealer that picked `me` as guardian: the share
-    its ciphertext decrypts to, with the decryption proof.  Whether the
-    share counts is for `judge_reveals` to say."""
-    out = []
-    for dealer in public_state.participants:
-        record = public_state.deals[dealer]
-        if me in record.parts:
-            share, proof = nizk.prove_share_decryption(
-                group, sk_me, public_state.pki[me], record.ciphertexts[me], context, rng)
-            out.append(ShareReveal(me, dealer, share, proof))
-    return out
+    its ciphertext decrypts to, with the decryption proof, all proved by
+    one `nizk.prove_share_decryption`.  Whether the share counts is for
+    `judge_reveals` to say."""
+    dealers = [i for i in public_state.participants if me in public_state.deals[i].parts]
+    proved = nizk.prove_share_decryption(
+        group, sk_me, public_state.pki[me],
+        [public_state.deals[i].ciphertexts[me] for i in dealers], context, rng)
+    return [ShareReveal(me, dealer, share, proof)
+            for dealer, (share, proof) in zip(dealers, proved)]
 
 
 def judge_claims(group, context: bytes, claims) -> list:

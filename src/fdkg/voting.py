@@ -115,11 +115,8 @@ def _ballot_context(voter: int) -> bytes:
 def cast_ballot(group, encoding: VoteEncoding, global_pk, voter: int,
                 candidate: int, rng) -> Ballot:
     exponent = encoding.exponent_for(candidate)
-    blinding = rng.randrange(group.order)
-    a = group.base_exp(blinding)
-    b = multi_exp(group, [(global_pk, blinding), (group.generator(), exponent)])
-    proof = nizk.prove_ballot(group, global_pk, (a, b), blinding, exponent,
-                              encoding.allowed_exponents(), _ballot_context(voter), rng)
+    (a, b), proof = nizk.prove_ballot(group, global_pk, rng.randrange(group.order), exponent,
+                                      encoding.allowed_exponents(), _ballot_context(voter), rng)
     return Ballot(voter, a, b, proof)
 
 
@@ -131,16 +128,11 @@ def _ballot_claim(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> l
         _ballot_context(ballot.voter)))]
 
 
-def judge_ballot(group, encoding: VoteEncoding, global_pk, ballot: Ballot) -> Verdict:
-    """OFF_ROLL off the roll 1..n_bound, else BAD_PROOF unless the voter-bound proof holds."""
-    return judge_claims(group, BALLOT_CONTEXT, [_ballot_claim(group, encoding, global_pk,
-                                                              ballot)])[0]
-
-
 def aggregate_ballots(group, encoding: VoteEncoding, global_pk, ballots):
-    """Componentwise product of the first ballot per voter that
-    `judge_ballot` accepts (`protocol.first_accepted`); the rest are
-    dropped, as is any message that is not a Ballot.  Every ballot is
+    """Componentwise product of the first accepted ballot per voter
+    (`protocol.first_accepted`); the rest are dropped, as is any message
+    that is not a Ballot.  A ballot is OFF_ROLL off the roll 1..n_bound,
+    else BAD_PROOF unless its voter-bound proof holds.  Every ballot is
     judged, all of them in one `judge_claims` call.
 
     Returns (AggregatedCiphertext or None, accepted voter tuple); None marks
@@ -163,9 +155,8 @@ TALLY_CONTEXT = b"fdkg/tally"
 
 def tally_partial_decrypt(group, dealer: int, partial_secret: int, partial_pk,
                           c1, rng) -> PartialDecryption:
-    value = group.exp(c1, partial_secret)
-    proof = nizk.prove_dleq(group, partial_secret, group.generator(), partial_pk,
-                            c1, value, TALLY_CONTEXT, rng)
+    ((value, proof),) = nizk.prove_dleqs(group, partial_secret, group.generator(), partial_pk,
+                                         [c1], TALLY_CONTEXT, rng)
     return PartialDecryption(dealer, value, proof)
 
 
@@ -177,17 +168,12 @@ def _partial_decryption_claim(group, public_state: PublicState, c1, pd) -> list:
         group, group.generator(), deal.partial_pk, c1, pd.value, pd.proof, TALLY_CONTEXT))]
 
 
-def judge_partial_decryption(group, public_state: PublicState, c1, pd) -> Verdict:
-    """NOT_A_PARTICIPANT for a non-dealer, else BAD_DLEQ unless the DLEQ proof holds."""
-    return judge_claims(group, TALLY_CONTEXT,
-                        [_partial_decryption_claim(group, public_state, c1, pd)])[0]
-
-
 def collect_decryption_values(group, public_state: PublicState, c1,
                               partial_decryptions, share_reveals,
                               context: bytes, t: int) -> dict:
-    """Per-dealer C1^{d_i}: its first partial decryption that
-    `judge_partial_decryption` accepts (`protocol.first_accepted`), else
+    """Per-dealer C1^{d_i}: its first accepted partial decryption
+    (`protocol.first_accepted`; NOT_A_PARTICIPANT for a non-dealer, else
+    BAD_DLEQ unless its DLEQ proof holds), else
     Lagrange interpolation in the exponent over t share reveals that
     `judge_reveals` accepts (lowest guardian indices first).  Every
     partial decryption is judged, all of them in one `judge_claims` call.

@@ -19,21 +19,22 @@ def rng():
 
 # the `counts` key of the affine additions that each caller of
 # `groups._affine_sums` asks for
-AFFINE_SUM_KEYS = {"_odd_multiples": "table", "multi_exp": "row", "_comb_table": "comb",
+AFFINE_SUM_KEYS = {"_odd_multiples": "table", "multi_exps": "row", "_comb_tables": "comb",
                    "mul": "mul"}
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """The curve kernel's point operations while the test runs, by kind:
-    doublings (`_jac_double` calls: one per row of the Straus loop, plus
-    comb tables' teeth); mixed additions, one per point of a `_straus`
-    call; and affine additions or doublings, one per pair passed to
-    `_affine_sums`, under the key of the function that asks for them:
-    `table` for odd-multiple tables, `row` for the row sums of
-    `multi_exp`, `comb` for comb tables and `mul` for `mul`.  They do not
-    depend on the host."""
-    counts = dict.fromkeys(("double", "add", *AFFINE_SUM_KEYS.values()), 0)
+    """The curve kernel's work while the test runs, by kind: doublings
+    (`_jac_double` calls: one per row of the Straus loop, plus comb tables'
+    teeth); mixed additions, one per point of a `_straus` call; affine
+    additions or doublings, one per pair passed to `_affine_sums`, under
+    the key of the function that asks for them: `table` for odd-multiple
+    tables, `row` for the row sums of `multi_exps`, `comb` for comb tables
+    and `mul` for `mul`; and `inversion`, the field inversions, one per
+    `_inverses` call (Montgomery's trick, which every inversion of the
+    kernel goes through).  They do not depend on the host."""
+    counts = dict.fromkeys(("double", "add", *AFFINE_SUM_KEYS.values(), "inversion"), 0)
 
     def wrap(name, count):
         def counted(*args, inner=getattr(groups, name)):
@@ -47,6 +48,7 @@ def counts(monkeypatch):
     wrap("_straus", lambda _, rows, *__: add("add", sum(map(len, rows))))
     wrap("_affine_sums", lambda caller, pairs, *_: add(AFFINE_SUM_KEYS[caller], len(pairs)))
     wrap("_jac_double", lambda *_: add("double", 1))
+    wrap("_inverses", lambda *_: add("inversion", 1))
     return counts
 
 

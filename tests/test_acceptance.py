@@ -17,7 +17,7 @@ from fdkg.board import (ABSENT_ROUND2, BYZANTINE_SILENT, Behavior,
                         HonestActivation, ideal_functionality_run, run_ceremony)
 from fdkg.costmodel import ScenarioSpec, deal_message_bytes, estimate, size_table_lookup
 from fdkg.election import run_election
-from fdkg.groups import SECP256K1, TEST_GROUP, GroupError
+from fdkg.groups import SECP256K1, TEST_GROUP, GroupError, multi_exps
 from fdkg.protocol import GuardianSet, Params
 
 GROUP = TEST_GROUP
@@ -445,8 +445,8 @@ def _dleq_case(rng):
     w = rng.randrange(q)
     b1 = GROUP.base_exp(rng.randrange(1, q))
     b2 = GROUP.base_exp(rng.randrange(1, q))
-    o1, o2 = GROUP.exp(b1, w), GROUP.exp(b2, w)
-    proof = nizk.prove_dleq(GROUP, w, b1, o1, b2, o2, CTX, rng)
+    o1 = GROUP.exp(b1, w)
+    ((o2, proof),) = nizk.prove_dleqs(GROUP, w, b1, o1, [b2], CTX, rng)
     fields = [("elem", proof.commitment_1), ("elem", proof.commitment_2),
               ("scalar", proof.response)]
 
@@ -461,13 +461,14 @@ def _encrypt_one(rng):
     kp = pke.pke_keygen(GROUP, rng)
     m = rng.randrange(GROUP.order)
     kappa, r = rng.randrange(1, GROUP.order), rng.randrange(1, GROUP.order)
-    c1, (part,) = pke.pke_encrypt(GROUP, [kp.pk], [m], kappa, [r])
+    c1, (part,) = pke.pke_encrypt(GROUP, [m], multi_exps(
+        GROUP, pke.encryption_products(GROUP, [kp.pk], kappa, [r])))
     return kp, m, pke.PkeCiphertext(c1, part.c2, part.delta)
 
 
 def _share_decryption_case(rng):
     kp, _, ct = _encrypt_one(rng)
-    share, proof = nizk.prove_share_decryption(GROUP, kp.sk, kp.pk, ct, CTX, rng)
+    ((share, proof),) = nizk.prove_share_decryption(GROUP, kp.sk, kp.pk, [ct], CTX, rng)
     fields = [("elem", proof.mask), ("elem", proof.dleq.commitment_1),
               ("elem", proof.dleq.commitment_2), ("scalar", proof.dleq.response),
               ("scalar", share)]
@@ -484,10 +485,11 @@ def _deal_case(rng, k=3):
     """A deal's encryption to k keys and its proof: C1, each guardian's
     (C2_j, delta_j), T1, each T2_j, z and each z_j."""
     keys = [pke.pke_keygen(GROUP, rng).pk for _ in range(k)]
-    kappa, *masks = (rng.randrange(1, GROUP.order) for _ in range(k + 1))
-    c1, parts = pke.pke_encrypt(GROUP, keys, [rng.randrange(GROUP.order) for _ in keys],
-                                kappa, masks)
-    proof = nizk.prove_deal(GROUP, kappa, masks, keys, c1, parts, CTX, rng)
+    indices = list(range(2, k + 2))
+    c1, parts, commitments, proof = nizk.prove_deal(
+        GROUP, 1, indices, keys, [rng.randrange(GROUP.order) for _ in keys],
+        (rng.randrange(GROUP.order),), rng)
+    context = nizk.deal_context(GROUP, 1, commitments, indices)
     fields = [("elem", c1), *(f for p in parts for f in (("elem", p.c2), ("scalar", p.delta))),
               ("elem", proof.commitment_1), *(("elem", t2) for t2 in proof.commitments_2),
               ("scalar", proof.response), *(("scalar", z) for z in proof.responses)]
@@ -496,8 +498,8 @@ def _deal_case(rng, k=3):
         c1, rest = values[0], values[1:]
         parts = [pke.CiphertextPart(*rest[2 * j:2 * j + 2]) for j in range(k)]
         t1, t2, z, zs = rest[2 * k], rest[2 * k + 1:3 * k + 1], rest[3 * k + 1], rest[3 * k + 2:]
-        return nizk.holds(GROUP, CTX, [nizk.deal_equations(
-            GROUP, keys, c1, parts, nizk.DealProof(t1, tuple(t2), z, tuple(zs)), CTX)])
+        return nizk.holds(GROUP, context, [nizk.deal_equations(
+            GROUP, keys, c1, parts, nizk.DealProof(t1, tuple(t2), z, tuple(zs)), context)])
     return fields, verify
 
 
@@ -507,10 +509,7 @@ def _ballot_case(rng):
     global_pk = GROUP.base_exp(rng.randrange(1, q))
     blinding = rng.randrange(q)
     exponent = allowed[rng.randrange(2)]
-    a = GROUP.base_exp(blinding)
-    b = GROUP.mul(GROUP.exp(global_pk, blinding), GROUP.base_exp(exponent))
-    proof = nizk.prove_ballot(GROUP, global_pk, (a, b), blinding, exponent,
-                              allowed, CTX, rng)
+    (a, b), proof = nizk.prove_ballot(GROUP, global_pk, blinding, exponent, allowed, CTX, rng)
     fields = []
     for br in proof:
         fields += [("elem", br.commitment_1), ("elem", br.commitment_2),

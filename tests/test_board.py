@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fdkg import board as fboard
-from fdkg import protocol, shamir, transcripts
+from fdkg import protocol, shamir, transcripts, voting
 from fdkg.board import (ABSENT_ROUND1, ABSENT_ROUND2, BYZANTINE_SILENT,
                         HONEST, MALFORM_DEAL, WITHHOLD_SHARES, ActivationError,
                         Behavior, BroadcastBoard, CorruptActivation,
@@ -312,7 +312,8 @@ class TestRevealRoundCombs:
     def test_tables_only_during_the_round(self, driver, monkeypatch):
         """Dealer 2's deal is malformed, so only 3 C1s are fixed; dealer 4
         is absent in the reveal round, so its guardians' shares, proved on
-        its C1's table, recover it."""
+        its C1's table, recover it.  The election's tally round also holds
+        the aggregate's C1, the base of every partial decryption."""
         group = dataclasses.replace(SECP256K1, name="fresh")
         params = Params(4, 2, 2)
         behaviors = {**all_honest(4), 2: Behavior(MALFORM_DEAL), 4: Behavior(ABSENT_ROUND2)}
@@ -324,6 +325,7 @@ class TestRevealRoundCombs:
             return real(i, sk, public_state, *args)
 
         monkeypatch.setattr(protocol, "round2_reveal_shares", recording)
+        extra = set()
         if driver == "ceremony":
             result = run_ceremony(params, behaviors, group, 3, self.SETS)
             assert result.outcome.success and result.outcome.recovered[4][0] == "shares"
@@ -332,10 +334,48 @@ class TestRevealRoundCombs:
             result = run_election(params, behaviors, {1: 1, 2: 2, 3: 2}, 2, group, 3,
                                   guardian_sets=self.SETS)
             assert result.success and result.tally.counts == (1, 2)
+            aggregate, _ = voting.aggregate_ballots(
+                group, result.encoding, result.public_state.global_pk,
+                [e.message for e in result.board.entries(2)])
+            extra = {aggregate.c1[0]}
         public = states[0]
         c1s = {deal.c1[0] for deal in public.deals.values()}
         assert public.participants == (1, 3, 4) and len(c1s) == 3
-        assert seen == [c1s | {group.gx}] * 3  # parties 1, 2 and 3
+        assert seen == [c1s | {group.gx} | extra] * 3  # parties 1, 2 and 3
+        assert group._fixed == {group.gx: (group.gy, None)}
+
+    def test_tally_holds_the_aggregate_c1(self, monkeypatch):
+        """`run_election` holds the aggregate's C1 as a comb base from the
+        tally's reveal round through `collect_decryption_values` and
+        `tally_finalize`, and drops it after, also when the tally fails."""
+        group = dataclasses.replace(SECP256K1, name="fresh")
+        params = Params(4, 2, 2)
+        seen = {}
+
+        def recording(name):
+            real = getattr(voting, name)
+
+            def call(group_, *args):
+                seen[name] = set(group._fixed)
+                return real(group_, *args)
+            monkeypatch.setattr(voting, name, call)
+
+        for name in ("collect_decryption_values", "tally_finalize"):
+            recording(name)
+        behaviors = {**all_honest(4), 4: Behavior(ABSENT_ROUND2)}
+        result = run_election(params, behaviors, {1: 1, 2: 2, 3: 2}, 2, group, 3,
+                              guardian_sets=self.SETS)
+        assert result.success and result.tally.counts == (1, 2)
+        aggregate, _ = voting.aggregate_ballots(
+            group, result.encoding, result.public_state.global_pk,
+            [e.message for e in result.board.entries(2)])
+        assert seen == dict.fromkeys(seen, {group.gx, aggregate.c1[0]}) and len(seen) == 2
+        assert group._fixed == {group.gx: (group.gy, None)}
+        # dealers 3 and 4 absent: dealer 4's guardians 1 and 2 remain, dealer 3's only 1
+        behaviors = {**all_honest(4), 3: Behavior(ABSENT_ROUND2), 4: Behavior(ABSENT_ROUND2)}
+        result = run_election(params, behaviors, {1: 1, 2: 2, 3: 2}, 2, group, 3,
+                              guardian_sets=self.SETS)
+        assert not result.success and result.failed_dealers == (3,)
         assert group._fixed == {group.gx: (group.gy, None)}
 
     def test_tables_dropped_when_a_party_raises(self, monkeypatch):

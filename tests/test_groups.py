@@ -199,6 +199,85 @@ class TestMultiExp:
                 ref_exp(TOY_CURVE, P, -e), e
 
 
+def multi_exps_products(group):
+    """Lists of products for one `multi_exps` call: products as
+    `multi_exp_pairs` draws them, an empty product, an identity term, and a
+    product that reuses the bases of the others (a base shared by several
+    products); every other product also has a term on `fixed`, a base the
+    test fixes."""
+    fixed = group.base_exp(0xFEEDFACE % group.order)
+
+    def spread(products):
+        bases = [P for pairs in products for P, _ in pairs]
+        shared = [(P, -i - 1) for i, P in enumerate(bases[:4])]
+        products += [[], [(group.identity(), 3)], shared]
+        return [pairs + [(fixed, e)] if i % 2 else pairs
+                for i, pairs in enumerate(products) for e in [len(pairs) - 2]]
+
+    return st.lists(multi_exp_pairs(group), max_size=4).map(spread), fixed
+
+
+class TestMultiExps:
+    """`multi_exps`: one call, one point per product, each the affine
+    reference's product; the products share the call's tables, comb
+    scalars, row-sum levels and final inversion, and sharing moves only the
+    inversions and the split between row sums and Straus additions."""
+
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("group", [SECP256K1, TOY_CURVE, TEST_GROUP], ids=lambda g: g.name)
+    def test_matches_reference(self, group, data):
+        strategy, fixed = multi_exps_products(group)
+        products = data.draw(strategy)
+        expected = [fold(group, pairs) for pairs in products]
+        assert groups.multi_exps(group, products) == expected
+        with groups.fixed_base(group, fixed):
+            assert groups.multi_exps(group, products) == expected
+        assert groups.multi_exps(GroupMethodsOnly(group), products) == expected
+
+    def test_edge_products(self):
+        """Exponents 0, 1, q-1, q, q+1 and negatives on G, a fixed base and
+        a fresh one, mixed in products, P beside -P, and the empty call."""
+        g, q = SECP256K1.generator(), Q
+        fresh, fixed = SECP256K1.base_exp(0xC0FFEE), SECP256K1.base_exp(0xFEED)
+        products = [[(base, e)] for base in (g, fixed, fresh) for e in (0, 1, q - 1, q, q + 1, -1, -q - 1)]
+        products += [[(g, 5), (fixed, q - 1), (fresh, -3)], [(fresh, 7), (SECP256K1.inv(fresh), 7)],
+                     [(fixed, 2), (SECP256K1.inv(fixed), 2)], [(fresh, q + 2), (g, -q)]]
+        expected = [fold(SECP256K1, pairs) for pairs in products]
+        with groups.fixed_base(SECP256K1, fixed):
+            assert SECP256K1.multi_exps(products) == expected
+        assert SECP256K1.multi_exps(products) == expected
+        assert SECP256K1.multi_exps([]) == [] and TEST_GROUP.multi_exps([]) == []
+
+    def test_sharing_moves_only_inversions_and_the_row_split(self, counts):
+        """Eight products on distinct fresh bases and on G, in one call and
+        one call each: the same doublings, tables, comb and `mul` additions
+        and additions in all (row sums plus Straus additions); the one call
+        makes 7 inversions (4 table rounds, 2 row-sum levels and 1 final),
+        where the separate calls make 48 (6 each).  A base shared by two
+        products gets one table."""
+        SECP256K1.base_exp(1)
+        rng = random.Random(30)
+        products = [[(SECP256K1.base_exp(rng.randrange(1, Q)), rng.randrange(Q)),
+                     (SECP256K1.generator(), rng.randrange(Q))] for _ in range(8)]
+        keys = ("double", "table", "comb", "mul")
+
+        def measure(calls):
+            counts.update(dict.fromkeys(counts, 0))
+            points = [point for call in calls for point in SECP256K1.multi_exps(call)]
+            return points, {k: counts[k] for k in keys}, counts["add"] + counts["row"], \
+                counts["inversion"]
+
+        together = measure([products])
+        apart = measure([[pairs] for pairs in products])
+        assert together[:3] == apart[:3]
+        assert (together[3], apart[3]) == (7, 48)
+        shared = [products[0], [(products[0][0][0], 5)]]
+        counts.update(dict.fromkeys(counts, 0))
+        assert SECP256K1.multi_exps(shared) == [fold(SECP256K1, pairs) for pairs in shared]
+        assert counts["table"] == 10  # one width-5 table: 3 doublings, 7 additions
+
+
 class TestEncoding:
     @PROPERTY
     @given(k=st.integers(min_value=0, max_value=Q - 1))
@@ -570,6 +649,22 @@ class TestFixedBase:
                 assert group.base_exp(Q // 3) == expected
                 assert split.call_count == 1
 
+    def test_tables_built_together(self, counts):
+        """A block on three new points, -P of one of them, G and the
+        identity builds the three tables in one pass: COMB_TEETH + 1
+        inversions and 255 additions a table, each table the reference's."""
+        group = fresh_curve()
+        group.base_exp(1)
+        points = [group.base_exp(k) for k in (0xFEED, 0xFACE, 0xBEEF)]
+        counts.update(dict.fromkeys(counts, 0))
+        with groups.fixed_base(group, *points, group.inv(points[1]), group.generator(), None):
+            assert counts["inversion"] == groups.COMB_TEETH + 1
+            assert counts["comb"] == 3 * 255
+            assert {x: table for x, (_, table) in group._fixed.items() if table} == {
+                P[0]: ref_comb_table(group, P) for P in points}
+            assert group._fixed[points[1][0]][0] == points[1][1]  # the first of ±P
+        assert group._fixed == {group.gx: (group.gy, None)}
+
     @pytest.mark.parametrize("base", ["inner", "G", "-G", "identity"])
     def test_no_op_bases(self, base, counts):
         """A nested block on the same P, and a block on G, -G or the
@@ -681,9 +776,9 @@ class TestGlvCombs:
         with groups.fixed_base(SECP256K1, FIXED):
             for _ in range(2):
                 x = rng.randrange(1, Q)
-                out1, out2 = SECP256K1.base_exp(x), SECP256K1.exp(FIXED, x)
+                out1 = SECP256K1.base_exp(x)
+                ((out2, proof),) = nizk.prove_dleqs(SECP256K1, x, g, out1, [FIXED], b"ctx", rng)
                 assert out2 == ref_exp(SECP256K1, FIXED, x)
-                proof = nizk.prove_dleq(SECP256K1, x, g, out1, FIXED, out2, b"ctx", rng)
                 claims.append(nizk.dleq_equations(SECP256K1, g, out1, FIXED, out2, proof, b"ctx"))
             # the last proof against FIXED^(x+1)
             wrong = nizk.dleq_equations(SECP256K1, g, out1, FIXED, SECP256K1.mul(out2, FIXED),
@@ -825,19 +920,39 @@ class TestRowSums:
                 assert multi_exp(TOY_CURVE, pairs) == fold(TOY_CURVE, pairs), e
 
 
+def ref_comb_table(curve, P):
+    """P's comb table from the affine reference: the subset sums of its
+    teeth 2^(spacing*j)·P."""
+    teeth = [ref_exp(curve, P, 1 << (curve._comb_spacing * j)) for j in range(groups.COMB_TEETH)]
+    expected = [None]
+    for T in teeth:
+        expected += [ref_add(curve, S, T) for S in expected]
+    return expected
+
+
 class TestCombTable:
-    """`CurveGroup._comb_table` builds its 255 subset sums in COMB_TEETH
-    rounds of `_affine_sums`."""
+    """`CurveGroup._comb_tables` builds the 255 subset sums of every table
+    together, in COMB_TEETH rounds of `_affine_sums`."""
 
     @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE, COMB_TOY], ids=lambda g: g.name)
     def test_matches_reference(self, curve):
         P = ref_exp(curve, curve.generator(), 0xFEEDFACE)
-        teeth = [ref_exp(curve, P, 1 << (curve._comb_spacing * j))
-                 for j in range(groups.COMB_TEETH)]
-        expected = [None]
-        for T in teeth:
-            expected += [ref_add(curve, S, T) for S in expected]
-        assert curve._comb_table(*P) == expected
+        assert curve._comb_tables([P]) == [ref_comb_table(curve, P)]
+
+    @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE, COMB_TOY], ids=lambda g: g.name)
+    def test_batched_tables_match_reference(self, curve, counts):
+        """Five tables built together, P and -P among them, equal each
+        point's reference table, with COMB_TEETH + 1 inversions in all and
+        the additions and doublings of five tables built one by one."""
+        g = curve.generator()
+        points = [ref_exp(curve, g, k) for k in (1, 2, 0xFEEDFACE, 77)]
+        points.append(curve.inv(points[-1]))
+        counts.update(dict.fromkeys(counts, 0))
+        assert curve._comb_tables(points) == [ref_comb_table(curve, P) for P in points]
+        assert counts["inversion"] == groups.COMB_TEETH + 1
+        assert counts["comb"] == 5 * 255
+        assert counts["double"] == 5 * (groups.COMB_TEETH - 1) * curve._comb_spacing
+        assert curve._comb_tables([]) == []
 
     def test_colliding_sums_on_comb_toy(self):
         """COMB_TOY's build doubles a point and reaches infinity (at a column
@@ -847,7 +962,7 @@ class TestCombTable:
         assert ref_exp(COMB_TOY, g, COMB_TOY.q) is None
         teeth = [ref_exp(COMB_TOY, g, 1 << (COMB_TOY._comb_spacing * j))
                  for j in range(groups.COMB_TEETH)]
-        table = COMB_TOY._comb_table(*g)
+        (table,) = COMB_TOY._comb_tables([g])
         lower = [(table[m ^ 1 << (m.bit_length() - 1)], teeth[m.bit_length() - 1])
                  for m in range(1, 256)]
         assert any(S == T for S, T in lower) and any(S == COMB_TOY.inv(T) for S, T in lower)

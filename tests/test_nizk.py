@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from fdkg import groups, nizk, pke, protocol, shamir
-from fdkg.groups import SECP256K1, TEST_GROUP, multi_exp
+from fdkg import groups, nizk, pke, protocol, shamir, voting
+from fdkg.groups import SECP256K1, TEST_GROUP, multi_exp, multi_exps
 from fdkg.nizk import (ballot_equations, dleq_equations, feldman_equations,
                        share_decryption_equations)
 from fdkg.protocol import Verdict
@@ -14,6 +14,26 @@ CTX = b"test-context"
 
 def bump(group, elem):
     return group.mul(elem, group.generator())
+
+
+def prove_dleq(group, w, b1, o1, b2, o2, context, rng) -> nizk.DleqProof:
+    """`nizk.prove_dleqs` over the one base b2, whose out2 must be o2."""
+    ((out2, proof),) = nizk.prove_dleqs(group, w, b1, o1, [b2], context, rng)
+    assert out2 == o2
+    return proof
+
+
+def prove_one_decryption(group, sk, pk, ct, context, rng) -> tuple:
+    """`nizk.prove_share_decryption` of the one ciphertext ct."""
+    (proved,) = nizk.prove_share_decryption(group, sk, pk, [ct], context, rng)
+    return proved
+
+
+def prove_ballot(group, pk, ballot, blinding, exponent, allowed, context, rng) -> tuple:
+    """The branches of `nizk.prove_ballot`, whose ballot must be `ballot`."""
+    computed, branches = nizk.prove_ballot(group, pk, blinding, exponent, allowed, context, rng)
+    assert computed == ballot
+    return branches
 
 
 def holds(group, equations) -> bool:
@@ -33,30 +53,53 @@ class TestDleqProof:
     def test_witness_one(self, group, rng):
         w, b1, o1, b2, o2 = self._setup(group, rng, w=1)
         assert o1 == b1 and o2 == b2
-        proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+        proof = prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
         assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
 
     def test_honest_roundtrip(self, group, rng):
         for _ in range(50):
             w, b1, o1, b2, o2 = self._setup(group, rng)
-            proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+            proof = prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
             assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
 
     def test_perturbed_output_fails(self, group, rng):
         w, b1, o1, b2, o2 = self._setup(group, rng)
-        proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+        proof = prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
         assert not holds(group, dleq_equations(group, b1, o1, b2, bump(group, o2), proof, CTX))
 
     def test_unequal_logs_fail(self, group, rng):
-        w, b1, o1, b2, o2 = self._setup(group, rng)
-        bad = nizk.prove_dleq(group, w, b1, o1, b2, group.exp(b2, w + 1), CTX, rng)
-        assert not holds(group, dleq_equations(group, b1, o1, b2, group.exp(b2, w + 1), bad, CTX))
+        """A proof made as the prover makes it, with witness w, for the
+        false claim out2 = base2^(w+1)."""
+        w, b1, o1, b2, _ = self._setup(group, rng)
+        o2, nonce = group.exp(b2, w + 1), rng.randrange(group.order)
+        t1, t2 = group.exp(b1, nonce), group.exp(b2, nonce)
+        e = nizk._challenge(group, "dleq", CTX, b1, o1, b2, o2, t1, t2)
+        bad = nizk.DleqProof(t1, t2, (nonce + e * w) % group.order)
+        assert not holds(group, dleq_equations(group, b1, o1, b2, o2, bad, CTX))
+
+    def test_many_bases_are_the_one_base_proofs(self, group):
+        """`prove_dleqs` over several bases gives, base by base, the proofs
+        of one-base calls made in turn from the same randomness: one nonce
+        per base, drawn in order."""
+        rng = random.Random(15)
+        q, g = group.order, group.generator()
+        x = rng.randrange(1, q)
+        bases = [group.base_exp(rng.randrange(1, q)) for _ in range(4)] + [g, group.inv(g)]
+        seed = rng.randrange(2**32)
+        together = nizk.prove_dleqs(group, x, g, group.base_exp(x), bases, CTX,
+                                    random.Random(seed))
+        one_rng = random.Random(seed)
+        assert together == [nizk.prove_dleqs(group, x, g, group.base_exp(x), [b], CTX, one_rng)[0]
+                            for b in bases]
+        assert [out2 for out2, _ in together] == [group.exp(b, x) for b in bases]
+        assert nizk.prove_dleqs(group, x, g, group.base_exp(x), [], CTX, rng) == []
 
 
 def encrypt_one(group, rng, pk, m) -> pke.PkeCiphertext:
     """A one-key `pke_encrypt` of m to pk, as its recipient decrypts it."""
     kappa, r = rng.randrange(1, group.order), rng.randrange(1, group.order)
-    c1, (part,) = pke.pke_encrypt(group, [pk], [m], kappa, [r])
+    c1, (part,) = pke.pke_encrypt(group, [m], multi_exps(
+        group, pke.encryption_products(group, [pk], kappa, [r])))
     return pke.PkeCiphertext(c1, part.c2, part.delta)
 
 
@@ -69,19 +112,19 @@ class TestShareDecryption:
     def test_honest_roundtrip(self, group, rng):
         for _ in range(25):
             kp, m, ct = self._ciphertext(group, rng)
-            share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+            share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
             assert share == m
             assert holds(group, share_decryption_equations(group, kp.pk, ct, share, proof, CTX))
 
     def test_wrong_claimed_share_fails(self, group, rng):
         kp, m, ct = self._ciphertext(group, rng)
-        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + 1, proof,
                                                            CTX))
 
     def test_inverted_mask_fails(self, group, rng):
         kp, m, ct = self._ciphertext(group, rng)
-        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         forged = nizk.ShareDecryptionProof(group.inv(proof.mask), proof.dleq)
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share, forged, CTX))
 
@@ -151,14 +194,14 @@ class TestDealProofs:
     def test_constant_polynomial_check(self, group, rng):
         secret = rng.randrange(group.order)
         poly = shamir.Polynomial((secret,), group.order)
-        commitments = nizk.commit_polynomial(group, poly)
+        commitments = tuple(group.base_exp(c) for c in poly.coefficients)
         assert holds(group, feldman_equations(group, secret, 5, commitments))
         assert not holds(group, feldman_equations(group, secret + 1, 5, commitments))
 
     def test_check_share_exponents_stay_reduced(self, group, rng):
         q = group.order
         poly = shamir.Polynomial(tuple(rng.randrange(q) for _ in range(6)), q)
-        commitments = nizk.commit_polynomial(group, poly)
+        commitments = tuple(group.base_exp(c) for c in poly.coefficients)
         exponents = []
 
         class Recording:
@@ -190,7 +233,7 @@ class TestBallotProof:
         allowed = [1, 32]
         for exponent in allowed:
             pk, ballot, blinding = self._ballot(group, rng, allowed, exponent)
-            proof = nizk.prove_ballot(group, pk, ballot, blinding, exponent,
+            proof = prove_ballot(group, pk, ballot, blinding, exponent,
                                       allowed, CTX, rng)
             assert holds(group, ballot_equations(group, pk, ballot, allowed, proof, CTX))
 
@@ -198,20 +241,20 @@ class TestBallotProof:
         allowed = [1, 32]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 7)
         with pytest.raises(nizk.BallotProverError):
-            nizk.prove_ballot(group, pk, ballot, blinding, 7, allowed, CTX, rng)
+            prove_ballot(group, pk, ballot, blinding, 7, allowed, CTX, rng)
 
     def test_forged_exponent_fails_verification(self, group, rng):
         # ballot encrypts an out-of-set exponent; reuse an honest-looking proof
         allowed = [1, 32]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 7)
         pk2, ballot2, blinding2 = self._ballot(group, rng, allowed, 1)
-        proof = nizk.prove_ballot(group, pk2, ballot2, blinding2, 1, allowed, CTX, rng)
+        proof = prove_ballot(group, pk2, ballot2, blinding2, 1, allowed, CTX, rng)
         assert not holds(group, ballot_equations(group, pk2, ballot, allowed, proof, CTX))
 
     def test_challenge_sum_tampering_fails(self, group, rng):
         allowed = [1, 32, 64]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 32)
-        proof = nizk.prove_ballot(group, pk, ballot, blinding, 32, allowed, CTX, rng)
+        proof = prove_ballot(group, pk, ballot, blinding, 32, allowed, CTX, rng)
         br = proof[0]
         tampered = (nizk.BallotBranch(br.commitment_1, br.commitment_2,
                                       (br.challenge + 1) % group.order, br.response),
@@ -221,7 +264,7 @@ class TestBallotProof:
     def test_context_binding(self, group, rng):
         allowed = [1, 32]
         pk, ballot, blinding = self._ballot(group, rng, allowed, 1)
-        proof = nizk.prove_ballot(group, pk, ballot, blinding, 1, allowed, CTX, rng)
+        proof = prove_ballot(group, pk, ballot, blinding, 1, allowed, CTX, rng)
         assert not holds(group, ballot_equations(group, pk, ballot, allowed, proof, b"other"))
 
 
@@ -262,13 +305,13 @@ def test_witness_commitments_match_reference(curve):
         seed = rng.randrange(2**32)
         want = reference_prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
                                       random.Random(seed))
-        got = nizk.prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
+        got = prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
                                 random.Random(seed))
         assert len(got) == len(want)
         for mine, ref in zip(got, want):
             assert mine == ref, vote
         with groups.fixed_base(curve, pk):
-            assert nizk.prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
+            assert prove_ballot(curve, pk, ballot, blinding, vote, allowed, CTX,
                                      random.Random(seed)) == want
 
 
@@ -436,7 +479,7 @@ def test_share_decryption_batch(group):
     claims = []
     for j, kp in sorted(keypairs.items()):
         ct = msg.ciphertexts[j]
-        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         claims.append((kp.pk, ct, share, proof, j, msg.commitments))
     assert share_batch_holds(group, claims)
     assert share_batch_holds(group, [])
@@ -450,7 +493,7 @@ def test_share_decryption_batch(group):
         assert not share_batch_holds(group, batch)
     # a ciphertext of a wrong share: the decryption proof holds, Feldman does not
     wrong = encrypt_one(group, rng, pk, (share + 1) % group.order)
-    share, proof = nizk.prove_share_decryption(group, keypairs[j].sk, pk, wrong, CTX, rng)
+    share, proof = prove_one_decryption(group, keypairs[j].sk, pk, wrong, CTX, rng)
     assert holds(group, share_decryption_equations(group, pk, wrong, share, proof, CTX))
     assert not holds(group, feldman_equations(group, share, j, commitments))
     batch = claims[:2] + [(pk, wrong, share, proof, j, commitments)] + claims[3:]
@@ -470,7 +513,7 @@ def test_ballot_and_dleq_batches(group):
         ballot = (group.base_exp(blinding),
                   group.mul(group.exp(global_pk, blinding), group.base_exp(exponent)))
         context = CTX + bytes([voter])
-        proof = nizk.prove_ballot(group, global_pk, ballot, blinding, exponent, allowed,
+        proof = prove_ballot(group, global_pk, ballot, blinding, exponent, allowed,
                                   context, rng)
         claims.append((ballot, proof, context))
     assert nizk.holds(group, CTX, ballot_claims(group, global_pk, allowed, claims))
@@ -491,7 +534,7 @@ def test_ballot_and_dleq_batches(group):
     for _ in range(3):
         w = rng.randrange(q)
         out1, out2 = group.base_exp(w), group.exp(base2, w)
-        dleqs.append((g, out1, base2, out2, nizk.prove_dleq(group, w, g, out1, base2, out2,
+        dleqs.append((g, out1, base2, out2, prove_dleq(group, w, g, out1, base2, out2,
                                                             CTX, rng)))
     assert nizk.holds(group, CTX, dleq_claims(group, dleqs, CTX))
     assert not nizk.holds(group, CTX, dleq_claims(group, dleqs, b"other"))
@@ -523,7 +566,7 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
     w = rng.randrange(q)
     b1, b2 = group.base_exp(rng.randrange(1, q)), group.base_exp(rng.randrange(1, q))
     o1, o2 = group.exp(b1, w), group.exp(b2, w)
-    proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+    proof = prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
     assert holds(group, dleq_equations(group, b1, o1, b2, o2, proof, CTX))
     for bad in (nizk.DleqProof(bump(group, proof.commitment_1), proof.commitment_2,
                                proof.response),
@@ -538,7 +581,7 @@ def test_combined_checks_reject_single_tampers_on_secp256k1():
     blinding = rng.randrange(q)
     ballot = (group.base_exp(blinding),
               group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
-    proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
+    proof = prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
     assert holds(group, ballot_equations(group, global_pk, ballot, allowed, proof, CTX))
     for position, br in enumerate(proof):
         for bad in (nizk.BallotBranch(bump(group, br.commitment_1), br.commitment_2,
@@ -559,14 +602,14 @@ class TestCanonicalScalars:
         w = rng.randrange(q)
         b1, b2 = group.base_exp(rng.randrange(1, q)), group.base_exp(rng.randrange(1, q))
         o1, o2 = group.exp(b1, w), group.exp(b2, w)
-        proof = nizk.prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
+        proof = prove_dleq(group, w, b1, o1, b2, o2, CTX, rng)
         shifted = nizk.DleqProof(proof.commitment_1, proof.commitment_2, proof.response + q)
         assert not holds(group, dleq_equations(group, b1, o1, b2, o2, shifted, CTX))
 
     def test_share_decryption_share_plus_q(self, group, rng):
         kp = pke.pke_keygen(group, rng)
         ct = encrypt_one(group, rng, kp.pk, 5)
-        share, proof = nizk.prove_share_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
+        share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + group.order,
                                                            proof, CTX))
 
@@ -593,7 +636,7 @@ class TestCanonicalScalars:
         blinding = rng.randrange(q)
         ballot = (group.base_exp(blinding),
                   group.mul(group.exp(global_pk, blinding), group.base_exp(32)))
-        proof = nizk.prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
+        proof = prove_ballot(group, global_pk, ballot, blinding, 32, allowed, CTX, rng)
         assert holds(group, ballot_equations(group, global_pk, ballot, allowed, proof, CTX))
         br = proof[0]
         for shifted in (nizk.BallotBranch(br.commitment_1, br.commitment_2,
@@ -602,3 +645,83 @@ class TestCanonicalScalars:
                                           br.challenge, br.response + q)):
             bad = (shifted,) + proof[1:]
             assert not holds(group, ballot_equations(group, global_pk, ballot, allowed, bad, CTX))
+
+
+class TestProverInversions:
+    """Field inversions of each prover on secp256k1, as the `counts`
+    fixture counts them: a prover computes all its points in one
+    `multi_exps` call, which makes one inversion per table round, one per
+    level of row sums and one at its end, plus one per `mul` or `div` of
+    its own.  At the parent of that kernel, with one `multi_exp` per point
+    and its own inversion at the end of each, the same provers made the
+    figures each test names, all with G's comb built outside the count."""
+
+    @staticmethod
+    def inversions(counts, prove, *bases) -> int:
+        """The inversions of `prove()`, run inside a `fixed_base` block on
+        `bases` whose tables are built outside the count."""
+        SECP256K1.base_exp(1)
+        with groups.fixed_base(SECP256K1, *bases):
+            counts.update(dict.fromkeys(counts, 0))
+            prove()
+            return counts["inversion"]
+
+    def test_deal(self, counts):
+        """A k=4, t=2 deal: 11 inversions alone (4 table rounds of the four
+        keys' odd multiples, 2 levels, 1 final, 4 `mul`s for the C2_j), 8
+        with the keys' tables (64 and 40 at the parent)."""
+        rng = random.Random(31)
+        params = protocol.Params(6, 2, 4)
+        keypairs = {j: pke.pke_keygen(SECP256K1, rng) for j in range(2, 6)}
+        guardians = protocol.GuardianSet.create(1, keypairs, params)
+
+        def deal():
+            protocol.round1_deal(1, params, guardians, pki(keypairs), SECP256K1, random.Random(1))
+
+        assert self.inversions(counts, deal) == 11
+        assert self.inversions(counts, deal, *pki(keypairs).values()) == 8
+
+    def test_ballot(self, counts):
+        """A 3-candidate ballot: 6 inversions alone, 3 with the election
+        key's table (30 and 18 at the parent)."""
+        pk = SECP256K1.base_exp(0xC0FFEE)
+        enc = voting.derive_encoding(20, 3, SECP256K1.order)
+
+        def cast():
+            voting.cast_ballot(SECP256K1, enc, pk, 1, 2, random.Random(7))
+
+        assert self.inversions(counts, cast) == 6
+        assert self.inversions(counts, cast, pk) == 3
+
+    def test_share_decryptions(self, counts):
+        """A guardian's 4 share reveals: 10 inversions on fresh C1s (4 table
+        rounds, 1 level, 1 final, 4 `div`s for the masks), 6 with the C1s'
+        tables (52 and 28 at the parent)."""
+        rng = random.Random(32)
+        params = protocol.Params(6, 2, 4)
+        keypairs = {j: pke.pke_keygen(SECP256K1, rng) for j in range(1, 7)}
+        sets = {1: {2, 3, 4, 6}, 2: {3, 4, 5, 6}, 3: {1, 4, 5, 6}, 4: {1, 2, 5, 6},
+                5: {1, 2, 3, 4}}
+        deals = [protocol.round1_deal(i, params, protocol.GuardianSet.create(i, s, params),
+                                      pki(keypairs), SECP256K1, rng)[0] for i, s in sets.items()]
+        public = protocol.process_round1(deals, params, pki(keypairs), SECP256K1)
+
+        def reveal():
+            assert len(protocol.round2_reveal_shares(6, keypairs[6].sk, public, CTX, SECP256K1,
+                                                     random.Random(4))) == 4
+
+        assert self.inversions(counts, reveal) == 10
+        assert self.inversions(counts, reveal, *(deal.c1 for deal in deals)) == 6
+
+    def test_partial_decryption(self, counts):
+        """A dealer's partial decryption: 6 inversions on a fresh C1, 2 with
+        its table (12 and 6 at the parent)."""
+        c1 = SECP256K1.base_exp(999)
+        d = random.Random(33).randrange(1, SECP256K1.order)
+        partial_pk = SECP256K1.base_exp(d)
+
+        def decrypt():
+            voting.tally_partial_decrypt(SECP256K1, 1, d, partial_pk, c1, random.Random(3))
+
+        assert self.inversions(counts, decrypt) == 6
+        assert self.inversions(counts, decrypt, c1) == 2

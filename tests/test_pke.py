@@ -1,7 +1,7 @@
 import random
 
 from fdkg import pke, protocol
-from fdkg.groups import TEST_GROUP
+from fdkg.groups import TEST_GROUP, multi_exps
 
 
 def encrypt_oracle(group, pk, m, k, r):
@@ -20,9 +20,16 @@ def randomness(group, rng, recipients: int) -> tuple:
                                            for _ in range(recipients)]
 
 
+def encrypt(group, keys, messages, kappa, masks) -> tuple:
+    """`pke_encrypt` of messages[j] to keys[j], from the points of its
+    `encryption_products`."""
+    return pke.pke_encrypt(group, messages, multi_exps(
+        group, pke.encryption_products(group, keys, kappa, masks)))
+
+
 def encrypt_one(group, pk, m, kappa, r) -> pke.PkeCiphertext:
     """The one-key call of `pke_encrypt`, as its recipient decrypts it."""
-    c1, (part,) = pke.pke_encrypt(group, [pk], [m], kappa, [r])
+    c1, (part,) = encrypt(group, [pk], [m], kappa, [r])
     return pke.PkeCiphertext(c1, part.c2, part.delta)
 
 
@@ -74,7 +81,7 @@ def test_multi_recipient_is_one_key_calls_with_one_c1(group, rng):
         keypairs = [pke.pke_keygen(group, rng) for _ in range(k)]
         messages = [rng.randrange(group.order) for _ in range(k)]
         kappa, masks = randomness(group, rng, k)
-        c1, parts = pke.pke_encrypt(group, [kp.pk for kp in keypairs], messages, kappa, masks)
+        c1, parts = encrypt(group, [kp.pk for kp in keypairs], messages, kappa, masks)
         assert len(parts) == k
         for kp, m, r, part in zip(keypairs, messages, masks, parts):
             ct = encrypt_one(group, kp.pk, m, kappa, r)

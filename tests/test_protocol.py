@@ -523,8 +523,8 @@ class TestComplaints:
                                        params)
 
         def dealer_1_shares(context):
-            share, proof = nizk.prove_share_decryption(
-                group, pki[2].sk, pki[2].pk, public.deals[1].ciphertexts[2], context, rng)
+            ((share, proof),) = nizk.prove_share_decryption(
+                group, pki[2].sk, pki[2].pk, [public.deals[1].ciphertexts[2]], context, rng)
             return [ShareReveal(2, 1, share, proof)] + [
                 m for i in (3, 5)
                 for m in protocol.round2_reveal_shares(i, pki[i].sk, public, context, group, rng)

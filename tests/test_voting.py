@@ -13,9 +13,20 @@ from fdkg.protocol import Params, Verdict, round2_reveal_shares
 from fdkg.voting import (Ballot, DlogNotFoundError, TallyFailure,
                          TallyIntegrityError, UnsupportedConfigurationError,
                          VotingError, aggregate_ballots, bsgs_dlog, cast_ballot,
-                         collect_decryption_values, derive_encoding,
-                         judge_ballot, judge_partial_decryption, tally_finalize,
+                         collect_decryption_values, derive_encoding, tally_finalize,
                          tally_partial_decrypt)
+
+
+def ballot_verdict(group, enc, pk, ballot) -> Verdict:
+    """The verdict `aggregate_ballots` gives `ballot`, judged alone."""
+    return protocol.judge_claims(group, voting.BALLOT_CONTEXT,
+                                 [voting._ballot_claim(group, enc, pk, ballot)])[0]
+
+
+def partial_decryption_verdict(group, public, c1, pd) -> Verdict:
+    """The verdict `collect_decryption_values` gives `pd`, judged alone."""
+    return protocol.judge_claims(group, voting.TALLY_CONTEXT,
+                                 [voting._partial_decryption_claim(group, public, c1, pd)])[0]
 
 
 def proof_holds(group, enc, pk, ballot) -> bool:
@@ -98,7 +109,7 @@ class TestBallots:
         pk = ceremony.public_state.global_pk
         for candidate in (1, 2):
             ballot = cast_ballot(group, enc, pk, 1, candidate, rng)
-            assert judge_ballot(group, enc, pk, ballot) is Verdict.ACCEPTED
+            assert ballot_verdict(group, enc, pk, ballot) is Verdict.ACCEPTED
 
     def test_tampered_ballot_rejected(self, group, rng, election_keys):
         params, ceremony = election_keys
@@ -107,7 +118,7 @@ class TestBallots:
         ballot = cast_ballot(group, enc, pk, 1, 1, rng)
         bad = Ballot(1, ballot.a, group.mul(ballot.b, group.generator()),
                      ballot.proof)
-        assert judge_ballot(group, enc, pk, bad) is Verdict.BAD_PROOF
+        assert ballot_verdict(group, enc, pk, bad) is Verdict.BAD_PROOF
 
     def test_ballot_missing_branch_rejected(self, group, rng, election_keys):
         params, ceremony = election_keys
@@ -115,7 +126,7 @@ class TestBallots:
         pk = ceremony.public_state.global_pk
         ballot = cast_ballot(group, enc, pk, 1, 1, rng)
         bad = Ballot(1, ballot.a, ballot.b, ballot.proof[:-1])
-        assert judge_ballot(group, enc, pk, bad) is Verdict.BAD_PROOF
+        assert ballot_verdict(group, enc, pk, bad) is Verdict.BAD_PROOF
 
     def test_aggregate_drops_tampered(self, group, rng, election_keys):
         params, ceremony = election_keys
@@ -190,7 +201,7 @@ def test_ballot_reposted_under_another_voter_not_counted(curve):
                            (2 ** 40, Verdict.OFF_ROLL)):
         copy = voting.Ballot(voter, ballots[0].a, ballots[0].b, ballots[0].proof)
         assert not proof_holds(curve, enc, pk, copy)
-        assert judge_ballot(curve, enc, pk, copy) is verdict
+        assert ballot_verdict(curve, enc, pk, copy) is verdict
         assert aggregate_ballots(curve, enc, pk, ballots + [copy]) == honest
 
 
@@ -211,7 +222,7 @@ def test_ballots_past_the_roll_not_counted(roll_keys):
     rng = random.Random(40)
     ballots = [cast_ballot(curve, enc, pk, v, 1, rng) for v in range(1, 11)]
     assert all(proof_holds(curve, enc, pk, b) for b in ballots)
-    assert [judge_ballot(curve, enc, pk, b) for b in ballots] == \
+    assert [ballot_verdict(curve, enc, pk, b) for b in ballots] == \
         [Verdict.ACCEPTED] * 4 + [Verdict.OFF_ROLL] * 6
     agg, accepted = aggregate_ballots(curve, enc, pk, ballots)
     assert accepted == (1, 2, 3, 4)
@@ -229,19 +240,19 @@ def test_voter_ids_off_the_roll_not_counted(roll_keys):
     for voter in (-1, 0, 2 ** 40):
         ballot = cast_ballot(curve, enc, pk, voter, 1, rng)
         assert proof_holds(curve, enc, pk, ballot)
-        assert judge_ballot(curve, enc, pk, ballot) is Verdict.OFF_ROLL
+        assert ballot_verdict(curve, enc, pk, ballot) is Verdict.OFF_ROLL
         assert aggregate_ballots(curve, enc, pk, [ballot]) == (None, ())
         assert aggregate_ballots(curve, enc, pk, honest + [ballot]) == \
             aggregate_ballots(curve, enc, pk, honest)
 
 
 def one_by_one(group, enc, pk, ballots) -> tuple:
-    """The accepted voters of the first ballot per voter that `judge_ballot`
+    """The accepted voters of the first ballot per voter that `ballot_verdict`
     accepts, judging each ballot on its own."""
     accepted = []
     for ballot in ballots:
         if ballot.voter not in accepted and \
-                judge_ballot(group, enc, pk, ballot) is Verdict.ACCEPTED:
+                ballot_verdict(group, enc, pk, ballot) is Verdict.ACCEPTED:
             accepted.append(ballot.voter)
     return tuple(accepted)
 
@@ -266,7 +277,7 @@ def test_bad_then_good_ballot_counted_once(roll_keys, monkeypatch):
     resent = cast_ballot(curve, enc, pk, 2, 2, rng)
     ballots = [first[0], bad_response(curve, first[1]), first[2], resent,
                cast_ballot(curve, enc, pk, 4, 2, rng), first[1]]
-    assert judge_ballot(curve, enc, pk, ballots[1]) is Verdict.BAD_PROOF
+    assert ballot_verdict(curve, enc, pk, ballots[1]) is Verdict.BAD_PROOF
     calls, real = [], voting.judge_claims
     with monkeypatch.context() as m:
         m.setattr(voting, "judge_claims", lambda *args: calls.append(args) or real(*args))
@@ -360,7 +371,7 @@ class TestPartialDecryption:
         c1 = group.base_exp(5)
         pd = tally_partial_decrypt(group, 1, 0, group.identity(), c1, rng)
         assert pd.value == group.identity()
-        assert judge_partial_decryption(
+        assert partial_decryption_verdict(
             group, dealer_1_state(group.identity()), c1, pd) is Verdict.ACCEPTED
 
     def test_honest_roundtrip_and_mutation(self, group, rng):
@@ -369,12 +380,12 @@ class TestPartialDecryption:
         public = dealer_1_state(pk)
         c1 = group.base_exp(rng.randrange(1, group.order))
         pd = tally_partial_decrypt(group, 1, d, pk, c1, rng)
-        assert judge_partial_decryption(group, public, c1, pd) is Verdict.ACCEPTED
+        assert partial_decryption_verdict(group, public, c1, pd) is Verdict.ACCEPTED
         forged = voting.PartialDecryption(
             pd.dealer, group.mul(pd.value, group.generator()), pd.proof)
-        assert judge_partial_decryption(group, public, c1, forged) is Verdict.BAD_DLEQ
+        assert partial_decryption_verdict(group, public, c1, forged) is Verdict.BAD_DLEQ
         stray = voting.PartialDecryption(2, pd.value, pd.proof)
-        assert judge_partial_decryption(group, public, c1, stray) is Verdict.NOT_A_PARTICIPANT
+        assert partial_decryption_verdict(group, public, c1, stray) is Verdict.NOT_A_PARTICIPANT
         assert collect_decryption_values(
             group, public, c1, [stray, forged, pd], [], voting.TALLY_CONTEXT, 1) == \
             {1: pd.value}
@@ -396,7 +407,7 @@ def test_forged_then_genuine_partial_decryption(curve, monkeypatch):
     genuine = {i: pd.value for i, pd in pds.items()}
     forged = voting.PartialDecryption(1, curve.mul(pds[1].value, curve.generator()),
                                       pds[1].proof)
-    assert judge_partial_decryption(curve, public, c1, forged) is Verdict.BAD_DLEQ
+    assert partial_decryption_verdict(curve, public, c1, forged) is Verdict.BAD_DLEQ
     for posted in ([pds[1], pds[2]], [forged, pds[2], pds[1]], [pds[2], forged, pds[1]]):
         assert collect_decryption_values(
             curve, public, c1, posted, [], voting.TALLY_CONTEXT, 1) == genuine
