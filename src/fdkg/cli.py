@@ -106,8 +106,6 @@ def cmd_ceremony(run: dict, out) -> int:
         print(f"transcript written to {out}")
     print(f"participants: {list(result.public_state.participants)}")
     outcome = result.outcome
-    if outcome.excluded:
-        print(f"excluded for an inconsistent share: {list(outcome.excluded)}")
     for dealer, how in sorted(outcome.recovered.items()):
         via = "directly" if how[0] == "direct" else f"via guardians {list(how[1])}"
         print(f"dealer {dealer}: recovered {via}")

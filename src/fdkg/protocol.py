@@ -155,7 +155,7 @@ class ReconstructionOutcome:
     global_secret: Optional[int]
     recovered: dict  # dealer -> ("direct",) | ("shares", (j1..jt))
     failed: tuple  # dealers that could not be recovered
-    excluded: tuple = ()  # dealers without an accepted secret named by an INCONSISTENT share
+    excluded = ()  # no dealer is excluded; a class constant while perfbench/checks.py reads it
 
 
 def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
@@ -262,9 +262,9 @@ def first_accepted(messages, verdicts, key) -> dict:
     """{key(m): m} of the first message m per key whose verdict is ACCEPTED,
     in message order: the one rule by which a round keeps a deal per
     dealer, a ballot per voter and a partial decryption per dealer.
-    (`accepted_reveals` and the tally keep the first accepted reveal per
-    dealer and per (dealer, guardian) by the same rule, in their own pass
-    over the verdicts.)"""
+    (`accepted_reveals`, which the ceremony and the tally both call, keeps
+    the first accepted reveal per dealer and per (dealer, guardian) by the
+    same rule, in its own pass over the verdicts.)"""
     accepted = {}
     for msg, verdict in zip(messages, verdicts):
         if verdict is Verdict.ACCEPTED:
@@ -329,12 +329,11 @@ def judge_reveals(public_state: PublicState, reveals, group, context: bytes) -> 
 
 
 def _read_verdicts(memo: dict, reveals, context: bytes) -> tuple:
-    """One pass over `reveals`: (secrets, shares, excluded, unjudged), the
-    first three as `accepted_reveals` gives them but with `excluded`
-    naming every dealer of an INCONSISTENT share, and `unjudged`
-    {id(message): message} of those with no verdict under `context`."""
-    accepted, inconsistent = Verdict.ACCEPTED, Verdict.INCONSISTENT  # enum lookups are slow
-    secrets, shares, unjudged, excluded = {}, {}, {}, set()
+    """One pass over `reveals`: (secrets, shares, unjudged), the first two
+    as `accepted_reveals` gives them and `unjudged` {id(message): message}
+    of those with no verdict under `context`."""
+    accepted = Verdict.ACCEPTED  # enum lookups are slow
+    secrets, shares, unjudged = {}, {}, {}
     for msg in reveals:
         entry = memo.get(id(msg))
         if entry is None or entry[1] != context:
@@ -343,20 +342,18 @@ def _read_verdicts(memo: dict, reveals, context: bytes) -> tuple:
             shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
         elif entry[2] is accepted:
             secrets.setdefault(msg.sender, msg.value)
-        elif entry[2] is inconsistent:
-            excluded.add(msg.dealer)
-    return secrets, shares, excluded, unjudged
+    return secrets, shares, unjudged
 
 
 def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) -> tuple:
-    """(secrets, shares, excluded) over the verdicts of `reveals`: {dealer:
-    value} with the first accepted secret per dealer, {dealer: {guardian:
-    value}} with the first accepted share per (dealer, guardian), and the
-    set of dealers with no accepted secret named by a share judged
-    INCONSISTENT.  A dealer with an accepted secret is recovered from it,
-    so `shares` may lack its shares.
+    """(secrets, shares) over the verdicts of `reveals`: {dealer: value}
+    with the first accepted secret per dealer and {dealer: {guardian:
+    value}} with the first accepted share per (dealer, guardian).  A share
+    judged INCONSISTENT, or rejected for any other reason, just does not
+    count.  A dealer with an accepted secret is recovered from it, so
+    `shares` may lack its shares.
 
-    One pass over `reveals` reads all three from `public_state.verdicts`,
+    One pass over `reveals` reads both from `public_state.verdicts`,
     id(message) -> (message, context, verdict): holding the message keeps
     its id from being reused, and an equal but distinct copy is judged
     again.  Of the messages it finds unjudged, the shares of a dealer
@@ -365,17 +362,17 @@ def accepted_reveals(public_state: PublicState, reveals, group, context: bytes) 
     judged only if its dealer's secret is rejected, so every verdict the
     outcome depends on is judged."""
     memo = public_state.verdicts
-    secrets, shares, excluded, unjudged = _read_verdicts(memo, reveals, context)
+    secrets, shares, unjudged = _read_verdicts(memo, reveals, context)
     if unjudged:
         held = {msg.sender for msg in unjudged.values() if isinstance(msg, SecretReveal)}
         _judge(public_state, [msg for msg in unjudged.values()
                               if not isinstance(msg, ShareReveal) or msg.dealer not in held],
                group, context)
-        secrets, shares, excluded, waiting = _read_verdicts(memo, reveals, context)
+        secrets, shares, waiting = _read_verdicts(memo, reveals, context)
         if rejected := [msg for msg in waiting.values() if msg.dealer not in secrets]:
             _judge(public_state, rejected, group, context)
-            secrets, shares, excluded, _ = _read_verdicts(memo, reveals, context)
-    return secrets, shares, excluded.difference(secrets)
+            secrets, shares, _ = _read_verdicts(memo, reveals, context)
+    return secrets, shares
 
 
 def offline_reconstruct(public_state: PublicState, reveals, params: Params,
@@ -386,23 +383,19 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
     while that secret is judged with them; the outcome is the one
     `judge_reveals`' verdicts give.
 
-    A dealer with no accepted secret that is named by a share judged
-    INCONSISTENT is excluded: its partial secret is left out, so on
-    success `global_secret` is the secret key of the product of the
-    partial pks of the participants not excluded, which is
-    `public_state.global_pk` only when none is.  The first accepted
-    secret per dealer and share per (dealer, guardian) count; of more than
-    t shares for a dealer, the t lowest guardian indices are interpolated,
-    so identical reveal multisets give identical outcomes.  Accepted shares
+    No dealer is left out: each is recovered from its secret or from t
+    accepted shares, else it fails, so on success `global_secret` is the
+    secret key of `public_state.global_pk`.  The first accepted secret per
+    dealer and share per (dealer, guardian) count; of more than t shares
+    for a dealer, the t lowest guardian indices are interpolated, so
+    identical reveal multisets give identical outcomes.  Accepted shares
     passed the Feldman check against t commitments whose A_0 is the partial
     pk, so any t of them interpolate to the partial secret.
     """
-    secrets, shares, excluded = accepted_reveals(public_state, reveals, group, context)
+    secrets, shares = accepted_reveals(public_state, reveals, group, context)
     t, candidates = params.t, public_state.candidates
     recovered, failed, d = {}, [], 0
     for dealer in public_state.participants:
-        if dealer in excluded:
-            continue
         if dealer in secrets:
             d += secrets[dealer]
             recovered[dealer] = ("direct",)
@@ -416,10 +409,9 @@ def offline_reconstruct(public_state: PublicState, reveals, params: Params,
             d += value
         else:
             failed.append(dealer)
-    excluded = tuple(sorted(excluded)) if excluded else ()  # sorted(set()) is not free
-    if failed or not recovered:  # no recovered dealer and none failed: none active
-        return ReconstructionOutcome(False, None, recovered, tuple(failed), excluded)
-    return ReconstructionOutcome(True, d % group.order, recovered, (), excluded)
+    if failed or not recovered:  # none recovered and none failed: no participants
+        return ReconstructionOutcome(False, None, recovered, tuple(failed))
+    return ReconstructionOutcome(True, d % group.order, recovered, ())
 
 
 def reconstruction_capable(s, participants, guardian_sets, t: int) -> bool:

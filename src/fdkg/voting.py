@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import nizk, shamir
 from .groups import multi_exp
-from .protocol import (PublicState, ShareReveal, Verdict, first_accepted, judge_claims,
-                       judge_reveals)
+from .protocol import (PublicState, ShareReveal, Verdict, accepted_reveals, first_accepted,
+                       judge_claims)
 
 
 class VotingError(Exception):
@@ -173,26 +173,22 @@ def collect_decryption_values(group, public_state: PublicState, c1,
                               context: bytes, t: int) -> dict:
     """Per-dealer C1^{d_i}: its first accepted partial decryption
     (`protocol.first_accepted`; NOT_A_PARTICIPANT for a non-dealer, else
-    BAD_DLEQ unless its DLEQ proof holds), else
-    Lagrange interpolation in the exponent over t share reveals that
-    `judge_reveals` accepts (lowest guardian indices first).  Every
-    partial decryption is judged, all of them in one `judge_claims` call.
-    A share reveal for a dealer with an accepted partial decryption is not
-    judged, since the tally would not use it; the other messages in
-    `share_reveals` are, in one `judge_reveals` call, and the first
-    accepted share per (dealer, guardian) counts.  A share judged
-    INCONSISTENT removes no dealer here, since the election key already
-    holds its partial pk; the share just does not count.  Raises
+    BAD_DLEQ unless its DLEQ proof holds), else Lagrange interpolation in
+    the exponent over its t lowest accepted guardian shares: the ceremony's
+    rule, with a partial decryption in place of a secret.  Every partial
+    decryption is judged, all of them in one `judge_claims` call.  The
+    share reveals of the dealers without one go to
+    `protocol.accepted_reveals`, which `offline_reconstruct` calls too;
+    nothing else in `share_reveals` is judged, since the tally would not
+    use it.  A share judged INCONSISTENT just does not count.  Raises
     TallyFailure listing dealers with no recovery path."""
     partial_decryptions = list(partial_decryptions)
     verdicts = judge_claims(group, TALLY_CONTEXT, [
         _partial_decryption_claim(group, public_state, c1, pd) for pd in partial_decryptions])
     direct = first_accepted(partial_decryptions, verdicts, lambda pd: pd.dealer)
-    needed = [m for m in share_reveals if not (isinstance(m, ShareReveal) and m.dealer in direct)]
-    shares = {}
-    for msg, verdict in zip(needed, judge_reveals(public_state, needed, group, context)):
-        if verdict is Verdict.ACCEPTED and isinstance(msg, ShareReveal):
-            shares.setdefault(msg.dealer, {}).setdefault(msg.sender, msg.value)
+    _, shares = accepted_reveals(public_state, [
+        m for m in share_reveals if isinstance(m, ShareReveal) and m.dealer not in direct],
+        group, context)
     values, missing = {}, []
     for dealer in public_state.participants:
         bucket = shares.get(dealer, {})

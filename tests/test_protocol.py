@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -344,10 +345,10 @@ class TestVerdicts:
     def test_every_rejection_reason_produced(self, group, rng):
         """Each verdict but ACCEPTED comes out of `judge_reveals` or
         `judge_deal` for some message built here: the CASES above;
-        INCONSISTENT, which is no case there since it excludes the dealer
-        and so changes the outcome; and dealer 1's deal posted by dealer -1
-        (OFF_ROLL), by its guardian 2 (BAD_GUARDIAN_SET) and with its proof
-        one response short (BAD_PROOF)."""
+        INCONSISTENT, which is no case there since only a deal that
+        encrypts a wrong share draws it; and dealer 1's deal posted by
+        dealer -1 (OFF_ROLL), by its guardian 2 (BAD_GUARDIAN_SET) and with
+        its proof one response short (BAD_PROOF)."""
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         forged = [forged_reveal(case, group, public, reveals) for case, _ in self.CASES]
@@ -390,21 +391,21 @@ class TestVerdicts:
         assert len(calls) == 1
 
 
-def bad_deal(group, rng, params, pub):
-    """Dealer 1's `round1_deal` to guardians {2, 3, 5}, but with a wrong
-    share encrypted to guardian 2: its commitments and deal proof are
-    honest for what the deal holds."""
+def bad_deal(group, rng, params, pub, dealer=1, members=(2, 3, 5), wrong=(2,)):
+    """`dealer`'s `round1_deal` to guardians `members`, but with a wrong
+    share encrypted to each guardian in `wrong`: its commitments and deal
+    proof are honest for what the deal holds."""
     share_secret = shamir.share_secret
 
     def offset_share(*args):
         shares, poly = share_secret(*args)
-        return [shamir.Share(s.index, (s.value + 1) % group.order) if s.index == 2 else s
+        return [shamir.Share(s.index, (s.value + 1) % group.order) if s.index in wrong else s
                 for s in shares], poly
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shamir, "share_secret", offset_share)
-        msg, state = protocol.round1_deal(1, params, GuardianSet.create(1, {2, 3, 5}, params),
-                                          pub, group, rng)
+        msg, state = protocol.round1_deal(
+            dealer, params, GuardianSet.create(dealer, members, params), pub, group, rng)
     return msg, state.partial_secret
 
 
@@ -438,12 +439,72 @@ def bad_dealer_round1(group, rng):
     return params, pki, states, public
 
 
+def wrong_shares_succeed(coalition, guardian_sets, wrong, t):
+    """The reference predicate with wrong shares: every participant of
+    `coalition`, which withholds its secret, keeps at least t guardians
+    outside `coalition` that did not get a wrong share (`wrong[i]`)."""
+    return all(len(guardian_sets[i] - coalition - wrong[i]) >= t for i in coalition)
+
+
+def test_wrong_shares_against_predicate():
+    """Exhaustive on modp-2027 over n=3 with every k, t and topology, and
+    n=4, k=3, t=2: every dealer's choice of the guardians that get a wrong
+    share (`bad_deal`), and every coalition of parties withholding all
+    they would send, the rest revealing honestly.  Reconstruction succeeds
+    exactly when `wrong_shares_succeed` says so, and every success is the
+    key of `global_pk`."""
+    budget_s = 30.0
+    start = time.perf_counter()
+    group, rng = TEST_GROUP, random.Random(2031)
+    checked = 0
+    for n, k, t in ((3, 1, 1), (3, 2, 1), (3, 2, 2), (4, 3, 2)):
+        params = Params(n, t, k)
+        parties = tuple(range(1, n + 1))
+        pki = make_pki(group, rng, n)
+        pub = {i: kp.pk for i, kp in pki.items()}
+        coalitions = [frozenset(c) for size in range(n + 1)
+                      for c in itertools.combinations(parties, size)]
+        # per dealer, a deal for each guardian set and wrong-share subset,
+        # with the dealer's secret and its guardians' share reveals
+        options = {i: [] for i in parties}
+        for i in parties:
+            for members in itertools.combinations([j for j in parties if j != i], k):
+                for size in range(k + 1):
+                    for wrong in itertools.combinations(members, size):
+                        msg, d = bad_deal(group, rng, params, pub, i, members, wrong)
+                        alone = protocol.process_round1([msg], params, pub, group)
+                        reveals = [SecretReveal(i, d)] + [
+                            m for j in members
+                            for m in protocol.round2_reveal_shares(j, pki[j].sk, alone, CTX,
+                                                                   group, rng)]
+                        options[i].append((frozenset(members), frozenset(wrong), msg, reveals))
+        for combo in itertools.product(*(options[i] for i in parties)):
+            public = protocol.process_round1([msg for _, _, msg, _ in combo], params, pub, group)
+            assert public.participants == parties
+            gsets = {i: members for i, (members, *_) in zip(parties, combo)}
+            wrong = {i: targets for i, (_, targets, *_) in zip(parties, combo)}
+            reveals = [m for *_, messages in combo for m in messages]
+            for coalition in coalitions:
+                live = [m for m in reveals if m.sender not in coalition]
+                outcome = protocol.offline_reconstruct(public, live, params, group, CTX)
+                assert outcome.success == wrong_shares_succeed(coalition, gsets, wrong, t), \
+                    (n, k, t, gsets, wrong, coalition)
+                if outcome.success:
+                    assert group.base_exp(outcome.global_secret) == public.global_pk
+                checked += 1
+    assert checked == 3 * 512 + 65_536
+    assert time.perf_counter() - start < budget_s
+
+
 class TestComplaints:
-    def test_guardian_complains_and_dealer_excluded(self, group, rng):
+    def test_guardian_complains_and_dealer_recovered(self, group, rng):
+        """Absent dealer 1 encrypted a wrong share to guardian 2, whose honest
+        reveal of it is INCONSISTENT and does not count; guardians 3 and 5
+        recover dealer 1, so the secret is the key of `global_pk`."""
         params = Params(10, 2, 3)
         pki = make_pki(group, rng, params.n)
         pub = {i: kp.pk for i, kp in pki.items()}
-        bad_msg, _ = bad_deal(group, rng, params, pub)
+        bad_msg, d1 = bad_deal(group, rng, params, pub)
         sets = {3: {4, 5, 7}, 5: {3, 6, 7}}
         honest = []
         states = {}
@@ -466,17 +527,15 @@ class TestComplaints:
                         if isinstance(m, ShareReveal) and (m.sender, m.dealer) == (2, 1)]
         assert protocol.judge_reveals(public, [complaint], group, CTX) == [Verdict.INCONSISTENT]
         outcome = protocol.offline_reconstruct(public, reveals, params, group, CTX)
-        assert outcome.excluded == (1,)
         assert outcome.success
-        expected = sum(states[i].partial_secret for i in (3, 5)) % group.order
+        assert outcome.recovered[1] == ("shares", (3, 5))
+        expected = (d1 + sum(states[i].partial_secret for i in (3, 5))) % group.order
         assert outcome.global_secret == expected
-        # the secret of the partial pks left, not of the global key, which keeps dealer 1's
-        rest = group.mul(public.deals[3].partial_pk, public.deals[5].partial_pk)
-        assert group.base_exp(outcome.global_secret) == rest != public.global_pk
+        assert group.base_exp(outcome.global_secret) == public.global_pk
 
     def test_baseless_complaint_ignored(self, group, rng):
         """A guardian cannot make an honest dealer's share look inconsistent:
-        a wrong value fails its decryption proof and excludes nobody."""
+        a wrong value fails its decryption proof and changes no outcome."""
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         share = next(m for m in reveals if isinstance(m, ShareReveal))
@@ -485,16 +544,16 @@ class TestComplaints:
         assert protocol.judge_reveals(public, [smear], group, CTX) == [Verdict.BAD_DLEQ]
         outcome = protocol.offline_reconstruct(
             public, [smear] + reveals, params, group, CTX)
-        assert outcome.excluded == ()
+        assert outcome == protocol.offline_reconstruct(public, reveals, params, group, CTX)
         assert outcome.success
 
     @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
     def test_revealed_secret_recovers_dealer_despite_inconsistent_share(self, group):
         """Dealer 1 of `bad_dealer_round1` reveals its correct secret, and
         honest guardian 2's share of it is INCONSISTENT.  The secret
-        recovers dealer 1, which is not excluded, so the reconstructed
-        secret is the key of `global_pk`: from an empty memo, and after
-        `judge_reveals` has memoized the share's verdict."""
+        recovers dealer 1, so the reconstructed secret is the key of
+        `global_pk`: from an empty memo, and after `judge_reveals` has
+        memoized the share's verdict."""
         rng = random.Random(12)
         params, pki, states, public = bad_dealer_round1(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {1, 2, 3, 4, 5})
@@ -506,7 +565,6 @@ class TestComplaints:
             outcome = protocol.offline_reconstruct(fresh, reveals, params, group, CTX)
             assert outcome.success
             assert outcome.recovered[1] == ("direct",)
-            assert outcome.excluded == ()
             assert group.base_exp(outcome.global_secret) == public.global_pk
             assert protocol.judge_reveals(fresh, [share], group, CTX) == [Verdict.INCONSISTENT]
 
@@ -514,9 +572,9 @@ class TestComplaints:
     def test_colluding_guardian_cannot_block_dealer(self, group):
         """Dealer 1 encrypts a wrong share to guardian 2 and is absent in
         round 2; guardian 2 colludes and posts its decryption as a plain
-        share.  One corrupt guardian of three leaves liveness intact, so the
-        ceremony reconstructs with dealer 1 excluded, and the tally recovers
-        C1^{d_1} from the other two guardians' shares."""
+        share, which is INCONSISTENT and does not count.  One corrupt
+        guardian of three leaves liveness intact: the ceremony recovers d_1,
+        and the tally C1^{d_1}, from the other two guardians' shares."""
         rng = random.Random(12)
         params, pki, states, public = bad_dealer_round1(group, rng)
         assert protocol.liveness_holds({1, 2}, public.participants, public.guardian_sets(),
@@ -534,9 +592,10 @@ class TestComplaints:
                    for i in range(2, 6)]
         outcome = protocol.offline_reconstruct(
             public, secrets + dealer_1_shares(CTX), params, group, CTX)
-        assert outcome.success and outcome.excluded == (1,)
+        assert outcome.success and outcome.recovered[1] == ("shares", (3, 5))
         assert outcome.global_secret == sum(
-            states[i].partial_secret for i in range(2, 6)) % group.order
+            states[i].partial_secret for i in range(1, 6)) % group.order
+        assert group.base_exp(outcome.global_secret) == public.global_pk
 
         c1 = group.base_exp(rng.randrange(1, group.order))
         partial_decryptions = [voting.tally_partial_decrypt(
@@ -841,9 +900,9 @@ class TestBatchedReveals:
     def test_new_reveals_after_memoized_pass(self, group, monkeypatch):
         """After the reveals of every corruption set have verdicts, a subset
         plus two new reveals judges the two new ones only, and reconstructs
-        what a fresh state with no memo does: a forged share (BAD_DLEQ)
-        counts for nothing, and guardian 2's share of `bad_deal`'s dealer 1
-        (INCONSISTENT) excludes that dealer."""
+        what a fresh state with no memo does: neither a forged share
+        (BAD_DLEQ) nor guardian 2's share of `bad_deal`'s dealer 1
+        (INCONSISTENT) counts, and guardians 3 and 5 recover dealer 1."""
         rng = random.Random(20)
         params, pki, states, public = bad_dealer_round1(group, rng)
         parties = (1, 2, 3, 4, 5)
@@ -876,9 +935,9 @@ class TestBatchedReveals:
             Verdict.BAD_DLEQ, Verdict.INCONSISTENT]
         fresh = dataclasses.replace(public, verdicts={}, candidates={})
         assert outcome == protocol.offline_reconstruct(fresh, mixed, params, group, CTX)
-        assert outcome.success and outcome.excluded == (1,)
+        assert outcome.success and outcome.recovered[1] == ("shares", (3, 5))
         assert outcome.global_secret == sum(
-            states[i].partial_secret for i in range(2, 6)) % group.order
+            states[i].partial_secret for i in range(1, 6)) % group.order
 
 
 FAULTS = ("forged_dleq", "inconsistent_share", "wrong_secret", "withheld_secrets")
@@ -922,8 +981,8 @@ def test_unchecked_proofs_change_no_outcome(group, seed, faults):
     """For every subset of senders, reconstruction gives the same outcome
     whether it starts from no verdicts, from the verdicts of the subsets
     before it (in which shares of a revealed dealer may be left unjudged),
-    or after `judge_reveals` checked every message in full; and the
-    verdicts come out the same."""
+    or after `judge_reveals` checked every message in full; every success
+    is the key of `global_pk`; and the verdicts come out the same."""
     params, public, reveals = faulty_ceremony(group, seed, faults)
     judged = dataclasses.replace(public, verdicts={}, candidates={})
     verdicts = protocol.judge_reveals(judged, reveals, group, CTX)
@@ -939,6 +998,8 @@ def test_unchecked_proofs_change_no_outcome(group, seed, faults):
             fresh = dataclasses.replace(public, verdicts={}, candidates={})
             assert protocol.offline_reconstruct(fresh, live, params, group, CTX) == want
             assert protocol.offline_reconstruct(memoized, live, params, group, CTX) == want
+            if want.success:
+                assert group.base_exp(want.global_secret) == public.global_pk
     assert protocol.judge_reveals(memoized, reveals, group, CTX) == verdicts
 
 
@@ -951,7 +1012,7 @@ def outcome_digest(public, reveals, params, group, parties):
             live = [m for m in reveals if m.sender not in corrupted]
             o = protocol.offline_reconstruct(public, live, params, group, CTX)
             h.update(repr((o.success, o.global_secret, sorted(o.recovered.items()),
-                           o.failed, o.excluded)).encode())
+                           o.failed, ())).encode())  # a fifth item keeps the pins valid
     return h.hexdigest()
 
 
@@ -963,7 +1024,11 @@ class TestOutcomePins:
     a deal came to share one encryption exponent among its guardians: each
     run's one `random.Random` makes fewer draws per deal, so later
     dealers' polynomials, and on modp later topologies, are new draws.
-    The secp256k1 outcomes differ only in `global_secret`."""
+    The secp256k1 outcomes differ only in `global_secret`.  SECP_PIN was
+    re-taken again when an INCONSISTENT share stopped excluding its
+    dealer, 8 of its 32 sets changing: {1} and {1, 4} succeed with the key
+    of `global_pk`, {1, 3} and {1, 5} fail naming dealer 1, and {1, 3, 4},
+    {1, 3, 5}, {1, 4, 5} and {1, 3, 4, 5} name dealer 1 among the failed."""
 
     def test_modp_topologies(self):
         group = TEST_GROUP
@@ -996,7 +1061,7 @@ class TestOutcomePins:
 
 
 MODP_PIN = "2f771fae6fb432ee553a04df18843948e2acbb61041782dfb3bba2d92eba2391"
-SECP_PIN = "53d26614a66cc0dd3097af1bb0c704a7ed9ba97e28956cc217bf801966b0d27e"
+SECP_PIN = "18b5de652885f915564ae6dbe5c7a613399491ee688fc74917cdc21d0c49d1e1"
 
 
 def brute_force_capable(s, participants, guardian_sets, t):

@@ -512,10 +512,11 @@ class TestTallyJudgesOnlyNeededShares:
         assert protocol.judge_reveals(public, [broken], curve, voting.TALLY_CONTEXT) == \
             [Verdict.BAD_DLEQ]
 
-    def test_secret_reveal_among_shares_still_judged(self, monkeypatch):
-        """Secrets among the tally's messages are judged, and even absent
+    def test_secret_reveal_among_shares_not_judged(self, monkeypatch):
+        """Secrets among the tally's messages are not judged, and even absent
         dealer 1's correct secret leaves its shares counted: the tally
-        ignores secrets, so their decryption proofs are still checked."""
+        passes only share reveals to `protocol.accepted_reveals`, so a
+        secret cannot hold back its dealer's shares."""
         result, aggregate, pds, shares = benchmark_shaped_election(TEST_GROUP)
         public = result.public_state
         absent = shamir.reconstruct([shamir.Share(m.sender, m.value)
@@ -533,7 +534,7 @@ class TestTallyJudgesOnlyNeededShares:
         public.verdicts.clear()
         values = collect_decryption_values(TEST_GROUP, public, aggregate.c1, pds,
                                            secrets + shares, voting.TALLY_CONTEXT, 2)
-        assert judged == secrets
+        assert judged == []
         assert tally_finalize(TEST_GROUP, aggregate, values, len(result.accepted_voters),
                               result.encoding) == result.tally
 
