@@ -40,8 +40,8 @@ kernel (native `pow` on MultiplicativeGroup) or, for any object offering
 only the Group methods, the generic fold of `exp` and `mul` per product.
 
 Scalars are plain Python ints reduced mod the group order q.  Every group
-exposes a coordinate map chi(element) -> scalar used by the PKE layer; the
-only requirement on chi is determinism.
+exposes a coordinate map chi(element) -> scalar, deterministic; no program
+path calls it (see `Group`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ class Group:
     `identity()`, `mul(a, b)`, `inv(a)`, `exp(a, e)`, `encode(a) -> bytes`,
     `decode(data)` and `chi(a) -> int`, a deterministic coordinate map to
     Z_q, and `multi_exps(products)`, one `multi_exp` per product; the
-    methods below derive from those.
+    methods below derive from those.  `chi` has no caller in the program
+    since shares are encrypted with a hashed pad (`pke`); it stays because
+    the benchmark's counting group proxy (`perfbench/spans.py`,
+    `CountingGroup`) wraps it by name.
 
     Elements are opaque values; use only these methods to combine them.
     Canonical encodings are injective and stable across versions: they feed
@@ -164,10 +167,8 @@ class MultiplicativeGroup(Group):
 COMB_TEETH = 8
 # `multi_exp` sums a level of its rows' points only if the level has at least
 # ROW_PAIRS pairs: on secp256k1 the level's inversion costs about what 11
-# pairs save.  A longer level goes through `_affine_sums` in runs of rows of
-# at least ROW_RUN pairs, so that its temporaries stay small.
+# pairs save.  A level's pairs go through one `_affine_sums` call.
 ROW_PAIRS = 12
-ROW_RUN = 256
 
 
 def _wnaf(e: int, width: int) -> list:
@@ -453,15 +454,10 @@ class CurveGroup(Group):
             full = [row for rows in everyone for row in rows if len(row) > 1]
             if sum(len(row) >> 1 for row in full) < ROW_PAIRS:
                 return _to_affine([_straus(rows, a, p) for rows in everyone], p)
-            pairs, run = [], []  # rows whose pairs share one `_affine_sums`
-            for row in full:
-                pairs += zip(row[::2], row[1::2])
-                run.append(row)
-                if len(pairs) >= ROW_RUN or row is full[-1]:
-                    sums = iter(_affine_sums(pairs, a, p))
-                    for r in run:  # its sums, and its odd point if it has one
-                        r[:] = [S for _, S in zip(r[1::2], sums) if S] + r[len(r) & ~1:]
-                    pairs, run = [], []
+            sums = iter(_affine_sums([pair for row in full
+                                      for pair in zip(row[::2], row[1::2])], a, p))
+            for row in full:  # its sums, and its odd point if it has one
+                row[:] = [S for _, S in zip(row[1::2], sums) if S] + row[len(row) & ~1:]
 
     def _split(self, e: int) -> tuple:
         """(k1, k2) with k1 + k2·λ ≡ e (mod q) and |k1|, |k2| < 2^128: e

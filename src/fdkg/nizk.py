@@ -1,7 +1,7 @@
 """Fiat-Shamir sigma-protocol proofs.
 
 Relations covered: DLEQ (partial decryptions, share-decryption link),
-a deal's one encryption of its shares to all its guardians, Feldman
+knowledge of the one encryption exponent of a deal's shares, Feldman
 coefficient commitments with the check of a revealed share against them,
 and the disjunctive ballot proof.  A revealed partial secret needs no
 proof: it is the dealer's share at index 0, so its check is the Feldman
@@ -10,8 +10,8 @@ equation there, G^d = A_0, judged in a batch with the shares.
 Each relation has one verifier-side builder, `*_equations`, that writes
 its verification equations as prod base^exponent = identity, each a list
 of (base, exponent) pairs, or returns None for a claim rejected before any
-group operation: a non-canonical scalar (responses, challenges, ciphertext
-deltas and claimed shares must lie in [0, q)), a wrong branch count or a
+group operation: a non-canonical scalar (responses, challenges, share
+ciphertexts and claimed shares must lie in [0, q)), a wrong branch count or a
 master-challenge mismatch.  `holds` is the one check of such equations;
 `protocol.judge_claims` and `protocol.judge_deal` judge messages with it.
 `nizk` has no verifier of its own.
@@ -52,7 +52,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .groups import multi_exps
-from .pke import PkeCiphertext, encryption_products, pke_encrypt
+from .pke import PkeCiphertext, encryption_products, pad, pke_encrypt
 
 
 def _challenge(group, relation: str, context: bytes, *parts) -> int:
@@ -141,54 +141,51 @@ def dleq_equations(group, base1, out1, base2, out2, proof: DleqProof, context: b
 class ShareDecryptionProof:
     """Publicly checkable decryption of one share ciphertext.
 
-    `mask` is the recovered point M; the embedded DLEQ ties C2/M to C1 under
-    the decryptor's key, and chi(M) - delta must equal the claimed share.
+    `key` is C1^sk, the pad's key; the embedded DLEQ ties it to the
+    decryptor's pk, and c - pad(key) must equal the claimed share.
     """
 
-    mask: object
+    key: object
     dleq: DleqProof
 
 
 def prove_share_decryption(group, sk: int, pk, cts, context: bytes, rng) -> list:
     """(share, ShareDecryptionProof) of each PkeCiphertext in `cts` under the
     key pair (sk, pk), all proved by one `prove_dleqs`."""
-    out = []
-    for ct, (out2, dleq) in zip(cts, prove_dleqs(group, sk, group.generator(), pk,
-                                                 [ct.c1 for ct in cts], context, rng)):
-        mask = group.div(ct.c2, out2)  # the pke_decrypt mask, so C2/mask = C1^sk
-        out.append(((group.chi(mask) - ct.delta) % group.order, ShareDecryptionProof(mask, dleq)))
-    return out
+    q = group.order
+    return [((ct.c - pad(group, key)) % q, ShareDecryptionProof(key, dleq))
+            for ct, (key, dleq) in zip(cts, prove_dleqs(group, sk, group.generator(), pk,
+                                                        [ct.c1 for ct in cts], context, rng))]
 
 
 def share_decryption_equations(group, pk, ct: PkeCiphertext, share: int,
                                proof: ShareDecryptionProof, context: bytes):
     """The DLEQ equations of a share's decryption proof, or None for a
-    non-canonical share or delta or a mask that does not give the share."""
-    if not _canonical(group, share, ct.delta):
+    non-canonical share or ciphertext or a key that does not give the share."""
+    if not _canonical(group, share, ct.c):
         return None
-    if (group.chi(proof.mask) - ct.delta) % group.order != share:
+    if (ct.c - pad(group, proof.key)) % group.order != share:
         return None
-    out2 = group.div(ct.c2, proof.mask)
-    return dleq_equations(group, group.generator(), pk, ct.c1, out2, proof.dleq, context)
+    return dleq_equations(group, group.generator(), pk, ct.c1, proof.key, proof.dleq, context)
 
 
 @dataclass(frozen=True)
 class DealProof:
-    """Knowledge of (kappa, r_1..r_k) with C1 = G^kappa and C2_j =
-    pk_j^kappa * G^r_j for each guardian j: T1 = G^a, T2_j = pk_j^a * G^b_j
-    and, for the one challenge e, z = a + e kappa and z_j = b_j + e r_j.  It
-    binds each share ciphertext to its recipient's key, not its plaintext to
-    the dealer's polynomial: that is the Feldman check of the revealed share."""
+    """Knowledge of kappa with C1 = G^kappa: T1 = G^a and, for the one
+    challenge e over the deal's context, C1, each (pk_j, c_j) and T1,
+    z = a + e kappa.  A dealer that copies another deal's C1 knows no kappa
+    for it, and that deal's proof fails under another context.  Knowing
+    kappa gives every pad key pk_j^kappa, so no per-guardian proof would
+    bind more; nothing binds a plaintext to the dealer's polynomial: that
+    is the Feldman check of the revealed share."""
 
     commitment_1: object  # T1
-    commitments_2: tuple  # T2_j, in guardian order
     response: int  # z
-    responses: tuple  # z_j, in guardian order
 
 
-def _deal_challenge(group, context: bytes, keys, c1, parts, t1, t2) -> int:
-    return _challenge(group, "deal", context, c1, *(x for pk, p in zip(keys, parts) for x in (
-        pk, p.c2, group.scalar_bytes(p.delta))), t1, *t2)
+def _deal_challenge(group, context: bytes, keys, c1, parts, t1) -> int:
+    return _challenge(group, "deal", context, c1, *(x for pk, c in zip(keys, parts) for x in (
+        pk, group.scalar_bytes(c))), t1)
 
 
 def deal_context(group, dealer: int, commitments, indices) -> bytes:
@@ -204,35 +201,29 @@ def deal_context(group, dealer: int, commitments, indices) -> bytes:
 def prove_deal(group, dealer: int, indices, keys, messages, coefficients, rng) -> tuple:
     """(C1, parts, commitments, DealProof) of a dealer's deal to the
     guardians `indices` with keys `keys`: one `pke` encryption of
-    messages[j] to keys[j] under kappa and masks r_j drawn first (never
-    0), the Feldman commitments A_l = G^{a_l} to `coefficients` (A_0 is
-    the partial pk), and the proof under `deal_context`, whose nonces are
-    drawn next."""
-    q, g, k = group.order, group.generator(), len(keys)
-    kappa, *masks = (rng.randrange(1, q) for _ in range(k + 1))
-    a, *b = (rng.randrange(q) for _ in range(k + 1))
-    points = multi_exps(group, encryption_products(group, keys, kappa, masks)
-                        + [[(g, c)] for c in coefficients] + [[(g, a)]]
-                        + [[(pk, a), (g, b_j)] for pk, b_j in zip(keys, b)])
-    c1, parts = pke_encrypt(group, messages, points[:2 * k + 1])
-    commitments, t1, t2 = tuple(points[2 * k + 1:-k - 1]), points[-k - 1], tuple(points[-k:])
+    messages[j] to keys[j] under kappa drawn first (never 0), the Feldman
+    commitments A_l = G^{a_l} to `coefficients` (A_0 is the partial pk),
+    and the proof under `deal_context`, whose nonce is drawn next."""
+    q, g = group.order, group.generator()
+    kappa = rng.randrange(1, q)
+    a = rng.randrange(q)
+    encryption = encryption_products(group, keys, kappa)
+    points = multi_exps(group, encryption + [[(g, c)] for c in coefficients] + [[(g, a)]])
+    c1, parts = pke_encrypt(group, messages, points[:len(encryption)])
+    commitments, t1 = tuple(points[len(encryption):-1]), points[-1]
     context = deal_context(group, dealer, commitments, indices)
-    e = _deal_challenge(group, context, keys, c1, parts, t1, t2)
-    return c1, parts, commitments, DealProof(
-        t1, t2, (a + e * kappa) % q, tuple((b_j + e * r) % q for b_j, r in zip(b, masks)))
+    e = _deal_challenge(group, context, keys, c1, parts, t1)
+    return c1, parts, commitments, DealProof(t1, (a + e * kappa) % q)
 
 
 def deal_equations(group, keys, c1, parts, proof: DealProof, context: bytes):
-    """The 1 + k equations of a deal's proof, or None for one without a T2_j
-    and a z_j per guardian or with a non-canonical response or delta."""
-    if not (len(keys) == len(parts) == len(proof.commitments_2) == len(proof.responses)
-            and _canonical(group, proof.response, *proof.responses, *(p.delta for p in parts))):
+    """The one equation G^z = T1 C1^e of a deal's proof, or None for one
+    without a ciphertext per key or with a non-canonical response or
+    ciphertext."""
+    if not (len(keys) == len(parts) and _canonical(group, proof.response, *parts)):
         return None
-    e = _deal_challenge(group, context, keys, c1, parts, proof.commitment_1, proof.commitments_2)
-    g, z = group.generator(), proof.response
-    return [[(g, z), (proof.commitment_1, -1), (c1, -e)]] + [
-        [(pk, z), (g, z_j), (t2, -1), (p.c2, -e)]
-        for pk, p, t2, z_j in zip(keys, parts, proof.commitments_2, proof.responses)]
+    e = _deal_challenge(group, context, keys, c1, parts, proof.commitment_1)
+    return [[(group.generator(), proof.response), (proof.commitment_1, -1), (c1, -e)]]
 
 
 def feldman_equations(group, share: int, index: int, commitments):

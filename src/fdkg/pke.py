@@ -1,21 +1,24 @@
-"""ElGamal-variant encryption used to deliver shares to guardians.
+"""Hashed ElGamal (DHIES-style) encryption used to deliver shares to guardians.
 
-One encryption carries a scalar m_j to each recipient key pk_j, with one
-random exponent kappa for all and a fresh random point M_j each:
-    C1 = G^kappa,  M_j = G^r_j,  C2_j = pk_j^kappa * M_j,  delta_j = chi(M_j) - m_j
-Recipient j recomputes M_j = C2_j * (C1^sk_j)^-1 exactly, so the two-to-one
-behaviour of chi on curves never causes ambiguity; a single recipient is
-the one-key case.  Sharing kappa is sound (Kurosawa, PKC 2002; Bellare,
-Boldyreva and Staddon, PKC 2003): ElGamal passes the latter's
-reproducibility test, as any key pair (pk', sk') gives pk'^kappa = C1^sk',
-so it is as secure as independent encryptions.  M_j stays fresh: a shared
-M would publish m_j - m_i = delta_i - delta_j.  Integrity is enforced by
-proofs, not by the ciphertext itself.
+One encryption carries a scalar m_j to each recipient key pk_j under one
+random exponent kappa for all:
+    C1 = G^kappa,  K_j = pk_j^kappa,  c_j = m_j + pad(K_j) mod q
+where `pad` is sha256 over a domain tag and K_j's canonical encoding,
+reduced mod q (Abdalla, Bellare and Rogaway, CT-RSA 2001).  Recipient j
+recovers m_j = c_j - pad(C1^sk_j); a single recipient is the one-key case.
+Sharing kappa is sound (Kurosawa, PKC 2002; Bellare, Boldyreva and
+Staddon, PKC 2003): hashed ElGamal passes the latter's reproducibility
+test, as any key pair (pk', sk') gives pk'^kappa = C1^sk' and so the
+ciphertext of any m' to pk', so it is as secure as independent
+encryptions.  Integrity is enforced by proofs, not by the ciphertext.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+
+_PAD_TAG = b"fdkg/v1/pke-pad"
 
 
 @dataclass(frozen=True)
@@ -25,16 +28,9 @@ class PkeKeyPair:
 
 
 @dataclass(frozen=True)
-class CiphertextPart:  # one recipient's (C2_j, delta_j)
-    c2: object
-    delta: int
-
-
-@dataclass(frozen=True)
 class PkeCiphertext:  # what one recipient decrypts
     c1: object  # shared by all recipients of one encryption
-    c2: object
-    delta: int
+    c: int
 
 
 def pke_keygen(group, rng) -> PkeKeyPair:
@@ -42,24 +38,27 @@ def pke_keygen(group, rng) -> PkeKeyPair:
     return PkeKeyPair(sk, group.base_exp(sk))
 
 
-def encryption_products(group, keys, kappa: int, masks) -> list:
+def pad(group, key) -> int:
+    """sha256 over the domain tag and the shared key's canonical encoding,
+    reduced mod q."""
+    digest = hashlib.sha256(_PAD_TAG + group.encode(key)).digest()
+    return int.from_bytes(digest, "big") % group.order
+
+
+def encryption_products(group, keys, kappa: int) -> list:
     """The products of one encryption's points, in the order `pke_encrypt`
-    reads them: C1 = G^kappa, pk_j^kappa for each key, then M_j = G^r_j for
-    each mask r_j.  A prover computes them in one `groups.multi_exps` call
-    with its own; zero randomness is mathematically valid but insecure, so
-    never draw it."""
-    g = group.generator()
-    return [[(g, kappa)]] + [[(pk, kappa)] for pk in keys] + [[(g, r)] for r in masks]
+    reads them: C1 = G^kappa, then K_j = pk_j^kappa for each key.  A prover
+    computes them in one `groups.multi_exps` call with its own; zero
+    randomness is mathematically valid but insecure, so never draw it."""
+    return [[(group.generator(), kappa)]] + [[(pk, kappa)] for pk in keys]
 
 
 def pke_encrypt(group, messages, points) -> tuple:
-    """(C1, the CiphertextPart of messages[j] to keys[j] for each j), from
-    the points of `encryption_products(group, keys, kappa, masks)`."""
-    q, k = group.order, len(messages)
-    return points[0], tuple([CiphertextPart(group.mul(shared, mask), (group.chi(mask) - m) % q)
-                             for m, shared, mask in zip(messages, points[1:], points[k + 1:])])
+    """(C1, c_j = messages[j] + pad(K_j) for each j), from the points of
+    `encryption_products(group, keys, kappa)`."""
+    q = group.order
+    return points[0], tuple((m + pad(group, key)) % q for m, key in zip(messages, points[1:]))
 
 
 def pke_decrypt(group, sk: int, ct: PkeCiphertext) -> int:
-    mask = group.div(ct.c2, group.exp(ct.c1, sk))
-    return (group.chi(mask) - ct.delta) % group.order
+    return (ct.c - pad(group, group.exp(ct.c1, sk))) % group.order

@@ -63,14 +63,14 @@ class GuardianSet:
 
 @dataclass(frozen=True)
 class DealMessage:
-    """A PVSS deal: one `pke` encryption of the shares, its C1 and a part
-    (C2_j, delta_j) per guardian keyed by party index; the Feldman
+    """A PVSS deal: one `pke` encryption of the shares, its C1 and a
+    ciphertext scalar c_j per guardian keyed by party index; the Feldman
     commitments A_l; and one DealProof.  The guardian set is the key set of
     `parts`, and the partial pk is A_0, which `judge_deal` requires."""
 
     dealer: int
     c1: object
-    parts: dict  # guardian index -> pke.CiphertextPart
+    parts: dict  # guardian index -> c_j
     commitments: tuple
     proof: nizk.DealProof
 
@@ -84,7 +84,7 @@ class DealMessage:
 
     @cached_property
     def ciphertexts(self) -> dict:  # guardian index -> the PkeCiphertext it decrypts
-        return {j: pke.PkeCiphertext(self.c1, p.c2, p.delta) for j, p in self.parts.items()}
+        return {j: pke.PkeCiphertext(self.c1, c) for j, c in self.parts.items()}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from . import nizk, pke, protocol, voting
+from . import nizk, protocol, voting
 from .board import BroadcastBoard
 from .groups import GroupError
 
@@ -30,16 +30,14 @@ ELEM, INT, LIST, DICT = "elem", "int", "list", "dict"
 # the key defaults to the attribute's name
 LAYOUT = {cls: tuple((attr, codec, *key, attr)[:3] for attr, codec, *key in fields)
           for cls, fields in {
-    pke.CiphertextPart: (("c2", ELEM), ("delta", INT)),
     nizk.DleqProof: (("commitment_1", ELEM, "c1"), ("commitment_2", ELEM, "c2"),
                      ("response", INT)),
-    nizk.ShareDecryptionProof: (("mask", ELEM), ("dleq", nizk.DleqProof)),
-    nizk.DealProof: (("commitment_1", ELEM, "t1"), ("commitments_2", (LIST, ELEM), "t2"),
-                     ("response", INT, "z"), ("responses", (LIST, INT), "zs")),
+    nizk.ShareDecryptionProof: (("key", ELEM), ("dleq", nizk.DleqProof)),
+    nizk.DealProof: (("commitment_1", ELEM, "t1"), ("response", INT, "z")),
     nizk.BallotBranch: (("commitment_1", ELEM, "t1"), ("commitment_2", ELEM, "t2"),
                         ("challenge", INT), ("response", INT)),
     protocol.DealMessage: (("dealer", INT), ("c1", ELEM),
-                           ("parts", (DICT, pke.CiphertextPart), "ciphertexts"),
+                           ("parts", (DICT, INT), "ciphertexts"),
                            ("commitments", (LIST, ELEM)), ("proof", nizk.DealProof)),
     protocol.SecretReveal: (("sender", INT), ("value", INT)),
     protocol.ShareReveal: (("sender", INT), ("dealer", INT), ("value", INT),

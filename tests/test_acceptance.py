@@ -13,11 +13,11 @@ import time
 import pytest
 
 from fdkg import nizk, pke, protocol, shamir, simulate, voting
-from fdkg.board import (ABSENT_ROUND2, BYZANTINE_SILENT, Behavior,
-                        HonestActivation, ideal_functionality_run, run_ceremony)
+from fdkg.board import (ABSENT_ROUND2, BYZANTINE_SILENT, Behavior, HonestActivation,
+                        deal_round, generate_pki, ideal_functionality_run, run_ceremony)
 from fdkg.costmodel import ScenarioSpec, deal_message_bytes, estimate, size_table_lookup
 from fdkg.election import run_election
-from fdkg.groups import SECP256K1, TEST_GROUP, GroupError, multi_exps
+from fdkg.groups import SECP256K1, TEST_GROUP, GroupError, multi_exp, multi_exps
 from fdkg.protocol import GuardianSet, Params
 
 GROUP = TEST_GROUP
@@ -121,6 +121,157 @@ def test_c2_predicate_execution_equivalence():
                         checked += 1
     assert checked > 100_000
     assert time.perf_counter() - start < budget_s
+
+
+# --- 2b. privacy against what the board shows ----------------------------------
+
+BOARD_PARAMS = Params(5, 2, 3)
+
+
+class PrivacyMismatch(Exception):
+    """Whether a coalition learns the key differs from `privacy_breached`."""
+
+
+def _board_topologies():
+    """8 seeded guardian topologies of n=5, k=3, as (seed, guardian sets)."""
+    rng = random.Random(14)
+    parties = range(1, BOARD_PARAMS.n + 1)
+    return [(seed, {i: frozenset(rng.sample([j for j in parties if j != i], BOARD_PARAMS.k))
+                    for i in parties})
+            for seed in range(8)]
+
+
+def _board_shares(entries) -> dict:
+    """(dealer, index) -> every scalar share the entries carry: a revealed
+    guardian share at its guardian's index, a revealed secret at 0."""
+    shares = {}
+    for e in entries:
+        msg = e.message
+        if isinstance(msg, protocol.ShareReveal):
+            shares[msg.dealer, msg.sender] = msg.value
+        elif isinstance(msg, protocol.SecretReveal):
+            shares[msg.sender, 0] = msg.value
+    return shares
+
+
+def _view_learns_key(coalition, public, states, pki, board_shares, t) -> bool:
+    """c2's view-attacker, reading the board too: the coalition's own dealer
+    states, the shares its members' keys decrypt and every scalar share on
+    the board.  It learns the key iff it recovers every participant's
+    partial secret; the sum must then be the key of `global_pk`."""
+    known = dict(board_shares)
+    known.update({(i, j): pke.pke_decrypt(GROUP, pki[j].sk, ct)
+                  for i in public.participants
+                  for j, ct in public.deals[i].ciphertexts.items() if j in coalition})
+    d = 0
+    for dealer in public.participants:
+        if dealer in coalition:
+            d += states[dealer].partial_secret
+        elif (dealer, 0) in known:
+            d += known[dealer, 0]
+        else:
+            held = sorted(j for i, j in known if i == dealer)
+            if len(held) < t:
+                return False
+            d += shamir.reconstruct([shamir.Share(j, known[dealer, j]) for j in held[:t]],
+                                    t, GROUP.order)
+    assert GROUP.base_exp(d % GROUP.order) == public.global_pk
+    return True
+
+
+def _board_privacy_mismatches(election: bool) -> tuple:
+    """(cases checked, mismatches) of the view-attacker against
+    `privacy_breached` over the 8 topologies and all 32 coalitions, with the
+    board cut after round 1 of a ceremony, or after round 3 of an election
+    with every dealer present."""
+    params = BOARD_PARAMS
+    parties = tuple(range(1, params.n + 1))
+    behaviors = {i: Behavior() for i in parties}
+    coalitions = [frozenset(c) for size in range(params.n + 1)
+                  for c in itertools.combinations(parties, size)]
+    checked, mismatches = 0, []
+    for seed, gsets in _board_topologies():
+        board, pki, states, public = deal_round(params, behaviors, GROUP, seed, gsets)
+        if election:
+            result = run_election(params, behaviors, {1: 1, 2: 2, 3: 1}, 2, GROUP, seed,
+                                  guardian_sets=gsets)
+            assert result.success and result.public_state.global_pk == public.global_pk
+            board = result.board
+        cut = 3 if election else 1
+        shares = _board_shares(e for e in board.entries() if e.round <= cut)
+        for coalition in coalitions:
+            learns = _view_learns_key(coalition, public, states, pki, shares, params.t)
+            if learns != protocol.privacy_breached(coalition, parties, gsets, params.t):
+                mismatches.append((seed, sorted(coalition), learns))
+            checked += 1
+    return checked, mismatches
+
+
+def test_c2b_board_privacy_ceremony_cut():
+    """After round 1 of a ceremony (modp-2027, n=5, t=2, k=3, 8 seeded
+    topologies, all 32 coalitions), a coalition reading the board as well
+    as its own view learns the key iff `privacy_breached` says so."""
+    checked, mismatches = _board_privacy_mismatches(election=False)
+    assert checked == 256
+    assert mismatches == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=PrivacyMismatch,
+    reason="ROADMAP item 1: an election's round 3 posts every guardian's share "
+           "scalar of every dealer, present dealers included, so any coalition "
+           "reading the board learns every partial secret")
+def test_c2b_board_privacy_election_cut():
+    """The same check with the board cut after round 3 of an election in
+    which every dealer is present."""
+    checked, mismatches = _board_privacy_mismatches(election=True)
+    assert checked == 256
+    if mismatches:
+        raise PrivacyMismatch(f"{len(mismatches)} of {checked} cases, e.g. {mismatches[0]}")
+
+
+def _rogue_deal(deals, dealer, guardians, keys, x, rng):
+    """A rushing dealer's deal after reading `deals`: A_0 = G^x / prod of
+    their A_0, so the global key is G^x, with junk shares it cannot compute
+    and a `DealProof` it can make, as it knows kappa."""
+    q, indices = GROUP.order, sorted(guardians)
+    a_0 = multi_exp(GROUP, [(GROUP.generator(), x)] + [(d.partial_pk, -1) for d in deals])
+    commitments = (a_0, GROUP.base_exp(rng.randrange(q)))
+    kappa, a = rng.randrange(1, q), rng.randrange(q)
+    guardian_keys = [keys[j] for j in indices]
+    c1, parts = pke.pke_encrypt(GROUP, [rng.randrange(q) for _ in indices], multi_exps(
+        GROUP, pke.encryption_products(GROUP, guardian_keys, kappa)))
+    t1 = GROUP.base_exp(a)
+    context = nizk.deal_context(GROUP, dealer, commitments, indices)
+    e = nizk._deal_challenge(GROUP, context, guardian_keys, c1, parts, t1)
+    return protocol.DealMessage(dealer, c1, dict(zip(indices, parts)), commitments,
+                                nizk.DealProof(t1, (a + e * kappa) % q))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=PrivacyMismatch,
+    reason="ROADMAP item 13: no dealer proves knowledge of its partial secret, "
+           "so a rushing dealer sets the global key to one it chose")
+def test_c2b_board_privacy_rogue_dealer():
+    """Dealer 5 alone, a one-member coalition, reads dealers 1-4's deals
+    and posts a rogue-key deal.  Its deal is ACCEPTED, so this records that
+    item 13 is open; and it must not learn the key, since
+    `privacy_breached` is False for it."""
+    params = BOARD_PARAMS
+    parties = tuple(range(1, params.n + 1))
+    for seed, gsets in _board_topologies():
+        rng = random.Random(seed)
+        keys = {i: kp.pk for i, kp in generate_pki(params, GROUP, seed).items()}
+        honest = [protocol.round1_deal(i, params, GuardianSet.create(i, gsets[i], params), keys,
+                                       GROUP, rng)[0] for i in parties[:-1]]
+        x = rng.randrange(GROUP.order)
+        rogue = _rogue_deal(honest, 5, gsets[5], keys, x, rng)
+        assert protocol.judge_deal(rogue, params, keys, GROUP) is protocol.Verdict.ACCEPTED
+        public = protocol.process_round1(honest + [rogue], params, keys, GROUP)
+        assert public.participants == parties
+        learns = GROUP.base_exp(x) == public.global_pk  # x is in the rogue's view
+        if learns != protocol.privacy_breached({5}, parties, gsets, params.t):
+            raise PrivacyMismatch(f"seed {seed}: dealer 5 alone knows the key")
 
 
 # --- 3. ideal-functionality oracle equivalence --------------------------------
@@ -460,16 +611,15 @@ def _encrypt_one(rng):
     """(key pair, plaintext, ciphertext) of a one-key `pke_encrypt`."""
     kp = pke.pke_keygen(GROUP, rng)
     m = rng.randrange(GROUP.order)
-    kappa, r = rng.randrange(1, GROUP.order), rng.randrange(1, GROUP.order)
-    c1, (part,) = pke.pke_encrypt(GROUP, [m], multi_exps(
-        GROUP, pke.encryption_products(GROUP, [kp.pk], kappa, [r])))
-    return kp, m, pke.PkeCiphertext(c1, part.c2, part.delta)
+    c1, (c,) = pke.pke_encrypt(GROUP, [m], multi_exps(
+        GROUP, pke.encryption_products(GROUP, [kp.pk], rng.randrange(1, GROUP.order))))
+    return kp, m, pke.PkeCiphertext(c1, c)
 
 
 def _share_decryption_case(rng):
     kp, _, ct = _encrypt_one(rng)
     ((share, proof),) = nizk.prove_share_decryption(GROUP, kp.sk, kp.pk, [ct], CTX, rng)
-    fields = [("elem", proof.mask), ("elem", proof.dleq.commitment_1),
+    fields = [("elem", proof.key), ("elem", proof.dleq.commitment_1),
               ("elem", proof.dleq.commitment_2), ("scalar", proof.dleq.response),
               ("scalar", share)]
 
@@ -483,23 +633,20 @@ def _share_decryption_case(rng):
 
 def _deal_case(rng, k=3):
     """A deal's encryption to k keys and its proof: C1, each guardian's
-    (C2_j, delta_j), T1, each T2_j, z and each z_j."""
+    c_j, T1 and z."""
     keys = [pke.pke_keygen(GROUP, rng).pk for _ in range(k)]
     indices = list(range(2, k + 2))
     c1, parts, commitments, proof = nizk.prove_deal(
         GROUP, 1, indices, keys, [rng.randrange(GROUP.order) for _ in keys],
         (rng.randrange(GROUP.order),), rng)
     context = nizk.deal_context(GROUP, 1, commitments, indices)
-    fields = [("elem", c1), *(f for p in parts for f in (("elem", p.c2), ("scalar", p.delta))),
-              ("elem", proof.commitment_1), *(("elem", t2) for t2 in proof.commitments_2),
-              ("scalar", proof.response), *(("scalar", z) for z in proof.responses)]
+    fields = [("elem", c1), *(("scalar", c) for c in parts),
+              ("elem", proof.commitment_1), ("scalar", proof.response)]
 
     def verify(values):
-        c1, rest = values[0], values[1:]
-        parts = [pke.CiphertextPart(*rest[2 * j:2 * j + 2]) for j in range(k)]
-        t1, t2, z, zs = rest[2 * k], rest[2 * k + 1:3 * k + 1], rest[3 * k + 1], rest[3 * k + 2:]
+        c1, *parts, t1, z = values
         return nizk.holds(GROUP, context, [nizk.deal_equations(
-            GROUP, keys, c1, parts, nizk.DealProof(t1, tuple(t2), z, tuple(zs)), context)])
+            GROUP, keys, c1, parts, nizk.DealProof(t1, z), context)])
     return fields, verify
 
 

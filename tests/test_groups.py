@@ -865,7 +865,7 @@ class TestAffineSums:
 
 class TestRowSums:
     """`multi_exp` sums the points of each Straus row in pairs before the
-    loop, a level at a time, in runs of rows of at least ROW_RUN pairs.
+    loop, a level at a time, each level in one `_affine_sums` call.
     Rows that hold a point twice, or a point beside its inverse, take the
     doubling and the infinity case of `_affine_sums`."""
 
@@ -883,16 +883,13 @@ class TestRowSums:
     @PROPERTY
     @given(units=st.lists(st.tuples(st.integers(2, Q - 1), st.integers(17, 120), st.booleans()),
                           min_size=1, max_size=24),
-           one_row=st.booleans(), cutoff=st.sampled_from([1, groups.ROW_PAIRS]),
-           run=st.sampled_from([1, 3, groups.ROW_RUN]))
-    def test_equal_and_opposite_points_match_fold(self, units, one_row, cutoff, run):
-        """Also with every level summed, and with a level's pairs split over
-        several `_affine_sums` calls."""
+           one_row=st.booleans(), cutoff=st.sampled_from([1, groups.ROW_PAIRS]))
+    def test_equal_and_opposite_points_match_fold(self, units, one_row, cutoff):
+        """Also with every level summed."""
         if one_row:
             units = [(k, units[0][1], opposite) for k, _, opposite in units]
         pairs = self.twins(units)
-        with mock.patch.object(groups, "ROW_PAIRS", cutoff), \
-                mock.patch.object(groups, "ROW_RUN", run):
+        with mock.patch.object(groups, "ROW_PAIRS", cutoff):
             assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
 
     def test_twins_in_one_row_are_summed(self, counts):

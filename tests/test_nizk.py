@@ -97,10 +97,9 @@ class TestDleqProof:
 
 def encrypt_one(group, rng, pk, m) -> pke.PkeCiphertext:
     """A one-key `pke_encrypt` of m to pk, as its recipient decrypts it."""
-    kappa, r = rng.randrange(1, group.order), rng.randrange(1, group.order)
-    c1, (part,) = pke.pke_encrypt(group, [m], multi_exps(
-        group, pke.encryption_products(group, [pk], kappa, [r])))
-    return pke.PkeCiphertext(c1, part.c2, part.delta)
+    c1, (c,) = pke.pke_encrypt(group, [m], multi_exps(
+        group, pke.encryption_products(group, [pk], rng.randrange(1, group.order))))
+    return pke.PkeCiphertext(c1, c)
 
 
 class TestShareDecryption:
@@ -122,10 +121,10 @@ class TestShareDecryption:
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share + 1, proof,
                                                            CTX))
 
-    def test_inverted_mask_fails(self, group, rng):
+    def test_inverted_key_fails(self, group, rng):
         kp, m, ct = self._ciphertext(group, rng)
         share, proof = prove_one_decryption(group, kp.sk, kp.pk, ct, CTX, rng)
-        forged = nizk.ShareDecryptionProof(group.inv(proof.mask), proof.dleq)
+        forged = nizk.ShareDecryptionProof(group.inv(proof.key), proof.dleq)
         assert not holds(group, share_decryption_equations(group, kp.pk, ct, share, forged, CTX))
 
 
@@ -149,12 +148,9 @@ def deal_verdict(group, params, keypairs, msg, **changes):
                                group)
 
 
-def with_part(msg, position, **changes):
-    """The deal with `changes` made to the part at `position`, in guardian
-    order."""
-    j = sorted(msg.parts)[position]
-    return dataclasses.replace(msg, parts={**msg.parts, j: dataclasses.replace(msg.parts[j],
-                                                                               **changes)})
+def with_part(msg, position, c):
+    """The deal with c as the ciphertext at `position`, in guardian order."""
+    return dataclasses.replace(msg, parts={**msg.parts, sorted(msg.parts)[position]: c})
 
 
 def with_proof(msg, **changes):
@@ -177,7 +173,7 @@ class TestDealProofs:
 
     def test_perturbed_ciphertext_fails(self, group, rng):
         params, keypairs, msg, _ = make_deal(group, rng)
-        bad = with_part(msg, 1, c2=bump(group, msg.parts[sorted(msg.parts)[1]].c2))
+        bad = with_part(msg, 1, (msg.parts[sorted(msg.parts)[1]] + 1) % group.order)
         assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
     def test_truncated_commitments_fail(self, group, rng):
@@ -317,20 +313,13 @@ def test_witness_commitments_match_reference(curve):
 
 def tampered_deals(group, msg) -> list:
     """(field, copy of `msg` with that one field changed) for C1, T1, z and
-    each guardian's C2_j, delta_j, T2_j and z_j."""
+    each guardian's c_j."""
     q, proof = group.order, msg.proof
-    out = [("C1", dataclasses.replace(msg, c1=bump(group, msg.c1))),
-           ("T1", with_proof(msg, commitment_1=bump(group, proof.commitment_1))),
-           ("z", with_proof(msg, response=(proof.response + 1) % q))]
-    for position, j in enumerate(sorted(msg.parts)):
-        part, t2, z_j = msg.parts[j], proof.commitments_2[position], proof.responses[position]
-        out += [(f"C2_{j}", with_part(msg, position, c2=bump(group, part.c2))),
-                (f"delta_{j}", with_part(msg, position, delta=(part.delta + 1) % q)),
-                (f"T2_{j}", with_proof(msg, commitments_2=replaced(
-                    proof.commitments_2, position, bump(group, t2)))),
-                (f"z_{j}", with_proof(msg, responses=replaced(
-                    proof.responses, position, (z_j + 1) % q)))]
-    return out
+    return [("C1", dataclasses.replace(msg, c1=bump(group, msg.c1))),
+            ("T1", with_proof(msg, commitment_1=bump(group, proof.commitment_1))),
+            ("z", with_proof(msg, response=(proof.response + 1) % q))] + [
+        (f"c_{j}", with_part(msg, position, (msg.parts[j] + 1) % q))
+        for position, j in enumerate(sorted(msg.parts))]
 
 
 BOTH_GROUPS = pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
@@ -358,30 +347,30 @@ def test_deal_with_one_tampered_proof_rejected(group):
     params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
     assert deal_verdict(group, params, keypairs, msg) is Verdict.ACCEPTED
     tampered = tampered_deals(group, msg)
-    assert len(tampered) == 3 + 4 * 3
+    assert len(tampered) == 3 + 3
     for field, bad in tampered:
         assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF, field
 
 
 @BOTH_GROUPS
 def test_deal_with_swapped_guardian_entries_rejected(group):
-    """Guardians 2 and 4 trade their parts, alone or with their T2_j and
-    z_j: each part is then checked against the other's key."""
+    """Guardians 2 and 4 trade their ciphertexts, or the deal is judged
+    with their keys swapped: each c_j is then hashed with the other's key."""
     rng = random.Random(15)
     params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
-    proof, parts = msg.proof, msg.parts
+    parts = msg.parts
     swapped = dataclasses.replace(msg, parts={**parts, 2: parts[4], 4: parts[2]})
     assert deal_verdict(group, params, keypairs, swapped) is Verdict.BAD_PROOF
-    both = with_proof(swapped, commitments_2=proof.commitments_2[::-1],
-                      responses=proof.responses[::-1])
-    assert deal_verdict(group, params, keypairs, both) is Verdict.BAD_PROOF
+    keys = {**pki(keypairs), 2: keypairs[4].pk, 4: keypairs[2].pk}
+    assert protocol.judge_deal(msg, params, keys, group) is Verdict.BAD_PROOF
 
 
 @BOTH_GROUPS
 def test_deal_proof_replayed_rejected(group):
-    """A deal's proof binds its dealer and commitments: it fails on the
+    """A deal's proof binds its dealer, commitments and C1: it fails on the
     same guardian set's deal by another dealer, on its own deal posted by
-    another dealer, and after one commitment changes."""
+    another dealer, after one commitment changes, and on a deal that reuses
+    another deal's C1, with its own proof or with that deal's."""
     rng = random.Random(16)
     params = protocol.Params(5, 2, 3)
     keypairs = {j: pke.pke_keygen(group, rng) for j in range(1, 6)}
@@ -391,29 +380,28 @@ def test_deal_proof_replayed_rejected(group):
     for bad in (dataclasses.replace(deals[1], proof=deals[0].proof),
                 dataclasses.replace(deals[0], dealer=5),
                 dataclasses.replace(deals[0], commitments=replaced(
-                    deals[0].commitments, 1, bump(group, deals[0].commitments[1])))):
+                    deals[0].commitments, 1, bump(group, deals[0].commitments[1]))),
+                dataclasses.replace(deals[1], c1=deals[0].c1),
+                dataclasses.replace(deals[1], c1=deals[0].c1, proof=deals[0].proof)):
         assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
 
 @BOTH_GROUPS
 def test_deal_challenge_binds_the_whole_statement(group):
-    """Strong Fiat-Shamir: the one challenge moves with C1, each key, C2_j
-    and delta_j, T1 and each T2_j, not only with what the equations hold."""
+    """Strong Fiat-Shamir: the one challenge moves with C1, each key, each
+    c_j and T1, not only with what the equation holds."""
     rng = random.Random(20)
     _, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
     keys = [kp.pk for _, kp in sorted(keypairs.items())]
     parts = [msg.parts[j] for j in sorted(msg.parts)]
-    statement = (keys, msg.c1, parts, msg.proof.commitment_1, msg.proof.commitments_2)
+    statement = (keys, msg.c1, parts, msg.proof.commitment_1)
     e = nizk._deal_challenge(group, CTX, *statement)
     changed = [(replaced(tuple(keys), 1, bump(group, keys[1])),) + statement[1:],
-               (keys, bump(group, msg.c1)) + statement[2:]]
-    for position, part in enumerate(parts):
-        for change in (dict(c2=bump(group, part.c2)), dict(delta=(part.delta + 1) % group.order)):
-            changed.append((keys, msg.c1, replaced(tuple(parts), position,
-                                                   dataclasses.replace(part, **change)))
-                           + statement[3:])
-    changed += [statement[:3] + (bump(group, msg.proof.commitment_1), statement[4]),
-                statement[:4] + (replaced(statement[4], 2, bump(group, statement[4][2])),)]
+               (keys, bump(group, msg.c1)) + statement[2:],
+               statement[:3] + (bump(group, msg.proof.commitment_1),)]
+    for position, c in enumerate(parts):
+        changed.append((keys, msg.c1, replaced(tuple(parts), position, (c + 1) % group.order),
+                        statement[3]))
     for other in changed:
         assert nizk._deal_challenge(group, CTX, *other) != e
     assert nizk._deal_challenge(group, b"other", *statement) != e
@@ -437,19 +425,16 @@ def test_deal_proof_binds_guardian_indices(group):
 
 @BOTH_GROUPS
 def test_deal_proof_one_guardian_short_or_long_rejected(group):
-    """A proof without exactly one T2_j and one z_j per guardian is
-    rejected before any group operation."""
+    """Equations over keys with one ciphertext too few or too many are
+    None, built before any group operation; an honest deal has one
+    equation."""
     rng = random.Random(17)
-    params, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
-    t2, zs = msg.proof.commitments_2, msg.proof.responses
-    for changes in (dict(commitments_2=t2[:-1], responses=zs[:-1]),
-                    dict(commitments_2=t2 + t2[:1], responses=zs + zs[:1]),
-                    dict(commitments_2=t2[:-1]), dict(responses=zs + zs[:1])):
-        bad = with_proof(msg, **changes)
-        assert nizk.deal_equations(group, [kp.pk for _, kp in sorted(keypairs.items())], bad.c1,
-                                   [bad.parts[j] for j in sorted(bad.parts)], bad.proof,
-                                   b"") is None
-        assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF, changes
+    _, keypairs, msg, _ = make_deal(group, rng, t=2, k=3)
+    keys = [kp.pk for _, kp in sorted(keypairs.items())]
+    parts = [msg.parts[j] for j in sorted(msg.parts)]
+    assert len(nizk.deal_equations(group, keys, msg.c1, parts, msg.proof, b"")) == 1
+    for bad in (parts[:-1], parts + parts[:1]):
+        assert nizk.deal_equations(group, keys, msg.c1, bad, msg.proof, b"") is None
 
 
 def share_batch_holds(group, claims) -> bool:
@@ -487,7 +472,7 @@ def test_share_decryption_batch(group):
     bad_dleq = nizk.DleqProof(proof.dleq.commitment_1, proof.dleq.commitment_2,
                               (proof.dleq.response + 1) % group.order)
     for bad in [(pk, ct, (share + 1) % group.order, proof),
-                (pk, ct, share, nizk.ShareDecryptionProof(proof.mask, bad_dleq))]:
+                (pk, ct, share, nizk.ShareDecryptionProof(proof.key, bad_dleq))]:
         batch = claims[:2] + [bad + (j, commitments)] + claims[3:]
         assert not holds(group, share_decryption_equations(group, *bad, CTX))
         assert not share_batch_holds(group, batch)
@@ -617,16 +602,14 @@ class TestCanonicalScalars:
         for group in (TEST_GROUP, SECP256K1):
             params, keypairs, msg, _ = make_deal(group, random.Random(18))
             q, proof = group.order, msg.proof
-            for bad in [with_proof(msg, response=proof.response + q)] + [
-                    with_proof(msg, responses=replaced(proof.responses, position, z_j + q))
-                    for position, z_j in enumerate(proof.responses)]:
-                assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
+            bad = with_proof(msg, response=proof.response + q)
+            assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
-    def test_deal_delta_plus_q(self):
+    def test_deal_ciphertext_plus_q(self):
         for group in (TEST_GROUP, SECP256K1):
             params, keypairs, msg, _ = make_deal(group, random.Random(19))
             for position, j in enumerate(sorted(msg.parts)):
-                bad = with_part(msg, position, delta=msg.parts[j].delta + group.order)
+                bad = with_part(msg, position, msg.parts[j] + group.order)
                 assert deal_verdict(group, params, keypairs, bad) is Verdict.BAD_PROOF
 
     def test_ballot_challenge_and_response_plus_q(self, group, rng):
@@ -651,7 +634,7 @@ class TestProverInversions:
     """Field inversions of each prover on secp256k1, as the `counts`
     fixture counts them: a prover computes all its points in one
     `multi_exps` call, which makes one inversion per table round, one per
-    level of row sums and one at its end, plus one per `mul` or `div` of
+    level of row sums and one at its end; none makes a `mul` or `div` of
     its own.  At the parent of that kernel, with one `multi_exp` per point
     and its own inversion at the end of each, the same provers made the
     figures each test names, all with G's comb built outside the count."""
@@ -667,9 +650,10 @@ class TestProverInversions:
             return counts["inversion"]
 
     def test_deal(self, counts):
-        """A k=4, t=2 deal: 11 inversions alone (4 table rounds of the four
-        keys' odd multiples, 2 levels, 1 final, 4 `mul`s for the C2_j), 8
-        with the keys' tables (64 and 40 at the parent)."""
+        """A k=4, t=2 deal: 6 inversions alone (4 table rounds of the four
+        keys' odd multiples, 1 level, 1 final), 2 with the keys' tables (64
+        and 40 at the parent; 11 and 8 with the ElGamal masks' 4 `mul`s and
+        their proof's second level)."""
         rng = random.Random(31)
         params = protocol.Params(6, 2, 4)
         keypairs = {j: pke.pke_keygen(SECP256K1, rng) for j in range(2, 6)}
@@ -678,8 +662,8 @@ class TestProverInversions:
         def deal():
             protocol.round1_deal(1, params, guardians, pki(keypairs), SECP256K1, random.Random(1))
 
-        assert self.inversions(counts, deal) == 11
-        assert self.inversions(counts, deal, *pki(keypairs).values()) == 8
+        assert self.inversions(counts, deal) == 6
+        assert self.inversions(counts, deal, *pki(keypairs).values()) == 2
 
     def test_ballot(self, counts):
         """A 3-candidate ballot: 6 inversions alone, 3 with the election
@@ -694,9 +678,9 @@ class TestProverInversions:
         assert self.inversions(counts, cast, pk) == 3
 
     def test_share_decryptions(self, counts):
-        """A guardian's 4 share reveals: 10 inversions on fresh C1s (4 table
-        rounds, 1 level, 1 final, 4 `div`s for the masks), 6 with the C1s'
-        tables (52 and 28 at the parent)."""
+        """A guardian's 4 share reveals: 6 inversions on fresh C1s (4 table
+        rounds, 1 level, 1 final), 2 with the C1s' tables (52 and 28 at the
+        parent; 10 and 6 with the ElGamal masks' 4 `div`s)."""
         rng = random.Random(32)
         params = protocol.Params(6, 2, 4)
         keypairs = {j: pke.pke_keygen(SECP256K1, rng) for j in range(1, 7)}
@@ -710,8 +694,8 @@ class TestProverInversions:
             assert len(protocol.round2_reveal_shares(6, keypairs[6].sk, public, CTX, SECP256K1,
                                                      random.Random(4))) == 4
 
-        assert self.inversions(counts, reveal) == 10
-        assert self.inversions(counts, reveal, *(deal.c1 for deal in deals)) == 6
+        assert self.inversions(counts, reveal) == 6
+        assert self.inversions(counts, reveal, *(deal.c1 for deal in deals)) == 2
 
     def test_partial_decryption(self, counts):
         """A dealer's partial decryption: 6 inversions on a fresh C1, 2 with

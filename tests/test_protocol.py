@@ -87,18 +87,15 @@ class TestRound1:
         params = Params(10, 2, 3)
         pki, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 5}})
         msg = messages[0]
-        part = msg.parts[2]
-        bad = dataclasses.replace(msg, parts={**msg.parts, 2: pke.CiphertextPart(
-            group.mul(part.c2, group.generator()), part.delta)})
+        bad = dataclasses.replace(msg, parts={**msg.parts, 2: (msg.parts[2] + 1) % group.order})
         assert protocol.judge_deal(bad, params, pub, group) is Verdict.BAD_PROOF
 
-    def test_deal_missing_proof_rejected(self, group, rng):
+    def test_deal_with_wrong_response_rejected(self, group, rng):
         params = Params(10, 2, 3)
         pki, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 5}})
         msg = messages[0]
-        short = dataclasses.replace(msg.proof, commitments_2=msg.proof.commitments_2[:-1],
-                                    responses=msg.proof.responses[:-1])
-        bad = dataclasses.replace(msg, proof=short)
+        off = dataclasses.replace(msg.proof, response=(msg.proof.response + 1) % group.order)
+        bad = dataclasses.replace(msg, proof=off)
         assert protocol.judge_deal(bad, params, pub, group) is Verdict.BAD_PROOF
 
     @pytest.mark.parametrize("members", [{2, 3}, {2, 3, 4, 5}, {1, 3, 5}, {2, 3, 11}],
@@ -294,7 +291,7 @@ def forged_reveal(case, group, public, reveals):
         return ShareReveal(share.sender, share.dealer, (share.value + 1) % q, share.proof)
     if case == "forged DLEQ":
         dleq = share.proof.dleq
-        proof = nizk.ShareDecryptionProof(share.proof.mask, nizk.DleqProof(
+        proof = nizk.ShareDecryptionProof(share.proof.key, nizk.DleqProof(
             dleq.commitment_1, dleq.commitment_2, (dleq.response + 1) % q))
         return ShareReveal(share.sender, share.dealer, share.value, proof)
     if case == "deal in round 2":
@@ -348,15 +345,15 @@ class TestVerdicts:
         INCONSISTENT, which is no case there since only a deal that
         encrypts a wrong share draws it; and dealer 1's deal posted by
         dealer -1 (OFF_ROLL), by its guardian 2 (BAD_GUARDIAN_SET) and with
-        its proof one response short (BAD_PROOF)."""
+        its proof's response off by one (BAD_PROOF)."""
         params, pki, states, public = example_scenario(group, rng)
         reveals = scenario_reveals(group, rng, params, pki, states, public, {3, 5, 7})
         forged = [forged_reveal(case, group, public, reveals) for case, _ in self.CASES]
         produced = set(protocol.judge_reveals(public, forged, group, CTX))
         deal = public.deals[1]
-        short = dataclasses.replace(deal.proof, responses=deal.proof.responses[:-1])
+        off = dataclasses.replace(deal.proof, response=(deal.proof.response + 1) % group.order)
         deals = [dataclasses.replace(deal, dealer=-1), dataclasses.replace(deal, dealer=2),
-                 dataclasses.replace(deal, proof=short)]
+                 dataclasses.replace(deal, proof=off)]
         produced.update(protocol.judge_deal(m, params, public.pki, group) for m in deals)
         bad_public, share = inconsistent_share(group, rng)
         produced.update(protocol.judge_reveals(bad_public, [share], group, CTX))
@@ -610,13 +607,11 @@ class TestComplaints:
 class TestCanonicalReveals:
     """Scalars shifted by q are rejected wherever they enter on the wire."""
 
-    def test_deal_delta_plus_q_rejected(self, group, rng):
+    def test_deal_ciphertext_plus_q_rejected(self, group, rng):
         params = Params(10, 2, 3)
         pki, pub, messages, _, _ = run_round1(group, rng, params, {1: {2, 3, 5}})
         msg = messages[0]
-        part = msg.parts[3]
-        bad = dataclasses.replace(msg, parts={
-            **msg.parts, 3: pke.CiphertextPart(part.c2, part.delta + group.order)})
+        bad = dataclasses.replace(msg, parts={**msg.parts, 3: msg.parts[3] + group.order})
         assert protocol.judge_deal(msg, params, pub, group) is Verdict.ACCEPTED
         assert protocol.judge_deal(bad, params, pub, group) is Verdict.BAD_PROOF
 
@@ -678,7 +673,7 @@ class TestBatchedReveals:
                                   forged.proof.dleq.commitment_2,
                                   (forged.proof.dleq.response + 1) % group.order)
         shares[4] = ShareReveal(forged.sender, forged.dealer, forged.value,
-                                nizk.ShareDecryptionProof(forged.proof.mask, bad_dleq))
+                                nizk.ShareDecryptionProof(forged.proof.key, bad_dleq))
         shares[9] = ShareReveal(shares[9].sender, shares[9].dealer,
                                 (shares[9].value + 1) % group.order, shares[9].proof)
         expected = {}
@@ -816,7 +811,7 @@ class TestBatchedReveals:
                                  dleq.response + group.order)
         faulty = list(shares)
         faulty[6] = ShareReveal(m.sender, m.dealer, m.value,
-                                nizk.ShareDecryptionProof(m.proof.mask, shifted))
+                                nizk.ShareDecryptionProof(m.proof.key, shifted))
 
         def judge(reveals):
             public.verdicts.clear()
@@ -919,7 +914,7 @@ class TestBatchedReveals:
         bad = nizk.DleqProof(dleq.commitment_1, dleq.commitment_2,
                              (dleq.response + 1) % group.order)
         forged = ShareReveal(genuine.sender, genuine.dealer, genuine.value,
-                             nizk.ShareDecryptionProof(genuine.proof.mask, bad))
+                             nizk.ShareDecryptionProof(genuine.proof.key, bad))
         live = [m for m in reveals if m.sender != 1]
         mixed = [inconsistent] + live[:3] + [forged] + live[3:]
         judged, real = Counter(), nizk.dleq_equations
@@ -963,7 +958,7 @@ def faulty_ceremony(group, seed, faults):
         bad = nizk.DleqProof(dleq.commitment_1, dleq.commitment_2,
                              (dleq.response + 1) % group.order)
         reveals[i] = ShareReveal(m.sender, m.dealer, m.value,
-                                 nizk.ShareDecryptionProof(m.proof.mask, bad))
+                                 nizk.ShareDecryptionProof(m.proof.key, bad))
     if "wrong_secret" in faults:
         i, m = next((i, m) for i, m in enumerate(reveals)
                     if isinstance(m, SecretReveal) and m.sender == 4)
@@ -1028,7 +1023,12 @@ class TestOutcomePins:
     re-taken again when an INCONSISTENT share stopped excluding its
     dealer, 8 of its 32 sets changing: {1} and {1, 4} succeed with the key
     of `global_pk`, {1, 3} and {1, 5} fail naming dealer 1, and {1, 3, 4},
-    {1, 3, 5}, {1, 4, 5} and {1, 3, 4, 5} name dealer 1 among the failed."""
+    {1, 3, 5}, {1, 4, 5} and {1, 3, 4, 5} name dealer 1 among the failed.
+    Both were re-taken when shares came to be sent by hashed ElGamal: a
+    deal draws kappa and one proof nonce, not k + 1 of each, so again later
+    dealers' polynomials and later modp topologies are new draws.  Every
+    secp256k1 set keeps its success, recovery paths, failed dealers and
+    whether its secret is `global_pk`'s key."""
 
     def test_modp_topologies(self):
         group = TEST_GROUP
@@ -1060,8 +1060,8 @@ class TestOutcomePins:
         assert outcome_digest(public, reveals, params, group, parties) == SECP_PIN
 
 
-MODP_PIN = "2f771fae6fb432ee553a04df18843948e2acbb61041782dfb3bba2d92eba2391"
-SECP_PIN = "18b5de652885f915564ae6dbe5c7a613399491ee688fc74917cdc21d0c49d1e1"
+MODP_PIN = "4f54b2857f14d2d449ae42174232737e2e1f771b3bbd4be190d0a4983b3cbb59"
+SECP_PIN = "86f17fe073314fc153f961085b49afc6616fa1016556e1f393c256090a32eb3c"
 
 
 def brute_force_capable(s, participants, guardian_sets, t):

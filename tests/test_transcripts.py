@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdkg import protocol, transcripts, voting
+from fdkg import pke, protocol, transcripts, voting
 from fdkg.board import (ABSENT_ROUND2, MALFORM_DEAL, REVEAL_CONTEXT,
                         WITHHOLD_SHARES, Behavior, BroadcastBoard, run_ceremony)
 from fdkg.election import run_election
@@ -415,7 +416,9 @@ class TestSecp256k1Pins:
     contract that any change to the curve arithmetic must keep.  Re-taken
     when a deal came to carry one C1 and one proof for all its guardians:
     its line shrank, and each share reveal's decryption proof is over the
-    new C1."""
+    new C1.  Re-taken again when shares came to be sent by hashed ElGamal:
+    only deal and share lines changed, each deal keeping its C1 and
+    commitments and each share its value and DLEQ."""
 
     def test_ceremony_transcript_bytes(self):
         params = Params(5, 2, 3)
@@ -424,9 +427,9 @@ class TestSecp256k1Pins:
         result = run_ceremony(params, behaviors, SECP256K1, seed=2025)
         assert result.outcome.success
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 13568)
+        assert (len(lines), sum(map(len, lines))) == (21, 10019)
         assert _lines_digest(lines) == \
-            "61df7a1d20b33dddf2cafe7163b96694eb7fd027431092e12dfca61bfea6a80d"
+            "ceeb296e0cd591e2de660d1422ac9034e85c681943dd3e8f6d381b9a216ee1f6"
 
     def test_election_transcript_bytes(self):
         params = Params(4, 2, 2)
@@ -436,7 +439,7 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (1, 2)
         lines = transcripts.export_lines(result.board, SECP256K1)
         assert _lines_digest(lines) == \
-            "d3e852682cefb864146a8940babde837e16bedf9e6e6be356fd6f05fc1242312"
+            "ae7c7708129105f83cf2badb7e57d32dadd539f65f03a4eaf9493b27e1721c7c"
 
     # n=6, t=2, k=3: party 1 absent in round 2, party 2 withholding its
     # share of dealer 1, party 4 dealing a malformed ciphertext
@@ -454,9 +457,9 @@ class TestSecp256k1Pins:
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         assert result.outcome.recovered[1] == ("shares", (3, 5))
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (21, 14504)
+        assert (len(lines), sum(map(len, lines))) == (21, 10247)
         assert _lines_digest(lines) == \
-            "6ecdc1b7f04e93e5ce200bf04d3f4993e6e6cbcb8413a4d9a84e70f6db3a69c2"
+            "b0126a91e72ddc5d28c6d64f0a58214e064bc89d77d8d8cab263d77999970657"
 
     def test_election_fault_paths_bytes(self):
         votes = {1: 1, 2: 3, 3: 2, 4: 1, 5: 3, 6: 1, 7: 2}
@@ -466,9 +469,9 @@ class TestSecp256k1Pins:
         assert result.success and result.tally.counts == (3, 2, 2)
         assert result.public_state.participants == (1, 2, 3, 5, 6)
         lines = transcripts.export_lines(result.board, SECP256K1)
-        assert (len(lines), sum(map(len, lines))) == (28, 23913)
+        assert (len(lines), sum(map(len, lines))) == (28, 19656)
         assert _lines_digest(lines) == \
-            "9e75f5117e21c1fdf3f3a72e5c03afebecd13be97a8a47bc47f93e218ecbfd16"
+            "835a46ef5091afcc3a7054a69b119fa99f25e5ecfecb276d4d64cdbebdafe9ec"
 
 
 def wire_size(group, codec, value) -> int:
@@ -487,19 +490,50 @@ def wire_size(group, codec, value) -> int:
                for attr, sub, _ in transcripts.LAYOUT[codec])
 
 
+def wire_size_of(group, message) -> int:
+    """`wire_size` of a board message without its party indices: its
+    author's, and a share's dealer's."""
+    return sum(wire_size(group, codec, getattr(message, attr))
+               for attr, codec, _ in transcripts.LAYOUT[type(message)]
+               if attr not in ("sender", "dealer", "voter"))
+
+
 @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
-@pytest.mark.parametrize("k,t", [(3, 2), (4, 2)])
+def test_wire_size_of_every_kind(group):
+    """One honest message of each kind (t=2, k=3, 2 candidates) against its
+    formula in element and scalar sizes E and S: a deal is C1, T1, z, t
+    commitments and k ciphertexts; a secret its value; a share its value,
+    the key C1^sk and a DLEQ; a ballot A, B and a branch of two elements
+    and two scalars per candidate; a partial decryption its value and a
+    DLEQ.  On secp256k1 (E = 33, S = 32) a share is 163 bytes."""
+    E, S = len(group.encode(group.generator())), len(group.scalar_bytes(0))
+    t, k, candidates, dleq = 2, 3, 2, 2 * E + S
+    sizes = {kind: wire_size_of(group, message)
+             for kind, (_, message) in every_kind_entries(group).items()}
+    assert sizes == {"deal": 2 * E + S + t * E + k * S, "secret": S, "share": S + E + dleq,
+                     "ballot": 2 * E + candidates * (2 * E + 2 * S), "pdecrypt": E + dleq}
+    if group is SECP256K1:
+        assert sizes == {"deal": 98 + 33 * t + 32 * k, "secret": 32, "share": 163,
+                         "ballot": 66 + 130 * candidates, "pdecrypt": 131}
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+@pytest.mark.parametrize("k,t", [(3, 2), (4, 2), (40, 20)])
 def test_deal_wire_size(group, k, t):
     """An honest deal's elements and scalars, its author's index left out:
-    C1, T1 and z; t commitments; and per guardian C2_j, delta_j, T2_j and
-    z_j.  On secp256k1 that is 98 + 33t + 130k bytes."""
+    C1, T1 and z; t commitments; and per guardian its ciphertext c_j.  On
+    secp256k1 that is 98 + 33t + 32k bytes, 2,038 at the abstract's k=40,
+    t=20 (5,958 when each share was an ElGamal point, a scalar and their
+    proof's point and response)."""
     params = Params(k + 1, t, k)
-    result = run_ceremony(params, {i: Behavior() for i in range(1, k + 2)}, group, seed=k)
-    deal = result.board.entries(1)[0].message
-    author = transcripts.MESSAGES[protocol.DealMessage][1]
-    size = sum(wire_size(group, codec, getattr(deal, attr))
-               for attr, codec, _ in transcripts.LAYOUT[protocol.DealMessage] if attr != author)
+    rng = random.Random(k)
+    keys = {j: pke.pke_keygen(group, rng).pk for j in range(2, k + 2)}
+    deal, _ = protocol.round1_deal(1, params, protocol.GuardianSet.create(1, keys, params),
+                                   keys, group, rng)
+    assert protocol.judge_deal(deal, params, keys, group) is protocol.Verdict.ACCEPTED
+    size = wire_size_of(group, deal)
     elem, scalar = len(group.encode(group.generator())), len(group.scalar_bytes(0))
-    assert size == (2 * elem + scalar) + elem * t + 2 * (elem + scalar) * k
+    assert size == (2 * elem + scalar) + elem * t + scalar * k
     if group is SECP256K1:
-        assert size == 98 + 33 * t + 130 * k
+        assert size == 98 + 33 * t + 32 * k
+        assert (k, t) != (40, 20) or size == 2038

@@ -490,7 +490,7 @@ class TestTallyJudgesOnlyNeededShares:
         bad = nizk.DleqProof(dleq.commitment_1, dleq.commitment_2,
                              (dleq.response + 1) % curve.order)
         broken = protocol.ShareReveal(m.sender, m.dealer, m.value,
-                                      nizk.ShareDecryptionProof(m.proof.mask, bad))
+                                      nizk.ShareDecryptionProof(m.proof.key, bad))
         judged, real = [], nizk.share_decryption_equations
 
         def counting(group, pk, ct, share, proof, context):
