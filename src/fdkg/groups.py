@@ -12,14 +12,18 @@ Two interchangeable backends:
   step.  All scalar multiplication is one kernel, `multi_exps`: one point
   per product prod P_i^e_i, each a Straus loop (`_straus`) with shared
   doublings, signed-window (wNAF) digits over affine odd multiples of
-  every base, and Lim-Lee combs (8 teeth over 255 affine points) for G,
-  cached on first use, and for a base fixed by `fixed_base` while its
-  block is open.  The products of one call share their tables, their comb
-  scalars' splits and transpositions, each level of row sums and one
-  final `_to_affine`, so a call makes one inversion per table round, one
-  per level and one at its end, however many products it holds; a prover
-  computes all its points in one call.  `multi_exp`, `exp` and `base_exp`
-  are its one-product cases.  On a curve with a GLV
+  every base, and signed Lim-Lee combs for G, cached on first use, and
+  for a base fixed by `fixed_base` while its block is open.  A comb has 8
+  teeth d bits apart and 128 affine points per base, T[u] = 2^(7d)·P ±
+  2^(6d)·P ± .. ± P, one per sign pattern of the lower 7 teeth (the
+  all-nonzero signed comb of Hedabou, Pinel and Bénéteau): every column
+  of an odd scalar reads ±T[u], and an even scalar k is taken as k - 1
+  plus a parity point P in the lowest row.  The products of one call
+  share their tables, their comb scalars' splits and transpositions, each
+  level of row sums and one final `_to_affine`, so a call makes one
+  inversion per table round, one per level and one at its end, however
+  many products it holds; a prover computes all its points in one call.
+  `multi_exp`, `exp` and `base_exp` are its one-product cases.  On a curve with a GLV
   endomorphism (secp256k1: λ·(x, y) = (β·x, y)), an exponent over 128 bits
   is split as k1 + k2·λ with both halves below 2^128, halving the doubling
   chain, and every comb scalar is split so: its teeth are 16 bits apart
@@ -29,15 +33,17 @@ Two interchangeable backends:
   Affine additions are batched: `_affine_sums` adds many pairs of
   points with one inversion for all their slopes (Montgomery's trick).  It
   builds the odd multiples of all fresh bases of a call in rounds
-  (`_odd_multiples`), the subset sums of all comb tables a `fixed_base`
-  block adds in 8 rounds (`_comb_tables`), and sums the points of each
-  Straus row in pairs before the loop adds what is left; `mul` is its
-  one-pair case.
+  (`_odd_multiples`), all comb tables a `fixed_base` block adds, T[0] in
+  3 rounds and the rest in 7 doubling rounds (`_comb_tables`), and sums
+  the points of each Straus row in pairs before the loop adds what is
+  left; `muls` adds a list of pairs, and `mul` is its one-pair case.
 
 `multi_exp(group, pairs)` and `multi_exps(group, products)` are the entry
 points the provers and verification equations use: they run a group's own
 kernel (native `pow` on MultiplicativeGroup) or, for any object offering
 only the Group methods, the generic fold of `exp` and `mul` per product.
+`muls(group, pairs)`, the batched `mul` a discrete-log search uses, falls
+back to one `mul` per pair the same way.
 
 Scalars are plain Python ints reduced mod the group order q.  Every group
 exposes a coordinate map chi(element) -> scalar, deterministic; no program
@@ -48,7 +54,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 
 
 class GroupError(Exception):
@@ -81,6 +88,10 @@ class Group:
 
     def base_exp(self, e: int):
         return self.exp(self.generator(), e)
+
+    def muls(self, pairs) -> list:
+        """`mul` of each (a, b) pair."""
+        return [self.mul(a, b) for a, b in pairs]
 
     def multi_exp(self, pairs):
         """prod base^e over the (base, e) pairs, as a fold of `exp`
@@ -192,19 +203,41 @@ def _wnaf(e: int, width: int) -> list:
 
 def _comb_columns(e: int, spacing: int) -> bytes:
     """Byte i is the comb index of column i of e: its bit j is bit
-    spacing*j + i of e.  e is written out one bit a byte (ASCII '0' or '1',
-    least significant first), so each of the COMB_TEETH rows is a run of
-    bytes whose low bits, stacked at bit j, transpose the rows.  ValueError
-    for an e the comb cannot hold, negative or of more than
-    COMB_TEETH * spacing bits."""
+    spacing*j + i of e.  e is written out one bit a character, most
+    significant first, and `_column_slices` reads each column's bits, top
+    tooth first, highest column first, so the joined string is the columns
+    as one number.  ValueError for an e the comb cannot hold, negative or
+    of more than COMB_TEETH * spacing bits."""
     if e < 0 or e >> (COMB_TEETH * spacing):
         raise ValueError(f"{e.bit_length()}-bit comb scalar over {COMB_TEETH}x{spacing} bits")
-    bits = format(e, f"0{COMB_TEETH * spacing}b")[::-1].encode()
-    ones = int.from_bytes(b"\x01" * spacing, "little")
-    cols = 0
-    for j in range(COMB_TEETH):
-        cols |= (int.from_bytes(bits[spacing * j:spacing * (j + 1)], "little") & ones) << j
-    return cols.to_bytes(spacing, "little")
+    bits = format(e, f"0{COMB_TEETH * spacing}b")
+    return int("".join(_column_slices(spacing)(bits)), 2).to_bytes(spacing, "little")
+
+
+@cache
+def _column_slices(spacing: int):
+    return itemgetter(*(slice(m, None, spacing) for m in range(spacing)))
+
+
+# A signed comb column (see `_signed_columns`) as a byte of digit bits, bit
+# t set for digit +1 at tooth t: its table index and whether it reads the
+# entry's inverse.  A column whose top digit is -1 is minus the column of
+# its complement.
+_COLUMN_INDEX = bytes(m & 0x7F if m & 0x80 else 0x7F - m for m in range(256))
+_COLUMN_NEGATIVE = bytes(0 if m & 0x80 else 1 for m in range(256))
+
+
+def _signed_columns(k: int, spacing: int) -> tuple:
+    """(indices, negative, parity) of a nonzero comb half k, |k| below
+    2^n, n = COMB_TEETH*spacing: an odd k is the sum of d_i·2^i over n
+    digits d_i = ±1, the bits b_i of (k + 2^n - 1) / 2 read as
+    d_i = 2·b_i - 1.  Column i (the digits i, spacing + i, ..) is then
+    ±T[u], u from the column's lower COMB_TEETH - 1 digits: byte i of
+    `indices` is u and byte i of `negative` 1 for the minus.  An even k
+    is written as k - 1, with parity 1: the term adds P to row 0."""
+    parity = 1 - (k & 1)
+    cols = _comb_columns((k - parity + (1 << COMB_TEETH * spacing) - 1) >> 1, spacing)
+    return cols.translate(_COLUMN_INDEX), cols.translate(_COLUMN_NEGATIVE), parity
 
 
 def _jac_double(P, a: int, p: int):
@@ -347,6 +380,9 @@ class CurveGroup(Group):
     def mul(self, P, Q):
         return _affine_sums([(P, Q)], self.a, self.p)[0]
 
+    def muls(self, pairs) -> list:
+        return _affine_sums(pairs, self.a, self.p)
+
     def inv(self, P):
         if P is None:
             return None
@@ -376,8 +412,10 @@ class CurveGroup(Group):
         `fixed_base`, are summed into one comb scalar per base and product,
         whose rows join the same loop at its lowest `_comb_spacing` bits.
         With `glv`, every comb scalar is split too: k1's columns index the
-        base's table and k2's the β-images of its entries, and a negative
-        half takes each entry's inverse (x, -y).  A comb scalar is split and
+        base's table and k2's the β-images of its entries.  A half is
+        written in signed digits (`_signed_columns`), so each of its
+        columns is an entry or the entry's inverse (x, -y), and an even
+        half adds P (λ·P for k2) to row 0.  A comb scalar is split and
         transposed once per call, however many bases and products use it.
         Before the loop, the points of each row are summed in pairs, a level
         at a time across every product's rows while a level has at least
@@ -389,7 +427,7 @@ class CurveGroup(Group):
         a, p, q = self.a, self.p, self.q
         fixed, glv, spacing = self._fixed, self.glv, self._comb_spacing
         sizes = {}  # fresh base (x, y) with 2y < p -> the size of its table
-        columns = {}  # comb scalar -> (columns, is the λ-half, is negative) of its nonzero halves
+        columns = {}  # comb scalar -> (is the λ-half, *`_signed_columns`) of its nonzero halves
         parsed = []  # per product: (its comb terms, its chains)
         for pairs in products:
             comb_e = {}  # the comb bases these terms name
@@ -419,14 +457,14 @@ class CurveGroup(Group):
                 chains.append((_wnaf(sign * e, width), base, False))
                 if k2:
                     chains.append((_wnaf(sign * k2, width), base, True))
-            combs = []  # (table, halves)
+            combs = []  # (table, base, halves)
             for x, e in comb_e.items():
                 e %= q
                 if e not in columns:
                     halves = self._split(e) if glv else (e,)
-                    columns[e] = [(_comb_columns(abs(k), spacing), image, k < 0)
+                    columns[e] = [(image, *_signed_columns(k, spacing))
                                   for image, k in enumerate(halves) if k]
-                combs.append((fixed[x][1] or self._comb, columns[e]))
+                combs.append((fixed[x][1] or self._comb, (x, fixed[x][0]), columns[e]))
             parsed.append((combs, chains))
         tables = dict(zip(sizes, _odd_multiples(list(sizes), list(sizes.values()), a, p)))
         images = {}  # base -> the β-images (β·x, y) of its table
@@ -435,13 +473,20 @@ class CurveGroup(Group):
         for combs, chains in parsed:
             top = [ds[-1][0] + 1 for ds, _, _ in chains if ds]
             rows = [[] for _ in range(max([spacing if combs else 0] + top))]
-            for comb, halves in combs:
-                for cols, image, negative in halves:
-                    beta = glv[0] if image else 1  # k2's columns index the β-images
-                    for row, m in zip(rows, cols):
-                        if m:
-                            x, y = comb[m]
-                            row.append((beta * x % p, p - y if negative else y))
+            for comb, (x, y), halves in combs:
+                for image, indices, negative, parity in halves:
+                    if parity:
+                        rows[0].append((glv[0] * x % p if image else x, y))
+                    if image:  # k2's columns index the β-images; no entry is None with `glv`
+                        beta = glv[0]
+                        for row, u, minus in zip(rows, indices, negative):
+                            S = comb[u]
+                            row.append((beta * S[0] % p, p - S[1] if minus else S[1]))
+                    else:
+                        for row, u, minus in zip(rows, indices, negative):
+                            S = comb[u]
+                            if S:  # None only where a small curve's entry is infinity
+                                row.append((S[0], p - S[1]) if minus else S)
             for ds, base, image in chains:
                 if image and base not in images:
                     images[base] = [(glv[0] * x % p, y) for x, y in tables[base]]
@@ -483,26 +528,37 @@ class CurveGroup(Group):
         return {self.gx: (self.gy, None)}
 
     def _comb_tables(self, points) -> list:
-        """The comb table of each affine point (x, y), built together: [m] =
-        sum of 2^(spacing*j) * (x, y) over the set bits j of m, affine, for m
-        in 1 .. 2^COMB_TEETH - 1 ([0] is None).  Every point's teeth are
-        doubled in Jacobian form and made affine in one `_to_affine`; then
-        COMB_TEETH rounds of `_affine_sums`, each over every table, build the
-        subset sums, so the tables take COMB_TEETH + 1 inversions in all."""
+        """The signed comb table of each affine point P, built together:
+        T[u] = 2^(7d)·P + sum over t < 7 of (2·u_t - 1)·2^(td)·P, affine or
+        None, for u in 0 .. 127 with bits u_t, d the spacing of the teeth.
+        Every point's teeth 2^(td)·P and their doubles are doubled in
+        Jacobian form and made affine in one `_to_affine`; three rounds of
+        `_affine_sums` sum T[0] = 2^(7d)·P - sum of the lower teeth, and
+        then round t adds twice tooth t to every entry below 2^t, so the
+        tables take 7 + 127 additions each and COMB_TEETH + 3 inversions
+        in all."""
         a, p = self.a, self.p
-        teeth = []
+        jacobian = []  # per point: each tooth 2^(td)·P, and the double of each but the top
         for x, y in points:
             T = (x, y, 1)
-            teeth.append(T)
+            jacobian.append(T)
             for _ in range(COMB_TEETH - 1):
-                for _ in range(self._comb_spacing):
+                T = _jac_double(T, a, p)
+                jacobian.append(T)
+                for _ in range(self._comb_spacing - 1):
                     T = _jac_double(T, a, p)
-                teeth.append(T)
-        teeth = _to_affine(teeth, p)
-        tables = [[None] for _ in points]
-        for j in range(COMB_TEETH):  # round j adds tooth j to every entry below 2^j
-            sums = iter(_affine_sums([(S, teeth[COMB_TEETH * i + j])
-                                      for i, table in enumerate(tables) for S in table], a, p))
+                jacobian.append(T)
+        width = 2 * COMB_TEETH - 1
+        affine = _to_affine(jacobian, p)
+        teeth = [affine[width * i:width * (i + 1)] for i in range(len(points))]
+        tables = [[ts[-1]] + [(x, p - y) for x, y in ts[:-1:2]] for ts in teeth]  # T[0]'s terms
+        for _ in range(COMB_TEETH.bit_length() - 1):  # a level of T[0]'s sum
+            sums = iter(_affine_sums([pair for terms in tables
+                                      for pair in zip(terms[::2], terms[1::2])], a, p))
+            tables = [[next(sums) for _ in terms[::2]] for terms in tables]
+        for t in range(COMB_TEETH - 1):  # round t adds twice tooth t to every entry below 2^t
+            sums = iter(_affine_sums([(S, ts[2 * t + 1]) for ts, table in zip(teeth, tables)
+                                      for S in table], a, p))
             for table in tables:
                 table += [next(sums) for _ in table]
         return tables
@@ -559,6 +615,15 @@ def multi_exps(group, products) -> list:
     if isinstance(group, Group):
         return group.multi_exps(products)
     return [Group.multi_exp(group, pairs) for pairs in products]
+
+
+def muls(group, pairs) -> list:
+    """`mul` of each (a, b) pair: on a CurveGroup one `_affine_sums` call,
+    one inversion for all, and for an object that offers only the Group
+    methods one `mul` per pair."""
+    if isinstance(group, Group):
+        return group.muls(pairs)
+    return Group.muls(group, pairs)
 
 
 @contextmanager

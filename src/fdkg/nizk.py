@@ -12,9 +12,10 @@ its verification equations as prod base^exponent = identity, each a list
 of (base, exponent) pairs, or returns None for a claim rejected before any
 group operation: a non-canonical scalar (responses, challenges, share
 ciphertexts and claimed shares must lie in [0, q)), a wrong branch count or a
-master-challenge mismatch.  `holds` is the one check of such equations;
-`protocol.judge_claims` and `protocol.judge_deal` judge messages with it.
-`nizk` has no verifier of its own.
+master-challenge mismatch.  `holds_each` is the one check of such
+equations, one verdict per (context, claims) batch, and `holds` its
+one-batch case; `protocol.judge_claims` and `protocol.judge_deals` judge
+messages with them.  `nizk` has no verifier of its own.
 
 Each prover computes the points it outputs, its statement's and its
 commitments', in one `groups.multi_exps` call, and draws its nonces before
@@ -30,8 +31,10 @@ given.  An element is never reduced mod q, which on the toy modp group
 would let x and x + q share a challenge.  Identical inputs (including
 nonces) therefore yield byte-identical proofs.
 
-`holds` checks its equations in one `groups.multi_exps` call.  When
-q > 2^128 (secp256k1) that call has one product, their small-exponent
+`holds_each` checks every batch in one `groups.multi_exps` call, each
+batch in products of its own, so a round's deal checks are one kernel
+call and a false equation fails only its batch.  When q > 2^128
+(secp256k1) a batch is one product, its equations' small-exponent
 random linear combination (Bellare, Garay and Rabin, EUROCRYPT 1998): equation i is
 raised to a weight w_i, w_1 = 1 and the others drawn from [1, 2^128 - 1]
 by shake_256 over a domain tag, the context and every exponent of the
@@ -69,34 +72,49 @@ def _challenge(group, relation: str, context: bytes, *parts) -> int:
 _WEIGHT_BITS = 128
 
 
-def holds(group, context: bytes, claims) -> bool:
-    """True iff every equation of every claim holds, where `claims` is an
-    iterable of equation lists as the `*_equations` builders return them;
-    False at the first None among them.  One `multi_exps` call, whose
-    products are the weighted combination when q > 2^128, else every
-    equation (see the module docstring)."""
-    equations = []
-    for claim in claims:
-        if claim is None:
-            return False
-        equations += claim
-    q = group.order
-    if len(equations) > 1 and q.bit_length() > _WEIGHT_BITS:
-        h = hashlib.shake_256()
-        tag = b"fdkg/v1/batch-weights"
-        h.update(len(tag).to_bytes(2, "big") + tag)
-        h.update(len(context).to_bytes(4, "big") + context)
-        for equation in equations:
-            for _, e in equation:
-                h.update(group.scalar_bytes(e))
-        size = _WEIGHT_BITS // 8
-        stream = h.digest(size * (len(equations) - 1))
-        weights = [1] + [1 + int.from_bytes(stream[i:i + size], "big") % ((1 << _WEIGHT_BITS) - 1)
-                         for i in range(0, len(stream), size)]
-        equations = [[(base, w * e) for w, equation in zip(weights, equations)
-                      for base, e in equation]]
+def holds_each(group, batches) -> list:
+    """For each (context, claims) batch, True iff every equation of its
+    claims holds, where `claims` is a list of equation lists as the
+    `*_equations` builders return them, and False if one of them is None.
+    One `multi_exps` call for all the batches, each batch in products of
+    its own (`_products`), so a false equation fails only its batch."""
+    products, spans = [], []  # spans: per batch, its products' range or None
+    for context, claims in batches:
+        if None in claims:
+            spans.append(None)
+            continue
+        equations = _products(group, context, [equation for claim in claims
+                                               for equation in claim])
+        spans.append((len(products), len(products) + len(equations)))
+        products += equations
     identity = group.identity()
-    return all(point == identity for point in multi_exps(group, equations))
+    ok = [point == identity for point in multi_exps(group, products)] if products else []
+    return [span is not None and all(ok[span[0]:span[1]]) for span in spans]
+
+
+def _products(group, context: bytes, equations) -> list:
+    """The products whose being the identity checks `equations` under
+    `context`: their weighted combination when q > 2^128, else each
+    equation (see the module docstring)."""
+    if len(equations) < 2 or group.order.bit_length() <= _WEIGHT_BITS:
+        return equations
+    h = hashlib.shake_256()
+    tag = b"fdkg/v1/batch-weights"
+    h.update(len(tag).to_bytes(2, "big") + tag)
+    h.update(len(context).to_bytes(4, "big") + context)
+    for equation in equations:
+        for _, e in equation:
+            h.update(group.scalar_bytes(e))
+    size = _WEIGHT_BITS // 8
+    stream = h.digest(size * (len(equations) - 1))
+    weights = [1] + [1 + int.from_bytes(stream[i:i + size], "big") % ((1 << _WEIGHT_BITS) - 1)
+                     for i in range(0, len(stream), size)]
+    return [[(base, w * e) for w, equation in zip(weights, equations) for base, e in equation]]
+
+
+def holds(group, context: bytes, claims) -> bool:
+    """`holds_each` of the one batch (context, claims)."""
+    return holds_each(group, [(context, claims)])[0]
 
 
 def _canonical(group, *scalars) -> bool:

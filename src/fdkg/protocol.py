@@ -1,9 +1,10 @@
 """Two-round key-generation protocol state machine and its predicates.
 
 Round 1: each dealer shares its partial secret to a self-chosen guardian
-set and broadcasts encrypted shares with proofs.  Round 2: parties reveal
-partial secrets directly and/or decrypted guardian shares; any observer
-then reconstructs the global secret offline.
+set and broadcasts encrypted shares with proofs; `judge_deals` checks a
+round's deal proofs in one kernel call, each deal on its own.  Round 2:
+parties reveal partial secrets directly and/or decrypted guardian shares;
+any observer then reconstructs the global secret offline.
 
 Also hosts the static reconstruction/liveness/privacy predicates used by
 the simulator and by the security test harness.
@@ -180,33 +181,49 @@ def round1_deal(me: int, params: Params, guardians: GuardianSet, pki: dict,
             DealerState(me, d, poly))
 
 
+def judge_deals(messages, params: Params, pki: dict, group) -> list:
+    """The Verdict of each deal: OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF,
+    checked in that order, else ACCEPTED.  BAD_PROOF is for a deal without
+    t commitments, or whose proof's equations (`nizk.deal_equations`) are
+    None or fail.  Every proof is checked in one `nizk.holds_each` call,
+    each deal a batch of its own, so a bad deal fails only itself."""
+    verdicts, batches = [], []
+    for msg in messages:
+        if not 1 <= msg.dealer <= params.n:
+            verdicts.append(Verdict.OFF_ROLL)
+            continue
+        try:
+            GuardianSet.create(msg.dealer, msg.parts, params)
+        except InvalidGuardianSetError:
+            verdicts.append(Verdict.BAD_GUARDIAN_SET)
+            continue
+        if len(msg.commitments) != params.t:
+            verdicts.append(Verdict.BAD_PROOF)
+            continue
+        indices = sorted(msg.parts)
+        context = nizk.deal_context(group, msg.dealer, msg.commitments, indices)
+        batches.append((context, [nizk.deal_equations(
+            group, [pki[j] for j in indices], msg.c1, [msg.parts[j] for j in indices],
+            msg.proof, context)]))
+        verdicts.append(None)
+    proved = iter(nizk.holds_each(group, batches))
+    return [verdict or (Verdict.ACCEPTED if next(proved) else Verdict.BAD_PROOF)
+            for verdict in verdicts]
+
+
 def judge_deal(msg: DealMessage, params: Params, pki: dict, group) -> Verdict:
-    """OFF_ROLL, BAD_GUARDIAN_SET or BAD_PROOF, checked in that order, else
-    ACCEPTED: BAD_PROOF for a deal without t commitments, or whose proof's
-    equations (`nizk.deal_equations`) are None or fail their `nizk.holds`."""
-    if not 1 <= msg.dealer <= params.n:
-        return Verdict.OFF_ROLL
-    try:
-        GuardianSet.create(msg.dealer, msg.parts, params)
-    except InvalidGuardianSetError:
-        return Verdict.BAD_GUARDIAN_SET
-    if len(msg.commitments) != params.t:
-        return Verdict.BAD_PROOF
-    indices = sorted(msg.parts)
-    context = nizk.deal_context(group, msg.dealer, msg.commitments, indices)
-    equations = nizk.deal_equations(group, [pki[j] for j in indices], msg.c1,
-                                    [msg.parts[j] for j in indices], msg.proof, context)
-    return Verdict.ACCEPTED if nizk.holds(group, context, [equations]) else Verdict.BAD_PROOF
+    """`judge_deals` of the one deal `msg`."""
+    return judge_deals([msg], params, pki, group)[0]
 
 
 def process_round1(messages, params: Params, pki: dict, group) -> PublicState:
-    """Judge every deal on its own, keep each dealer's first accepted one
-    (`first_accepted`) and aggregate the global key."""
+    """Judge every deal on its own, all in one `judge_deals` call, keep
+    each dealer's first accepted one (`first_accepted`) and aggregate the
+    global key."""
     state = PublicState(params=params, pki=dict(pki))
     messages = list(messages)
     state.deals = deals = first_accepted(
-        messages, [judge_deal(msg, params, pki, group) for msg in messages],
-        lambda msg: msg.dealer)
+        messages, judge_deals(messages, params, pki, group), lambda msg: msg.dealer)
     state.participants = tuple(sorted(deals))
     if state.participants:
         state.global_pk = multi_exp(group, [(deals[i].partial_pk, 1) for i in state.participants])
@@ -245,7 +262,9 @@ def judge_claims(group, context: bytes, claims) -> list:
     written (verdict, None).  A claim's verdict is that of its first part
     whose equations are None or do not hold under `context`, else ACCEPTED.
     When two or more claims have all their equations, those are checked in
-    one batch (`nizk.holds`), and part by part only if it fails."""
+    one batch (`nizk.holds`).  Every other claim, and every claim of a
+    failed batch, is checked part by part, up to its first part without
+    equations, all in one `nizk.holds_each` call."""
     batch = [equations for claim in claims for _, equations in claim]
     whole = [True] * len(claims)
     if None in batch:  # leave out every claim with a part that has no equations
@@ -254,8 +273,20 @@ def judge_claims(group, context: bytes, claims) -> list:
                  for _, equations in claim]
     batch_ok = whole.count(True) > 1 and nizk.holds(group, context, batch)
     accepted = Verdict.ACCEPTED  # enum lookups are slow
-    return [accepted if complete and batch_ok else _first_failing(group, context, claim)
-            for claim, complete in zip(claims, whole)]
+    out = [accepted] * len(claims)
+    checks = []  # (claim index, verdict, equations) of each part to check alone
+    for i, (claim, complete) in enumerate(zip(claims, whole)):
+        if complete and batch_ok:
+            continue
+        for verdict, equations in claim:
+            checks.append((i, verdict, equations))
+            if equations is None:
+                break
+    held = nizk.holds_each(group, [(context, [equations]) for _, _, equations in checks])
+    for (i, verdict, _), ok in zip(checks, held):
+        if not ok and out[i] is accepted:  # the claim's first failing part
+            out[i] = verdict
+    return out
 
 
 def first_accepted(messages, verdicts, key) -> dict:
@@ -270,13 +301,6 @@ def first_accepted(messages, verdicts, key) -> dict:
         if verdict is Verdict.ACCEPTED:
             accepted.setdefault(key(msg), msg)
     return accepted
-
-
-def _first_failing(group, context: bytes, claim) -> Verdict:
-    for verdict, equations in claim:
-        if equations is None or not nizk.holds(group, context, [equations]):
-            return verdict
-    return Verdict.ACCEPTED
 
 
 def _reveal_claim(public_state: PublicState, msg, group, context: bytes) -> list:

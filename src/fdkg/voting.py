@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import nizk, shamir
-from .groups import multi_exp
+from .groups import multi_exp, muls
 from .protocol import (PublicState, ShareReveal, Verdict, accepted_reveals, first_accepted,
                        judge_claims)
 
@@ -204,27 +204,48 @@ def collect_decryption_values(group, public_state: PublicState, c1,
     return values
 
 
+GIANT_BLOCK = 16  # giant steps taken in one `groups.muls` call, a power of 2
+
+
+def _steps(group, start, step, count: int) -> tuple:
+    """([start + i·step for i < count], 2^r·step), the products written
+    additively, in r doubling rounds of one `groups.muls` call each: round
+    r adds 2^r·step to every point so far and doubles it; 2^r is the
+    least power of 2 >= count."""
+    points, power = [start], step
+    while len(points) < count:
+        sums = muls(group, [(P, power) for P in points[:count - len(points)]]
+                    + [(power, power)])
+        power = sums.pop()
+        points += sums
+    return points, power
+
+
 def bsgs_dlog(group, target, base, bound: int) -> int:
-    """Smallest e in [0, bound] with base^e = target; raises when absent."""
+    """Smallest e in [0, bound] with base^e = target; raises when absent.
+    e = i·m + j with i, j < m, m = isqrt(bound) + 1: the m baby steps
+    base^j come in doubling rounds (`_steps`), and the giant steps
+    target·base^(-m·i) in blocks of GIANT_BLOCK, each block one
+    `groups.muls` call from the last, so a search makes about
+    log2 m + m / GIANT_BLOCK inversions on a curve, not one per step."""
     if bound < 0:
         raise VotingError("bound must be >= 0")
     if target == group.identity():
         return 0
     m = max(1, math.isqrt(bound) + 1)
     table = {}
-    cur = group.identity()
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = group.mul(cur, base)
-    stride = group.inv(group.exp(base, m))
-    gamma = target
-    for i in range(m + 1):
-        j = table.get(gamma)
-        if j is not None:
-            e = i * m + j
-            if e <= bound:
-                return e
-        gamma = group.mul(gamma, stride)
+    for j, point in enumerate(_steps(group, group.identity(), base, m)[0]):
+        table.setdefault(point, j)
+    block, stride = _steps(group, target, group.inv(group.exp(base, m)), GIANT_BLOCK)
+    for start in range(0, m, GIANT_BLOCK):  # i < m: m·m > bound
+        for i, gamma in enumerate(block[:m - start], start):
+            j = table.get(gamma)
+            if j is not None:
+                e = i * m + j
+                if e <= bound:
+                    return e
+        if start + GIANT_BLOCK < m:
+            block = muls(group, [(gamma, stride) for gamma in block])
     raise DlogNotFoundError(f"no exponent in [0, {bound}]")
 
 

@@ -20,7 +20,7 @@ def rng():
 # the `counts` key of the affine additions that each caller of
 # `groups._affine_sums` asks for
 AFFINE_SUM_KEYS = {"_odd_multiples": "table", "multi_exps": "row", "_comb_tables": "comb",
-                   "mul": "mul"}
+                   "mul": "mul", "muls": "mul"}
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def counts(monkeypatch):
     additions or doublings, one per pair passed to `_affine_sums`, under
     the key of the function that asks for them: `table` for odd-multiple
     tables, `row` for the row sums of `multi_exps`, `comb` for comb tables
-    and `mul` for `mul`; and `inversion`, the field inversions, one per
+    and `mul` for `mul` and `muls`; and `inversion`, the field inversions, one per
     `_inverses` call (Montgomery's trick, which every inversion of the
     kernel goes through).  They do not depend on the host."""
     counts = dict.fromkeys(("double", "add", *AFFINE_SUM_KEYS.values(), "inversion"), 0)

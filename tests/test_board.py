@@ -291,14 +291,15 @@ class TestGuardianKeyCombs:
         So the run takes at most 6,132 doublings: 6,023, against 16,067 with
         a fresh-base exponentiation for each use.  With 32-column combs and
         key tables only it took 13,291 and 17,555 under a bound of 13,400
-        (the same margin), and 8 * 255 table additions."""
+        (the same margin), and 8 * 255 table additions.  A signed comb
+        table takes 7 + 127 additions (255 subset sums before it)."""
         seed, behaviors, gsets = benchmark_shaped_ceremony(7)
         SECP256K1.base_exp(1)  # G's comb is built outside the count
         counts.update(dict.fromkeys(counts, 0))
         result = run_ceremony(Params(8, 2, 4), behaviors, SECP256K1, seed, gsets)
         assert result.outcome.success
         assert counts["double"] <= 6_132
-        assert counts["comb"] == (8 + 7) * 255  # one table per key and per accepted C1
+        assert counts["comb"] == (8 + 7) * 134  # one table per key and per accepted C1
 
 
 class TestRevealRoundCombs:

@@ -7,7 +7,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdkg import groups, nizk
@@ -18,10 +18,11 @@ from fdkg.groups import (SECP256K1, TEST_GROUP, CurveGroup, GroupError, Multipli
 # points), small enough to check every scalar and to hit the coincident-point
 # branches of the Jacobian formulas while the comb table is built.
 TOY_CURVE = CurveGroup(p=1019, a=2, b=18, q=1013, gx=3, gy=207, name="toy")
-# Another (y^2 = x^3 + 2x + 2 over F_467, 463 points), whose comb teeth
-# 4^j·P have subset sums that collide: building a comb table there doubles
-# one point and reaches infinity once.  TOY_CURVE's comb sums never collide.
-COMB_TOY = CurveGroup(p=467, a=2, b=2, q=463, gx=4, gy=169, name="comb-toy")
+# Another (y^2 = x^3 + 5x + 11 over F_2663, 2731 points), whose signed comb
+# entries collide: building a table doubles one point and reaches infinity
+# once, at entry 65, which the exponents 2729 and 2730 of G read.
+# TOY_CURVE's comb entries never collide.
+COMB_TOY = CurveGroup(p=2663, a=5, b=11, q=2731, gx=2, gy=495, name="comb-toy")
 
 Q = SECP256K1.q
 EDGE_SCALARS = [0, 1, 2, 15, 16, 17, Q - 1, Q, Q + 1, 2 * Q, -1, -2, -Q, -Q - 1,
@@ -132,8 +133,10 @@ class TestSecp256k1Arithmetic:
         table = group._comb
         group.exp(group.generator(), 7)
         assert group._comb is table
-        assert len(table) == 256 and table[0] is None
-        assert all(on_curve(group, P) for P in table[1:])
+        # 128 signed entries, none at infinity on secp256k1 (255 subset sums
+        # and a None at [0] before the signed comb)
+        assert len(table) == 128
+        assert all(on_curve(group, P) for P in table)
 
 
 def fold(group, pairs):
@@ -543,11 +546,13 @@ class TestOperationCounts:
         # tables, 11 on these inputs
         assert doublings <= 132  # 267 before the split
         assert counts["table"] == 6 * 10 + 5 * 5  # 6 width-5 and 5 width-4 tables
-        assert additions <= 421
-        # 421 split; 295 and 126 when G's comb took 32 columns of one
-        # 256-bit scalar, not 16 of each GLV half (the same points, in
-        # other rows)
-        assert counts["row"] == 296 and counts["add"] == 125
+        assert additions <= 422
+        # 422 with the signed comb: G's comb scalar has an even GLV half
+        # here, whose parity point is one more point of row 0 (421 and 296
+        # rows before it).  421 split; 295 and 126 when G's comb took 32
+        # columns of one 256-bit scalar, not 16 of each GLV half (the same
+        # points, in other rows)
+        assert counts["row"] == 297 and counts["add"] == 125
         # the batch's short terms alone, each a commitment to its weight:
         # whole, exactly as before.  The 6 table doublings of the pin
         # (135, 158) taken before the tables were affine are now among the
@@ -651,15 +656,16 @@ class TestFixedBase:
 
     def test_tables_built_together(self, counts):
         """A block on three new points, -P of one of them, G and the
-        identity builds the three tables in one pass: COMB_TEETH + 1
-        inversions and 255 additions a table, each table the reference's."""
+        identity builds the three tables in one pass: COMB_TEETH + 3
+        inversions and 134 additions a table, each table the reference's
+        (COMB_TEETH + 1 and 255 for the unsigned subset sums)."""
         group = fresh_curve()
         group.base_exp(1)
         points = [group.base_exp(k) for k in (0xFEED, 0xFACE, 0xBEEF)]
         counts.update(dict.fromkeys(counts, 0))
         with groups.fixed_base(group, *points, group.inv(points[1]), group.generator(), None):
-            assert counts["inversion"] == groups.COMB_TEETH + 1
-            assert counts["comb"] == 3 * 255
+            assert counts["inversion"] == groups.COMB_TEETH + 3
+            assert counts["comb"] == 3 * 134
             assert {x: table for x, (_, table) in group._fixed.items() if table} == {
                 P[0]: ref_comb_table(group, P) for P in points}
             assert group._fixed[points[1][0]][0] == points[1][1]  # the first of ±P
@@ -715,10 +721,17 @@ SPLIT_HALVES = {  # (k1, k2) by the signs of the halves
 }
 
 
+# GLV halves for the signed comb: each sign and parity, zero, and the
+# widest the comb holds
+COMB_HALVES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 2**128 - 1, -(2**128 - 1), 2**128 - 2, -(2**128 - 2)]),
+    st.integers(-(2**128 - 1), 2**128 - 1))
+
+
 class TestGlvCombs:
     """On secp256k1 a comb scalar is split as k1 + k2·λ: k1's 16 columns
-    index the base's table, k2's the β-images of its entries, and a
-    negative half takes each entry's inverse.  Checked on G and on a base
+    index the base's table, k2's the β-images of its entries, and each
+    column reads an entry or its inverse.  Checked on G and on a base
     fixed by `fixed_base`, at a zero half, at each sign pair, and at comb
     scalars summed from several terms, as `nizk.holds` sums them."""
 
@@ -738,6 +751,27 @@ class TestGlvCombs:
             assert SECP256K1.exp(SECP256K1.inv(FIXED), e) == ref_exp(SECP256K1, FIXED, -e)
             pairs = [(FIXED, e), (g, split_scalar(-k1, k2)), (SECP256K1.inv(g), 3)]
             assert multi_exp(SECP256K1, pairs) == fold(SECP256K1, pairs)
+
+    @PROPERTY
+    @given(k1=COMB_HALVES, k2=COMB_HALVES)
+    @example(k1=2**128 - 1, k2=-(2**128 - 2))
+    @example(k1=-(2**128 - 2), k2=2**128 - 1)
+    @example(k1=2, k2=0)
+    @example(k1=0, k2=-3)
+    def test_signed_comb_matches_reference(self, k1, k2):
+        """Whatever halves the split gives, odd or even, of either sign,
+        zero or of 128 bits, the signed comb makes k1·P + k2·λ(P): here
+        one comb scalar, with `_split` made to give (k1, k2), on G and on
+        a fixed base in one product."""
+        g = SECP256K1.generator()
+        expected = None
+        for P in (g, FIXED):
+            for base, k in ((P, k1), (lambda_image(P), k2)):
+                expected = ref_add(SECP256K1, expected, ref_exp(SECP256K1, base, k))
+        with mock.patch.object(CurveGroup, "_split", return_value=(k1, k2)) as split:
+            with groups.fixed_base(SECP256K1, FIXED):
+                assert multi_exp(SECP256K1, [(g, 12345), (FIXED, 12345)]) == expected
+        assert split.call_count == 1  # the one comb scalar is split once
 
     def test_without_glv_a_comb_term_takes_32_doublings(self, counts):
         GENERIC.base_exp(1)
@@ -904,32 +938,47 @@ class TestRowSums:
         assert counts["table"] == 32 * 5  # 32 width-4 tables of 2 doublings, 3 additions
 
     def test_comb_twins_on_toy_curve(self):
-        """A base equal to ±comb[m], where m is column i of G's exponent e,
-        with exponent 2^i puts its twin in row i beside comb[m]; every level
-        is summed."""
+        """A base equal to ±T[u], where ±T[u] is column i of G's exponent e
+        in the signed comb, with exponent 2^i puts its twin in row i beside
+        the column's point; every level is summed."""
         g, spacing = TOY_CURVE.generator(), TOY_CURVE._comb_spacing
         with mock.patch.object(groups, "ROW_PAIRS", 1):
             for e in range(1, TOY_CURVE.q):
                 pairs = [(g, e)]
-                for i, m in enumerate(groups._comb_columns(e, spacing)):
-                    c = sum(1 << (spacing * j) for j in range(groups.COMB_TEETH) if m >> j & 1)
+                indices, negative, _ = groups._signed_columns(e, spacing)
+                for i, (u, minus) in enumerate(zip(indices, negative)):
+                    c = -comb_multiple(u, spacing) if minus else comb_multiple(u, spacing)
                     pairs.append((ref_exp(TOY_CURVE, g, c if (e >> i) & 2 else -c), 1 << i))
                 assert multi_exp(TOY_CURVE, pairs) == fold(TOY_CURVE, pairs), e
 
 
+def comb_multiple(u: int, spacing: int) -> int:
+    """The multiple of P at entry u of P's signed comb table:
+    2^(7·spacing) + sum over t < 7 of ±2^(t·spacing), + where bit t of u is
+    set."""
+    top = groups.COMB_TEETH - 1
+    return (1 << top * spacing) + sum((1 if u >> t & 1 else -1) << t * spacing
+                                      for t in range(top))
+
+
 def ref_comb_table(curve, P):
-    """P's comb table from the affine reference: the subset sums of its
-    teeth 2^(spacing*j)·P."""
-    teeth = [ref_exp(curve, P, 1 << (curve._comb_spacing * j)) for j in range(groups.COMB_TEETH)]
-    expected = [None]
-    for T in teeth:
-        expected += [ref_add(curve, S, T) for S in expected]
-    return expected
+    """P's signed comb table from the affine reference: entry u is the top
+    tooth plus each lower tooth 2^(t·spacing)·P, or its inverse where bit t
+    of u is clear."""
+    teeth = [ref_exp(curve, P, 1 << (curve._comb_spacing * t)) for t in range(groups.COMB_TEETH)]
+    table = []
+    for u in range(1 << (groups.COMB_TEETH - 1)):
+        entry = teeth[-1]
+        for t, T in enumerate(teeth[:-1]):
+            entry = ref_add(curve, entry, T if u >> t & 1 else curve.inv(T))
+        table.append(entry)
+    return table
 
 
 class TestCombTable:
-    """`CurveGroup._comb_tables` builds the 255 subset sums of every table
-    together, in COMB_TEETH rounds of `_affine_sums`."""
+    """`CurveGroup._comb_tables` builds the 128 signed entries of every
+    table together: T[0] in three rounds of `_affine_sums`, then the rest
+    in COMB_TEETH - 1 doubling rounds."""
 
     @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE, COMB_TOY], ids=lambda g: g.name)
     def test_matches_reference(self, curve):
@@ -939,32 +988,39 @@ class TestCombTable:
     @pytest.mark.parametrize("curve", [SECP256K1, TOY_CURVE, COMB_TOY], ids=lambda g: g.name)
     def test_batched_tables_match_reference(self, curve, counts):
         """Five tables built together, P and -P among them, equal each
-        point's reference table, with COMB_TEETH + 1 inversions in all and
-        the additions and doublings of five tables built one by one."""
+        point's reference table, with COMB_TEETH + 3 inversions in all and
+        the additions and doublings of five tables built one by one: 7 for
+        T[0] and 127 for the rest of each (COMB_TEETH + 1 inversions and
+        255 additions a table for the unsigned subset sums)."""
         g = curve.generator()
         points = [ref_exp(curve, g, k) for k in (1, 2, 0xFEEDFACE, 77)]
         points.append(curve.inv(points[-1]))
         counts.update(dict.fromkeys(counts, 0))
         assert curve._comb_tables(points) == [ref_comb_table(curve, P) for P in points]
-        assert counts["inversion"] == groups.COMB_TEETH + 1
-        assert counts["comb"] == 5 * 255
+        assert counts["inversion"] == groups.COMB_TEETH + 3
+        assert counts["comb"] == 5 * 134
         assert counts["double"] == 5 * (groups.COMB_TEETH - 1) * curve._comb_spacing
         assert curve._comb_tables([]) == []
 
     def test_colliding_sums_on_comb_toy(self):
-        """COMB_TOY's build doubles a point and reaches infinity (at a column
-        that no exponent below q selects); its exponentiations still match
-        the reference for every scalar."""
-        g = COMB_TOY.generator()
+        """COMB_TOY's build doubles a point and reaches infinity, at an
+        entry that some exponents read; its exponentiations still match the
+        reference for every scalar, on G and on a base fixed by
+        `fixed_base`."""
+        g, spacing = COMB_TOY.generator(), COMB_TOY._comb_spacing
         assert ref_exp(COMB_TOY, g, COMB_TOY.q) is None
-        teeth = [ref_exp(COMB_TOY, g, 1 << (COMB_TOY._comb_spacing * j))
-                 for j in range(groups.COMB_TEETH)]
         (table,) = COMB_TOY._comb_tables([g])
-        lower = [(table[m ^ 1 << (m.bit_length() - 1)], teeth[m.bit_length() - 1])
-                 for m in range(1, 256)]
-        assert any(S == T for S, T in lower) and any(S == COMB_TOY.inv(T) for S, T in lower)
-        assert table.count(None) == 2  # [0], and the sum that is infinity
+        # round t adds twice tooth t to every entry u below 2^t
+        added = [(table[u], ref_exp(COMB_TOY, g, 2 << (spacing * t)))
+                 for t in range(groups.COMB_TEETH - 1) for u in range(1 << t)]
+        assert any(S == T for S, T in added) and any(S == COMB_TOY.inv(T) for S, T in added)
+        assert [u for u, S in enumerate(table) if S is None] == [65]
+        assert [e for e in range(1, COMB_TOY.q)
+                if 65 in groups._signed_columns(e, spacing)[0]] == [2729, 2730]
         P = ref_exp(COMB_TOY, g, 77)
         for e in range(COMB_TOY.q):
             assert COMB_TOY.base_exp(e) == ref_exp(COMB_TOY, g, e), e
             assert multi_exp(COMB_TOY, [(g, e), (P, e)]) == ref_exp(COMB_TOY, g, 78 * e), e
+        with groups.fixed_base(COMB_TOY, P):
+            for e in range(COMB_TOY.q):
+                assert multi_exp(COMB_TOY, [(g, e), (P, -e)]) == ref_exp(COMB_TOY, g, -76 * e), e

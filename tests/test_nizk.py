@@ -666,21 +666,29 @@ class TestProverInversions:
         assert self.inversions(counts, deal, *pki(keypairs).values()) == 2
 
     def test_ballot(self, counts):
-        """A 3-candidate ballot: 6 inversions alone, 3 with the election
-        key's table (30 and 18 at the parent)."""
+        """A 3-candidate ballot: 7 inversions alone, 3 with the election
+        key's table (30 and 18 at the parent).  Alone it took 6 before the
+        signed comb: its G comb terms now put 214 points in the rows, not
+        191 (every column of the short vote exponent's half is nonzero, and
+        even halves add a parity point), so the row sums take one more
+        level."""
         pk = SECP256K1.base_exp(0xC0FFEE)
         enc = voting.derive_encoding(20, 3, SECP256K1.order)
 
         def cast():
             voting.cast_ballot(SECP256K1, enc, pk, 1, 2, random.Random(7))
 
-        assert self.inversions(counts, cast) == 6
+        assert self.inversions(counts, cast) == 7
         assert self.inversions(counts, cast, pk) == 3
 
     def test_share_decryptions(self, counts):
         """A guardian's 4 share reveals: 6 inversions on fresh C1s (4 table
-        rounds, 1 level, 1 final), 2 with the C1s' tables (52 and 28 at the
-        parent; 10 and 6 with the ElGamal masks' 4 `div`s)."""
+        rounds, 1 level, 1 final), 3 with the C1s' tables (52 and 28 at the
+        parent; 10 and 6 with the ElGamal masks' 4 `div`s).  With the
+        tables it took 2 before the signed comb, whose 12 comb terms put
+        400 points in the rows, not 384 (a point in every column, and a
+        parity point for each even half), so the row sums take a second
+        level."""
         rng = random.Random(32)
         params = protocol.Params(6, 2, 4)
         keypairs = {j: pke.pke_keygen(SECP256K1, rng) for j in range(1, 7)}
@@ -695,7 +703,7 @@ class TestProverInversions:
                                                      random.Random(4))) == 4
 
         assert self.inversions(counts, reveal) == 6
-        assert self.inversions(counts, reveal, *(deal.c1 for deal in deals)) == 2
+        assert self.inversions(counts, reveal, *(deal.c1 for deal in deals)) == 3
 
     def test_partial_decryption(self, counts):
         """A dealer's partial decryption: 6 inversions on a fresh C1, 2 with

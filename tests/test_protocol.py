@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from fdkg import nizk, pke, protocol, shamir, voting
+from fdkg import groups, nizk, pke, protocol, shamir, voting
 from fdkg.groups import SECP256K1, TEST_GROUP
 from fdkg.protocol import GuardianSet, Params, SecretReveal, ShareReveal, Verdict
 
@@ -124,16 +124,49 @@ class TestProcessRound1:
         assert public.global_pk == acc
 
     def test_first_valid_deal_wins(self, group, rng, monkeypatch):
+        """Both of dealer 1's deals are judged, in one `judge_deals` call,
+        and both are accepted; the first is kept."""
         params = Params(6, 2, 3)
         pki, pub, messages, states, _ = run_round1(group, rng, params, {1: {2, 3, 4}})
         gset = GuardianSet.create(1, {4, 5, 6}, params)
         second, _ = protocol.round1_deal(1, params, gset, pub, group, rng)
-        judged, real = [], protocol.judge_deal
-        monkeypatch.setattr(protocol, "judge_deal",
-                            lambda msg, *args: judged.append(msg) or real(msg, *args))
+        judged, real = [], protocol.judge_deals
+
+        def recording(msgs, *args):
+            verdicts = real(msgs, *args)
+            judged.append(list(zip(msgs, verdicts)))
+            return verdicts
+
+        monkeypatch.setattr(protocol, "judge_deals", recording)
         public = protocol.process_round1([messages[0], second], params, pub, group)
         assert public.deals[1].guardians.members == frozenset({2, 3, 4})
-        assert judged == [messages[0], second] and public.deals[1] is messages[0]
+        assert judged == [[(messages[0], Verdict.ACCEPTED), (second, Verdict.ACCEPTED)]]
+        assert public.deals[1] is messages[0]
+
+    @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+    def test_round_of_deals_is_one_kernel_call(self, group, monkeypatch):
+        """Five deals, the middle one with its proof's response off by one:
+        `process_round1` judges them in one `multi_exps` call, that deal and
+        only that deal is BAD_PROOF, and the verdicts are those of judging
+        each deal alone."""
+        rng = random.Random(21)
+        params = Params(6, 2, 3)
+        sets = {i: {(i + d - 1) % 6 + 1 for d in (1, 2, 3)} for i in range(1, 6)}
+        _, pub, messages, _, _ = run_round1(group, rng, params, sets)
+        bad = messages[2]
+        messages[2] = dataclasses.replace(bad, proof=dataclasses.replace(
+            bad.proof, response=(bad.proof.response + 1) % group.order))
+        alone = [protocol.judge_deal(msg, params, pub, group) for msg in messages]
+        calls, real = [], groups.multi_exps
+        monkeypatch.setattr(nizk, "multi_exps",
+                            lambda *args: calls.append(args) or real(*args))
+        public = protocol.process_round1(messages, params, pub, group)
+        assert len(calls) == 1
+        assert alone == [Verdict.ACCEPTED] * 2 + [Verdict.BAD_PROOF] + [Verdict.ACCEPTED] * 2
+        calls.clear()
+        assert protocol.judge_deals(messages, params, pub, group) == alone
+        assert len(calls) == 1
+        assert public.participants == (1, 2, 4, 5)
 
     def test_one_shot_iterator(self, group, rng):
         """A generator of deals gives the same state as the list of them."""
@@ -687,6 +720,36 @@ class TestBatchedReveals:
         verdicts = protocol.judge_reveals(public, shares, group, CTX)
         assert verdicts[4] is Verdict.BAD_DLEQ
         assert verdicts[9] is Verdict.BAD_DLEQ
+
+    @pytest.mark.parametrize("group", [TEST_GROUP, SECP256K1], ids=lambda g: g.name)
+    def test_failed_batch_rechecked_in_one_kernel_call(self, group, monkeypatch):
+        """A batch of reveals with a bad DLEQ response, a share that its
+        pad key does not give and a wrong secret fails, and is re-checked
+        part by part in one more `multi_exps` call; the verdicts are those
+        of judging each reveal alone."""
+        params = Params(5, 2, 3)
+        sets = {i: {(i + d - 1) % 5 + 1 for d in (1, 2, 3)} for i in range(1, 6)}
+        pki, _, _, states, public = run_round1(group, random.Random(23), params, sets)
+        reveals = scenario_reveals(group, random.Random(24), params, pki, states, public,
+                                   set(sets))
+        shares = [i for i, m in enumerate(reveals) if isinstance(m, ShareReveal)]
+        secret = next(i for i, m in enumerate(reveals) if isinstance(m, SecretReveal))
+        m = reveals[shares[1]]
+        dleq = dataclasses.replace(m.proof.dleq, response=(m.proof.dleq.response + 1) % group.order)
+        reveals[shares[1]] = dataclasses.replace(
+            m, proof=dataclasses.replace(m.proof, dleq=dleq))
+        m = reveals[shares[4]]
+        reveals[shares[4]] = dataclasses.replace(m, value=(m.value + 1) % group.order)
+        m = reveals[secret]
+        reveals[secret] = dataclasses.replace(m, value=(m.value + 1) % group.order)
+        claims = [protocol._reveal_claim(public, m, group, CTX) for m in reveals]
+        alone = [protocol.judge_claims(group, CTX, [claim])[0] for claim in claims]
+        assert Counter(alone) == {Verdict.ACCEPTED: len(reveals) - 3, Verdict.BAD_DLEQ: 2,
+                                  Verdict.PK_MISMATCH: 1}
+        calls, real = [], groups.multi_exps
+        monkeypatch.setattr(nizk, "multi_exps", lambda *args: calls.append(args) or real(*args))
+        assert protocol.judge_reveals(public, reveals, group, CTX) == alone
+        assert len(calls) == 2
 
     def test_fault_path_cost_in_group_operations(self, counts):
         """Judging `bad_dealer_round1`'s 15 share reveals on secp256k1, one

@@ -355,8 +355,11 @@ def test_ballot_cost_in_group_operations(counts):
     assert cost()[0] <= 646
     with groups.fixed_base(SECP256K1, pk):  # the key's table is built here
         double, add, table = cost()
-    # each point is added once: in the row sums or by the Straus loop
-    assert double <= 256 and add <= 330 and table == 0
+    # each point is added once: in the row sums or by the Straus loop.  317,
+    # under a bound of 330, before the signed comb: every column of a comb
+    # half now holds a point, so the short vote exponent's G term in B adds
+    # 17 points, not 1, and an even half adds its parity point
+    assert double <= 256 and add <= 345 and table == 0
 
 
 def dealer_1_state(partial_pk):
@@ -590,6 +593,56 @@ class TestBsgs:
     def test_negative_bound_rejected(self, group):
         with pytest.raises(VotingError):
             bsgs_dlog(group, group.identity(), group.generator(), -1)
+
+    @pytest.mark.parametrize("kind", ["modp", "secp256k1", "methods-only"])
+    def test_matches_sequential_search(self, kind):
+        """On targets G^e for random e, e = 0, e = bound and e = bound + 1,
+        the batched search gives the sequential search's smallest e, or
+        raises where it finds none: on the toy group past its order too,
+        and on an object offering only the Group methods, where each batch
+        is a fold of `mul`."""
+        group = {"modp": TEST_GROUP, "secp256k1": SECP256K1,
+                 "methods-only": MulCounting(SECP256K1)}[kind]
+        g = group.generator()
+        rng = random.Random(13)
+        # 288: m = 17, so e = 288 is in the first giant step of a block
+        bounds = (0, 1, 2, 15, 16, 17, 143, 144, 255, 288, 1500, 2100, TEST_GROUP.q ** 2)
+        for bound in bounds if kind == "modp" else bounds[:-3]:
+            for e in [0, bound, bound + 1] + [rng.randrange(2 * bound + 2) for _ in range(4)]:
+                target = group.base_exp(e)
+                expected = sequential_dlog(group, target, g, bound)
+                if expected is None:
+                    with pytest.raises(DlogNotFoundError):
+                        bsgs_dlog(group, target, g, bound)
+                else:
+                    assert bsgs_dlog(group, target, g, bound) == expected, (bound, e)
+        if kind == "methods-only":
+            assert group.muls > 0
+
+
+class MulCounting:
+    """Only the Group methods a search uses, with its `mul` calls counted,
+    as the benchmark's counting proxy offers them."""
+
+    def __init__(self, inner):
+        self.inner, self.order, self.muls = inner, inner.order, 0
+        for op in ("generator", "identity", "inv", "exp", "base_exp"):
+            setattr(self, op, getattr(inner, op))
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self.inner.mul(a, b)
+
+
+def sequential_dlog(group, target, base, bound: int):
+    """Smallest e in [0, bound] with base^e = target, one `mul` a step, or
+    None."""
+    point = group.identity()
+    for e in range(bound + 1):
+        if point == target:
+            return e
+        point = group.mul(point, base)
+    return None
 
 
 class TestTallyFinalize:
